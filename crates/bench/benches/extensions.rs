@@ -8,8 +8,9 @@ use fmm_cdag::expansion::subproblem_cones;
 use fmm_cdag::RecursiveCdag;
 use fmm_core::catalog;
 use fmm_core::rectangular::{multiply_rect, rect_catalog};
+use fmm_faults::FaultSpec;
 use fmm_memsim::cache::Policy;
-use fmm_memsim::par_threads::cannon_threaded;
+use fmm_memsim::par_threads::cannon_threaded_faulty;
 use fmm_memsim::seq;
 use fmm_memsim::trace::opt_stats;
 use fmm_pebbling::players::{belady_schedule, creation_order};
@@ -77,9 +78,13 @@ fn threaded_cannon(c: &mut Criterion) {
     group.sample_size(20);
     let a = bench_matrix(32, 72);
     let b = bench_matrix(32, 73);
+    let plan = FaultSpec::default().plan();
     for p in [2usize, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(p * p), &p, |bch, &p| {
-            bch.iter(|| black_box(cannon_threaded(&a, &b, p).total_words))
+            bch.iter(|| {
+                let run = cannon_threaded_faulty(&a, &b, p, &plan).expect("inert plan");
+                black_box(run.total_words)
+            })
         });
     }
     group.finish();

@@ -1,6 +1,7 @@
 //! X3 / Table I support: wall-clock of the multiplication kernels —
-//! classical (naive, ikj, blocked, parallel) and fast (Strassen, Winograd,
-//! Karstadt–Schwartz) across sizes and cutoffs.
+//! classical (naive, ikj, and `fmm-kernel`'s tiled path on one and four
+//! threads) and fast (Strassen, Winograd, Karstadt–Schwartz) across sizes
+//! and cutoffs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fmm_bench::bench_matrix_f64;
@@ -22,11 +23,11 @@ fn classical_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ikj", n), &n, |bch, _| {
             bch.iter(|| black_box(multiply::multiply_ikj(&a, &b)))
         });
-        group.bench_with_input(BenchmarkId::new("blocked32", n), &n, |bch, _| {
-            bch.iter(|| black_box(multiply::multiply_blocked(&a, &b, 32)))
+        group.bench_with_input(BenchmarkId::new("tiled", n), &n, |bch, _| {
+            bch.iter(|| black_box(fmm_kernel::classical_tiled(&a, &b)))
         });
-        group.bench_with_input(BenchmarkId::new("parallel4", n), &n, |bch, _| {
-            bch.iter(|| black_box(multiply::multiply_parallel(&a, &b, 4)))
+        group.bench_with_input(BenchmarkId::new("tiled_mt4", n), &n, |bch, _| {
+            bch.iter(|| black_box(fmm_kernel::classical_tiled_mt(&a, &b, 4)))
         });
     }
     group.finish();

@@ -208,74 +208,6 @@ fn publish_op_counts(alg: &str, counts: &OpCounts) {
     fmm_obs::add("core.exec.coeff_mults", &labels, counts.coeff_mults);
 }
 
-/// Parallel fast multiplication: the seven sub-products of the *top*
-/// recursion level run as crossbeam scoped tasks (each continuing
-/// sequentially below), giving up to 7-way task parallelism with zero
-/// shared mutable state. Falls back to the sequential path for `n ≤ cutoff`.
-///
-/// # Panics
-/// Panics unless both matrices are square of the same power-of-two order.
-pub fn multiply_fast_parallel<T: Scalar>(
-    alg: &Bilinear2x2,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    cutoff: usize,
-) -> Matrix<T> {
-    assert!(
-        a.is_square() && b.is_square() && a.rows() == b.rows(),
-        "need equal square matrices"
-    );
-    assert!(a.rows().is_power_of_two(), "order must be a power of two");
-    let n = a.rows();
-    let cutoff = cutoff.max(1);
-    if n <= cutoff || n == 1 {
-        return multiply_ikj(a, b);
-    }
-    let mut counts = OpCounts::default();
-    let aq = split_quadrants(a).to_vec();
-    let bq = split_quadrants(b).to_vec();
-    let enc_a = alg.enc_a.eval(&aq, |c1, x, c2, y| {
-        combine_blocks(c1, x, c2, y, &mut counts)
-    });
-    let enc_b = alg.enc_b.eval(&bq, |c1, x, c2, y| {
-        combine_blocks(c1, x, c2, y, &mut counts)
-    });
-
-    let mut products: Vec<Option<Matrix<T>>> = (0..alg.t()).map(|_| None).collect();
-    crossbeam::scope(|s| {
-        let mut handles = Vec::with_capacity(alg.t());
-        for (l, r) in enc_a.iter().zip(&enc_b) {
-            handles.push(s.spawn(move |_| {
-                let mut c = OpCounts::default();
-                let m = multiply_rec(alg, l, r, cutoff, 1, &mut c);
-                (m, c)
-            }));
-        }
-        for (slot, h) in products.iter_mut().zip(handles) {
-            let (m, c) = h.join().expect("sub-product task panicked");
-            counts.scalar_mults += c.scalar_mults;
-            counts.scalar_adds += c.scalar_adds;
-            counts.coeff_mults += c.coeff_mults;
-            *slot = Some(m);
-        }
-    })
-    .expect("parallel scope failed");
-    let products: Vec<Matrix<T>> = products.into_iter().map(|p| p.expect("joined")).collect();
-
-    let dec = alg.dec.eval(&products, |c1, x, c2, y| {
-        combine_blocks(c1, x, c2, y, &mut counts)
-    });
-    if fmm_obs::enabled() {
-        publish_op_counts(&alg.name, &counts);
-    }
-    join_quadrants(&[
-        dec[0].clone(),
-        dec[1].clone(),
-        dec[2].clone(),
-        dec[3].clone(),
-    ])
-}
-
 /// Multiply arbitrary (rectangular) matrices by padding to the covering
 /// power-of-two square, running the fast recursion, and cropping.
 pub fn multiply_any<T: Scalar>(
@@ -453,31 +385,6 @@ mod tests {
         let alg = catalog::strassen();
         let a = Matrix::<i64>::zeros(3, 3);
         let _ = multiply_fast(&alg, &a, &a, 1);
-    }
-
-    #[test]
-    fn parallel_executor_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for alg in [catalog::strassen(), catalog::winograd()] {
-            for n in [4usize, 16, 64] {
-                let a = Matrix::<i64>::random_small(n, n, &mut rng);
-                let b = Matrix::<i64>::random_small(n, n, &mut rng);
-                assert_eq!(
-                    multiply_fast_parallel(&alg, &a, &b, 4),
-                    multiply_fast(&alg, &a, &b, 4),
-                    "{} n={n}",
-                    alg.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_executor_small_sizes_fall_back() {
-        let alg = catalog::strassen();
-        let a = Matrix::<i64>::from_rows(&[&[2]]);
-        let b = Matrix::<i64>::from_rows(&[&[3]]);
-        assert_eq!(multiply_fast_parallel(&alg, &a, &b, 1)[(0, 0)], 6);
     }
 
     #[test]

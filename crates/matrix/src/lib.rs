@@ -14,9 +14,9 @@
 //! * a row-major dense [`Matrix`] with quadrant [views](view), padding and
 //!   splitting/joining helpers matched to the 2×2 recursion the paper
 //!   studies;
-//! * classical multiplication kernels (naive, loop-reordered, blocked,
-//!   crossbeam-parallel) that serve both as correctness oracles and as the
-//!   classical baseline of Table I.
+//! * classical multiplication kernels (naive and loop-reordered) that serve
+//!   both as correctness oracles and as the classical baseline of Table I;
+//!   the tuned blocked and multi-threaded kernels live in `fmm-kernel`.
 //!
 //! Nothing in this crate knows about fast (Strassen-like) algorithms; those
 //! live in `fmm-core` and are expressed against this substrate.

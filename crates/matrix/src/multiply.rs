@@ -1,14 +1,14 @@
 //! Classical (cubic) multiplication kernels.
 //!
 //! These are the Table I baseline (`Ω((n/√M)³·M/P)` row) and the correctness
-//! oracle against which every fast algorithm in `fmm-core` is checked. Four
+//! oracle against which every fast algorithm in `fmm-core` is checked. Two
 //! kernels with identical results but different memory behaviour:
 //!
 //! * [`multiply_naive`] — textbook i-j-k triple loop;
-//! * [`multiply_ikj`] — loop-reordered for streaming row access;
-//! * [`multiply_blocked`] — cache-blocked with a caller-chosen tile, the
-//!   operational counterpart of the Hong–Kung-optimal schedule;
-//! * [`multiply_parallel`] — row-band parallel over crossbeam scoped threads.
+//! * [`multiply_ikj`] — loop-reordered for streaming row access.
+//!
+//! The cache-blocked and multi-threaded paths are `fmm-kernel`'s
+//! `classical_tiled` and `classical_tiled_mt`.
 
 use crate::dense::Matrix;
 use crate::scalar::Scalar;
@@ -61,85 +61,6 @@ pub fn multiply_ikj<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
-/// Cache-blocked multiplication with square tiles of side `tile`.
-///
-/// With `tile ≈ √(M/3)` the working set of each tile-product fits a cache of
-/// `M` words and the induced I/O is `Θ(n³/√M)` — the matching upper bound to
-/// the classical row of Table I.
-///
-/// # Panics
-/// Panics if `tile == 0` or on inner dimension mismatch.
-pub fn multiply_blocked<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, tile: usize) -> Matrix<T> {
-    assert!(tile > 0, "tile must be positive");
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c: Matrix<T> = Matrix::zeros(m, n);
-    for i0 in (0..m).step_by(tile) {
-        let imax = (i0 + tile).min(m);
-        for l0 in (0..k).step_by(tile) {
-            let lmax = (l0 + tile).min(k);
-            for j0 in (0..n).step_by(tile) {
-                let jmax = (j0 + tile).min(n);
-                for i in i0..imax {
-                    for l in l0..lmax {
-                        let av = a[(i, l)];
-                        if av.is_zero() {
-                            continue;
-                        }
-                        for j in j0..jmax {
-                            c[(i, j)] += av * b[(l, j)];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
-/// Row-band parallel multiplication across `threads` crossbeam scoped
-/// threads. Each thread owns a disjoint band of output rows, so there is no
-/// shared mutable state (data-race freedom by construction).
-///
-/// # Panics
-/// Panics if `threads == 0` or on inner dimension mismatch.
-pub fn multiply_parallel<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, threads: usize) -> Matrix<T> {
-    assert!(threads > 0, "need at least one thread");
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c: Matrix<T> = Matrix::zeros(m, n);
-    let band = m.div_ceil(threads.min(m.max(1)));
-
-    {
-        let out = c.as_mut_slice();
-        crossbeam::scope(|s| {
-            // Split the output into row bands; each chunk is m_band * n long.
-            for (t, chunk) in out.chunks_mut(band * n).enumerate() {
-                let i0 = t * band;
-                s.spawn(move |_| {
-                    let rows_here = chunk.len() / n;
-                    for di in 0..rows_here {
-                        let i = i0 + di;
-                        for l in 0..k {
-                            let av = a[(i, l)];
-                            if av.is_zero() {
-                                continue;
-                            }
-                            let brow = b.row(l);
-                            let crow = &mut chunk[di * n..(di + 1) * n];
-                            for (cj, &bj) in crow.iter_mut().zip(brow) {
-                                *cj += av * bj;
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("parallel multiply worker panicked");
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,8 +75,6 @@ mod tests {
         let expect = Matrix::from_rows(&[&[19i64, 22], &[43, 50]]);
         assert_eq!(multiply_naive(&a, &b), expect);
         assert_eq!(multiply_ikj(&a, &b), expect);
-        assert_eq!(multiply_blocked(&a, &b, 1), expect);
-        assert_eq!(multiply_parallel(&a, &b, 2), expect);
     }
 
     #[test]
@@ -175,8 +94,6 @@ mod tests {
         let c = multiply_naive(&a, &b);
         assert_eq!((c.rows(), c.cols()), (3, 2));
         assert_eq!(multiply_ikj(&a, &b), c);
-        assert_eq!(multiply_blocked(&a, &b, 2), c);
-        assert_eq!(multiply_parallel(&a, &b, 3), c);
     }
 
     #[test]
@@ -187,20 +104,6 @@ mod tests {
             let b = Matrix::<i64>::random_small(n, n, &mut rng);
             let c = multiply_naive(&a, &b);
             assert_eq!(multiply_ikj(&a, &b), c, "ikj n={n}");
-            for tile in [1usize, 2, 4, 5, 64] {
-                assert_eq!(
-                    multiply_blocked(&a, &b, tile),
-                    c,
-                    "blocked n={n} tile={tile}"
-                );
-            }
-            for threads in [1usize, 2, 4, 9] {
-                assert_eq!(
-                    multiply_parallel(&a, &b, threads),
-                    c,
-                    "par n={n} t={threads}"
-                );
-            }
         }
     }
 
@@ -218,21 +121,6 @@ mod tests {
         let a = Matrix::<i64>::zeros(2, 3);
         let b = Matrix::<i64>::zeros(2, 3);
         let _ = multiply_naive(&a, &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "tile must be positive")]
-    fn zero_tile_panics() {
-        let a = Matrix::<i64>::zeros(2, 2);
-        let _ = multiply_blocked(&a, &a, 0);
-    }
-
-    #[test]
-    fn more_threads_than_rows() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = Matrix::<i64>::random_small(2, 2, &mut rng);
-        let b = Matrix::<i64>::random_small(2, 2, &mut rng);
-        assert_eq!(multiply_parallel(&a, &b, 16), multiply_naive(&a, &b));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the matrix substrate.
 
-use fmm_matrix::multiply::{multiply_blocked, multiply_ikj, multiply_naive, multiply_parallel};
+use fmm_matrix::multiply::{multiply_ikj, multiply_naive};
 use fmm_matrix::ops::{add, linear_combination, sub};
 use fmm_matrix::quad::{crop, join_quadrants, pad_pow2, split_quadrants};
 use fmm_matrix::{Matrix, Rational, Zp};
@@ -49,13 +49,11 @@ proptest! {
     }
 
     #[test]
-    fn all_multiply_kernels_agree(a in small_matrix(9), b in small_matrix(9), tile in 1usize..5, threads in 1usize..5) {
+    fn all_multiply_kernels_agree(a in small_matrix(9), b in small_matrix(9)) {
         // Force compatible inner dimensions by multiplying a with bᵀ-shaped b.
         let b = Matrix::from_fn(a.cols(), b.rows(), |i, j| b[(j % b.rows(), i % b.cols())]);
         let c = multiply_naive(&a, &b);
-        prop_assert_eq!(multiply_ikj(&a, &b), c.clone());
-        prop_assert_eq!(multiply_blocked(&a, &b, tile), c.clone());
-        prop_assert_eq!(multiply_parallel(&a, &b, threads), c);
+        prop_assert_eq!(multiply_ikj(&a, &b), c);
     }
 
     #[test]

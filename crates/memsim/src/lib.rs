@@ -13,7 +13,9 @@
 //!   words ([`par`]): an owner-computes distributed simulator running
 //!   Cannon's 2D algorithm, a 3D replication algorithm, and a BFS-CAPS
 //!   parallel Strassen with *real data movement*, every transferred word
-//!   counted.
+//!   counted. Each schedule has one engine, in [`par_faults`], which also
+//!   injects faults and recovers from them; [`par`] runs it fault-free.
+//!   [`par_threads`] executes Cannon with one OS thread per processor.
 //!
 //! Together with `fmm-core::bounds` these regenerate every matrix-
 //! multiplication row of Table I: measured schedule I/O above the bound,

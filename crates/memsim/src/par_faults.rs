@@ -1,11 +1,11 @@
-//! Fault-injected distributed runs with recomputation-based recovery.
+//! The distributed schedules' engines, with fault injection and
+//! recomputation-based recovery.
 //!
-//! The fault-free simulators in [`crate::par`] answer "how many words
-//! does this schedule move?"; this module answers the paper's natural
-//! follow-on: *what does recovery cost in words when processors crash
-//! and messages are lost?* Each schedule gets a `_faulty` variant that
-//! threads a deterministic [`FaultPlan`] through its communication
-//! rounds and repairs every injected loss with one of two strategies:
+//! Each schedule is one engine that answers "how many words does this
+//! schedule move?" and the paper's natural follow-on: *what does recovery
+//! cost in words when processors crash and messages are lost?* It
+//! threads a deterministic [`FaultPlan`] through its communication rounds
+//! and repairs every injected loss with one of two strategies:
 //!
 //! * [`Recovery::Recompute`] — the survivor re-derives lost state from
 //!   the recursion: it re-fetches every input block its lost partials
@@ -30,6 +30,12 @@
 //! retransmission: each dropped attempt's words are charged as recovery
 //! (the bandwidth was spent), retries re-roll the oracle per attempt, and
 //! an exhausted retry budget surfaces as [`LinkDead`] instead of looping.
+//!
+//! A run under an inert plan (one that can never fire) with
+//! [`Recovery::None`] is the fault-free schedule, which is how
+//! [`crate::par`] runs it. It publishes telemetry under the bare schedule
+//! name (`cannon`, `3d`, `caps`) without `faults.*` counters; every other
+//! run publishes under `<schedule>-faulty`, fault counters included.
 
 use crate::par::NetStats;
 use fmm_core::bilinear::Bilinear2x2;
@@ -51,6 +57,16 @@ pub struct FaultyRun<T: Scalar> {
     pub net: NetStats,
     /// Fault and recovery event counters.
     pub faults: FaultStats,
+}
+
+/// The telemetry label of a run: the bare schedule name when the run is
+/// fault-free, `<schedule>-faulty` otherwise.
+pub(crate) fn run_label(schedule: &str, fault_free: bool) -> String {
+    if fault_free {
+        schedule.to_string()
+    } else {
+        format!("{schedule}-faulty")
+    }
 }
 
 /// Direction tags for [`channel_id`].
@@ -121,7 +137,7 @@ fn deliver(
 /// drops/duplications apply to every shift-phase block transfer.
 ///
 /// # Panics
-/// Panics if `p == 0` or `p` does not divide `n` (as [`crate::par::cannon`]).
+/// Panics if `p == 0` or `p` does not divide `n`.
 pub fn cannon_faulty<T: Scalar>(
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -139,6 +155,8 @@ pub fn cannon_faulty<T: Scalar>(
     let nprocs = p * p;
     let mut net = NetStats::new(nprocs);
     let mut faults = FaultStats::default();
+    let fault_free = plan.is_inert() && recovery == Recovery::None;
+    let label = run_label("cannon", fault_free);
     let block_words = (bs * bs) as u64;
     let proc = |i: usize, j: usize| i * p + j;
 
@@ -149,8 +167,9 @@ pub fn cannon_faulty<T: Scalar>(
     let skewed_a = |i: usize, j: usize, k: usize| take(a, i, (i + j + k) % p);
     let skewed_b = |i: usize, j: usize, k: usize| take(b, (i + j + k) % p, j);
 
-    // Initial skew, identical to the fault-free schedule (the skew is a
-    // data placement, not a message exchange in-flight faults could hit).
+    // Initial skew: processor (i,j) starts with A[i, (i+j) mod p] and
+    // B[(i+j) mod p, j]. The skew is a data placement, not a message
+    // exchange in-flight faults could hit.
     let mut ablocks: Vec<Matrix<T>> = Vec::with_capacity(nprocs);
     let mut bblocks: Vec<Matrix<T>> = Vec::with_capacity(nprocs);
     for i in 0..p {
@@ -162,6 +181,7 @@ pub fn cannon_faulty<T: Scalar>(
             net.transfer(proc(src, j), proc(i, j), block_words);
         }
     }
+    net.publish_round(&label, 0, 0);
 
     let mut cblocks: Vec<Matrix<T>> = (0..nprocs).map(|_| Matrix::zeros(bs, bs)).collect();
     // Latest snapshot per processor: the round it was taken at plus the
@@ -261,6 +281,7 @@ pub fn cannon_faulty<T: Scalar>(
         }
         // Shift A left, B up; every hop is a real message the plan may
         // drop or duplicate.
+        let round_mark = net.total_words;
         let mut new_a = ablocks.clone();
         let mut new_b = bblocks.clone();
         for i in 0..p {
@@ -293,10 +314,13 @@ pub fn cannon_faulty<T: Scalar>(
         }
         ablocks = new_a;
         bblocks = new_b;
+        net.publish_round(&label, step + 1, round_mark);
     }
 
-    net.publish("cannon-faulty");
-    faults.publish("cannon-faulty");
+    net.publish(&label);
+    if !fault_free {
+        faults.publish(&label);
+    }
     let c = Matrix::from_fn(n, n, |i, j| cblocks[proc(i / bs, j / bs)][(i % bs, j % bs)]);
     Ok(FaultyRun {
         product: c,
@@ -336,6 +360,8 @@ pub fn replicated_3d_faulty<T: Scalar>(
     let nprocs = p * p * p;
     let mut net = NetStats::new(nprocs);
     let mut faults = FaultStats::default();
+    let fault_free = plan.is_inert() && recovery == Recovery::None;
+    let label = run_label("3d", fault_free);
     let block_words = (bs * bs) as u64;
     let proc = |i: usize, j: usize, l: usize| (i * p + j) * p + l;
 
@@ -348,7 +374,14 @@ pub fn replicated_3d_faulty<T: Scalar>(
         _ => false,
     };
 
-    // Phase 0: broadcast A along j-fibers as relay chains.
+    // Proc (i,j,l) needs A(i,l) and B(l,j). Owners live in layer 0 at
+    // (i,l,0) / (l,j,0); broadcasts along the j-fiber (for A) and i-fiber
+    // (for B) run as relay chains, so every processor forwards at most one
+    // block per operand — the balanced collective a real 3D implementation
+    // uses (a serial single-owner fan-out would create a Θ(n²/p) hotspot).
+    //
+    // Phase 0: broadcast A along j-fibers; owner (i,l,0) seeds the chain
+    // at (i,0,l), which relays along j.
     let mut ablk: Vec<Matrix<T>> = vec![Matrix::zeros(0, 0); nprocs];
     for i in 0..p {
         fmm_faults::cancel::poll();
@@ -381,6 +414,7 @@ pub fn replicated_3d_faulty<T: Scalar>(
             }
         }
     }
+    net.publish_round(&label, 0, 0);
     // Snapshot of the phase-0 state (the received A block).
     let mut snap_a: Vec<Option<Matrix<T>>> = vec![None; nprocs];
     if snapshot_due(0) {
@@ -425,6 +459,7 @@ pub fn replicated_3d_faulty<T: Scalar>(
     }
 
     // Phase 1: broadcast B along i-fibers, multiply into partials.
+    let bcast_b_mark = net.total_words;
     let mut partial: Vec<Matrix<T>> = vec![Matrix::zeros(0, 0); nprocs];
     for l in 0..p {
         fmm_faults::cancel::poll();
@@ -457,6 +492,7 @@ pub fn replicated_3d_faulty<T: Scalar>(
             }
         }
     }
+    net.publish_round(&label, 1, bcast_b_mark);
     let mut snap_partial: Vec<Option<Matrix<T>>> = vec![None; nprocs];
     if snapshot_due(1) {
         for q in 0..nprocs {
@@ -552,7 +588,9 @@ pub fn replicated_3d_faulty<T: Scalar>(
             }
         }
     }
-    // Reduce across l into layer 0 as a chain; each hop is a message.
+    // Reduce across l into layer 0 as a chain (i,j,p−1) → … → (i,j,0),
+    // each hop forwarding one accumulated block as a message.
+    let reduce_mark = net.total_words;
     let mut cblocks: Vec<Matrix<T>> = (0..p * p).map(|_| Matrix::zeros(bs, bs)).collect();
     for i in 0..p {
         for j in 0..p {
@@ -574,8 +612,11 @@ pub fn replicated_3d_faulty<T: Scalar>(
         }
     }
 
-    net.publish("3d-faulty");
-    faults.publish("3d-faulty");
+    net.publish_round(&label, 2, reduce_mark);
+    net.publish(&label);
+    if !fault_free {
+        faults.publish(&label);
+    }
     let c = Matrix::from_fn(n, n, |i, j| {
         cblocks[(i / bs) * p + j / bs][(i % bs, j % bs)]
     });
@@ -602,8 +643,7 @@ pub fn replicated_3d_faulty<T: Scalar>(
 /// for one share's worth of words.
 ///
 /// # Panics
-/// Panics unless `n` is a power of two and `levels ≤ log₂ n`, as
-/// [`crate::par::caps_strassen`].
+/// Panics unless `n` is a power of two and `levels ≤ log₂ n`.
 pub fn caps_strassen_faulty<T: Scalar>(
     alg: &Bilinear2x2,
     a: &Matrix<T>,
@@ -621,6 +661,8 @@ pub fn caps_strassen_faulty<T: Scalar>(
     let nprocs = 7usize.pow(levels as u32);
     let mut net = NetStats::new(nprocs);
     let mut faults = FaultStats::default();
+    let fault_free = plan.is_inert() && recovery == Recovery::None;
+    let label = run_label("caps", fault_free);
 
     #[allow(clippy::too_many_arguments)]
     fn rec<T: Scalar>(
@@ -631,6 +673,7 @@ pub fn caps_strassen_faulty<T: Scalar>(
         level: usize,
         plan: &FaultPlan,
         recovery: Recovery,
+        label: &str,
         net: &mut NetStats,
         faults: &mut FaultStats,
     ) -> Result<Matrix<T>, LinkDead> {
@@ -638,11 +681,25 @@ pub fn caps_strassen_faulty<T: Scalar>(
         // Cancellation reaches every BFS node of the recursion.
         fmm_faults::cancel::poll();
         if gsize == 1 {
+            // Local computation (choose the fast algorithm locally too).
             return Ok(multiply_fast(alg, a, b, 1));
         }
         let n = a.rows();
         let sub = gsize / 7;
+        // BFS redistribution: every group member exchanges its share of the
+        // quadrants needed to form the 7 encoded operand pairs. Volume per
+        // member: the encoded data 2·7·(n/2)² words spread over the group.
         let volume_per_member = (2 * 7 * (n / 2) * (n / 2)) as u64 / gsize as u64;
+        if fmm_obs::detailed() {
+            fmm_obs::add(
+                "memsim.net.level_words",
+                &[
+                    ("schedule", label.to_string()),
+                    ("level", level.to_string()),
+                ],
+                volume_per_member * gsize as u64,
+            );
+        }
         for m in group.clone() {
             // The member's share of the redistribution is one logical
             // message subject to drops and duplication.
@@ -717,6 +774,7 @@ pub fn caps_strassen_faulty<T: Scalar>(
                 level + 1,
                 plan,
                 recovery,
+                label,
                 net,
                 faults,
             )?);
@@ -739,11 +797,14 @@ pub fn caps_strassen_faulty<T: Scalar>(
         0,
         plan,
         recovery,
+        &label,
         &mut net,
         &mut faults,
     )?;
-    net.publish("caps-faulty");
-    faults.publish("caps-faulty");
+    net.publish(&label);
+    if !fault_free {
+        faults.publish(&label);
+    }
     Ok(FaultyRun {
         product,
         net,

@@ -5,10 +5,17 @@
 //! single thread (deterministic, cheap, exact word counts). This module
 //! executes the same algorithm with real concurrency — each processor is a
 //! `crossbeam::scope` thread owning its blocks, and every block exchanged
-//! travels through a bounded channel and is counted atomically. The two
-//! implementations must agree on both the product and the total
-//! communication volume, which the tests check.
+//! travels through a bounded channel and is counted atomically. The
+//! initial skew is performed locally, so the wire carries only the `p−1`
+//! shift rounds; the tests check that this volume equals the shift
+//! traffic of the round-based simulator.
+//!
+//! [`cannon_threaded_faulty`] is the only threaded executor: under an
+//! inert plan (one that can never fire) it is the fault-free run and
+//! publishes telemetry under `cannon-threaded`, per-processor words
+//! included; any other plan publishes under `cannon-threaded-faulty`.
 
+use crate::par_faults::run_label;
 use crossbeam::channel::RecvTimeoutError;
 use fmm_faults::{backoff_micros, channel_id, FaultPlan, FaultStats};
 use fmm_matrix::multiply::multiply_naive;
@@ -16,139 +23,6 @@ use fmm_matrix::ops::add_assign;
 use fmm_matrix::{Matrix, Scalar};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Result of a threaded distributed run.
-pub struct ThreadedRun<T> {
-    /// The product matrix, gathered from the processor grid.
-    pub product: Matrix<T>,
-    /// Total words moved through channels.
-    pub total_words: u64,
-    /// Total messages sent.
-    pub messages: u64,
-}
-
-/// Cannon's algorithm on a `p×p` grid, one thread per processor,
-/// neighbour-to-neighbour block exchange over channels.
-///
-/// # Panics
-/// Panics if `p == 0`, `p` does not divide `n`, or a worker thread fails.
-pub fn cannon_threaded<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, p: usize) -> ThreadedRun<T> {
-    let n = a.rows();
-    assert!(p > 0 && n.is_multiple_of(p), "p must divide n");
-    assert!(
-        a.is_square() && b.is_square() && b.rows() == n,
-        "need equal squares"
-    );
-    let bs = n / p;
-    let nprocs = p * p;
-    let words = AtomicU64::new(0);
-    let messages = AtomicU64::new(0);
-
-    let take = |m: &Matrix<T>, bi: usize, bj: usize| -> Matrix<T> {
-        Matrix::from_fn(bs, bs, |i, j| m[(bi * bs + i, bj * bs + j)])
-    };
-
-    // Channels: for each processor, an inbox for A-blocks (from its right
-    // neighbour) and one for B-blocks (from below). The initial skew is
-    // performed locally (it only permutes which block each processor
-    // starts with; charging it is the round-based simulator's job —
-    // here we charge the p−1 shift rounds, the dominant term).
-    let proc = |i: usize, j: usize| i * p + j;
-    let (a_tx, a_rx): (Vec<_>, Vec<_>) = (0..nprocs)
-        .map(|_| crossbeam::channel::bounded::<Matrix<T>>(1))
-        .unzip();
-    let (b_tx, b_rx): (Vec<_>, Vec<_>) = (0..nprocs)
-        .map(|_| crossbeam::channel::bounded::<Matrix<T>>(1))
-        .unzip();
-
-    let mut results: Vec<Option<Matrix<T>>> = (0..nprocs).map(|_| None).collect();
-
-    // Per-worker telemetry: each thread fills a LocalCollector (no shared
-    // lock on the hot path) and ships it out through a channel; the
-    // coordinator absorbs them after the scope joins.
-    let collect = fmm_obs::detailed();
-    let (obs_tx, obs_rx) = fmm_obs::collector_channel();
-
-    crossbeam::scope(|s| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for i in 0..p {
-            for j in 0..p {
-                // Initial skew: processor (i,j) starts with A(i, i+j) and
-                // B(i+j, j).
-                let mut a_blk = take(a, i, (i + j) % p);
-                let mut b_blk = take(b, (i + j) % p, j);
-                // A shifts left: send to (i, j−1), receive from (i, j+1).
-                let a_out = a_tx[proc(i, (j + p - 1) % p)].clone();
-                let a_in = a_rx[proc(i, j)].clone();
-                // B shifts up: send to (i−1, j), receive from (i+1, j).
-                let b_out = b_tx[proc((i + p - 1) % p, j)].clone();
-                let b_in = b_rx[proc(i, j)].clone();
-                let words = &words;
-                let messages = &messages;
-                let obs_tx = obs_tx.clone();
-                handles.push(s.spawn(move |_| {
-                    let me = proc(i, j);
-                    let mut local = collect.then(fmm_obs::LocalCollector::new);
-                    let mut acc: Matrix<T> = Matrix::zeros(bs, bs);
-                    for step in 0..p {
-                        let prod = multiply_naive(&a_blk, &b_blk);
-                        add_assign(&mut acc, &prod);
-                        if step + 1 == p {
-                            break;
-                        }
-                        words.fetch_add(2 * (bs * bs) as u64, Ordering::Relaxed);
-                        messages.fetch_add(2, Ordering::Relaxed);
-                        if let Some(local) = &mut local {
-                            let labels = [
-                                ("schedule", "cannon-threaded".to_string()),
-                                ("proc", me.to_string()),
-                            ];
-                            local.add("memsim.net.send_words", &labels, 2 * (bs * bs) as u64);
-                            local.add("memsim.net.recv_words", &labels, 2 * (bs * bs) as u64);
-                        }
-                        a_out.send(a_blk).expect("A channel closed");
-                        b_out.send(b_blk).expect("B channel closed");
-                        a_blk = a_in.recv().expect("A channel closed");
-                        b_blk = b_in.recv().expect("B channel closed");
-                    }
-                    if let Some(local) = local {
-                        let _ = obs_tx.send(local);
-                    }
-                    acc
-                }));
-            }
-        }
-        for (idx, h) in handles.into_iter().enumerate() {
-            results[idx] = Some(h.join().expect("worker panicked"));
-        }
-    })
-    .expect("thread scope failed");
-
-    drop(obs_tx);
-    fmm_obs::absorb_all(&obs_rx);
-    if fmm_obs::enabled() {
-        let labels = [("schedule", "cannon-threaded".to_string())];
-        fmm_obs::add(
-            "memsim.net.total_words",
-            &labels,
-            words.load(Ordering::Relaxed),
-        );
-        fmm_obs::add(
-            "memsim.net.messages",
-            &labels,
-            messages.load(Ordering::Relaxed),
-        );
-    }
-
-    let product = Matrix::from_fn(n, n, |i, j| {
-        results[proc(i / bs, j / bs)].as_ref().expect("gathered")[(i % bs, j % bs)]
-    });
-    ThreadedRun {
-        product,
-        total_words: words.into_inner(),
-        messages: messages.into_inner(),
-    }
-}
 
 /// Result of a fault-injected threaded run.
 #[derive(Debug)]
@@ -193,7 +67,8 @@ const RECV_DEADLINE: Duration = Duration::from_secs(5);
 /// Fault rolls are keyed by `(channel, round, attempt)`, never by thread
 /// timing, so the product *and* the full counter triple
 /// `(total_words, recovery_words, messages)` are deterministic for a
-/// given plan.
+/// given plan. Under an inert plan no send is dropped or duplicated, so
+/// the run is exactly the fault-free one.
 ///
 /// # Panics
 /// Panics if `p == 0` or `p` does not divide `n`.
@@ -215,6 +90,8 @@ pub fn cannon_threaded_faulty<T: Scalar>(
     let words = AtomicU64::new(0);
     let recovery = AtomicU64::new(0);
     let messages = AtomicU64::new(0);
+    let fault_free = plan.is_inert();
+    let label = run_label("cannon-threaded", fault_free);
 
     let take = |m: &Matrix<T>, bi: usize, bj: usize| -> Matrix<T> {
         Matrix::from_fn(bs, bs, |i, j| m[(bi * bs + i, bj * bs + j)])
@@ -236,23 +113,36 @@ pub fn cannon_threaded_faulty<T: Scalar>(
     type WorkerResult<T> = Result<(Matrix<T>, FaultStats), String>;
     let mut results: Vec<Option<WorkerResult<T>>> = (0..nprocs).map(|_| None).collect();
 
+    // Per-worker telemetry of a fault-free run: each thread fills a
+    // LocalCollector (no shared lock on the hot path) and ships it out
+    // through a channel; the coordinator absorbs them after the scope joins.
+    let collect = fault_free && fmm_obs::detailed();
+    let (obs_tx, obs_rx) = fmm_obs::collector_channel();
+
     crossbeam::scope(|s| {
         let mut handles = Vec::with_capacity(nprocs);
         for i in 0..p {
             for j in 0..p {
+                // Initial skew, performed locally: processor (i,j) starts
+                // with A(i, i+j) and B(i+j, j).
                 let mut a_blk = take(a, i, (i + j) % p);
                 let mut b_blk = take(b, (i + j) % p, j);
+                // A shifts left: send to (i, j−1), receive from (i, j+1).
                 let a_out = a_tx[proc(i, (j + p - 1) % p)].clone();
                 let a_in = a_rx[proc(i, j)].clone();
+                // B shifts up: send to (i−1, j), receive from (i+1, j).
                 let b_out = b_tx[proc((i + p - 1) % p, j)].clone();
                 let b_in = b_rx[proc(i, j)].clone();
                 let words = &words;
                 let recovery = &recovery;
                 let messages = &messages;
+                let label = &label;
+                let obs_tx = obs_tx.clone();
                 handles.push(
                     s.spawn(move |_| -> Result<(Matrix<T>, FaultStats), String> {
                         let me = proc(i, j);
                         let mut stats = FaultStats::default();
+                        let mut local = collect.then(fmm_obs::LocalCollector::new);
                         // One lossy logical send: roll per attempt, back off
                         // between retries, deliver (plus a possible duplicate).
                         let send = |out: &crossbeam::channel::Sender<Envelope<Matrix<T>>>,
@@ -340,6 +230,12 @@ pub fn cannon_threaded_faulty<T: Scalar>(
                             if step + 1 == p {
                                 break;
                             }
+                            if let Some(local) = &mut local {
+                                let labels =
+                                    [("schedule", label.clone()), ("proc", me.to_string())];
+                                local.add("memsim.net.send_words", &labels, 2 * block_words);
+                                local.add("memsim.net.recv_words", &labels, 2 * block_words);
+                            }
                             send(
                                 &a_out,
                                 0,
@@ -359,6 +255,9 @@ pub fn cannon_threaded_faulty<T: Scalar>(
                             a_blk = recv(&a_in, step)?;
                             b_blk = recv(&b_in, step)?;
                         }
+                        if let Some(local) = local {
+                            let _ = obs_tx.send(local);
+                        }
                         Ok((acc, stats))
                     }),
                 );
@@ -372,6 +271,7 @@ pub fn cannon_threaded_faulty<T: Scalar>(
         }
     })
     .expect("thread scope failed");
+    drop(obs_tx);
 
     let mut faults = FaultStats::default();
     let mut blocks: Vec<Matrix<T>> = Vec::with_capacity(nprocs);
@@ -389,24 +289,27 @@ pub fn cannon_threaded_faulty<T: Scalar>(
         return Err(errors.join("; "));
     }
 
+    fmm_obs::absorb_all(&obs_rx);
     if fmm_obs::enabled() {
-        let labels = [("schedule", "cannon-threaded-faulty".to_string())];
+        let labels = [("schedule", label.clone())];
         fmm_obs::add(
             "memsim.net.total_words",
             &labels,
             words.load(Ordering::Relaxed),
         );
         fmm_obs::add(
-            "memsim.net.recovery_words",
-            &labels,
-            recovery.load(Ordering::Relaxed),
-        );
-        fmm_obs::add(
             "memsim.net.messages",
             &labels,
             messages.load(Ordering::Relaxed),
         );
-        faults.publish("cannon-threaded-faulty");
+        if !fault_free {
+            fmm_obs::add(
+                "memsim.net.recovery_words",
+                &labels,
+                recovery.load(Ordering::Relaxed),
+            );
+            faults.publish(&label);
+        }
     }
 
     let product = Matrix::from_fn(n, n, |i, j| blocks[proc(i / bs, j / bs)][(i % bs, j % bs)]);
@@ -422,6 +325,7 @@ pub fn cannon_threaded_faulty<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_faults::FaultSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -433,11 +337,15 @@ mod tests {
         (a, b, c)
     }
 
+    fn fault_free(a: &Matrix<i64>, b: &Matrix<i64>, p: usize) -> FaultyThreadedRun<i64> {
+        cannon_threaded_faulty(a, b, p, &FaultSpec::default().plan()).unwrap()
+    }
+
     #[test]
     fn threaded_cannon_correct() {
         for (n, p) in [(8usize, 2usize), (12, 3), (16, 4), (6, 1)] {
             let (a, b, expect) = inputs(n, 41);
-            let run = cannon_threaded(&a, &b, p);
+            let run = fault_free(&a, &b, p);
             assert_eq!(run.product, expect, "n={n} p={p}");
         }
     }
@@ -447,10 +355,12 @@ mod tests {
         // p² processors, (p−1) rounds, each moving 2 blocks of (n/p)².
         let (a, b, _) = inputs(16, 43);
         let p = 4;
-        let run = cannon_threaded(&a, &b, p);
+        let run = fault_free(&a, &b, p);
         let expect = (p * p * (p - 1) * 2 * (16 / p) * (16 / p)) as u64;
         assert_eq!(run.total_words, expect);
         assert_eq!(run.messages, (p * p * (p - 1) * 2) as u64);
+        assert_eq!(run.recovery_words, 0);
+        assert_eq!(run.faults, FaultStats::default());
     }
 
     #[test]
@@ -459,7 +369,7 @@ mod tests {
         // charges shifts only. Their shift volumes agree exactly.
         let (a, b, _) = inputs(16, 47);
         let p = 4;
-        let threaded = cannon_threaded(&a, &b, p);
+        let threaded = fault_free(&a, &b, p);
         let (product, net) = crate::par::cannon(&a, &b, p);
         assert_eq!(product, threaded.product);
         // Round-based total includes the skew (2 blocks per proc, minus the
@@ -475,30 +385,17 @@ mod tests {
     #[test]
     fn single_processor_no_communication() {
         let (a, b, expect) = inputs(8, 53);
-        let run = cannon_threaded(&a, &b, 1);
+        let run = fault_free(&a, &b, 1);
         assert_eq!(run.product, expect);
         assert_eq!(run.total_words, 0);
         assert_eq!(run.messages, 0);
     }
 
     #[test]
-    fn faulty_inert_plan_matches_fault_free() {
-        let (a, b, expect) = inputs(12, 59);
-        let clean = cannon_threaded(&a, &b, 3);
-        let plan = fmm_faults::FaultSpec::default().plan();
-        let run = cannon_threaded_faulty(&a, &b, 3, &plan).unwrap();
-        assert_eq!(run.product, expect);
-        assert_eq!(run.total_words, clean.total_words);
-        assert_eq!(run.messages, clean.messages);
-        assert_eq!(run.recovery_words, 0);
-        assert_eq!(run.faults, FaultStats::default());
-    }
-
-    #[test]
     fn faulty_drops_and_dups_are_repaired_and_charged() {
         let (a, b, expect) = inputs(12, 61);
-        let clean = cannon_threaded(&a, &b, 3);
-        let plan = fmm_faults::FaultSpec::parse("seed=8,drop=0.25,dup=0.15")
+        let clean = fault_free(&a, &b, 3);
+        let plan = FaultSpec::parse("seed=8,drop=0.25,dup=0.15")
             .unwrap()
             .plan();
         let run = cannon_threaded_faulty(&a, &b, 3, &plan).unwrap();
@@ -515,9 +412,7 @@ mod tests {
     #[test]
     fn faulty_exhausted_retries_error_without_deadlock() {
         let (a, b, _) = inputs(8, 67);
-        let plan = fmm_faults::FaultSpec::parse("drop=1.0,retries=1")
-            .unwrap()
-            .plan();
+        let plan = FaultSpec::parse("drop=1.0,retries=1").unwrap().plan();
         let err = cannon_threaded_faulty(&a, &b, 2, &plan).unwrap_err();
         assert!(
             err.contains("dead") || err.contains("deadline") || err.contains("gone"),

@@ -11,13 +11,20 @@
 //!   `total_words − recovery_words == fault_free.total_words`;
 //! * the round-based simulators ([`fmm_memsim::par_faults`]): the same
 //!   properties for random crash/drop/dup plans under both recovery
-//!   strategies.
+//!   strategies, for Cannon, 3D and CAPS.
+//!
+//! The fault-free volume each run is held to is the schedule's exact
+//! closed form from `common`, not another run of the simulator.
 
+mod common;
+
+use common::{cannon_messages, cannon_shift_messages, caps_words, three_d_messages};
+use fmm_core::catalog;
 use fmm_faults::{FaultSpec, Recovery};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::Matrix;
-use fmm_memsim::par_threads::{cannon_threaded, cannon_threaded_faulty};
-use fmm_memsim::{par, par_faults};
+use fmm_memsim::par_faults;
+use fmm_memsim::par_threads::cannon_threaded_faulty;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +51,7 @@ proptest! {
         let n = 12; // divisible by every grid side in range
         let (a, b) = inputs(n, workload);
         let expect = multiply_naive(&a, &b);
-        let clean = cannon_threaded(&a, &b, p);
+        let clean_words = cannon_shift_messages(p as u64) * ((n / p) * (n / p)) as u64;
         // Rates low enough that an 8-retry budget essentially never
         // exhausts; if it ever does, that run errors and is skipped
         // (the determinism claim is per successful plan).
@@ -59,7 +66,7 @@ proptest! {
             (y.total_words, y.recovery_words, y.messages)
         );
         prop_assert_eq!(x.faults, y.faults);
-        prop_assert_eq!(x.total_words - x.recovery_words, clean.total_words);
+        prop_assert_eq!(x.total_words - x.recovery_words, clean_words);
     }
 
     /// Round-based Cannon under random crashes + losses recovers exactly
@@ -73,13 +80,64 @@ proptest! {
     ) {
         let n = 12;
         let (a, b) = inputs(n, 7);
-        let (expect, base) = par::cannon(&a, &b, p);
+        let expect = multiply_naive(&a, &b);
+        let clean_words = cannon_messages(p as u64) * ((n / p) * (n / p)) as u64;
         let spec = format!("seed={seed},crash=0.15,drop=0.1,dup=0.05,retries=8");
         for recovery in [Recovery::Recompute, Recovery::Checkpoint { period }] {
             let plan = FaultSpec::parse(&spec).unwrap().plan();
             let run = par_faults::cannon_faulty(&a, &b, p, &plan, recovery).unwrap();
             prop_assert_eq!(&run.product, &expect);
-            prop_assert_eq!(run.net.total_words - run.net.recovery_words, base.total_words);
+            prop_assert_eq!(run.net.total_words - run.net.recovery_words, clean_words);
+        }
+    }
+
+    /// The 3D schedule under random crashes in all three phases plus
+    /// relay/reduction losses: exact product, and the non-recovery words
+    /// equal the fault-free closed form.
+    #[test]
+    fn replicated_3d_faulty_recovers_under_both_strategies(
+        seed in 0u64..1000,
+        p in 1usize..=3,
+        period in 1usize..=3,
+        workload in 0u64..100,
+    ) {
+        let n = 6; // divisible by every grid side in range
+        let (a, b) = inputs(n, workload);
+        let expect = multiply_naive(&a, &b);
+        let clean_words = three_d_messages(p as u64) * ((n / p) * (n / p)) as u64;
+        let spec = format!("seed={seed},crash=0.15,drop=0.1,dup=0.05,retries=8");
+        for recovery in [Recovery::Recompute, Recovery::Checkpoint { period }] {
+            let plan = FaultSpec::parse(&spec).unwrap().plan();
+            let run = par_faults::replicated_3d_faulty(&a, &b, p, &plan, recovery).unwrap();
+            prop_assert_eq!(&run.product, &expect);
+            prop_assert_eq!(run.net.total_words - run.net.recovery_words, clean_words);
+        }
+    }
+
+    /// CAPS-Strassen under random share losses and post-delivery crashes
+    /// at every BFS level: exact product, and the non-recovery words equal
+    /// the fault-free closed form.
+    #[test]
+    fn caps_faulty_recovers_under_both_strategies(
+        seed in 0u64..1000,
+        levels in 1usize..=2,
+        period in 1usize..=2,
+        workload in 0u64..100,
+    ) {
+        let alg = catalog::strassen();
+        let n = 8;
+        let (a, b) = inputs(n, workload);
+        let expect = multiply_naive(&a, &b);
+        let spec = format!("seed={seed},crash=0.15,drop=0.1,dup=0.05,retries=8");
+        for recovery in [Recovery::Recompute, Recovery::Checkpoint { period }] {
+            let plan = FaultSpec::parse(&spec).unwrap().plan();
+            let run =
+                par_faults::caps_strassen_faulty(&alg, &a, &b, levels, &plan, recovery).unwrap();
+            prop_assert_eq!(&run.product, &expect);
+            prop_assert_eq!(
+                run.net.total_words - run.net.recovery_words,
+                caps_words(n as u64, levels as u32)
+            );
         }
     }
 }

@@ -79,7 +79,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::<i64>::random_small(n, n, &mut rng);
         let b = Matrix::<i64>::random_small(n, n, &mut rng);
-        let run = fmm_memsim::par_threads::cannon_threaded(&a, &b, p);
+        let plan = fmm_faults::FaultSpec::default().plan();
+        let run = fmm_memsim::par_threads::cannon_threaded_faulty(&a, &b, p, &plan).unwrap();
         prop_assert_eq!(run.product, multiply_naive(&a, &b));
     }
 }

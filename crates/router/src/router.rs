@@ -552,8 +552,10 @@ struct SharedRouter {
     started: Instant,
     env_seq: AtomicU64,
     admit_seq: AtomicU64,
-    conn_seq: AtomicU64,
-    client_conns: Mutex<Vec<TcpStream>>,
+    /// Reader halves of live client connections by connection serial,
+    /// closed at shutdown to unblock their reader threads. Each reader
+    /// thread removes its own entry when it exits.
+    client_conns: Mutex<HashMap<u64, TcpStream>>,
     shard_acks: Mutex<Vec<Option<BTreeMap<String, String>>>>,
 }
 
@@ -782,8 +784,7 @@ impl RouterHandle {
             started: Instant::now(),
             env_seq: AtomicU64::new(0),
             admit_seq: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            client_conns: Mutex::new(Vec::new()),
+            client_conns: Mutex::new(HashMap::new()),
             shard_acks: Mutex::new(vec![None; n]),
         });
         let resumed_jobs = match opts.resume {
@@ -1902,17 +1903,23 @@ fn eject_outliers(shared: &Arc<SharedRouter>) {
 // ---------------------------------------------------------------------
 
 fn accept_loop(shared: &Arc<SharedRouter>, listener: TcpListener) {
+    let mut next_serial = 0u64;
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
+                let serial = next_serial;
+                next_serial += 1;
                 if let Ok(clone) = stream.try_clone() {
-                    shared.client_conns.lock().unwrap().push(clone);
+                    shared.client_conns.lock().unwrap().insert(serial, clone);
                 }
                 let shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
                     .name("router-conn".to_string())
-                    .spawn(move || conn_loop(&shared, stream));
+                    .spawn(move || {
+                        conn_loop(&shared, stream, serial);
+                        shared.client_conns.lock().unwrap().remove(&serial);
+                    });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -1926,7 +1933,7 @@ fn accept_loop(shared: &Arc<SharedRouter>, listener: TcpListener) {
     await_pending_empty(shared);
     shutdown_shards(shared);
     fmm_obs::gauge("router_pending", &[], 0.0);
-    for conn in shared.client_conns.lock().unwrap().drain(..) {
+    for (_, conn) in shared.client_conns.lock().unwrap().drain() {
         let _ = conn.shutdown(Shutdown::Both);
     }
 }
@@ -2017,12 +2024,11 @@ fn control_roundtrip(
         .filter(|r| r.status == Status::Ok)
 }
 
-fn conn_loop(shared: &Arc<SharedRouter>, stream: TcpStream) {
+fn conn_loop(shared: &Arc<SharedRouter>, stream: TcpStream, conn_serial: u64) {
     let reply = match stream.try_clone() {
         Ok(clone) => Reply::new(clone),
         Err(_) => return,
     };
-    let conn_serial = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     let mut oversized = false;

@@ -28,7 +28,7 @@ use crate::proto::{read_bounded_line, Request, Response, Status};
 use crate::queue::{BoundedQueue, PushError};
 use fmm_faults::{cancel, splitmix64, CancelReason, CancelToken};
 use fmm_obs::Histogram;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -192,9 +192,11 @@ struct Shared {
     /// Tells the accept loop to begin the drain-and-exit sequence.
     shutdown: AtomicBool,
     started: Instant,
-    /// Reader halves of live connections, closed at shutdown to unblock
-    /// their reader threads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Reader halves of live connections by connection serial, closed at
+    /// shutdown to unblock their reader threads. Each reader thread
+    /// removes its own entry when it exits, so closed connections hold no
+    /// descriptor.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Next job sequence number (trace id input).
     job_seq: AtomicU64,
     /// Deepest the admission queue has ever been.
@@ -244,7 +246,7 @@ impl ServerHandle {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             job_seq: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
             latency: Mutex::new(BTreeMap::new()),
@@ -322,19 +324,25 @@ impl Drop for ServerHandle {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandle<()>>) {
+    let mut next_serial = 0u64;
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
+                let serial = next_serial;
+                next_serial += 1;
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap().push(clone);
+                    shared.conns.lock().unwrap().insert(serial, clone);
                 }
                 let shared = Arc::clone(shared);
                 // Reader threads are not joined: they exit on EOF, and
                 // shutdown closes their sockets out from under them.
                 let _ = std::thread::Builder::new()
                     .name("serve-conn".to_string())
-                    .spawn(move || conn_loop(&shared, stream));
+                    .spawn(move || {
+                        conn_loop(&shared, stream);
+                        shared.conns.lock().unwrap().remove(&serial);
+                    });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -353,7 +361,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHan
         let _ = w.join();
     }
     fmm_obs::gauge("serve_queue_depth", &[], 0.0);
-    for conn in shared.conns.lock().unwrap().drain(..) {
+    for (_, conn) in shared.conns.lock().unwrap().drain() {
         let _ = conn.shutdown(Shutdown::Both);
     }
 }

@@ -584,7 +584,9 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
             let p = get_usize(flags, "p", 4);
             let n = get_usize(flags, "n", 16);
             let (a, b) = make(n);
-            let clean = par_threads::cannon_threaded(&a, &b, p);
+            let clean =
+                par_threads::cannon_threaded_faulty(&a, &b, p, &FaultSpec::default().plan())
+                    .expect("an inert fault plan never drops a message");
             match par_threads::cannon_threaded_faulty(&a, &b, p, &plan) {
                 Ok(r) => Outcome {
                     matches: r.product == clean.product,

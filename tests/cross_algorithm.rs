@@ -4,7 +4,7 @@
 use fastmm::core::altbasis::{karstadt_schwartz, multiply_alt, sparsify};
 use fastmm::core::catalog;
 use fastmm::core::exec::{multiply_any, multiply_fast};
-use fastmm::matrix::multiply::{multiply_blocked, multiply_ikj, multiply_naive, multiply_parallel};
+use fastmm::matrix::multiply::{multiply_ikj, multiply_naive};
 use fastmm::matrix::{Matrix, Rational, Zp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,8 +17,6 @@ fn all_paths_agree_i64() {
         let b = Matrix::<i64>::random_small(n, n, &mut rng);
         let reference = multiply_naive(&a, &b);
         assert_eq!(multiply_ikj(&a, &b), reference);
-        assert_eq!(multiply_blocked(&a, &b, 4), reference);
-        assert_eq!(multiply_parallel(&a, &b, 3), reference);
         for alg in catalog::all() {
             assert_eq!(
                 multiply_fast(&alg, &a, &b, 1),
