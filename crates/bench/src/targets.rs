@@ -320,7 +320,7 @@ fn fleet_loadgen_e2e() -> BTreeMap<String, String> {
     let snap = router.wait();
     let (a, b) = (shard_a.wait(), shard_b.wait());
     assert!(
-        summary.ok() && snap.balanced() && a.balanced() && b.balanced(),
+        summary.ok() && snap.ledger.balanced() && a.balanced() && b.balanced(),
         "fleet e2e pass lost jobs"
     );
     extras(&[

@@ -37,6 +37,7 @@
 //! torn mid-file.
 
 use fmm_obs::json::{escape, parse_line, Value};
+use fmm_serve::ledger::StatsSnapshot;
 use fmm_serve::proto::Status;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -371,12 +372,10 @@ pub fn load_lenient(path: &str) -> Result<(Header, Vec<Record>, Option<TornTail>
 pub struct Replay {
     /// Records consumed (admits + settles + refuses).
     pub replayed: u64,
-    /// Net accepted jobs (admits minus refusals).
-    pub accepted: u64,
-    pub completed: u64,
-    pub errored: u64,
-    pub cancelled: u64,
-    pub deadline_exceeded: u64,
+    /// The rebuilt ledger: net accepted jobs (admits minus refusals) and
+    /// the settles by status. Refusals are not re-counted as shed or
+    /// rejected.
+    pub ledger: StatsSnapshot,
     /// Terminal status + reason per settled key, for duplicate-replay.
     pub settled: Vec<(JobKey, Status, String)>,
     /// Admissions with no settle: the in-flight set to re-dispatch.
@@ -401,7 +400,7 @@ pub fn replay(records: &[Record]) -> Replay {
                 req_line,
                 ..
             } => {
-                out.accepted += 1;
+                out.ledger.accepted += 1;
                 open.push((key.clone(), *trace_id, req_line.clone()));
             }
             Record::Settle {
@@ -409,17 +408,12 @@ pub fn replay(records: &[Record]) -> Replay {
                 status,
                 reason,
             } => {
-                match status {
-                    Status::Completed => out.completed += 1,
-                    Status::Cancelled => out.cancelled += 1,
-                    Status::DeadlineExceeded => out.deadline_exceeded += 1,
-                    _ => out.errored += 1,
-                }
+                out.ledger.settle(*status);
                 open.retain(|(k, _, _)| k != rec.key());
                 out.settled.push((key.clone(), *status, reason.clone()));
             }
             Record::Refuse { key } => {
-                out.accepted = out.accepted.saturating_sub(1);
+                out.ledger.accepted = out.ledger.accepted.saturating_sub(1);
                 open.retain(|(k, _, _)| k != key);
             }
             // A hedge is not a ledger event: the job it raced for is
@@ -508,8 +502,8 @@ mod tests {
 
         let r = replay(&records);
         assert_eq!(r.replayed, 6);
-        assert_eq!(r.accepted, 2, "3 admits minus 1 refusal");
-        assert_eq!(r.completed, 1);
+        assert_eq!(r.ledger.accepted, 2, "3 admits minus 1 refusal");
+        assert_eq!(r.ledger.completed, 1);
         assert_eq!(r.settled.len(), 1);
         assert_eq!(r.inflight.len(), 1, "job 2 never settled");
         assert_eq!(r.inflight[0].0, key(2));

@@ -18,7 +18,11 @@
 //!
 //! with `shed`/`rejected` refused pre-admission and `redispatched` /
 //! `dup_suppressed` as router-level observability counters, not ledger
-//! entries.
+//! entries. The router's ledger *is* the server's: an
+//! [`fmm_serve::ledger::Ledger`] (metric prefix `router_`), and the
+//! client side runs on [`fmm_serve::conn`]'s accept loop, request
+//! reader, and reply writer. A shard's shutdown ack and the router's are
+//! the same [`fmm_serve::StatsSnapshot`] map.
 //!
 //! The self-healing layer (PR 9) keeps the same ledger exact across
 //! *router* death too: a supervisor respawns dead shards at their ring

@@ -14,8 +14,9 @@
 //!
 //! Invariant, mirroring the single server's: **every job the router
 //! accepts gets exactly one terminal reply forwarded to its client**, so
-//! the final router counters satisfy
-//! `accepted == completed + errored + cancelled + deadline_exceeded`.
+//! the final router ledger (the server's own [`fmm_serve::ledger`])
+//! satisfies `accepted == completed + errored + cancelled +
+//! deadline_exceeded`.
 //! Shed and rejected requests are refused before acceptance. A
 //! re-dispatched job (its shard died or shed it back while draining) is
 //! counted **exactly once**: idempotency keyed on
@@ -55,7 +56,9 @@ use crate::ring::{spec_hash, Ring};
 use fmm_faults::{backoff_micros, splitmix64, CancelReason, CancelToken, LinkChaosSpec};
 use fmm_obs::span::SpanRecord;
 use fmm_obs::Histogram;
+use fmm_serve::conn::{self, control_roundtrip, Reply};
 use fmm_serve::jobs::JobSpec;
+use fmm_serve::ledger::{Ledger, Names, StatsSnapshot};
 use fmm_serve::proto::{read_bounded_line, Kind, Request, Response, Status};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
@@ -215,33 +218,6 @@ impl Shard {
 /// `spawn_shard`) or by tests (starting an in-process server).
 pub type ShardSpawner = Arc<dyn Fn(usize) -> Result<(String, Option<Child>), String> + Send + Sync>;
 
-/// Serialised writer half of one *client* connection. `None` is a
-/// discard sink: a journal-resumed job whose original client is gone
-/// still settles (and is counted) but has nowhere to write — unless the
-/// client re-sends under the same `client_tag` and reattaches, swapping
-/// a live stream in.
-#[derive(Clone)]
-struct Reply(Arc<Mutex<Option<TcpStream>>>);
-
-impl Reply {
-    fn new(stream: TcpStream) -> Reply {
-        Reply(Arc::new(Mutex::new(Some(stream))))
-    }
-
-    fn discard() -> Reply {
-        Reply(Arc::new(Mutex::new(None)))
-    }
-
-    fn send(&self, resp: &Response) {
-        let line = resp.to_line();
-        let mut stream = self.0.lock().unwrap();
-        if let Some(stream) = stream.as_mut() {
-            let _ = writeln!(stream, "{line}");
-            let _ = stream.flush();
-        }
-    }
-}
-
 /// `(spec_hash, seed param, client_tag)` — the identity under which a
 /// job is counted exactly once, however many envelopes carry it.
 type IdemKey = (u64, String, String);
@@ -298,15 +274,64 @@ struct JobState {
 
 type SharedJob = Arc<Mutex<JobState>>;
 
+impl JobState {
+    /// A job admitted (or rebuilt from the journal, `resumed`) and not
+    /// yet dispatched; its deadline, `req.deadline_ms` as resolved at
+    /// admission, starts now.
+    fn admit(
+        req: Request,
+        reply: Reply,
+        idem: IdemKey,
+        trace: u64,
+        route_span: u64,
+        resumed: bool,
+    ) -> SharedJob {
+        let token = match req.deadline_ms {
+            Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
+            None => CancelToken::new(),
+        };
+        Arc::new(Mutex::new(JobState {
+            client_id: req.id.clone(),
+            reply,
+            kind: req.kind,
+            hash: idem.0,
+            idem,
+            attempts: 0,
+            shard: usize::MAX,
+            first_shard: usize::MAX,
+            envelopes: Vec::new(),
+            hedge_env: None,
+            hedge_shard: usize::MAX,
+            hedge_span: 0,
+            hedge_launched: None,
+            hedge_done: false,
+            hedge_denied: false,
+            settled: false,
+            trace,
+            route_span,
+            token,
+            admitted: Instant::now(),
+            resumed,
+            req,
+        }))
+    }
+}
+
+/// The ledger's [`fmm_obs`] metric names.
+const LEDGER_NAMES: Names = [
+    "router_accepted",
+    "router_completed",
+    "router_errored",
+    "router_cancelled",
+    "router_deadline_exceeded",
+    "router_shed",
+    "router_rejected",
+];
+
+/// Router-level observability counters (the job ledger itself is
+/// [`SharedRouter::ledger`]).
 #[derive(Default)]
 struct Counters {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    errored: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
     redispatched: AtomicU64,
     dup_suppressed: AtomicU64,
     shards_killed: AtomicU64,
@@ -328,20 +353,19 @@ struct Counters {
 
 fn bump(which: &AtomicU64, obs_name: &str) {
     which.fetch_add(1, Ordering::SeqCst);
-    fmm_obs::add(obs_name, &[], 1);
+    if fmm_obs::enabled() {
+        fmm_obs::add(obs_name, &[], 1);
+    }
 }
 
 /// Point-in-time fleet counters, plus whatever final counter maps the
 /// drained shards acknowledged with.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FleetSnapshot {
-    pub accepted: u64,
-    pub completed: u64,
-    pub errored: u64,
-    pub cancelled: u64,
-    pub deadline_exceeded: u64,
-    pub shed: u64,
-    pub rejected: u64,
+    /// The router's job ledger. Because settle happens exactly once per
+    /// job, a re-dispatched job is counted once here no matter how many
+    /// shards saw an envelope for it.
+    pub ledger: StatsSnapshot,
     /// Envelopes re-sent after a shard died or shed a job back.
     pub redispatched: u64,
     /// Late or duplicate replies suppressed by the idempotency layer.
@@ -378,6 +402,8 @@ pub struct FleetSnapshot {
     pub retry_spent: u64,
     /// Fleet size (fixed).
     pub shards: usize,
+    /// Shards currently routable (healthy or degraded).
+    pub shards_live: usize,
     /// Shards currently marked dead.
     pub shards_dead: usize,
     /// Shards quarantined by the crash-loop breaker.
@@ -390,19 +416,6 @@ pub struct FleetSnapshot {
 }
 
 impl FleetSnapshot {
-    /// Jobs that reached a forwarded terminal reply.
-    pub fn terminal(&self) -> u64 {
-        self.completed + self.errored + self.cancelled + self.deadline_exceeded
-    }
-
-    /// The router-level conservation law; holds whenever no job is in
-    /// flight (always true after a drain). Because settle happens
-    /// exactly once per job, a re-dispatched job is counted once here
-    /// no matter how many shards saw an envelope for it.
-    pub fn balanced(&self) -> bool {
-        self.accepted == self.terminal()
-    }
-
     /// The hedge conservation law: every launched hedge got exactly one
     /// outcome. Holds whenever no job is in flight (always after a
     /// drain).
@@ -419,79 +432,43 @@ impl FleetSnapshot {
             .sum()
     }
 
-    /// Does every acked shard's own conservation law hold?
+    /// Does every acked shard's own conservation law hold? An ack that
+    /// is missing a counter counts as unbalanced.
     pub fn shards_balanced(&self) -> bool {
-        self.shard_acks.iter().flatten().all(|m| {
-            let num = |k: &str| {
-                m.get(k)
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or(u64::MAX)
-            };
-            num("accepted")
-                == num("completed")
-                    .saturating_add(num("errored"))
-                    .saturating_add(num("cancelled"))
-                    .saturating_add(num("deadline_exceeded"))
-        })
-    }
-
-    /// The 7 standard counters, shaped exactly like a single server's
-    /// `stats`/`shutdown` ack — what the router's shutdown ack carries
-    /// (deterministic for a fixed seed, unlike the re-dispatch tallies).
-    pub fn core_map(&self) -> BTreeMap<String, String> {
-        let mut m = BTreeMap::new();
-        m.insert("accepted".into(), self.accepted.to_string());
-        m.insert("completed".into(), self.completed.to_string());
-        m.insert("errored".into(), self.errored.to_string());
-        m.insert("cancelled".into(), self.cancelled.to_string());
-        m.insert(
-            "deadline_exceeded".into(),
-            self.deadline_exceeded.to_string(),
-        );
-        m.insert("shed".into(), self.shed.to_string());
-        m.insert("rejected".into(), self.rejected.to_string());
-        m
+        self.shard_acks
+            .iter()
+            .flatten()
+            .all(|m| StatsSnapshot::from_map(m).is_some_and(|s| s.balanced()))
     }
 
     /// The full flat map the `fleet-stats` verb answers with.
     pub fn as_map(&self) -> BTreeMap<String, String> {
-        let mut m = self.core_map();
-        m.insert("redispatched".into(), self.redispatched.to_string());
-        m.insert("dup_suppressed".into(), self.dup_suppressed.to_string());
-        m.insert("shards_killed".into(), self.shards_killed.to_string());
-        m.insert(
-            "malformed_shard_replies".into(),
-            self.malformed_shard_replies.to_string(),
-        );
-        m.insert("restarts".into(), self.restarts.to_string());
-        m.insert("breaker_open".into(), self.breaker_open.to_string());
-        m.insert("journal_replayed".into(), self.journal_replayed.to_string());
-        m.insert("resumed_inflight".into(), self.resumed_inflight.to_string());
-        m.insert("ejections".into(), self.ejections.to_string());
-        m.insert("readmissions".into(), self.readmissions.to_string());
-        m.insert("hedges_launched".into(), self.hedges_launched.to_string());
-        m.insert("hedges_won".into(), self.hedges_won.to_string());
-        m.insert("hedges_lost".into(), self.hedges_lost.to_string());
-        m.insert(
-            "hedges_cancelled".into(),
-            self.hedges_cancelled.to_string(),
-        );
-        m.insert(
-            "retry_budget_exhausted".into(),
-            self.retry_budget_exhausted.to_string(),
-        );
-        m.insert("retry_spent".into(), self.retry_spent.to_string());
-        m.insert("shards".into(), self.shards.to_string());
-        m.insert(
-            "shards_live".into(),
-            (self.shards - self.shards_dead - self.shards_quarantined).to_string(),
-        );
-        m.insert("shards_dead".into(), self.shards_dead.to_string());
-        m.insert(
-            "shards_quarantined".into(),
-            self.shards_quarantined.to_string(),
-        );
-        m.insert("shards_ejected".into(), self.shards_ejected.to_string());
+        let mut m = self.ledger.as_map();
+        for (key, value) in [
+            ("redispatched", self.redispatched),
+            ("dup_suppressed", self.dup_suppressed),
+            ("shards_killed", self.shards_killed),
+            ("malformed_shard_replies", self.malformed_shard_replies),
+            ("restarts", self.restarts),
+            ("breaker_open", self.breaker_open),
+            ("journal_replayed", self.journal_replayed),
+            ("resumed_inflight", self.resumed_inflight),
+            ("ejections", self.ejections),
+            ("readmissions", self.readmissions),
+            ("hedges_launched", self.hedges_launched),
+            ("hedges_won", self.hedges_won),
+            ("hedges_lost", self.hedges_lost),
+            ("hedges_cancelled", self.hedges_cancelled),
+            ("retry_budget_exhausted", self.retry_budget_exhausted),
+            ("retry_spent", self.retry_spent),
+            ("shards", self.shards as u64),
+            ("shards_live", self.shards_live as u64),
+            ("shards_dead", self.shards_dead as u64),
+            ("shards_quarantined", self.shards_quarantined as u64),
+            ("shards_ejected", self.shards_ejected as u64),
+        ] {
+            m.insert(key.into(), value.to_string());
+        }
         m
     }
 }
@@ -520,6 +497,8 @@ struct SharedRouter {
     cfg: RouterConfig,
     ring: Ring,
     shards: Vec<Shard>,
+    /// The job ledger (conservation law, shed/rejected refusals).
+    ledger: Ledger,
     counters: Counters,
     /// Envelope seq → job. Emptiness means nothing is in flight.
     pending: Mutex<HashMap<u64, SharedJob>>,
@@ -552,12 +531,11 @@ struct SharedRouter {
     started: Instant,
     env_seq: AtomicU64,
     admit_seq: AtomicU64,
-    /// Reader halves of live client connections by connection serial,
-    /// closed at shutdown to unblock their reader threads. Each reader
-    /// thread removes its own entry when it exits.
-    client_conns: Mutex<HashMap<u64, TcpStream>>,
     shard_acks: Mutex<Vec<Option<BTreeMap<String, String>>>>,
 }
+
+/// Rejection reason for a re-sent idempotency key.
+const DUPLICATE: &str = "duplicate (spec_hash, seed, client_tag) in flight or recently settled";
 
 /// How many recently settled idempotency keys to remember.
 const SETTLED_CAP: usize = 4096;
@@ -567,16 +545,15 @@ impl SharedRouter {
         self.shards.iter().map(Shard::routable).collect()
     }
 
+    /// Routable shards: `shards_live` in both `health` and `fleet-stats`.
+    fn shards_live(&self) -> usize {
+        self.shards.iter().filter(|s| s.routable()).count()
+    }
+
     fn snapshot(&self) -> FleetSnapshot {
         let c = &self.counters;
         FleetSnapshot {
-            accepted: c.accepted.load(Ordering::SeqCst),
-            completed: c.completed.load(Ordering::SeqCst),
-            errored: c.errored.load(Ordering::SeqCst),
-            cancelled: c.cancelled.load(Ordering::SeqCst),
-            deadline_exceeded: c.deadline_exceeded.load(Ordering::SeqCst),
-            shed: c.shed.load(Ordering::SeqCst),
-            rejected: c.rejected.load(Ordering::SeqCst),
+            ledger: self.ledger.snapshot(),
             redispatched: c.redispatched.load(Ordering::SeqCst),
             dup_suppressed: c.dup_suppressed.load(Ordering::SeqCst),
             shards_killed: c.shards_killed.load(Ordering::SeqCst),
@@ -594,6 +571,7 @@ impl SharedRouter {
             retry_budget_exhausted: c.retry_budget_exhausted.load(Ordering::SeqCst),
             retry_spent: c.retry_spent.load(Ordering::SeqCst),
             shards: self.shards.len(),
+            shards_live: self.shards_live(),
             shards_dead: self
                 .shards
                 .iter()
@@ -622,10 +600,7 @@ impl SharedRouter {
         let allowed = if pct == 0 {
             0
         } else {
-            (self.counters.accepted.load(Ordering::SeqCst))
-                .saturating_mul(pct)
-                / 100
-                + 4
+            self.ledger.accepted().saturating_mul(pct) / 100 + 4
         };
         let took = self
             .counters
@@ -770,6 +745,7 @@ impl RouterHandle {
             cfg,
             ring,
             shards,
+            ledger: Ledger::new(LEDGER_NAMES),
             counters: Counters::default(),
             pending: Mutex::new(HashMap::new()),
             idem_live: Mutex::new(HashMap::new()),
@@ -784,7 +760,6 @@ impl RouterHandle {
             started: Instant::now(),
             env_seq: AtomicU64::new(0),
             admit_seq: AtomicU64::new(0),
-            client_conns: Mutex::new(HashMap::new()),
             shard_acks: Mutex::new(vec![None; n]),
         });
         let resumed_jobs = match opts.resume {
@@ -833,7 +808,7 @@ impl RouterHandle {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("router-accept".to_string())
-                .spawn(move || accept_loop(&shared, listener))?
+                .spawn(move || accept_and_drain(&shared, listener))?
         };
         Ok(RouterHandle {
             addr,
@@ -897,6 +872,42 @@ fn route_span_name(kind: Kind) -> &'static str {
     }
 }
 
+/// Envelope `env` of `st`'s request, parented under span `parent` (0 for
+/// none) of the shard's trace.
+fn envelope(st: &JobState, env: u64, parent: u64) -> String {
+    let mut fwd = st.req.clone();
+    fwd.id = format!("f{env:x}");
+    // Client identity is router-side state, not shard spec.
+    fwd.params.remove("client_tag");
+    fwd.params
+        .insert("trace_id".into(), format!("{:016x}", st.trace));
+    if parent != 0 {
+        fwd.params.insert("parent_span".into(), parent.to_string());
+    }
+    fwd.to_line()
+}
+
+/// Write one line to shard `idx`'s job connection; `false` when the
+/// shard is down or the write fails.
+fn send_to_shard(shared: &SharedRouter, idx: usize, line: &str) -> bool {
+    match shared.shards[idx].conn.lock().unwrap().as_ref() {
+        Some(mut conn) => writeln!(conn, "{line}").and_then(|_| conn.flush()).is_ok(),
+        None => false,
+    }
+}
+
+/// Every distinct in-flight job (a hedged job holds two envelopes),
+/// cloned out so no job lock is ever taken under the pending lock.
+fn inflight_jobs(shared: &SharedRouter) -> Vec<SharedJob> {
+    let pending = shared.pending.lock().unwrap();
+    let mut seen: HashSet<*const Mutex<JobState>> = HashSet::new();
+    pending
+        .values()
+        .filter(|j| seen.insert(Arc::as_ptr(j)))
+        .cloned()
+        .collect()
+}
+
 /// Forward the job to the shard the ring picks, retrying (with seeded
 /// backoff) over write failures. Lock discipline, here and everywhere:
 /// never hold a job lock while taking the pending lock or a conn lock,
@@ -916,41 +927,24 @@ fn dispatch(shared: &Arc<SharedRouter>, job: &SharedJob) {
                 return;
             };
             let env = shared.env_seq.fetch_add(1, Ordering::SeqCst);
-            let mut fwd = st.req.clone();
-            fwd.id = format!("f{env:x}");
-            // Client identity is router-side state, not shard spec.
-            fwd.params.remove("client_tag");
-            fwd.params
-                .insert("trace_id".into(), format!("{:016x}", st.trace));
-            if st.route_span != 0 {
-                fwd.params
-                    .insert("parent_span".into(), st.route_span.to_string());
-            }
+            let line = envelope(&st, env, st.route_span);
             st.attempts += 1;
             st.shard = idx;
             if st.first_shard == usize::MAX {
                 st.first_shard = idx;
             }
             st.envelopes.push(env);
-            (fwd.to_line(), env, idx)
+            (line, env, idx)
         };
         shared.pending.lock().unwrap().insert(env, Arc::clone(job));
-        fmm_obs::gauge(
-            "router_pending",
-            &[],
-            shared.pending.lock().unwrap().len() as f64,
-        );
-        let wrote = {
-            let conn = shared.shards[idx].conn.lock().unwrap();
-            match conn.as_ref() {
-                Some(s) => {
-                    let mut w = s;
-                    writeln!(w, "{line}").and_then(|_| w.flush()).is_ok()
-                }
-                None => false,
-            }
-        };
-        if wrote {
+        if fmm_obs::enabled() {
+            fmm_obs::gauge(
+                "router_pending",
+                &[],
+                shared.pending.lock().unwrap().len() as f64,
+            );
+        }
+        if send_to_shard(shared, idx, &line) {
             return;
         }
         // The connection died under us: this envelope will never be
@@ -1024,17 +1018,11 @@ fn settle(shared: &Arc<SharedRouter>, job: &SharedJob, mut resp: Response, via_e
             return;
         }
         st.settled = true;
-        match resp.status {
-            Status::Completed => bump(&shared.counters.completed, "router_completed"),
-            Status::Cancelled => bump(&shared.counters.cancelled, "router_cancelled"),
-            Status::DeadlineExceeded => bump(
-                &shared.counters.deadline_exceeded,
-                "router_deadline_exceeded",
-            ),
-            _ => bump(&shared.counters.errored, "router_errored"),
-        }
+        shared.ledger.settle(resp.status);
         let total_ns = st.admitted.elapsed().as_nanos() as u64;
-        fmm_obs::observe("router_latency_us", &[], total_ns / 1_000);
+        if fmm_obs::enabled() {
+            fmm_obs::observe("router_latency_us", &[], total_ns / 1_000);
+        }
         // Close the hedge race: the envelope that settled decides, and
         // the loser's shard gets a best-effort cancel so it stops
         // computing an answer nobody will read.
@@ -1143,7 +1131,9 @@ fn settle(shared: &Arc<SharedRouter>, job: &SharedJob, mut resp: Response, via_e
         for e in envs {
             pending.remove(&e);
         }
-        fmm_obs::gauge("router_pending", &[], pending.len() as f64);
+        if fmm_obs::enabled() {
+            fmm_obs::gauge("router_pending", &[], pending.len() as f64);
+        }
     }
     shared.idem_live.lock().unwrap().remove(&idem);
     // A resumed job's client may still be reconnecting: keep the
@@ -1172,28 +1162,21 @@ fn refuse(shared: &Arc<SharedRouter>, job: &SharedJob, last: Option<Response>) {
         }
         (st.idem.clone(), st.reply.clone(), st.client_id.clone())
     };
-    shared.counters.accepted.fetch_sub(1, Ordering::SeqCst);
+    shared.ledger.unaccept();
     // Cancel the admission in the journal too, or a resume would count
     // an accepted job that never got a terminal reply.
     if let Some(j) = &shared.journal {
         j.append(&Record::Refuse { key: idem.clone() });
     }
-    let mut resp = match last {
-        Some(r)
-            if r.status == Status::Shed
-                || (r.status == Status::Error && r.reason.starts_with("rejected:")) =>
-        {
-            r
-        }
-        _ => Response::new("", Status::Shed).with_reason("no-live-shards"),
-    };
-    if resp.status == Status::Shed {
-        bump(&shared.counters.shed, "router_shed");
-    } else {
-        bump(&shared.counters.rejected, "router_rejected");
+    // A shard's own shed or pre-admission rejection passes through;
+    // anything else means no shard could take the job.
+    match last {
+        Some(r) if r.status == Status::Shed => shared.ledger.shed(&reply, &client_id, &r.reason),
+        Some(r) if r.status == Status::Error && r.reason.starts_with("rejected: ") => shared
+            .ledger
+            .reject(&reply, &client_id, &r.reason["rejected: ".len()..]),
+        _ => shared.ledger.shed(&reply, &client_id, "no-live-shards"),
     }
-    resp.id = client_id;
-    reply.send(&resp);
     let envs = job.lock().unwrap().envelopes.clone();
     let mut pending = shared.pending.lock().unwrap();
     for e in envs {
@@ -1262,16 +1245,7 @@ fn hedge_delay(shared: &SharedRouter, kind: Kind) -> Duration {
 fn hedger(shared: &Arc<SharedRouter>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(5));
-        let jobs: Vec<SharedJob> = {
-            let pending = shared.pending.lock().unwrap();
-            let mut seen: HashSet<*const Mutex<JobState>> = HashSet::new();
-            pending
-                .values()
-                .filter(|j| seen.insert(Arc::as_ptr(j)))
-                .cloned()
-                .collect()
-        };
-        for job in jobs {
+        for job in inflight_jobs(shared) {
             let due = {
                 let st = job.lock().unwrap();
                 if st.settled
@@ -1317,39 +1291,21 @@ fn launch_hedge(shared: &Arc<SharedRouter>, job: &SharedJob) {
             return;
         }
         let env = shared.env_seq.fetch_add(1, Ordering::SeqCst);
-        let mut fwd = st.req.clone();
-        fwd.id = format!("f{env:x}");
-        fwd.params.remove("client_tag");
-        fwd.params
-            .insert("trace_id".into(), format!("{:016x}", st.trace));
         st.hedge_span = if fmm_obs::detailed() {
             fmm_obs::span::next_span_id()
         } else {
             0
         };
-        if st.hedge_span != 0 {
-            fwd.params
-                .insert("parent_span".into(), st.hedge_span.to_string());
-        }
+        let line = envelope(&st, env, st.hedge_span);
         st.attempts += 1;
         st.hedge_env = Some(env);
         st.hedge_shard = idx;
         st.hedge_launched = Some(Instant::now());
         st.envelopes.push(env);
-        (fwd.to_line(), env, idx)
+        (line, env, idx)
     };
     shared.pending.lock().unwrap().insert(env, Arc::clone(job));
-    let wrote = {
-        let conn = shared.shards[idx].conn.lock().unwrap();
-        match conn.as_ref() {
-            Some(s) => {
-                let mut w = s;
-                writeln!(w, "{line}").and_then(|_| w.flush()).is_ok()
-            }
-            None => false,
-        }
-    };
-    if !wrote {
+    if !send_to_shard(shared, idx, &line) {
         // The hedge never made it onto the wire: unwind it entirely —
         // refund the token, clear the fields, and let the primary (or
         // a later hedge attempt) carry the job.
@@ -1544,18 +1500,8 @@ fn on_shard_down(shared: &Arc<SharedRouter>, idx: usize) {
         let _ = child.kill();
         let _ = child.wait();
     }
-    // Snapshot the Arcs first (no job locks under the pending lock),
-    // then sweep: anything still assigned here re-dispatches.
-    let jobs: Vec<SharedJob> = {
-        let pending = shared.pending.lock().unwrap();
-        let mut seen: HashSet<*const Mutex<JobState>> = HashSet::new();
-        pending
-            .values()
-            .filter(|j| seen.insert(Arc::as_ptr(j)))
-            .cloned()
-            .collect()
-    };
-    for job in jobs {
+    // Sweep: anything still assigned here re-dispatches.
+    for job in inflight_jobs(shared) {
         let orphaned = {
             let st = job.lock().unwrap();
             !st.settled && st.shard == idx
@@ -1673,12 +1619,7 @@ fn respawn(
 /// dispatch once the fleet is up.
 fn apply_replay(shared: &Arc<SharedRouter>, replay: Replay) -> Vec<SharedJob> {
     let c = &shared.counters;
-    c.accepted.store(replay.accepted, Ordering::SeqCst);
-    c.completed.store(replay.completed, Ordering::SeqCst);
-    c.errored.store(replay.errored, Ordering::SeqCst);
-    c.cancelled.store(replay.cancelled, Ordering::SeqCst);
-    c.deadline_exceeded
-        .store(replay.deadline_exceeded, Ordering::SeqCst);
+    shared.ledger.restore(&replay.ledger);
     c.journal_replayed.store(replay.replayed, Ordering::SeqCst);
     c.resumed_inflight
         .store(replay.inflight.len() as u64, Ordering::SeqCst);
@@ -1694,41 +1635,14 @@ fn apply_replay(shared: &Arc<SharedRouter>, replay: Replay) -> Vec<SharedJob> {
                 // Unreplayable: roll its admission back so the
                 // conservation law still closes.
                 eprintln!("fleet: resume cannot re-parse a journaled request ({e}); dropping it");
-                c.accepted.fetch_sub(1, Ordering::SeqCst);
+                shared.ledger.unaccept();
                 c.resumed_inflight.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
         };
         // The journal records the *resolved* deadline, not elapsed
         // runtime: the budget restarts at resume.
-        let token = match req.deadline_ms {
-            Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-            None => CancelToken::new(),
-        };
-        let job = Arc::new(Mutex::new(JobState {
-            client_id: req.id.clone(),
-            reply: Reply::discard(),
-            kind: req.kind,
-            hash: idem.0,
-            idem: idem.clone(),
-            attempts: 0,
-            shard: usize::MAX,
-            first_shard: usize::MAX,
-            envelopes: Vec::new(),
-            hedge_env: None,
-            hedge_shard: usize::MAX,
-            hedge_span: 0,
-            hedge_launched: None,
-            hedge_done: false,
-            hedge_denied: false,
-            settled: false,
-            trace,
-            route_span: 0,
-            token,
-            admitted: Instant::now(),
-            resumed: true,
-            req,
-        }));
+        let job = JobState::admit(req, Reply::discard(), idem.clone(), trace, 0, true);
         shared
             .idem_live
             .lock()
@@ -1737,35 +1651,6 @@ fn apply_replay(shared: &Arc<SharedRouter>, replay: Replay) -> Vec<SharedJob> {
         jobs.push(job);
     }
     jobs
-}
-
-/// One health probe round-trip; `Some(rtt)` on an `ok` answer. The RTT
-/// feeds the outlier detector — a gray shard answers probes (that is
-/// what makes it gray), but often answers them *slowly*.
-fn probe_health(addr: &str, timeout: Duration, max_line_bytes: usize) -> Option<Duration> {
-    let started = Instant::now();
-    let sock_addr = addr.parse::<SocketAddr>().ok()?;
-    let stream = TcpStream::connect_timeout(&sock_addr, timeout).ok()?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut w = &stream;
-    writeln!(w, "{}", Request::new("hp", Kind::Health).to_line()).ok()?;
-    let _ = w.flush();
-    let mut reader = BufReader::new(&stream);
-    let mut buf = Vec::new();
-    let mut oversized = false;
-    if !read_bounded_line(&mut reader, &mut buf, max_line_bytes, &mut oversized) || oversized {
-        return None;
-    }
-    let line = String::from_utf8_lossy(&buf);
-    matches!(
-        Response::parse(line.trim()),
-        Ok(Response {
-            status: Status::Ok,
-            ..
-        })
-    )
-    .then(|| started.elapsed())
 }
 
 fn health_poller(shared: &Arc<SharedRouter>) {
@@ -1789,11 +1674,17 @@ fn health_poller(shared: &Arc<SharedRouter>) {
                 on_shard_down(shared, shard.idx);
                 continue;
             }
-            match probe_health(
+            // The probe RTT feeds the outlier detector — a gray shard
+            // answers probes (that is what makes it gray), but often
+            // answers them *slowly*.
+            let probed = Instant::now();
+            let probe = control_roundtrip(
                 &shard.addr(),
+                &Request::new("hp", Kind::Health),
                 poll.max(Duration::from_millis(50)),
                 shared.cfg.max_line_bytes,
-            ) {
+            );
+            match probe.map(|_| probed.elapsed()) {
                 Some(rtt) => {
                     shard.misses.store(0, Ordering::SeqCst);
                     shared
@@ -1902,40 +1793,30 @@ fn eject_outliers(shared: &Arc<SharedRouter>) {
 // Client side: accept loop, admission, fleet verbs
 // ---------------------------------------------------------------------
 
-fn accept_loop(shared: &Arc<SharedRouter>, listener: TcpListener) {
-    let mut next_serial = 0u64;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let serial = next_serial;
-                next_serial += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    shared.client_conns.lock().unwrap().insert(serial, clone);
-                }
-                let shared = Arc::clone(shared);
-                let _ = std::thread::Builder::new()
-                    .name("router-conn".to_string())
-                    .spawn(move || {
-                        conn_loop(&shared, stream, serial);
-                        shared.client_conns.lock().unwrap().remove(&serial);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    drop(listener);
+fn accept_and_drain(shared: &Arc<SharedRouter>, listener: TcpListener) {
+    let serving = Arc::clone(shared);
+    let conns = conn::accept_until(
+        listener,
+        &shared.shutdown,
+        "router-conn",
+        move |stream, serial| {
+            conn::read_requests(
+                stream,
+                serving.cfg.max_line_bytes,
+                &serving.ledger,
+                |reply, req| admit(&serving, reply, req, serial),
+                |reply, req| handle_control(&serving, reply, req),
+            )
+        },
+    );
     // Drain (no-ops when a wire shutdown already ran the sequence).
     shared.draining.store(true, Ordering::SeqCst);
     await_pending_empty(shared);
     shutdown_shards(shared);
-    fmm_obs::gauge("router_pending", &[], 0.0);
-    for (_, conn) in shared.client_conns.lock().unwrap().drain() {
-        let _ = conn.shutdown(Shutdown::Both);
+    if fmm_obs::enabled() {
+        fmm_obs::gauge("router_pending", &[], 0.0);
     }
+    conns.close();
 }
 
 fn await_pending_empty(shared: &Arc<SharedRouter>) {
@@ -1998,91 +1879,16 @@ fn reap_acked_child(shard: &Shard) {
     }
 }
 
-/// One control request on a fresh connection; `None` on any failure.
-fn control_roundtrip(
-    addr: &str,
-    req: &Request,
-    timeout: Duration,
-    max_line_bytes: usize,
-) -> Option<Response> {
-    let sock_addr = addr.parse::<SocketAddr>().ok()?;
-    let stream = TcpStream::connect_timeout(&sock_addr, Duration::from_secs(2)).ok()?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut w = &stream;
-    writeln!(w, "{}", req.to_line()).ok()?;
-    w.flush().ok()?;
-    let mut reader = BufReader::new(&stream);
-    let mut buf = Vec::new();
-    let mut oversized = false;
-    if !read_bounded_line(&mut reader, &mut buf, max_line_bytes, &mut oversized) || oversized {
-        return None;
-    }
-    let line = String::from_utf8_lossy(&buf);
-    Response::parse(line.trim())
-        .ok()
-        .filter(|r| r.status == Status::Ok)
-}
-
-fn conn_loop(shared: &Arc<SharedRouter>, stream: TcpStream, conn_serial: u64) {
-    let reply = match stream.try_clone() {
-        Ok(clone) => Reply::new(clone),
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut buf = Vec::new();
-    let mut oversized = false;
-    loop {
-        if !read_bounded_line(
-            &mut reader,
-            &mut buf,
-            shared.cfg.max_line_bytes,
-            &mut oversized,
-        ) {
-            return;
-        }
-        if oversized {
-            bump(&shared.counters.rejected, "router_rejected");
-            reply.send(&Response::new("", Status::Error).with_reason(&format!(
-                "rejected: line exceeds {} bytes",
-                shared.cfg.max_line_bytes
-            )));
-            continue;
-        }
-        let line = String::from_utf8_lossy(&buf);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let req = match Request::parse(line) {
-            Ok(r) => r,
-            Err(e) => {
-                bump(&shared.counters.rejected, "router_rejected");
-                reply
-                    .send(&Response::new("", Status::Error).with_reason(&format!("rejected: {e}")));
-                continue;
-            }
-        };
-        if req.kind.is_job() {
-            admit(shared, &reply, req, conn_serial);
-        } else if !handle_control(shared, &reply, &req) {
-            return;
-        }
-    }
-}
-
 fn admit(shared: &Arc<SharedRouter>, reply: &Reply, mut req: Request, conn_serial: u64) {
     if shared.draining.load(Ordering::SeqCst) {
-        bump(&shared.counters.shed, "router_shed");
-        reply.send(&Response::new(&req.id, Status::Shed).with_reason("draining"));
+        shared.ledger.shed(reply, &req.id, "draining");
         return;
     }
     // Validate params at the router so a healthy shard never has cause
     // to reject an admitted job pre-admission (which would unbalance
     // the conservation law).
     if let Err(e) = JobSpec::from_request(req.kind, &req.params) {
-        bump(&shared.counters.rejected, "router_rejected");
-        reply.send(&Response::new(&req.id, Status::Error).with_reason(&format!("rejected: {e}")));
+        shared.ledger.reject(reply, &req.id, &e);
         return;
     }
     let hash = spec_hash(req.kind, &req.params);
@@ -2114,10 +1920,7 @@ fn admit(shared: &Arc<SharedRouter>, reply: &Reply, mut req: Request, conn_seria
             }
             drop(st);
             bump(&shared.counters.dup_suppressed, "router_dup_suppressed");
-            bump(&shared.counters.rejected, "router_rejected");
-            reply.send(&Response::new(&req.id, Status::Error).with_reason(
-                "rejected: duplicate (spec_hash, seed, client_tag) in flight or recently settled",
-            ));
+            shared.ledger.reject(reply, &req.id, DUPLICATE);
             return;
         }
         // Settled while we looked: the settled-recently table below has
@@ -2146,21 +1949,11 @@ fn admit(shared: &Arc<SharedRouter>, reply: &Reply, mut req: Request, conn_seria
                 resp.result.insert("replayed".into(), "journal".into());
                 reply.send(&resp);
             }
-            None => {
-                bump(&shared.counters.rejected, "router_rejected");
-                reply.send(&Response::new(&req.id, Status::Error).with_reason(
-                    "rejected: duplicate (spec_hash, seed, client_tag) in flight or recently settled",
-                ));
-            }
+            None => shared.ledger.reject(reply, &req.id, DUPLICATE),
         }
         return;
     }
-    let deadline = req.deadline_ms.or(shared.cfg.default_deadline_ms);
-    req.deadline_ms = deadline;
-    let token = match deadline {
-        Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        None => CancelToken::new(),
-    };
+    req.deadline_ms = req.deadline_ms.or(shared.cfg.default_deadline_ms);
     let seq = shared.admit_seq.fetch_add(1, Ordering::SeqCst);
     let trace = match splitmix64(shared.cfg.seed.wrapping_add(seq)) {
         0 => 1,
@@ -2182,31 +1975,8 @@ fn admit(shared: &Arc<SharedRouter>, reply: &Reply, mut req: Request, conn_seria
             req_line: req.to_line(),
         });
     }
-    let job = Arc::new(Mutex::new(JobState {
-        client_id: req.id.clone(),
-        reply: reply.clone(),
-        kind: req.kind,
-        hash,
-        idem: idem.clone(),
-        attempts: 0,
-        shard: usize::MAX,
-        first_shard: usize::MAX,
-        envelopes: Vec::new(),
-        hedge_env: None,
-        hedge_shard: usize::MAX,
-        hedge_span: 0,
-        hedge_launched: None,
-        hedge_done: false,
-        hedge_denied: false,
-        settled: false,
-        trace,
-        route_span,
-        token,
-        admitted: Instant::now(),
-        resumed: false,
-        req,
-    }));
-    bump(&shared.counters.accepted, "router_accepted");
+    let job = JobState::admit(req, reply.clone(), idem.clone(), trace, route_span, false);
+    shared.ledger.accept();
     shared
         .idem_live
         .lock()
@@ -2226,15 +1996,7 @@ fn handle_control(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) -> b
                 shared.started.elapsed().as_millis().to_string(),
             );
             m.insert("shards".into(), shared.shards.len().to_string());
-            m.insert(
-                "shards_live".into(),
-                shared
-                    .shards
-                    .iter()
-                    .filter(|s| s.routable())
-                    .count()
-                    .to_string(),
-            );
+            m.insert("shards_live".into(), shared.shards_live().to_string());
             m.insert(
                 "pending".into(),
                 shared.pending.lock().unwrap().len().to_string(),
@@ -2271,10 +2033,11 @@ fn handle_control(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) -> b
             // point; an unjournaled or in-process router refuses (a
             // library must never SIGKILL its host).
             if !shared.cfg.allow_kill_router || shared.journal.is_none() {
-                bump(&shared.counters.rejected, "router_rejected");
-                reply.send(&Response::new(&req.id, Status::Error).with_reason(
-                    "rejected: kill-router requires the fleet binary running with --journal",
-                ));
+                shared.ledger.reject(
+                    reply,
+                    &req.id,
+                    "kill-router requires the fleet binary running with --journal",
+                );
                 return true;
             }
             if let Some(j) = &shared.journal {
@@ -2292,10 +2055,11 @@ fn handle_control(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) -> b
             true
         }
         Kind::Pause | Kind::Resume | Kind::Cancel => {
-            bump(&shared.counters.rejected, "router_rejected");
-            reply.send(&Response::new(&req.id, Status::Error).with_reason(
-                "rejected: pause/resume/cancel are per-shard verbs (send them to a shard directly)",
-            ));
+            shared.ledger.reject(
+                reply,
+                &req.id,
+                "pause/resume/cancel are per-shard verbs (send them to a shard directly)",
+            );
             true
         }
         Kind::Shutdown => {
@@ -2308,7 +2072,7 @@ fn handle_control(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) -> b
             await_pending_empty(shared);
             shutdown_shards(shared);
             reply.send(
-                &Response::new(&req.id, Status::Ok).with_result(shared.snapshot().core_map()),
+                &Response::new(&req.id, Status::Ok).with_result(shared.ledger.snapshot().as_map()),
             );
             shared.shutdown.store(true, Ordering::SeqCst);
             false
@@ -2328,19 +2092,20 @@ fn drain_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
         .get("shard")
         .and_then(|v| v.parse::<usize>().ok());
     let Some(idx) = idx.filter(|&i| i < shared.shards.len()) else {
-        bump(&shared.counters.rejected, "router_rejected");
-        reply.send(
-            &Response::new(&req.id, Status::Error)
-                .with_reason("rejected: drain-shard requires params.shard = <index>"),
+        shared.ledger.reject(
+            reply,
+            &req.id,
+            "drain-shard requires params.shard = <index>",
         );
         return;
     };
     let shard = &shared.shards[idx];
     if shard.state.load(Ordering::SeqCst) >= DRAINING {
-        bump(&shared.counters.rejected, "router_rejected");
-        reply.send(&Response::new(&req.id, Status::Error).with_reason(&format!(
-            "rejected: shard {idx} is already draining or dead"
-        )));
+        shared.ledger.reject(
+            reply,
+            &req.id,
+            &format!("shard {idx} is already draining or dead"),
+        );
         return;
     }
     shard.retired.store(true, Ordering::SeqCst);
@@ -2358,15 +2123,10 @@ fn drain_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
     // idempotency layer keeps the count exact either way.
     let waited = Instant::now();
     while waited.elapsed() < Duration::from_secs(2) {
-        let any_here = {
-            let pending = shared.pending.lock().unwrap();
-            let jobs: Vec<SharedJob> = pending.values().cloned().collect();
-            drop(pending);
-            jobs.iter().any(|j| {
-                let st = j.lock().unwrap();
-                !st.settled && st.shard == idx
-            })
-        };
+        let any_here = inflight_jobs(shared).iter().any(|j| {
+            let st = j.lock().unwrap();
+            !st.settled && st.shard == idx
+        });
         if !any_here {
             break;
         }
@@ -2391,20 +2151,19 @@ fn drain_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
     }
 }
 
-/// `stall-shard`: chaos verb. Freeze the *link* to a live shard — the
-/// one named by `params.shard`, or a seeded choice — for the chaos
-/// plan's `stall-ms`. The shard keeps executing; its replies just stop
-/// arriving, which is exactly the gray failure the outlier detector
-/// and the hedger exist for. Requires the chaos link layer: a clean
-/// fleet has no machinery to hold replies with.
-fn stall_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
-    let Some(chaos) = &shared.chaos else {
-        bump(&shared.counters.rejected, "router_rejected");
-        reply.send(&Response::new(&req.id, Status::Error).with_reason(
-            "rejected: stall-shard requires a fleet started with --chaos-link",
-        ));
-        return;
-    };
+/// The victim of a chaos verb among the live (not draining or dead)
+/// shards that pass `eligible`: the one named by `params.shard`, or a
+/// choice seeded by `params.seed` (default: the router seed). Rejects
+/// the verb and returns `None` when there is no such shard; `which`
+/// and `verb` word the rejection.
+fn pick_victim(
+    shared: &SharedRouter,
+    reply: &Reply,
+    req: &Request,
+    which: &str,
+    verb: &str,
+    eligible: impl Fn(&Shard) -> bool,
+) -> Option<usize> {
     let seed = req
         .params
         .get("seed")
@@ -2413,27 +2172,43 @@ fn stall_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
     let victims: Vec<usize> = shared
         .shards
         .iter()
-        .filter(|s| s.state.load(Ordering::SeqCst) < DRAINING)
+        .filter(|s| s.state.load(Ordering::SeqCst) < DRAINING && eligible(s))
         .map(|s| s.idx)
         .collect();
     if victims.is_empty() {
-        bump(&shared.counters.rejected, "router_rejected");
-        reply.send(
-            &Response::new(&req.id, Status::Error).with_reason("rejected: no live shards to stall"),
+        shared
+            .ledger
+            .reject(reply, &req.id, &format!("no {which} shards to {verb}"));
+        return None;
+    }
+    match req.params.get("shard").map(|v| v.parse::<usize>()) {
+        None => Some(victims[(splitmix64(seed) % victims.len() as u64) as usize]),
+        Some(Ok(idx)) if victims.contains(&idx) => Some(idx),
+        Some(_) => {
+            let reason = format!("params.shard must name a {which} shard");
+            shared.ledger.reject(reply, &req.id, &reason);
+            None
+        }
+    }
+}
+
+/// `stall-shard`: chaos verb. Freeze the *link* to a live shard — the
+/// one named by `params.shard`, or a seeded choice — for the chaos
+/// plan's `stall-ms`. The shard keeps executing; its replies just stop
+/// arriving, which is exactly the gray failure the outlier detector
+/// and the hedger exist for. Requires the chaos link layer: a clean
+/// fleet has no machinery to hold replies with.
+fn stall_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
+    let Some(chaos) = &shared.chaos else {
+        shared.ledger.reject(
+            reply,
+            &req.id,
+            "stall-shard requires a fleet started with --chaos-link",
         );
         return;
-    }
-    let victim = match req.params.get("shard").map(|v| v.parse::<usize>()) {
-        None => victims[(splitmix64(seed) % victims.len() as u64) as usize],
-        Some(Ok(idx)) if victims.contains(&idx) => idx,
-        Some(_) => {
-            bump(&shared.counters.rejected, "router_rejected");
-            reply.send(
-                &Response::new(&req.id, Status::Error)
-                    .with_reason("rejected: params.shard must name a live shard"),
-            );
-            return;
-        }
+    };
+    let Some(victim) = pick_victim(shared, reply, req, "live", "stall", |_| true) else {
+        return;
     };
     let stall_ms = chaos.spec.stall_ms;
     *chaos.links[victim].stall_until.lock().unwrap() =
@@ -2450,36 +2225,9 @@ fn stall_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
 /// reply-reader's EOF trigger the orphan re-dispatch (and, when
 /// supervised, the respawn).
 fn kill_shard(shared: &Arc<SharedRouter>, reply: &Reply, req: &Request) {
-    let seed = req
-        .params
-        .get("seed")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(shared.cfg.seed);
-    let victims: Vec<usize> = shared
-        .shards
-        .iter()
-        .filter(|s| s.state.load(Ordering::SeqCst) < DRAINING && s.child.lock().unwrap().is_some())
-        .map(|s| s.idx)
-        .collect();
-    if victims.is_empty() {
-        bump(&shared.counters.rejected, "router_rejected");
-        reply.send(
-            &Response::new(&req.id, Status::Error)
-                .with_reason("rejected: no spawned live shards to kill"),
-        );
+    let spawned = |s: &Shard| s.child.lock().unwrap().is_some();
+    let Some(victim) = pick_victim(shared, reply, req, "spawned live", "kill", spawned) else {
         return;
-    }
-    let victim = match req.params.get("shard").map(|v| v.parse::<usize>()) {
-        None => victims[(splitmix64(seed) % victims.len() as u64) as usize],
-        Some(Ok(idx)) if victims.contains(&idx) => idx,
-        Some(_) => {
-            bump(&shared.counters.rejected, "router_rejected");
-            reply.send(
-                &Response::new(&req.id, Status::Error)
-                    .with_reason("rejected: params.shard must name a spawned live shard"),
-            );
-            return;
-        }
     };
     {
         let mut child = shared.shards[victim].child.lock().unwrap();

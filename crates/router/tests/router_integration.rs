@@ -107,9 +107,9 @@ fn distinct_specs_route_sticky_and_settle() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
-    assert_eq!(snap.accepted, 24);
-    assert_eq!(snap.completed, 24);
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
+    assert_eq!(snap.ledger.accepted, 24);
+    assert_eq!(snap.ledger.completed, 24);
     assert_eq!(snap.redispatched, 0);
     for shard in shards {
         assert!(shard.wait().balanced(), "shard conservation law");
@@ -143,10 +143,10 @@ fn duplicate_in_flight_spec_is_suppressed() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced());
-    assert_eq!(snap.accepted, 2);
+    assert!(snap.ledger.balanced());
+    assert_eq!(snap.ledger.accepted, 2);
     assert_eq!(snap.dup_suppressed, 1);
-    assert_eq!(snap.rejected, 1);
+    assert_eq!(snap.ledger.rejected, 1);
     for shard in shards {
         shard.wait();
     }
@@ -204,8 +204,8 @@ fn drain_shard_conserves_inflight_jobs() {
     drop(jobs);
     drop(control);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
-    assert_eq!(snap.accepted, 7);
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
+    assert_eq!(snap.ledger.accepted, 7);
     for shard in shards {
         // Shard 0 already exited from the drain; wait() is idempotent
         // on an exited server and returns its final counters.
@@ -316,8 +316,8 @@ fn malformed_shard_replies_never_wedge_the_router() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
-    assert_eq!(snap.completed, 3);
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
+    assert_eq!(snap.ledger.completed, 3);
     // Per job: non-JSON line, oversized line, unknown status, bogus
     // envelope id — all counted, none fatal.
     assert!(
@@ -367,9 +367,9 @@ fn dead_fleet_sheds_instead_of_losing_jobs() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced());
-    assert_eq!(snap.accepted, 0, "shed jobs must roll accepted back");
-    assert_eq!(snap.shed, 1);
+    assert!(snap.ledger.balanced());
+    assert_eq!(snap.ledger.accepted, 0, "shed jobs must roll accepted back");
+    assert_eq!(snap.ledger.shed, 1);
     assert_eq!(snap.shards_dead, 1);
 }
 
@@ -431,10 +431,10 @@ fn hedge_wins_when_the_primary_link_is_delayed() {
     thread::sleep(Duration::from_millis(700));
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
     assert!(snap.hedges_balanced(), "hedge conservation law: {snap:?}");
-    assert_eq!(snap.accepted, 1);
-    assert_eq!(snap.completed, 1);
+    assert_eq!(snap.ledger.accepted, 1);
+    assert_eq!(snap.ledger.completed, 1);
     assert_eq!(snap.hedges_launched, 1);
     assert_eq!(snap.hedges_won, 1);
     for shard in shards {
@@ -477,10 +477,10 @@ fn hedge_loses_when_the_primary_answers_first() {
     thread::sleep(Duration::from_millis(400));
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
     assert!(snap.hedges_balanced(), "hedge conservation law: {snap:?}");
-    assert_eq!(snap.accepted, 1);
-    assert_eq!(snap.completed, 1);
+    assert_eq!(snap.ledger.accepted, 1);
+    assert_eq!(snap.ledger.completed, 1);
     assert_eq!(snap.hedges_launched, 1);
     assert_eq!(snap.hedges_lost, 1);
     for shard in shards {
@@ -513,7 +513,7 @@ fn delayed_shard_is_ejected_then_readmitted() {
     // Closed-loop driver: distinct specs so work spreads over all three
     // shards, fresh seeds per round so dup-suppression never bites.
     let stop = std::sync::atomic::AtomicBool::new(false);
-    let (ejections, readmissions) = thread::scope(|scope| {
+    let (ejections, readmissions, live_while_ejected) = thread::scope(|scope| {
         let driver = scope.spawn(|| {
             let mut client = Client::connect(&addr);
             let mut round = 0u64;
@@ -552,6 +552,32 @@ fn delayed_shard_is_ejected_then_readmitted() {
             );
             thread::sleep(Duration::from_millis(25));
         }
+        // While a shard sits out its probation, `health` and `fleet-stats`
+        // must agree on how many shards are live (routable). Sandwich the
+        // health probe between two fleet-stats replies with identical
+        // shard states so a concurrent state change cannot blur it. The
+        // verdict is asserted after the driver stops, so a failure cannot
+        // leave the scoped driver thread spinning.
+        let states = |r: &Response| -> Vec<(String, String)> {
+            r.result
+                .iter()
+                .filter(|(k, _)| k.ends_with("_state"))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        };
+        let mut live_while_ejected = None;
+        while live_while_ejected.is_none() && Instant::now() < deadline {
+            let before = control.roundtrip(&Request::new("fs1", Kind::FleetStats));
+            let health = control.roundtrip(&Request::new("h", Kind::Health));
+            let after = control.roundtrip(&Request::new("fs2", Kind::FleetStats));
+            let ejected = states(&before).iter().any(|(_, v)| v == "ejected");
+            if ejected && states(&before) == states(&after) {
+                live_while_ejected = Some((
+                    health.result.get("shards_live").cloned(),
+                    before.result.get("shards_live").cloned(),
+                ));
+            }
+        }
         // Stop the load so the slow shard goes quiet; probation plus a
         // clean probe must re-admit it.
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -566,12 +592,19 @@ fn delayed_shard_is_ejected_then_readmitted() {
         (
             fetch(&mut control, "ejections"),
             fetch(&mut control, "readmissions"),
+            live_while_ejected,
         )
     });
     assert!(ejections >= 1 && readmissions >= 1);
+    let (health_live, stats_live) =
+        live_while_ejected.expect("never observed a stable ejected state");
+    assert_eq!(
+        health_live, stats_live,
+        "health and fleet-stats disagree on shards_live while a shard is ejected"
+    );
 
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
     assert!(snap.hedges_balanced(), "hedge conservation law: {snap:?}");
     assert!(snap.ejections >= 1, "{snap:?}");
     assert!(snap.readmissions >= 1, "{snap:?}");
@@ -622,10 +655,102 @@ fn kernel_jobs_route_sticky_by_spec_hash() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
-    assert_eq!(snap.accepted, 16);
-    assert_eq!(snap.completed, 16);
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
+    assert_eq!(snap.ledger.accepted, 16);
+    assert_eq!(snap.ledger.completed, 16);
     for shard in shards {
         assert!(shard.wait().balanced(), "shard conservation law");
+    }
+}
+
+fn keys(resp: &Response) -> Vec<String> {
+    resp.result.keys().cloned().collect()
+}
+
+fn sorted(list: &[String]) -> Vec<String> {
+    let mut v = list.to_vec();
+    v.sort();
+    v
+}
+
+fn owned(list: &[&str]) -> Vec<String> {
+    list.iter().map(|s| s.to_string()).collect()
+}
+
+const LEDGER_KEYS: [&str; 7] = [
+    "accepted",
+    "completed",
+    "errored",
+    "cancelled",
+    "deadline_exceeded",
+    "shed",
+    "rejected",
+];
+
+#[test]
+fn fleet_control_replies_carry_exactly_the_pinned_wire_keys() {
+    let (shards, router) = start_fleet(3, 17);
+    let mut client = Client::connect(&router.addr().to_string());
+    assert_eq!(
+        client.roundtrip(&bounds_job("j", 64)).status,
+        Status::Completed
+    );
+
+    let health = client.roundtrip(&Request::new("h", Kind::Health));
+    assert_eq!(health.status, Status::Ok);
+    assert_eq!(
+        keys(&health),
+        sorted(&owned(&[
+            "uptime_ms",
+            "shards",
+            "shards_live",
+            "pending",
+            "draining"
+        ])),
+        "router health keys"
+    );
+
+    let mut fixed = owned(&LEDGER_KEYS);
+    fixed.extend(owned(&[
+        "redispatched",
+        "dup_suppressed",
+        "shards_killed",
+        "malformed_shard_replies",
+        "restarts",
+        "breaker_open",
+        "journal_replayed",
+        "resumed_inflight",
+        "ejections",
+        "readmissions",
+        "hedges_launched",
+        "hedges_won",
+        "hedges_lost",
+        "hedges_cancelled",
+        "retry_budget_exhausted",
+        "retry_spent",
+        "shards",
+        "shards_live",
+        "shards_dead",
+        "shards_quarantined",
+        "shards_ejected",
+    ]));
+    fixed.extend((0..3).map(|i| format!("shard{i}_state")));
+    for verb in [Kind::FleetStats, Kind::Stats] {
+        let stats = client.roundtrip(&Request::new("fs", verb));
+        assert_eq!(stats.status, Status::Ok);
+        assert_eq!(keys(&stats), sorted(&fixed), "{} keys", verb.as_str());
+    }
+
+    let ack = client.roundtrip(&Request::new("stop", Kind::Shutdown));
+    assert_eq!(ack.status, Status::Ok);
+    assert_eq!(
+        keys(&ack),
+        sorted(&owned(&LEDGER_KEYS)),
+        "router shutdown ack keys"
+    );
+    drop(client);
+    router.wait();
+    for shard in shards {
+        shard.wait();
     }
 }

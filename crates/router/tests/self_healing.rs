@@ -184,11 +184,11 @@ fn supervisor_respawns_then_breaker_quarantines() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
     assert_eq!(snap.restarts, 2);
     assert_eq!(snap.breaker_open, 1);
-    assert_eq!(snap.completed, 3);
-    assert_eq!(snap.shed, 1);
+    assert_eq!(snap.ledger.completed, 3);
+    assert_eq!(snap.ledger.shed, 1);
 }
 
 #[test]
@@ -249,8 +249,8 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
     assert_eq!(header.shard_addrs, vec![shard_addr.clone()]);
     let rep = replay(&records);
     assert_eq!(rep.replayed, 3);
-    assert_eq!(rep.accepted, 2);
-    assert_eq!(rep.completed, 1);
+    assert_eq!(rep.ledger.accepted, 2);
+    assert_eq!(rep.ledger.completed, 1);
     assert_eq!(rep.inflight.len(), 1, "one unsettled admit");
 
     let router = RouterHandle::start_with(
@@ -295,9 +295,9 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
 
     drop(client);
     let snap = router.shutdown_and_wait();
-    assert!(snap.balanced(), "fleet conservation law: {snap:?}");
-    assert_eq!(snap.accepted, 2, "1 replayed settled + 1 resumed in-flight");
-    assert_eq!(snap.completed, 2);
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
+    assert_eq!(snap.ledger.accepted, 2, "1 replayed settled + 1 resumed in-flight");
+    assert_eq!(snap.ledger.completed, 2);
     assert_eq!(snap.journal_replayed, 3);
     assert_eq!(snap.resumed_inflight, 1);
     assert_eq!(snap.dup_suppressed, 2, "both re-sends were suppressed");

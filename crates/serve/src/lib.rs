@@ -23,6 +23,14 @@
 //!   `accepted == completed + errored + cancelled + deadline_exceeded`
 //!   holds in the final counters.
 //!
+//! The conservation law lives in one place, [`ledger`]: the seven
+//! counters, the status-to-counter mapping, and the `reject`/`shed`
+//! refusals that count and answer together. [`conn`] holds the
+//! line-protocol plumbing — reply writer, accept loop, request reader,
+//! and the one-shot control round-trip. `fmm-router` runs its front end
+//! on both, so the server and the fleet router keep one ledger and one
+//! connection loop between them.
+//!
 //! [`loadgen`] is the matching chaos client: seeded (splitmix64) mixes of
 //! cheap / expensive / poison / oversized / tiny-deadline requests over N
 //! connections, plus a deterministic `pause → blast → resume` burst mode
@@ -31,13 +39,16 @@
 //! The crate is zero-dependency beyond the workspace: `std::net` sockets,
 //! `std::thread` workers, and [`fmm_obs`] telemetry.
 
+pub mod conn;
 pub mod jobs;
+pub mod ledger;
 pub mod loadgen;
 pub mod proto;
 pub mod queue;
 pub mod server;
 
+pub use ledger::{Ledger, StatsSnapshot};
 pub use loadgen::{LoadgenConfig, Summary};
 pub use proto::{Kind, Request, Response, Status};
 pub use queue::BoundedQueue;
-pub use server::{ServerConfig, ServerHandle, StatsSnapshot};
+pub use server::{ServerConfig, ServerHandle};

@@ -12,6 +12,7 @@
 //! and `resume` lets the admitted backlog drain. For a fixed seed and
 //! server config the whole run's shed count is reproducible.
 
+use crate::ledger::StatsSnapshot;
 use crate::proto::{Kind, Request, Response, Status};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -245,19 +246,9 @@ impl Summary {
             + self.cancelled
             + self.deadline_exceeded
             + self.rejected;
-        let balanced = match (
-            self.server_counters.get("accepted"),
-            self.server_counters.get("completed"),
-            self.server_counters.get("errored"),
-            self.server_counters.get("cancelled"),
-            self.server_counters.get("deadline_exceeded"),
-        ) {
-            (Some(a), Some(c), Some(e), Some(x), Some(d)) => {
-                let num = |s: &String| s.parse::<u64>().unwrap_or(u64::MAX);
-                num(a) == num(c) + num(e) + num(x) + num(d)
-            }
-            _ => true, // no shutdown ack requested — nothing to cross-check
-        };
+        // No shutdown ack requested — nothing to cross-check.
+        let balanced = self.server_counters.is_empty()
+            || StatsSnapshot::from_map(&self.server_counters).is_some_and(|s| s.balanced());
         self.lost == 0 && self.mismatched == 0 && replies == self.sent && balanced
     }
 
@@ -787,6 +778,11 @@ mod tests {
         s.server_counters.insert("cancelled".into(), "0".into());
         s.server_counters
             .insert("deadline_exceeded".into(), "0".into());
+        // A shutdown ack carries all seven ledger counters; one missing
+        // any of them cannot be cross-checked and fails the run.
+        s.server_counters.insert("shed".into(), "0".into());
+        assert!(!s.ok(), "a partial ack must fail the run");
+        s.server_counters.insert("rejected".into(), "0".into());
         assert!(!s.ok(), "unbalanced server counters must fail the run");
         s.server_counters.insert("completed".into(), "5".into());
         assert!(s.ok());

@@ -1,5 +1,6 @@
-//! The job server: accept loop, connection readers, bounded admission,
-//! and a worker pool with per-job panic isolation.
+//! The job server: bounded admission and a worker pool with per-job
+//! panic isolation, behind the shared [`crate::conn`] accept loop and
+//! request reader, counting into a [`crate::ledger::Ledger`].
 //!
 //! Thread layout:
 //!
@@ -23,14 +24,15 @@
 //! replies (their own deadlines still apply), the queue closes, workers
 //! join, and remaining connections are closed.
 
+use crate::conn::{self, Reply};
 use crate::jobs::JobSpec;
-use crate::proto::{read_bounded_line, Request, Response, Status};
+use crate::ledger::{Ledger, Names, StatsSnapshot};
+use crate::proto::{Request, Response, Status};
 use crate::queue::{BoundedQueue, PushError};
 use fmm_faults::{cancel, splitmix64, CancelReason, CancelToken};
 use fmm_obs::Histogram;
-use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,94 +80,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic event counters (also mirrored into [`fmm_obs`] when
-/// telemetry is enabled, under the same names prefixed `serve_`).
-#[derive(Default)]
-struct Stats {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    errored: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// A point-in-time copy of the server counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub accepted: u64,
-    pub completed: u64,
-    pub errored: u64,
-    pub cancelled: u64,
-    pub deadline_exceeded: u64,
-    pub shed: u64,
-    pub rejected: u64,
-}
-
-impl StatsSnapshot {
-    /// Jobs that reached a terminal reply.
-    pub fn terminal(&self) -> u64 {
-        self.completed + self.errored + self.cancelled + self.deadline_exceeded
-    }
-
-    /// The server's core invariant; holds whenever no job is in flight
-    /// (always true for the final snapshot after a drain).
-    pub fn balanced(&self) -> bool {
-        self.accepted == self.terminal()
-    }
-
-    /// Flat map for the `stats` control reply.
-    pub fn as_map(&self) -> BTreeMap<String, String> {
-        let mut m = BTreeMap::new();
-        m.insert("accepted".into(), self.accepted.to_string());
-        m.insert("completed".into(), self.completed.to_string());
-        m.insert("errored".into(), self.errored.to_string());
-        m.insert("cancelled".into(), self.cancelled.to_string());
-        m.insert(
-            "deadline_exceeded".into(),
-            self.deadline_exceeded.to_string(),
-        );
-        m.insert("shed".into(), self.shed.to_string());
-        m.insert("rejected".into(), self.rejected.to_string());
-        m
-    }
-}
-
-impl Stats {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            accepted: self.accepted.load(Ordering::SeqCst),
-            completed: self.completed.load(Ordering::SeqCst),
-            errored: self.errored.load(Ordering::SeqCst),
-            cancelled: self.cancelled.load(Ordering::SeqCst),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
-            rejected: self.rejected.load(Ordering::SeqCst),
-        }
-    }
-
-    fn bump(&self, which: &AtomicU64, obs_name: &str) {
-        which.fetch_add(1, Ordering::SeqCst);
-        fmm_obs::add(obs_name, &[], 1);
-    }
-}
-
-/// Serialised writer half of one connection; replies from the conn
-/// reader and from workers interleave line-atomically through the lock.
-#[derive(Clone)]
-struct Reply(Arc<Mutex<TcpStream>>);
-
-impl Reply {
-    fn send(&self, resp: &Response) {
-        let line = resp.to_line();
-        let mut stream = self.0.lock().unwrap();
-        // A vanished client must not take the worker down with it; the
-        // job still counted its terminal state.
-        let _ = writeln!(stream, "{line}");
-        let _ = stream.flush();
-    }
-}
+/// The ledger's [`fmm_obs`] metric names.
+const LEDGER_NAMES: Names = [
+    "serve_accepted",
+    "serve_completed",
+    "serve_errored",
+    "serve_cancelled",
+    "serve_deadline_exceeded",
+    "serve_shed",
+    "serve_rejected",
+];
 
 /// One admitted unit of work.
 struct Job {
@@ -186,17 +110,12 @@ struct Job {
 struct Shared {
     cfg: ServerConfig,
     queue: BoundedQueue<Job>,
-    stats: Stats,
+    ledger: Ledger,
     /// Admission refuses new jobs (reason `draining`).
     draining: AtomicBool,
     /// Tells the accept loop to begin the drain-and-exit sequence.
     shutdown: AtomicBool,
     started: Instant,
-    /// Reader halves of live connections by connection serial, closed at
-    /// shutdown to unblock their reader threads. Each reader thread
-    /// removes its own entry when it exits, so closed connections hold no
-    /// descriptor.
-    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Next job sequence number (trace id input).
     job_seq: AtomicU64,
     /// Deepest the admission queue has ever been.
@@ -212,7 +131,7 @@ struct Shared {
 impl Shared {
     /// Nothing queued and every accepted job terminally replied.
     fn drained(&self) -> bool {
-        self.queue.is_empty() && self.stats.snapshot().balanced()
+        self.queue.is_empty() && self.ledger.snapshot().balanced()
     }
 
     fn await_drain(&self) {
@@ -242,11 +161,10 @@ impl ServerHandle {
         let shared = Arc::new(Shared {
             cfg,
             queue: BoundedQueue::new(queue_depth),
-            stats: Stats::default(),
+            ledger: Ledger::new(LEDGER_NAMES),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            conns: Mutex::new(HashMap::new()),
             job_seq: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
             latency: Mutex::new(BTreeMap::new()),
@@ -265,7 +183,7 @@ impl ServerHandle {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("serve-accept".to_string())
-                .spawn(move || accept_loop(&shared, listener, worker_handles))?
+                .spawn(move || accept_and_drain(&shared, listener, worker_handles))?
         };
         Ok(ServerHandle {
             addr,
@@ -280,7 +198,7 @@ impl ServerHandle {
     }
 
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.ledger.snapshot()
     }
 
     /// Deepest the admission queue has ever been (the `queue_depth_hwm`
@@ -304,7 +222,7 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        self.shared.stats.snapshot()
+        self.shared.ledger.snapshot()
     }
 
     /// [`ServerHandle::begin_shutdown`] + [`ServerHandle::wait`].
@@ -323,34 +241,22 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandle<()>>) {
-    let mut next_serial = 0u64;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let serial = next_serial;
-                next_serial += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap().insert(serial, clone);
-                }
-                let shared = Arc::clone(shared);
-                // Reader threads are not joined: they exit on EOF, and
-                // shutdown closes their sockets out from under them.
-                let _ = std::thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || {
-                        conn_loop(&shared, stream);
-                        shared.conns.lock().unwrap().remove(&serial);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    drop(listener);
+fn accept_and_drain(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandle<()>>) {
+    let serving = Arc::clone(shared);
+    let conns = conn::accept_until(
+        listener,
+        &shared.shutdown,
+        "serve-conn",
+        move |stream, _| {
+            conn::read_requests(
+                stream,
+                serving.cfg.max_line_bytes,
+                &serving.ledger,
+                |reply, req| admit_job(&serving, reply, req),
+                |reply, req| handle_control(&serving, reply, req),
+            )
+        },
+    );
     // Drain: a conn-initiated shutdown has already waited for this, in
     // which case these are no-ops.
     shared.draining.store(true, Ordering::SeqCst);
@@ -360,15 +266,17 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHan
     for w in workers {
         let _ = w.join();
     }
-    fmm_obs::gauge("serve_queue_depth", &[], 0.0);
-    for (_, conn) in shared.conns.lock().unwrap().drain() {
-        let _ = conn.shutdown(Shutdown::Both);
+    if fmm_obs::enabled() {
+        fmm_obs::gauge("serve_queue_depth", &[], 0.0);
     }
+    conns.close();
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        fmm_obs::gauge("serve_queue_depth", &[], shared.queue.len() as f64);
+        if fmm_obs::enabled() {
+            fmm_obs::gauge("serve_queue_depth", &[], shared.queue.len() as f64);
+        }
         run_job(shared, job);
     }
 }
@@ -452,20 +360,11 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             }
         }
     };
-    match status {
-        Status::Completed => shared
-            .stats
-            .bump(&shared.stats.completed, "serve_completed"),
-        Status::Cancelled => shared
-            .stats
-            .bump(&shared.stats.cancelled, "serve_cancelled"),
-        Status::DeadlineExceeded => shared
-            .stats
-            .bump(&shared.stats.deadline_exceeded, "serve_deadline_exceeded"),
-        _ => shared.stats.bump(&shared.stats.errored, "serve_errored"),
-    }
+    shared.ledger.settle(status);
     let latency_us = admitted.elapsed().as_micros() as u64;
-    fmm_obs::observe("serve_latency_us", &[], latency_us);
+    if fmm_obs::enabled() {
+        fmm_obs::observe("serve_latency_us", &[], latency_us);
+    }
     shared
         .latency
         .lock()
@@ -485,66 +384,15 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     reply.send(&resp);
 }
 
-fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let reply = match stream.try_clone() {
-        Ok(clone) => Reply(Arc::new(Mutex::new(clone))),
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut buf = Vec::new();
-    let mut oversized = false;
-    loop {
-        if !read_bounded_line(
-            &mut reader,
-            &mut buf,
-            shared.cfg.max_line_bytes,
-            &mut oversized,
-        ) {
-            return;
-        }
-        if oversized {
-            shared.stats.bump(&shared.stats.rejected, "serve_rejected");
-            reply.send(&Response::new("", Status::Error).with_reason(&format!(
-                "rejected: line exceeds {} bytes",
-                shared.cfg.max_line_bytes
-            )));
-            continue;
-        }
-        let line = String::from_utf8_lossy(&buf);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let req = match Request::parse(line) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.stats.bump(&shared.stats.rejected, "serve_rejected");
-                reply
-                    .send(&Response::new("", Status::Error).with_reason(&format!("rejected: {e}")));
-                continue;
-            }
-        };
-        if req.kind.is_job() {
-            admit_job(shared, &reply, req);
-        } else if !handle_control(shared, &reply, &req) {
-            return;
-        }
-    }
-}
-
 fn admit_job(shared: &Arc<Shared>, reply: &Reply, req: Request) {
     if shared.draining.load(Ordering::SeqCst) {
-        shared.stats.bump(&shared.stats.shed, "serve_shed");
-        reply.send(&Response::new(&req.id, Status::Shed).with_reason("draining"));
+        shared.ledger.shed(reply, &req.id, "draining");
         return;
     }
     let spec = match JobSpec::from_request(req.kind, &req.params) {
         Ok(spec) => spec,
         Err(e) => {
-            shared.stats.bump(&shared.stats.rejected, "serve_rejected");
-            reply.send(
-                &Response::new(&req.id, Status::Error).with_reason(&format!("rejected: {e}")),
-            );
+            shared.ledger.reject(reply, &req.id, &e);
             return;
         }
     };
@@ -588,27 +436,22 @@ fn admit_job(shared: &Arc<Shared>, reply: &Reply, req: Request) {
         .lock()
         .unwrap()
         .insert(req.id.clone(), job.token.clone());
-    // Count acceptance *before* the push (and roll back on refusal) so
-    // the drain condition `accepted == terminal` can never observe a
-    // completed job ahead of its own acceptance.
-    shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
-    match shared.queue.try_push(job) {
+    let pushed = shared.ledger.try_accept(|| {
+        shared.queue.try_push(job).map_err(|refused| match refused {
+            PushError::Full(_) => "queue-full",
+            PushError::Closed(_) => "draining",
+        })
+    });
+    match pushed {
         Ok(depth) => {
             shared.queue_hwm.fetch_max(depth as u64, Ordering::SeqCst);
-            fmm_obs::add("serve_accepted", &[], 1);
-            fmm_obs::gauge("serve_queue_depth", &[], depth as f64);
+            if fmm_obs::enabled() {
+                fmm_obs::gauge("serve_queue_depth", &[], depth as f64);
+            }
         }
-        Err(PushError::Full(_)) => {
+        Err(reason) => {
             shared.cancels.lock().unwrap().remove(&req.id);
-            shared.stats.accepted.fetch_sub(1, Ordering::SeqCst);
-            shared.stats.bump(&shared.stats.shed, "serve_shed");
-            reply.send(&Response::new(&req.id, Status::Shed).with_reason("queue-full"));
-        }
-        Err(PushError::Closed(_)) => {
-            shared.cancels.lock().unwrap().remove(&req.id);
-            shared.stats.accepted.fetch_sub(1, Ordering::SeqCst);
-            shared.stats.bump(&shared.stats.shed, "serve_shed");
-            reply.send(&Response::new(&req.id, Status::Shed).with_reason("draining"));
+            shared.ledger.shed(reply, &req.id, reason);
         }
     }
 }
@@ -619,7 +462,7 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
     use crate::proto::Kind;
     match req.kind {
         Kind::Health => {
-            let snap = shared.stats.snapshot();
+            let snap = shared.ledger.snapshot();
             let mut m = BTreeMap::new();
             m.insert(
                 "uptime_ms".into(),
@@ -642,7 +485,7 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
             true
         }
         Kind::Stats => {
-            let mut m = shared.stats.snapshot().as_map();
+            let mut m = shared.ledger.snapshot().as_map();
             if let Some(id) = shared.cfg.shard_id {
                 m.insert("shard_id".into(), id.to_string());
             }
@@ -687,7 +530,7 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
             shared.queue.set_paused(false);
             shared.await_drain();
             reply.send(
-                &Response::new(&req.id, Status::Ok).with_result(shared.stats.snapshot().as_map()),
+                &Response::new(&req.id, Status::Ok).with_result(shared.ledger.snapshot().as_map()),
             );
             shared.shutdown.store(true, Ordering::SeqCst);
             false
@@ -698,11 +541,9 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
             // its terminal reply simply isn't found.
             let target = req.params.get("target").cloned().unwrap_or_default();
             if target.is_empty() {
-                shared.stats.bump(&shared.stats.rejected, "serve_rejected");
-                reply.send(
-                    &Response::new(&req.id, Status::Error)
-                        .with_reason("rejected: cancel needs a 'target' param"),
-                );
+                shared
+                    .ledger
+                    .reject(reply, &req.id, "cancel needs a 'target' param");
                 return true;
             }
             let token = shared.cancels.lock().unwrap().get(&target).cloned();
@@ -723,11 +564,14 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
             // Fleet verbs exist in the shared protocol so the router can
             // parse them, but a single shard must answer — not wedge, not
             // panic — when one arrives directly.
-            shared.stats.bump(&shared.stats.rejected, "serve_rejected");
-            reply.send(&Response::new(&req.id, Status::Error).with_reason(&format!(
-                "rejected: '{}' is a fleet verb (send it to a fastmm fleet router)",
-                req.kind.as_str()
-            )));
+            shared.ledger.reject(
+                reply,
+                &req.id,
+                &format!(
+                    "'{}' is a fleet verb (send it to a fastmm fleet router)",
+                    req.kind.as_str()
+                ),
+            );
             true
         }
         _ => unreachable!("job kinds are routed to admit_job"),

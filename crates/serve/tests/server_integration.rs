@@ -433,3 +433,92 @@ fn kernel_job_completes_verifies_and_honours_its_deadline() {
     assert_eq!(stats.rejected, 1);
     assert!(stats.balanced(), "conservation law must hold: {stats:?}");
 }
+
+/// Sorted key set of a reply's result map.
+fn keys(resp: &Response) -> Vec<String> {
+    resp.result.keys().cloned().collect()
+}
+
+fn sorted(list: &[String]) -> Vec<String> {
+    let mut v = list.to_vec();
+    v.sort();
+    v
+}
+
+fn owned(list: &[&str]) -> Vec<String> {
+    list.iter().map(|s| s.to_string()).collect()
+}
+
+const LEDGER_KEYS: [&str; 7] = [
+    "accepted",
+    "completed",
+    "errored",
+    "cancelled",
+    "deadline_exceeded",
+    "shed",
+    "rejected",
+];
+
+#[test]
+fn control_replies_carry_exactly_the_pinned_wire_keys() {
+    for shard_id in [None, Some(3)] {
+        let server = ServerHandle::start(ServerConfig {
+            queue_depth: 8,
+            workers: 1,
+            shard_id,
+            ..ServerConfig::default()
+        })
+        .expect("start server");
+        let shard_key = owned(if shard_id.is_some() {
+            &["shard_id"]
+        } else {
+            &[]
+        });
+        let mut client = Client::connect(&server);
+
+        let health = client.round_trip(&Request::new("h", Kind::Health));
+        assert_eq!(health.status, Status::Ok);
+        let mut want = owned(&[
+            "uptime_ms",
+            "queue_depth",
+            "queue_capacity",
+            "outstanding",
+            "draining",
+        ]);
+        want.extend_from_slice(&shard_key);
+        assert_eq!(keys(&health), sorted(&want), "health keys");
+
+        // Before any job: the fixed keys only (empty latency histograms
+        // are omitted, never zeros).
+        let stats = client.round_trip(&Request::new("s", Kind::Stats));
+        let mut fixed = owned(&LEDGER_KEYS);
+        fixed.push("queue_depth_hwm".into());
+        fixed.extend_from_slice(&shard_key);
+        assert_eq!(keys(&stats), sorted(&fixed), "stats keys before any job");
+
+        // After one io and one bounds job: the fixed keys plus
+        // `latency_<kind>_{count,p50_us,p95_us,p99_us}` per kind seen.
+        assert_eq!(client.round_trip(&cheap_io("j1")).status, Status::Completed);
+        let bounds = Request::new("j2", Kind::Bounds)
+            .with_param("n", "64")
+            .with_param("m", "512");
+        assert_eq!(client.round_trip(&bounds).status, Status::Completed);
+        let stats = client.round_trip(&Request::new("s2", Kind::Stats));
+        let mut want = fixed.clone();
+        for kind in ["io", "bounds"] {
+            for suffix in ["count", "p50_us", "p95_us", "p99_us"] {
+                want.push(format!("latency_{kind}_{suffix}"));
+            }
+        }
+        assert_eq!(keys(&stats), sorted(&want), "stats keys after jobs");
+
+        let ack = client.round_trip(&Request::new("stop", Kind::Shutdown));
+        assert_eq!(ack.status, Status::Ok);
+        assert_eq!(
+            keys(&ack),
+            sorted(&owned(&LEDGER_KEYS)),
+            "shutdown ack keys"
+        );
+        server.wait();
+    }
+}

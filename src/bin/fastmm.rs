@@ -1155,17 +1155,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let stats = handle.wait();
-    println!(
-        "fastmm serve drained: accepted={} completed={} errored={} cancelled={} \
-         deadline_exceeded={} shed={} rejected={}",
-        stats.accepted,
-        stats.completed,
-        stats.errored,
-        stats.cancelled,
-        stats.deadline_exceeded,
-        stats.shed,
-        stats.rejected
-    );
+    println!("fastmm serve drained: {stats}");
     if stats.balanced() {
         ExitCode::SUCCESS
     } else {
@@ -1532,17 +1522,9 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     let _ = std::io::stdout().flush();
     let snap = handle.wait();
     println!(
-        "fastmm fleet drained: accepted={} completed={} errored={} cancelled={} \
-         deadline_exceeded={} shed={} rejected={} redispatched={} dup_suppressed={} \
-         shards_killed={} restarts={} breaker_open={} journal_replayed={} \
-         resumed_inflight={}",
-        snap.accepted,
-        snap.completed,
-        snap.errored,
-        snap.cancelled,
-        snap.deadline_exceeded,
-        snap.shed,
-        snap.rejected,
+        "fastmm fleet drained: {} redispatched={} dup_suppressed={} shards_killed={} \
+         restarts={} breaker_open={} journal_replayed={} resumed_inflight={}",
+        snap.ledger,
         snap.redispatched,
         snap.dup_suppressed,
         snap.shards_killed,
@@ -1569,7 +1551,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         snap.shards_sum("accepted"),
         snap.shards_sum("completed")
     );
-    if !snap.balanced() {
+    if !snap.ledger.balanced() {
         eprintln!("fleet: router counters do not balance after drain");
         return ExitCode::FAILURE;
     }

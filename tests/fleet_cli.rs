@@ -3,9 +3,13 @@
 //! spawned shards takes 1040 requests from eight connections while one
 //! shard is SIGKILLed mid-run; the run must lose zero replies, keep the
 //! fleet conservation law balanced, drain to exit 0, and reproduce the
-//! same summary for the same seed.
+//! same summary for the same seed. The first run also writes router and
+//! shard `--metrics` files, whose merged trace report must show the
+//! router's `route.` spans and the shards' `job.` spans; every artifact
+//! of that run lands under `target/fleet-smoke/`.
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
 fn fastmm_cmd() -> Command {
@@ -70,9 +74,20 @@ fn chaos_loadgen(addr: &str) -> std::process::Output {
 
 #[test]
 fn kill_a_shard_chaos_run_loses_nothing_and_reproduces() {
-    let (mut fleet, addr) = spawn_fleet(&[]);
+    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/fleet-smoke");
+    let _ = std::fs::remove_dir_all(&out);
+    std::fs::create_dir_all(&out).expect("create artifact dir");
+    let router_metrics = out.join("router_metrics.jsonl");
+    let shard_metrics = out.join("shard_metrics");
+    let (mut fleet, addr) = spawn_fleet(&[
+        "--metrics",
+        router_metrics.to_str().unwrap(),
+        "--shard-metrics-dir",
+        shard_metrics.to_str().unwrap(),
+    ]);
     let load = chaos_loadgen(&addr);
     let summary = String::from_utf8_lossy(&load.stdout);
+    std::fs::write(out.join("fleet_loadgen.json"), summary.as_bytes()).expect("save summary");
     assert_eq!(
         load.status.code(),
         Some(0),
@@ -96,6 +111,7 @@ fn kill_a_shard_chaos_run_loses_nothing_and_reproduces() {
     let mut rest = String::new();
     std::io::Read::read_to_string(&mut fleet.stdout.take().expect("stdout piped"), &mut rest)
         .expect("read drained lines");
+    std::fs::write(out.join("fleet.out"), &rest).expect("save fleet output");
     assert!(rest.contains("fastmm fleet drained: accepted="), "{rest}");
     assert!(rest.contains("shards_killed=1"), "{rest}");
     assert!(rest.contains("fastmm fleet shards: acked=2/3"), "{rest}");
@@ -120,6 +136,36 @@ fn kill_a_shard_chaos_run_loses_nothing_and_reproduces() {
         + counter("cancelled")
         + counter("deadline_exceeded");
     assert_eq!(accepted, settled, "fleet conservation law violated: {line}");
+
+    // Router and shard span logs merge into trace trees that attribute
+    // the fleet hop: `route.<kind>` spans from the router, `job.<kind>`
+    // spans from the shards.
+    let mut merged = std::fs::read_to_string(&router_metrics).expect("router metrics flushed");
+    let mut shard_files: Vec<_> = std::fs::read_dir(&shard_metrics)
+        .expect("shard metrics dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    shard_files.sort();
+    for f in shard_files {
+        merged.push_str(&std::fs::read_to_string(f).expect("shard metrics"));
+    }
+    let merged_path = out.join("merged_metrics.jsonl");
+    std::fs::write(&merged_path, merged).expect("write merged metrics");
+    let report = fastmm_cmd()
+        .args([
+            "report",
+            "--traces",
+            merged_path.to_str().unwrap(),
+            "--top",
+            "5",
+        ])
+        .output()
+        .expect("run fastmm report --traces");
+    assert_eq!(report.status.code(), Some(0), "report --traces failed");
+    let traces = String::from_utf8_lossy(&report.stdout);
+    std::fs::write(out.join("fleet_traces.txt"), traces.as_bytes()).expect("save traces");
+    assert!(traces.contains("route."), "no router spans:\n{traces}");
+    assert!(traces.contains("job."), "no shard spans:\n{traces}");
 
     // Same seed, fresh fleet: the summary line reproduces exactly.
     let (mut fleet2, addr2) = spawn_fleet(&[]);
