@@ -11,6 +11,11 @@ use fmm_matrix::multiply;
 use std::hint::black_box;
 
 fn classical_kernels(c: &mut Criterion) {
+    let tiled = |threads| fmm_kernel::KernelCfg {
+        alg: fmm_kernel::Alg::Classical,
+        cutoff: 1,
+        threads,
+    };
     let mut group = c.benchmark_group("classical");
     for n in [64usize, 128, 256] {
         let a = bench_matrix_f64(n, 1);
@@ -24,10 +29,10 @@ fn classical_kernels(c: &mut Criterion) {
             bch.iter(|| black_box(multiply::multiply_ikj(&a, &b)))
         });
         group.bench_with_input(BenchmarkId::new("tiled", n), &n, |bch, _| {
-            bch.iter(|| black_box(fmm_kernel::classical_tiled(&a, &b)))
+            bch.iter(|| black_box(fmm_kernel::multiply(&tiled(1), &a, &b)))
         });
         group.bench_with_input(BenchmarkId::new("tiled_mt4", n), &n, |bch, _| {
-            bch.iter(|| black_box(fmm_kernel::classical_tiled_mt(&a, &b, 4)))
+            bch.iter(|| black_box(fmm_kernel::multiply(&tiled(4), &a, &b)))
         });
     }
     group.finish();

@@ -236,6 +236,19 @@ pub fn classical() -> Bilinear2x2 {
     )
 }
 
+/// The names [`by_name`] accepts, in the order error messages list them.
+pub const NAMES: [&str; 3] = ["strassen", "winograd", "classical"];
+
+/// The catalog algorithm called `name` (one of [`NAMES`]), or `None`.
+pub fn by_name(name: &str) -> Option<Bilinear2x2> {
+    match name {
+        "strassen" => Some(strassen()),
+        "winograd" => Some(winograd()),
+        "classical" => Some(classical()),
+        _ => None,
+    }
+}
+
 /// All fast (7-multiplication) algorithms in the catalog — the class the
 /// paper's Theorem 1.1 covers directly.
 pub fn all_fast() -> Vec<Bilinear2x2> {
@@ -296,6 +309,15 @@ mod tests {
         // No coefficient multiplications anywhere (pure ±1 algorithms).
         assert_eq!(w.enc_a.coeff_multiplications(), 0);
         assert_eq!(w.dec.coeff_multiplications(), 0);
+    }
+
+    #[test]
+    fn by_name_knows_exactly_the_listed_names() {
+        for name in NAMES {
+            assert_eq!(by_name(name).map(|a| a.name), Some(name.to_string()));
+        }
+        assert!(by_name("ks").is_none());
+        assert!(by_name("Strassen").is_none());
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Recursive execution of bilinear algorithms with exact operation counting.
 //!
-//! [`multiply_fast`] runs any catalog algorithm on real matrices by the
-//! textbook recursion (Algorithm 2 of the paper): split into quadrants,
-//! evaluate the encoder SLPs block-wise, recurse on the `t` products, and
-//! evaluate the decoder SLP. [`multiply_fast_counted`] additionally counts
-//! every scalar multiplication and addition performed, which is how the
+//! [`step`] is the one place a [`Bilinear2x2`] is applied to blocks: split
+//! both operands into quadrants, evaluate the encoder SLPs block-wise
+//! (counted), hand the `t` operand pairs to the caller's closure, evaluate
+//! the decoder SLP (counted), and join. Every fast recursion over real
+//! matrices is this step plus a leaf: [`multiply_fast`] runs any catalog
+//! algorithm by the textbook recursion (Algorithm 2 of the paper) with a
+//! classical `ikj` leaf, and `fmm-kernel`'s Strassen runs the same step
+//! with packed-panel leaves and a worker pool at the top level.
+//! [`multiply_fast_counted`] additionally counts every scalar
+//! multiplication and addition performed, which is how the
 //! leading-coefficient claims of the paper's introduction (7 → 6 → 5) are
 //! measured rather than assumed.
 
 use crate::bilinear::Bilinear2x2;
+use crate::slp::Slp;
 use fmm_matrix::multiply::multiply_ikj;
 use fmm_matrix::quad::{crop, join_quadrants, pad_pow2, split_quadrants};
 use fmm_matrix::{Matrix, Scalar};
@@ -29,6 +35,23 @@ impl OpCounts {
     pub fn total(&self) -> u64 {
         self.scalar_mults + self.scalar_adds + self.coeff_mults
     }
+}
+
+impl std::ops::AddAssign for OpCounts {
+    fn add_assign(&mut self, rhs: OpCounts) {
+        self.scalar_mults += rhs.scalar_mults;
+        self.scalar_adds += rhs.scalar_adds;
+        self.coeff_mults += rhs.coeff_mults;
+    }
+}
+
+/// The linear-phase operation counts of one [`step`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepCounts {
+    /// Both encoders.
+    pub encode: OpCounts,
+    /// The decoder.
+    pub decode: OpCounts,
 }
 
 /// Block combiner `c1·x + c2·y` with counting, fused into one elementwise
@@ -85,6 +108,37 @@ fn combine_blocks<T: Scalar>(
     Matrix::from_vec(x.rows(), x.cols(), data)
 }
 
+/// One recursion step of `alg` on the square even-order operands `a`, `b`.
+///
+/// Splits both into quadrants, encodes them through `alg`'s encoder SLPs,
+/// passes the `t` operand pairs `(Σ U[r]·A, Σ V[r]·B)` to `products` (which
+/// must return the `t` products in the same order), decodes the products
+/// into C's quadrants and joins them. Blocks move through [`Slp::eval`]
+/// rather than being copied, and `products` owns its pairs, so it can drop
+/// each one as soon as its product is formed.
+pub fn step<T: Scalar>(
+    alg: &Bilinear2x2,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    products: impl FnOnce(Vec<(Matrix<T>, Matrix<T>)>) -> Vec<Matrix<T>>,
+) -> (Matrix<T>, StepCounts) {
+    let mut counts = StepCounts::default();
+    let mut encode = |q: [Matrix<T>; 4], slp: &Slp| {
+        slp.eval(q.into(), |c1, x, c2, y| {
+            combine_blocks(c1, x, c2, y, &mut counts.encode)
+        })
+    };
+    let left = encode(split_quadrants(a), &alg.enc_a);
+    let right = encode(split_quadrants(b), &alg.enc_b);
+    let m = products(left.into_iter().zip(right).collect());
+    assert_eq!(m.len(), alg.t(), "one product per encoder row");
+    let c = alg.dec.eval(m, |c1, x, c2, y| {
+        combine_blocks(c1, x, c2, y, &mut counts.decode)
+    });
+    let quadrants: [Matrix<T>; 4] = c.try_into().expect("decoder yields four quadrants");
+    (join_quadrants(&quadrants), counts)
+}
+
 fn multiply_rec<T: Scalar>(
     alg: &Bilinear2x2,
     a: &Matrix<T>,
@@ -107,62 +161,27 @@ fn multiply_rec<T: Scalar>(
         }
         return multiply_ikj(a, b);
     }
-    let aq = split_quadrants(a);
-    let bq = split_quadrants(b);
-    let aq_refs: Vec<Matrix<T>> = aq.to_vec();
-    let bq_refs: Vec<Matrix<T>> = bq.to_vec();
-
-    let before_enc = *counts;
-    let enc_a = alg.enc_a.eval(&aq_refs, |c1, x, c2, y| {
-        combine_blocks(c1, x, c2, y, counts)
+    let (c, phases) = step(alg, a, b, |pairs| {
+        pairs
+            .into_iter()
+            .map(|(l, r)| multiply_rec(alg, &l, &r, cutoff, level + 1, counts))
+            .collect()
     });
-    let enc_b = alg.enc_b.eval(&bq_refs, |c1, x, c2, y| {
-        combine_blocks(c1, x, c2, y, counts)
-    });
+    *counts += phases.encode;
+    *counts += phases.decode;
     if obs_on {
         let labels = [("level", level.to_string())];
         fmm_obs::add("core.exec.steps", &labels, 1);
-        fmm_obs::add(
-            "core.exec.encode_adds",
-            &labels,
-            counts.scalar_adds - before_enc.scalar_adds,
-        );
-        fmm_obs::add(
-            "core.exec.encode_coeff_mults",
-            &labels,
-            counts.coeff_mults - before_enc.coeff_mults,
-        );
+        for (name, value) in [
+            ("core.exec.encode_adds", phases.encode.scalar_adds),
+            ("core.exec.encode_coeff_mults", phases.encode.coeff_mults),
+            ("core.exec.decode_adds", phases.decode.scalar_adds),
+            ("core.exec.decode_coeff_mults", phases.decode.coeff_mults),
+        ] {
+            fmm_obs::add(name, &labels, value);
+        }
     }
-
-    let products: Vec<Matrix<T>> = enc_a
-        .iter()
-        .zip(&enc_b)
-        .map(|(l, r)| multiply_rec(alg, l, r, cutoff, level + 1, counts))
-        .collect();
-
-    let before_dec = *counts;
-    let dec = alg.dec.eval(&products, |c1, x, c2, y| {
-        combine_blocks(c1, x, c2, y, counts)
-    });
-    if obs_on {
-        let labels = [("level", level.to_string())];
-        fmm_obs::add(
-            "core.exec.decode_adds",
-            &labels,
-            counts.scalar_adds - before_dec.scalar_adds,
-        );
-        fmm_obs::add(
-            "core.exec.decode_coeff_mults",
-            &labels,
-            counts.coeff_mults - before_dec.coeff_mults,
-        );
-    }
-    join_quadrants(&[
-        dec[0].clone(),
-        dec[1].clone(),
-        dec[2].clone(),
-        dec[3].clone(),
-    ])
+    c
 }
 
 /// Multiply two square power-of-two matrices with the given algorithm,

@@ -11,6 +11,12 @@
 //! SLPs are validated *symbolically*: evaluating the program over coefficient
 //! vectors must reproduce exactly the rows of the coefficient matrix the
 //! program claims to implement ([`Slp::symbolic_rows`]).
+//!
+//! SLPs are executed by [`Slp::eval`], the one evaluator for every block
+//! recursion in the workspace: `fmm_core::exec`'s counted step (and through
+//! it `fmm-kernel`'s Strassen) and `fmm-memsim`'s traced fast recursion. It
+//! owns its register file, so blocks move through it instead of being
+//! copied.
 
 /// A register: either one of the `inputs` or the result of an earlier op.
 pub type Reg = usize;
@@ -168,20 +174,56 @@ impl Slp {
     }
 
     /// Evaluate the program over any additive structure by supplying a
-    /// combiner: `combine(c1, v1, c2, v2)` computes `c1·v1 + c2·v2`. Values
-    /// are cloned as needed. Returns the outputs.
+    /// combiner: `combine(c1, v1, c2, v2)` computes `c1·v1 + c2·v2`
+    /// (`c2 == 0` is the unary `c1·v1`).
+    ///
+    /// This is the one evaluator every block recursion uses. It owns its
+    /// register file: the inputs are taken by value, each register is
+    /// dropped after its last read, and the outputs are moved out in order.
+    /// Only a register that several outputs name (the classical encoders'
+    /// pass-throughs) is cloned, once per extra use.
     pub fn eval<V: Clone>(
         &self,
-        inputs: &[V],
+        inputs: Vec<V>,
         mut combine: impl FnMut(i64, &V, i64, &V) -> V,
     ) -> Vec<V> {
         assert_eq!(inputs.len(), self.n_inputs, "input count mismatch");
-        let mut regs: Vec<V> = inputs.to_vec();
+        // Reads still ahead of each register: one per op operand, one per
+        // output naming it.
+        let mut reads = vec![0usize; self.n_inputs + self.ops.len()];
         for op in &self.ops {
-            let v = combine(op.c1, &regs[op.r1], op.c2, &regs[op.r2]);
-            regs.push(v);
+            reads[op.r1] += 1;
+            reads[op.r2] += 1;
         }
-        self.outputs.iter().map(|&o| regs[o].clone()).collect()
+        for &o in &self.outputs {
+            reads[o] += 1;
+        }
+        let mut regs: Vec<Option<V>> = inputs.into_iter().map(Some).collect();
+        let live = "register read after its last use";
+        for op in &self.ops {
+            let x = regs[op.r1].as_ref().expect(live);
+            let y = regs[op.r2].as_ref().expect(live);
+            let v = combine(op.c1, x, op.c2, y);
+            regs.push(Some(v));
+            for r in [op.r1, op.r2] {
+                reads[r] -= 1;
+                if reads[r] == 0 {
+                    regs[r] = None;
+                }
+            }
+        }
+        self.outputs
+            .iter()
+            .map(|&o| {
+                reads[o] -= 1;
+                if reads[o] == 0 {
+                    regs[o].take()
+                } else {
+                    regs[o].clone()
+                }
+                .expect(live)
+            })
+            .collect()
     }
 }
 
@@ -289,13 +331,96 @@ mod tests {
     #[test]
     fn eval_numeric_matches_symbolic() {
         let slp = winograd_a_encoder();
-        let inputs = [3.0f64, -1.0, 4.0, 2.0];
-        let outs = slp.eval(&inputs, |c1, &v1, c2, &v2| c1 as f64 * v1 + c2 as f64 * v2);
+        let inputs = vec![3.0f64, -1.0, 4.0, 2.0];
+        let outs = slp.eval(inputs.clone(), |c1, &v1, c2, &v2| {
+            c1 as f64 * v1 + c2 as f64 * v2
+        });
         let rows = slp.symbolic_rows();
+        assert_eq!(outs.len(), rows.len());
         for (o, row) in outs.iter().zip(&rows) {
             let expect: f64 = row.iter().zip(&inputs).map(|(&c, &x)| c as f64 * x).sum();
             assert_eq!(*o, expect);
         }
+    }
+
+    /// A value that records which input (or op) produced it, so the tests
+    /// can see outputs moved out of the register file in order.
+    fn tagged_eval(slp: &Slp) -> Vec<String> {
+        let inputs = (0..slp.n_inputs).map(|i| format!("x{i}")).collect();
+        slp.eval(inputs, |c1, x, c2, y| format!("({c1}{x}{c2:+}{y})"))
+    }
+
+    #[test]
+    fn eval_returns_outputs_in_order() {
+        // Outputs: A11, A12, S4, A22, S1, S2, S3 — two pass-throughs
+        // moved out of their input registers, five op results.
+        let outs = tagged_eval(&winograd_a_encoder());
+        let s1 = "(1x2+1x3)";
+        let s2 = format!("(1{s1}-1x0)");
+        assert_eq!(
+            outs,
+            vec![
+                "x0".to_string(),
+                "x1".to_string(),
+                format!("(1x1-1{s2})"),
+                "x3".to_string(),
+                s1.to_string(),
+                s2,
+                "(1x0-1x2)".to_string(),
+            ]
+        );
+    }
+
+    #[test]
+    fn eval_clones_a_register_named_by_two_outputs() {
+        // The classical encoder for A names each input register twice
+        // (A11 feeds both A11·B11 and A11·B12); both copies come back.
+        let enc_a = Slp::from_rows(
+            4,
+            &[
+                vec![1, 0, 0, 0],
+                vec![0, 1, 0, 0],
+                vec![1, 0, 0, 0],
+                vec![0, 1, 0, 0],
+            ],
+        );
+        assert_eq!(enc_a.outputs, vec![0, 1, 0, 1]);
+        let outs = enc_a.eval(
+            vec![vec![1i64, 2], vec![3, 4], vec![5], vec![6]],
+            |_, _, _, _| unreachable!("pass-through encoder has no ops"),
+        );
+        assert_eq!(outs, vec![vec![1, 2], vec![3, 4], vec![1, 2], vec![3, 4]]);
+    }
+
+    #[test]
+    fn eval_reuses_an_op_result_read_by_two_later_ops() {
+        // r2 = x0 + x1 is read by both later ops and by no output.
+        let slp = Slp {
+            n_inputs: 2,
+            ops: vec![
+                LinOp {
+                    c1: 1,
+                    r1: 0,
+                    c2: 1,
+                    r2: 1,
+                },
+                LinOp {
+                    c1: 1,
+                    r1: 2,
+                    c2: -1,
+                    r2: 0,
+                },
+                LinOp {
+                    c1: 2,
+                    r1: 2,
+                    c2: 0,
+                    r2: 2,
+                },
+            ],
+            outputs: vec![3, 4],
+        };
+        let outs = slp.eval(vec![5i64, 7], |c1, &x, c2, &y| c1 * x + c2 * y);
+        assert_eq!(outs, vec![7, 24]);
     }
 
     #[test]

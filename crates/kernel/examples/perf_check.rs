@@ -5,6 +5,7 @@
 //! cargo run --release -p fmm-kernel --example perf_check
 //! ```
 
+use fmm_kernel::{multiply, Alg, KernelCfg};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::Matrix;
 use rand::rngs::StdRng;
@@ -20,12 +21,17 @@ fn main() {
     let naive = t.elapsed();
     println!("naive                {naive:?}");
     let t = Instant::now();
-    let c = fmm_kernel::classical_tiled(&a, &b);
+    let cfg = |alg, cutoff| KernelCfg {
+        alg,
+        cutoff,
+        threads: 1,
+    };
+    let c = multiply(&cfg(Alg::Classical, 1), &a, &b);
     println!("classical tiled      {:?}", t.elapsed());
     assert_eq!(c, reference);
     for cutoff in [32, 64, 128, 256] {
         let t = Instant::now();
-        let c = fmm_kernel::strassen(&a, &b, cutoff);
+        let c = multiply(&cfg(Alg::Strassen, cutoff), &a, &b);
         let dt = t.elapsed();
         println!(
             "strassen c{cutoff:<4}       {dt:?}  ({:.2}x naive)",

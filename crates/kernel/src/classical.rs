@@ -13,26 +13,13 @@
 //! (roughly `MR·KC·NC` scalar ops apart), which keeps served kernel jobs
 //! responsive to deadlines even in debug builds.
 
-use crate::{Stats, KC, MC, MR, NC};
+use crate::{pool, Stats, KC, MC, MR, NC};
 use fmm_faults::cancel;
 use fmm_matrix::{Matrix, Scalar};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// Cache-blocked classical multiply (rectangular shapes welcome).
-pub fn classical_tiled<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let stats = Stats::default();
-    multiply(a, b, 1, &stats)
-}
-
-/// [`classical_tiled`] over a pool of `threads` std threads pulling
-/// `MC`-row panels of C from a shared work queue.
-pub fn classical_tiled_mt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, threads: usize) -> Matrix<T> {
-    let stats = Stats::default();
-    multiply(a, b, threads.max(1), &stats)
-}
-
+/// Cache-blocked classical multiply (rectangular shapes welcome); with
+/// `threads > 1`, `MC`-row panels of C are the pool's work items.
 pub(crate) fn multiply<T: Scalar>(
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -53,67 +40,24 @@ pub(crate) fn multiply<T: Scalar>(
     if m == 0 || k == 0 || n == 0 {
         return c;
     }
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
     if threads <= 1 || m <= MC {
-        gemm_block(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n, stats);
+        gemm_block(a_data, b_data, c.as_mut_slice(), m, k, n, stats);
         return c;
     }
-    // Row-panel work queue: each item is one MC-tall slab of C rows
-    // (disjoint &mut slices, so workers write without synchronisation)
-    // plus the matching row offset into A.
-    let token = cancel::current();
-    {
-        let (a_data, b_data) = (a.as_slice(), b.as_slice());
-        let panels: Mutex<Vec<(usize, &mut [T])>> = Mutex::new(
-            c.as_mut_slice()
-                .chunks_mut(MC * n)
-                .enumerate()
-                .map(|(i, rows)| (i * MC, rows))
-                .collect(),
-        );
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let token = token.clone();
-                let panels = &panels;
-                std::thread::Builder::new()
-                    .name(format!("fmm-kernel-{w}"))
-                    .spawn_scoped(scope, move || {
-                        // Re-publish the caller's token so the poll at
-                        // micro-tile boundaries sees it on this thread.
-                        let _guard = token.as_ref().map(cancel::enter);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-                            let item = panels.lock().expect("panel queue").pop();
-                            let Some((i0, c_rows)) = item else { break };
-                            let mc = c_rows.len() / n;
-                            gemm_block(
-                                &a_data[i0 * k..(i0 + mc) * k],
-                                b_data,
-                                c_rows,
-                                mc,
-                                k,
-                                n,
-                                stats,
-                            );
-                        }));
-                        if let Err(payload) = outcome {
-                            // A cancel bail just ends this worker — every
-                            // sibling observes the same token, and the
-                            // caller re-raises the sentinel once below.
-                            // Anything else is a real fault: propagate it
-                            // through the scope join.
-                            if cancel::cancelled_reason(payload.as_ref()).is_none() {
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    })
-                    .expect("spawn kernel worker");
-            }
-        });
-    }
-    // All workers joined (scope guarantees it). Surface the cancellation
-    // exactly once on the calling thread.
-    if let Some(t) = &token {
-        t.bail_if_cancelled();
-    }
+    // Each item is one MC-tall slab of C rows (disjoint &mut slices, so
+    // workers write without synchronisation) plus its row offset into A.
+    let panels = c
+        .as_mut_slice()
+        .chunks_mut(MC * n)
+        .enumerate()
+        .map(|(i, rows)| (i * MC, rows))
+        .collect();
+    pool(threads, panels, |(i0, c_rows): (usize, &mut [T])| {
+        let mc = c_rows.len() / n;
+        let a_rows = &a_data[i0 * k..(i0 + mc) * k];
+        gemm_block(a_rows, b_data, c_rows, mc, k, n, stats);
+    });
     c
 }
 
@@ -233,6 +177,10 @@ mod tests {
         Matrix::<i64>::random_small(r, c, &mut rng)
     }
 
+    fn tiled<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, threads: usize) -> Matrix<T> {
+        multiply(a, b, threads, &Stats::default())
+    }
+
     #[test]
     fn rectangular_and_remainder_shapes_match_naive() {
         // Shapes chosen to hit every remainder path: rows not a multiple
@@ -240,11 +188,7 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (5, 3, 7), (66, 257, 130), (3, 300, 2)] {
             let a = random(m, k, 11);
             let b = random(k, n, 12);
-            assert_eq!(
-                classical_tiled(&a, &b),
-                multiply_naive(&a, &b),
-                "{m}x{k}x{n}"
-            );
+            assert_eq!(tiled(&a, &b, 1), multiply_naive(&a, &b), "{m}x{k}x{n}");
         }
     }
 
@@ -252,9 +196,9 @@ mod tests {
     fn threaded_variant_matches_sequential() {
         let a = random(150, 70, 21);
         let b = random(70, 90, 22);
-        let reference = classical_tiled(&a, &b);
+        let reference = tiled(&a, &b, 1);
         for threads in [2, 4, 9] {
-            assert_eq!(classical_tiled_mt(&a, &b, threads), reference);
+            assert_eq!(tiled(&a, &b, threads), reference);
         }
     }
 
@@ -265,13 +209,13 @@ mod tests {
         let b = Matrix::<f64>::random_small(33, 51, &mut rng);
         // Products of entries in [-9, 9] summed over ≤ 33 terms are
         // exactly representable, so even f64 agreement is equality here.
-        assert_eq!(classical_tiled(&a, &b), multiply_naive(&a, &b));
+        assert_eq!(tiled(&a, &b, 1), multiply_naive(&a, &b));
     }
 
     #[test]
     fn empty_dimension_yields_the_zero_shape() {
         let a = Matrix::<i64>::zeros(4, 4);
         let b = Matrix::<i64>::zeros(4, 4);
-        assert_eq!(classical_tiled(&a, &b), Matrix::zeros(4, 4));
+        assert_eq!(tiled(&a, &b, 1), Matrix::zeros(4, 4));
     }
 }

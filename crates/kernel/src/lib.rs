@@ -5,27 +5,32 @@
 //! against [`fmm-memsim`]'s predicted I/O for the same (algorithm, n,
 //! cutoff) grid cell (EXPERIMENTS §X16).
 //!
-//! Three backends, all generic over [`fmm_matrix::Scalar`] (the two that
+//! One entry point, [`multiply`] (or [`multiply_with_report`]), runs a
+//! [`KernelCfg`]. It is generic over [`fmm_matrix::Scalar`] (the two that
 //! matter in practice are `f64` and `i64` — the differential suite proves
-//! bit-exact `i64` agreement with the naive reference):
+//! bit-exact `i64` agreement with the naive reference). Two algorithms:
 //!
-//! * [`classical_tiled`] — cache-blocked classical multiplication. A
+//! * [`Alg::Classical`] — cache-blocked classical multiplication. A
 //!   BLIS-style loop nest packs contiguous panels of A (`MC`×`KC`) and B
 //!   (`KC`×`NC`) and runs an autovectorizable [`MR`]-row micro-kernel over
-//!   them; C rows stay resident across the K sweep.
-//! * [`strassen`] — recursive Strassen with a tuned cutoff n₀: recursion
-//!   while the order exceeds the cutoff, then the classical tile kernel
-//!   on the leaves. Non-power-of-two orders are padded up and cropped.
-//! * [`classical_tiled_mt`] / [`strassen_mt`] — thread-pooled variants:
-//!   std threads pulling from a row-panel (classical) or subproduct
-//!   (Strassen) work queue.
+//!   them; C rows stay resident across the K sweep. With `threads > 1`,
+//!   `MC`-row panels of C are the work items.
+//! * [`Alg::Strassen`] — `fmm_core::catalog::strassen()` run by
+//!   `fmm-core`'s generic 2×2 recursion step ([`fmm_core::exec::step`])
+//!   with a tuned cutoff n₀: recursion while the order exceeds the cutoff,
+//!   then the classical tile kernel on the leaves. Non-power-of-two orders
+//!   are padded up and cropped. With `threads > 1`, the top level's seven
+//!   subproducts are the work items.
 //!
-//! Cancellation: every backend polls [`fmm_faults::cancel`] at micro-tile
+//! Both kinds of work item run on one scoped worker pool of std threads
+//! named `fmm-kernel-{w}`.
+//!
+//! Cancellation: every path polls [`fmm_faults::cancel`] at micro-tile
 //! boundaries, so a served kernel job honours deadlines and drains. The
-//! threaded variants re-publish the caller's scoped token into each
-//! worker; a fired token unwinds every worker, the scope joins them all
-//! (no wedged threads, by construction), and the sentinel is re-raised
-//! once on the calling thread.
+//! pool re-publishes the caller's scoped token into each worker; a fired
+//! token unwinds every worker, the scope joins them all (no wedged
+//! threads, by construction), and the sentinel is re-raised once on the
+//! calling thread.
 //!
 //! Observability: [`multiply_with_report`] returns a [`Report`] (packing
 //! time, micro-tile and leaf counts, per-level recursion fan-out) and
@@ -33,17 +38,17 @@
 //! `kernel_micro_tiles`, `kernel_leaf_products`, `kernel_level_products`)
 //! under a `kernel.multiply` span.
 
-pub mod classical;
-pub mod strassen;
+mod classical;
+mod fast;
 
-pub use classical::{classical_tiled, classical_tiled_mt};
-pub use strassen::{strassen, strassen_mt};
-
+use fmm_faults::cancel;
 use fmm_matrix::{Matrix, Scalar};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Rows per packed A panel (and per row-panel work item in the threaded
-/// classical backend).
+/// classical path).
 pub const MC: usize = 64;
 /// Shared inner dimension per packed panel pair.
 pub const KC: usize = 256;
@@ -52,7 +57,7 @@ pub const NC: usize = 512;
 /// Rows the micro-kernel computes at once (register tiling).
 pub const MR: usize = 4;
 
-/// Which backend [`multiply`] runs.
+/// Which algorithm [`multiply`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Alg {
     Classical,
@@ -76,7 +81,7 @@ impl Alg {
     }
 }
 
-/// How [`multiply`] runs: backend, Strassen cutoff n₀ (leaves at or
+/// How [`multiply`] runs: algorithm, Strassen cutoff n₀ (leaves at or
 /// below this order use the classical tile kernel), and worker threads
 /// (1 = run on the calling thread).
 #[derive(Clone, Copy, Debug)]
@@ -113,8 +118,8 @@ pub struct Report {
 
 const MAX_LEVELS: usize = 32;
 
-/// Shared accumulator the backends thread through (atomics, so the
-/// worker pools add to it without locks).
+/// Shared accumulator both paths thread through (atomics, so the worker
+/// pool adds to it without locks).
 #[derive(Default)]
 pub(crate) struct Stats {
     pack_ns: AtomicU64,
@@ -182,7 +187,10 @@ pub fn multiply_with_report<T: Scalar>(
     let stats = Stats::default();
     let c = match cfg.alg {
         Alg::Classical => classical::multiply(a, b, cfg.threads, &stats),
-        Alg::Strassen => strassen::multiply(a, b, cfg.cutoff, cfg.threads, &stats),
+        Alg::Strassen => {
+            let alg = fmm_core::catalog::strassen();
+            fast::multiply(&alg, a, b, cfg.cutoff, cfg.threads, &stats)
+        }
     };
     let report = stats.report();
     publish(&report);
@@ -192,6 +200,45 @@ pub fn multiply_with_report<T: Scalar>(
     span.record("micro_tiles", report.micro_tiles);
     span.record("pack_ns", report.pack_ns);
     (c, report)
+}
+
+/// The crate's one worker pool: run `work` over `items` on up to `threads`
+/// scoped std threads (`fmm-kernel-{w}`) popping from a shared queue.
+///
+/// Each worker re-enters the caller's [`cancel`] token, so the polls inside
+/// `work` see it. A cancel bail just ends that worker — every sibling
+/// observes the same token — and the sentinel is re-raised once on the
+/// calling thread after the scope has joined everyone. Any other panic is a
+/// real fault and propagates through the join.
+pub(crate) fn pool<I: Send>(threads: usize, items: Vec<I>, work: impl Fn(I) + Sync) {
+    let token = cancel::current();
+    let workers = threads.min(items.len());
+    let queue = Mutex::new(items);
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let token = token.clone();
+            let (queue, work) = (&queue, &work);
+            std::thread::Builder::new()
+                .name(format!("fmm-kernel-{w}"))
+                .spawn_scoped(scope, move || {
+                    let _guard = token.as_ref().map(cancel::enter);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| loop {
+                        let item = queue.lock().expect("work queue").pop();
+                        let Some(item) = item else { break };
+                        work(item);
+                    }));
+                    if let Err(payload) = outcome {
+                        if cancel::cancelled_reason(payload.as_ref()).is_none() {
+                            std::panic::resume_unwind(payload);
+                        }
+                    }
+                })
+                .expect("spawn kernel worker");
+        }
+    });
+    if let Some(t) = &token {
+        t.bail_if_cancelled();
+    }
 }
 
 fn publish(report: &Report) {

@@ -17,7 +17,7 @@
 //!   behind (checked against `/proc/self/task/*/comm`).
 
 use fmm_faults::cancel;
-use fmm_kernel::{classical_tiled, classical_tiled_mt, strassen, strassen_mt};
+use fmm_kernel::{multiply, Alg, KernelCfg};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::{Matrix, Rational};
 use proptest::prelude::*;
@@ -38,12 +38,24 @@ fn square_pair(max: usize) -> impl Strategy<Value = (Matrix<i64>, Matrix<i64>)> 
     (1usize..=max).prop_flat_map(|n| (int_matrix(n, n), int_matrix(n, n)))
 }
 
+/// The kernel configuration each call site runs (classical ignores the
+/// cutoff).
+fn cfg(alg: Alg, cutoff: usize, threads: usize) -> KernelCfg {
+    KernelCfg {
+        alg,
+        cutoff,
+        threads,
+    }
+}
+
 fn to_f64(m: &Matrix<i64>) -> Matrix<f64> {
     Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)] as f64)
 }
 
 fn to_rational(m: &Matrix<i64>) -> Matrix<Rational> {
-    Matrix::from_fn(m.rows(), m.cols(), |i, j| Rational::new(m[(i, j)] as i128, 1))
+    Matrix::from_fn(m.rows(), m.cols(), |i, j| {
+        Rational::new(m[(i, j)] as i128, 1)
+    })
 }
 
 proptest! {
@@ -54,8 +66,8 @@ proptest! {
     ) {
         let (a, b) = pair;
         let reference = multiply_naive(&a, &b);
-        prop_assert_eq!(classical_tiled(&a, &b), reference.clone());
-        prop_assert_eq!(classical_tiled_mt(&a, &b, threads), reference);
+        prop_assert_eq!(multiply(&cfg(Alg::Classical, 1, 1), &a, &b), reference.clone());
+        prop_assert_eq!(multiply(&cfg(Alg::Classical, 1, threads), &a, &b), reference);
     }
 
     #[test]
@@ -68,9 +80,9 @@ proptest! {
         // Covers non-powers-of-two (padding path), cutoffs above and
         // below the order (pure-leaf and deep-recursion extremes), and
         // the top-level subproduct pool.
-        let reference = classical_tiled(&a, &b);
-        prop_assert_eq!(strassen(&a, &b, cutoff), reference.clone());
-        prop_assert_eq!(strassen_mt(&a, &b, cutoff, threads), reference);
+        let reference = multiply(&cfg(Alg::Classical, 1, 1), &a, &b);
+        prop_assert_eq!(multiply(&cfg(Alg::Strassen, cutoff, 1), &a, &b), reference.clone());
+        prop_assert_eq!(multiply(&cfg(Alg::Strassen, cutoff, threads), &a, &b), reference);
     }
 
     #[test]
@@ -84,7 +96,7 @@ proptest! {
         // Entrywise bound: k products of magnitude ≤ 81, each rounding
         // at most half an ulp, summed — generous at these sizes.
         let tol = 1e-9 * a.cols() as f64;
-        for c in [classical_tiled(&af, &bf), strassen(&af, &bf, cutoff)] {
+        for c in [multiply(&cfg(Alg::Classical, 1, 1), &af, &bf), multiply(&cfg(Alg::Strassen, cutoff, 1), &af, &bf)] {
             for i in 0..c.rows() {
                 for j in 0..c.cols() {
                     let want = exact[(i, j)].to_f64();
@@ -109,8 +121,8 @@ proptest! {
         // summation order the blocking/recursion picks.
         let exact = to_f64(&multiply_naive(&a, &b));
         let (af, bf) = (to_f64(&a), to_f64(&b));
-        prop_assert_eq!(classical_tiled(&af, &bf), exact.clone());
-        prop_assert_eq!(strassen(&af, &bf, cutoff), exact);
+        prop_assert_eq!(multiply(&cfg(Alg::Classical, 1, 1), &af, &bf), exact.clone());
+        prop_assert_eq!(multiply(&cfg(Alg::Strassen, cutoff, 1), &af, &bf), exact);
     }
 }
 
@@ -165,7 +177,7 @@ fn cancelled_multiply_unwinds_with_the_sentinel_and_leaves_no_threads() {
         token.cancel();
         let _guard = cancel::enter(&token);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            strassen_mt(&a, &b, 16, threads)
+            multiply(&cfg(Alg::Strassen, 16, threads), &a, &b)
         }))
         .expect_err("a pre-cancelled token must abort the multiply");
         assert!(
@@ -187,7 +199,7 @@ fn deadline_token_cuts_a_long_multiply_short() {
     let _guard = cancel::enter(&token);
     let start = std::time::Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        classical_tiled_mt(&a, &b, 2)
+        multiply(&cfg(Alg::Classical, 1, 2), &a, &b)
     }));
     // Micro-tile-granularity polling: either the multiply finished inside
     // the budget (tiny machines do exist) or it bailed promptly — it must

@@ -8,7 +8,7 @@
 //! * [`multiply_ikj`] — loop-reordered for streaming row access.
 //!
 //! The cache-blocked and multi-threaded paths are `fmm-kernel`'s
-//! `classical_tiled` and `classical_tiled_mt`.
+//! `multiply` with `Alg::Classical`.
 
 use crate::dense::Matrix;
 use crate::scalar::Scalar;

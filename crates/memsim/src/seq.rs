@@ -74,7 +74,9 @@ fn merge_deltas(raw: Vec<PhaseDelta>) -> Vec<PhaseDelta> {
     merged
 }
 
-/// A matrix whose elements live at simulated addresses.
+/// A matrix whose elements live at simulated addresses. A clone aliases
+/// the same addresses (reads through either charge the same words).
+#[derive(Clone)]
 pub struct TMat {
     base: u64,
     rows: usize,
@@ -490,23 +492,16 @@ fn quadrant_of(mem: &mut Mem, src: &TMat, qi: usize, qj: usize) -> TMat {
     dst
 }
 
+/// One SLP op `c1·x + c2·y` through the cache (`c2 == 0`: the unary `c1·x`,
+/// which reads only `x`).
 fn combine(mem: &mut Mem, c1: i64, x: &TMat, c2: i64, y: &TMat) -> TMat {
     let mut out = mem.alloc(x.rows, x.cols);
     for i in 0..x.rows {
         for j in 0..x.cols {
-            let v = c1 as f64 * mem.read(x, i, j) + c2 as f64 * mem.read(y, i, j);
-            mem.write(&mut out, i, j, v);
-        }
-    }
-    out
-}
-
-/// Unary scaling/copy `c·x` through the cache.
-fn combine_one(mem: &mut Mem, c: i64, x: &TMat) -> TMat {
-    let mut out = mem.alloc(x.rows, x.cols);
-    for i in 0..x.rows {
-        for j in 0..x.cols {
-            let v = c as f64 * mem.read(x, i, j);
+            let mut v = c1 as f64 * mem.read(x, i, j);
+            if c2 != 0 {
+                v += c2 as f64 * mem.read(y, i, j);
+            }
             mem.write(&mut out, i, j, v);
         }
     }
@@ -524,43 +519,26 @@ fn fast_rec(mem: &mut Mem, alg: &Bilinear2x2, a: &TMat, b: &TMat, cutoff: usize)
     let aq: Vec<TMat> = (0..4).map(|q| quadrant_of(mem, a, q / 2, q % 2)).collect();
     let bq: Vec<TMat> = (0..4).map(|q| quadrant_of(mem, b, q / 2, q % 2)).collect();
 
-    // Evaluate an SLP over tracked blocks: the register file owns every
-    // block; pass-through outputs simply reference their register.
-    fn eval_slp(mem: &mut Mem, slp: &fmm_core::Slp, inputs: Vec<TMat>) -> Vec<TMat> {
-        let mut regs = inputs;
-        for op in &slp.ops {
-            let t = if op.c2 == 0 {
-                let x = &regs[op.r1];
-                combine_one(mem, op.c1, x)
-            } else {
-                {
-                    let x = &regs[op.r1];
-                    let y = &regs[op.r2];
-                    combine(mem, op.c1, x, op.c2, y)
-                }
-            };
-            regs.push(t);
-        }
-        regs
-    }
-
     mem.set_phase("encode");
-    let aregs = eval_slp(mem, &alg.enc_a, aq);
-    let bregs = eval_slp(mem, &alg.enc_b, bq);
-    let products: Vec<TMat> = alg
+    let left = alg
         .enc_a
-        .outputs
+        .eval(aq, |c1, x, c2, y| combine(mem, c1, x, c2, y));
+    let right = alg
+        .enc_b
+        .eval(bq, |c1, x, c2, y| combine(mem, c1, x, c2, y));
+    let products: Vec<TMat> = left
         .iter()
-        .zip(&alg.enc_b.outputs)
-        .map(|(&l, &r)| fast_rec(mem, alg, &aregs[l], &bregs[r], cutoff))
+        .zip(&right)
+        .map(|(l, r)| fast_rec(mem, alg, l, r, cutoff))
         .collect();
     mem.set_phase("decode");
-    let dregs = eval_slp(mem, &alg.dec, products);
+    let quadrants = alg
+        .dec
+        .eval(products, |c1, x, c2, y| combine(mem, c1, x, c2, y));
 
     mem.set_phase("join");
     let mut c = mem.alloc(n, n);
-    for (qo, &oreg) in alg.dec.outputs.iter().enumerate() {
-        let block = &dregs[oreg];
+    for (qo, block) in quadrants.iter().enumerate() {
         let (qi, qj) = (qo / 2, qo % 2);
         for i in 0..h {
             for j in 0..h {

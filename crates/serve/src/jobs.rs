@@ -91,20 +91,17 @@ fn p_alg(params: &BTreeMap<String, String>) -> Result<String, String> {
         .map(String::as_str)
         .unwrap_or("strassen")
         .to_string();
-    match alg.as_str() {
-        "strassen" | "winograd" | "classical" => Ok(alg),
-        other => Err(format!(
-            "unknown alg '{other}' (strassen|winograd|classical)"
+    match catalog::by_name(&alg) {
+        Some(_) => Ok(alg),
+        None => Err(format!(
+            "unknown alg '{alg}' ({})",
+            catalog::NAMES.join("|")
         )),
     }
 }
 
 fn alg_of(name: &str) -> Bilinear2x2 {
-    match name {
-        "winograd" => catalog::winograd(),
-        "classical" => catalog::classical(),
-        _ => catalog::strassen(),
-    }
+    catalog::by_name(name).expect("alg validated at admission")
 }
 
 impl JobSpec {
@@ -515,6 +512,16 @@ mod tests {
         assert!(JobSpec::from_request(Kind::Kernel, &params(&[("dtype", "f32")])).is_err());
         assert!(JobSpec::from_request(Kind::Kernel, &params(&[("check", "yes")])).is_err());
         assert!(JobSpec::from_request(Kind::Health, &params(&[])).is_err());
+    }
+
+    #[test]
+    fn unknown_alg_reason_is_pinned() {
+        for kind in [Kind::Io, Kind::Faults] {
+            assert_eq!(
+                JobSpec::from_request(kind, &params(&[("alg", "ks")])).unwrap_err(),
+                "unknown alg 'ks' (strassen|winograd|classical)"
+            );
+        }
     }
 
     #[test]

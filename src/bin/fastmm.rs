@@ -154,16 +154,15 @@ const FAULTS_USAGE: &str =
        [--spec \"seed=7,crash=0.02,drop=0.01,dup=0.005,retries=8,crash@3:1\"]\n\
        [--recovery recompute|checkpoint:<period>|none]";
 
-fn algorithm(flags: &HashMap<String, String>) -> Bilinear2x2 {
-    match flags.get("alg").map(String::as_str).unwrap_or("strassen") {
-        "strassen" => catalog::strassen(),
-        "winograd" => catalog::winograd(),
-        "classical" => catalog::classical(),
-        other => {
-            eprintln!("unknown algorithm '{other}' (strassen|winograd|classical|ks)");
-            std::process::exit(2);
-        }
-    }
+/// The catalog algorithm `--alg` names. Any other name exits 2 with the
+/// names the command accepts: the catalog's, then its own `extra` ones.
+fn algorithm(flags: &HashMap<String, String>, extra: &[&str]) -> Bilinear2x2 {
+    let name = flags.get("alg").map(String::as_str).unwrap_or("strassen");
+    catalog::by_name(name).unwrap_or_else(|| {
+        let names: Vec<&str> = catalog::NAMES.iter().chain(extra).copied().collect();
+        eprintln!("unknown algorithm '{name}' ({})", names.join("|"));
+        std::process::exit(2);
+    })
 }
 
 fn cmd_multiply(flags: &HashMap<String, String>) {
@@ -191,7 +190,7 @@ fn cmd_multiply(flags: &HashMap<String, String>) {
         println!("  wall time:      {dt:?}");
         return;
     }
-    let alg = algorithm(flags);
+    let alg = algorithm(flags, &["ks"]);
     let start = std::time::Instant::now();
     let (c, counts) = multiply_fast_counted(&alg, &a, &b, cutoff);
     let dt = start.elapsed();
@@ -358,7 +357,7 @@ fn cmd_io(flags: &HashMap<String, String>) {
     let n = get_usize(flags, "n", 32);
     let m = get_usize(flags, "m", 96);
     let seed = get_usize(flags, "seed", seq::DEFAULT_WORKLOAD_SEED as usize) as u64;
-    let alg = algorithm(flags);
+    let alg = algorithm(flags, &[]);
     let tile = seq::natural_tile(m);
     let policy = flags.get("policy").map(String::as_str).unwrap_or("lru");
     let run = |mem: &mut seq::Mem, a: &seq::TMat, b: &seq::TMat| -> seq::TMat {
@@ -562,7 +561,7 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
         "caps" => {
             let n = get_usize(flags, "n", 16);
             let levels = get_usize(flags, "levels", 2);
-            let alg = algorithm(flags);
+            let alg = algorithm(flags, &[]);
             let (a, b) = make(n);
             let (clean, clean_net) = par::caps_strassen(&alg, &a, &b, levels);
             match par_faults::caps_strassen_faulty(&alg, &a, &b, levels, &plan, recovery) {
@@ -692,7 +691,7 @@ fn cmd_pebble(flags: &HashMap<String, String>) {
 
 fn cmd_dot(flags: &HashMap<String, String>) -> ExitCode {
     let n = get_usize(flags, "n", 2);
-    let alg = algorithm(flags);
+    let alg = algorithm(flags, &[]);
     let h = RecursiveCdag::build(&alg.to_base(), n);
     let dot = to_dot(&h.graph, &format!("{}_H{n}", alg.name));
     match flags.get("out") {
@@ -1457,13 +1456,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
             (addrs, procs)
         };
     let n = shard_addrs.len();
-    // --probe-interval-ms is the documented spelling; --poll-ms stays as a
-    // compatibility alias from earlier fleet revisions.
-    let poll_ms = if flags.contains_key("probe-interval-ms") {
-        get_u64(flags, "probe-interval-ms", POLL_MS_DEFAULT)
-    } else {
-        get_u64(flags, "poll-ms", POLL_MS_DEFAULT)
-    };
+    let poll_ms = get_u64(flags, "probe-interval-ms", POLL_MS_DEFAULT);
     let supervise = flags.contains_key("supervise");
     let spawner: Option<ShardSpawner> = if supervise {
         let queue_depth = get_usize(flags, "queue-depth", 32).max(1);
@@ -1660,7 +1653,6 @@ fn main() -> ExitCode {
                 "seed",
                 "default-deadline-ms",
                 "max-line-bytes",
-                "poll-ms",
                 "probe-interval-ms",
                 "max-attempts",
                 "attach",

@@ -127,6 +127,55 @@ fn faults_unknown_schedule_exits_2() {
     assert!(stderr(&out).contains("unknown schedule"));
 }
 
+/// The algorithm list an unknown-algorithm error prints, in order.
+fn listed_algorithms(err: &str) -> Vec<String> {
+    let list = err
+        .split_once(" (")
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .unwrap_or_else(|| panic!("no algorithm list in {err:?}"))
+        .0;
+    list.split('|').map(str::to_string).collect()
+}
+
+#[test]
+fn unknown_algorithm_error_names_exactly_the_accepted_algorithms() {
+    let catalog = ["strassen", "winograd", "classical"];
+    for args in [
+        &["io", "--alg", "ks", "--n", "8", "--m", "64"][..],
+        &["faults", "--schedule", "caps", "--alg", "ks"][..],
+    ] {
+        let out = fastmm(args);
+        assert_exit_2_clean(&out);
+        let err = stderr(&out);
+        assert!(err.contains("unknown algorithm 'ks' ("), "{args:?}: {err}");
+        assert_eq!(listed_algorithms(&err), catalog, "{args:?}: {err}");
+    }
+    // `multiply` also runs the alternative-basis algorithm.
+    let out = fastmm(&["multiply", "--alg", "kss", "--n", "4"]);
+    assert_exit_2_clean(&out);
+    let err = stderr(&out);
+    assert_eq!(
+        listed_algorithms(&err),
+        ["strassen", "winograd", "classical", "ks"],
+        "{err}"
+    );
+    // Every listed name really is accepted.
+    for alg in catalog {
+        let out = fastmm(&["io", "--alg", alg, "--n", "8", "--m", "64"]);
+        assert!(out.status.success(), "io --alg {alg}: {}", stderr(&out));
+    }
+    let out = fastmm(&["multiply", "--alg", "ks", "--n", "4"]);
+    assert!(out.status.success(), "multiply --alg ks: {}", stderr(&out));
+}
+
+#[test]
+fn fleet_poll_ms_is_an_unknown_flag() {
+    let out = fastmm(&["fleet", "--poll-ms", "5"]);
+    assert_exit_2_clean(&out);
+    let err = stderr(&out);
+    assert!(err.contains("unknown flag '--poll-ms'"), "{err}");
+}
+
 #[test]
 fn io_faults_requires_flush_every() {
     let out = fastmm(&["io", "--n", "8", "--m", "64", "--faults", "seed=3"]);
