@@ -9,6 +9,16 @@
 //! chaotic (SIGKILL) — by re-dispatching unacknowledged envelopes under
 //! an idempotency key so each job is counted exactly once ([`router`]).
 //!
+//! Every decision the router makes — admit, dispatch, settle,
+//! re-dispatch, hedge, eject/readmit, respawn/breaker, journal
+//! append/replay — lives in the crate-private `core` module: a sans-IO
+//! state machine that consumes events (a request, a shard reply, a
+//! probe result, a timer tick, ...) stamped with the time they happened
+//! and returns effects (send a line, reply to a client, append a journal
+//! record, kill, spawn, retry after a delay). [`router`] holds it behind
+//! one lock and does the socket, process and sleep work; `core`'s unit
+//! tests drive it with no I/O, over a thousand seeded interleavings.
+//!
 //! The fleet-wide invariant, checked by `fastmm fleet` at exit and by
 //! the chaos integration tests:
 //!
@@ -42,6 +52,7 @@
 //! hedges_launched == hedges_won + hedges_lost + hedges_cancelled
 //! ```
 
+mod core;
 pub mod journal;
 pub mod outlier;
 pub mod ring;

@@ -216,15 +216,27 @@ impl Ledger {
     /// Refuse a request pre-admission as malformed or invalid: count it
     /// and answer `error` with reason `rejected: <reason>`.
     pub fn reject(&self, reply: &Reply, id: &str, reason: &str) {
-        self.bump(REJECTED);
-        reply.send(&Response::new(id, Status::Error).with_reason(&format!("rejected: {reason}")));
+        reply.send(&self.rejection(id, reason));
     }
 
     /// Refuse a request pre-admission for lack of capacity: count it and
     /// answer `shed` with `reason`.
     pub fn shed(&self, reply: &Reply, id: &str, reason: &str) {
+        reply.send(&self.shedding(id, reason));
+    }
+
+    /// [`Ledger::reject`] for a caller that sends the reply itself: count
+    /// the rejection and return its reply.
+    pub fn rejection(&self, id: &str, reason: &str) -> Response {
+        self.bump(REJECTED);
+        Response::new(id, Status::Error).with_reason(&format!("rejected: {reason}"))
+    }
+
+    /// [`Ledger::shed`] for a caller that sends the reply itself: count
+    /// the shed and return its reply.
+    pub fn shedding(&self, id: &str, reason: &str) -> Response {
         self.bump(SHED);
-        reply.send(&Response::new(id, Status::Shed).with_reason(reason));
+        Response::new(id, Status::Shed).with_reason(reason)
     }
 }
 

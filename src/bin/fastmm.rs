@@ -111,15 +111,14 @@ const FLEET_USAGE: &str =
        wraps every shard reply connection in a seeded gray-failure adversary\n\
        (delay/stall/garble; also enables the stall-shard verb and turns\n\
        hedging on with an auto p95 delay). --hedge-ms sets a fixed hedge\n\
-       delay (0 = off); hedges and re-dispatches spend a shared budget of\n\
-       --retry-budget-pct% of accepted jobs. A shard whose latency EWMA\n\
-       exceeds --eject-k x the fleet median is ejected, then re-admitted\n\
-       after --eject-probation-ms. Fleet-only verbs: fleet-stats, drain-shard\n\
-       (params.shard), kill-shard (chaos SIGKILL, params.seed or\n\
-       params.shard), kill-router (journaled fleets), stall-shard\n\
-       (chaos-link fleets).";
-
-const POLL_MS_DEFAULT: u64 = 100;
+       delay (0 = off). Hedges and the re-dispatch of jobs a shard sheds\n\
+       back spend a shared budget of --retry-budget-pct% of accepted jobs;\n\
+       jobs orphaned by a shard's death re-dispatch free, up to\n\
+       --max-attempts. A shard whose latency EWMA exceeds --eject-k x the\n\
+       fleet median is ejected, then re-admitted after --eject-probation-ms.\n\
+       Fleet-only verbs: fleet-stats, drain-shard (params.shard), kill-shard\n\
+       (chaos SIGKILL, params.seed or params.shard), kill-router (journaled\n\
+       fleets), stall-shard (chaos-link fleets).";
 
 const LOADGEN_USAGE: &str =
     "usage: fastmm loadgen --addr <host:port> [--conns 4] [--requests 250]\n\
@@ -1127,18 +1126,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         // can be merged into one trace without id collisions.
         fastmm::obs::span::set_span_id_base(get_u64(flags, "span-id-base", 0));
     }
+    let defaults = ServerConfig::default();
     let cfg = ServerConfig {
-        addr: flags
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        queue_depth: get_usize(flags, "queue-depth", 32).max(1),
-        workers: get_usize(flags, "workers", 2).max(1),
+        addr: flags.get("addr").cloned().unwrap_or(defaults.addr),
+        queue_depth: get_usize(flags, "queue-depth", defaults.queue_depth).max(1),
+        workers: get_usize(flags, "workers", defaults.workers).max(1),
         default_deadline_ms: flags
             .get("default-deadline-ms")
             .map(|_| get_usize(flags, "default-deadline-ms", 0) as u64),
-        max_line_bytes: get_usize(flags, "max-line-bytes", 64 * 1024).max(1),
-        trace_seed: get_usize(flags, "trace-seed", 0) as u64,
+        max_line_bytes: get_usize(flags, "max-line-bytes", defaults.max_line_bytes).max(1),
+        trace_seed: get_usize(flags, "trace-seed", defaults.trace_seed as usize) as u64,
         shard_id: flags.get("shard-id").map(|_| get_u64(flags, "shard-id", 0)),
     };
     let handle = match ServerHandle::start(cfg) {
@@ -1341,6 +1338,9 @@ fn spawn_shard(
 /// plus every acked shard's own law.
 fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     use fastmm::router::{journal, RouterConfig, RouterHandle, ShardSpawner, StartOptions};
+    let defaults = RouterConfig::default();
+    // The spawned shards' own sizing.
+    let shard_defaults = fastmm::serve::ServerConfig::default();
     // --resume loads the journal up front: the header fixes the shard
     // addresses and the seed (ring geometry must match the dead router's),
     // and the records rebuild counters + the in-flight set.
@@ -1394,7 +1394,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         None if chaos_link.is_some() => None,
         None => Some(0),
     };
-    let retry_budget_pct = get_u64(flags, "retry-budget-pct", 10);
+    let retry_budget_pct = get_u64(flags, "retry-budget-pct", defaults.retry_budget_pct as u64);
     if retry_budget_pct > 100 {
         die(
             &format!("--retry-budget-pct must be 0..=100, got {retry_budget_pct}"),
@@ -1409,7 +1409,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
                 FLEET_USAGE,
             ),
         },
-        None => 4.0,
+        None => defaults.eject_k,
     };
     let (shard_addrs, procs): (Vec<String>, Vec<Option<std::process::Child>>) =
         if let Some((_, header, _)) = &resume {
@@ -1432,8 +1432,8 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
             if shards == 0 {
                 die("--shards must be at least 1", FLEET_USAGE);
             }
-            let queue_depth = get_usize(flags, "queue-depth", 32).max(1);
-            let workers = get_usize(flags, "workers", 2).max(1);
+            let queue_depth = get_usize(flags, "queue-depth", shard_defaults.queue_depth).max(1);
+            let workers = get_usize(flags, "workers", shard_defaults.workers).max(1);
             let metrics_dir = flags.get("shard-metrics-dir").map(String::as_str);
             let mut addrs = Vec::with_capacity(shards);
             let mut procs: Vec<Option<std::process::Child>> = Vec::with_capacity(shards);
@@ -1456,11 +1456,10 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
             (addrs, procs)
         };
     let n = shard_addrs.len();
-    let poll_ms = get_u64(flags, "probe-interval-ms", POLL_MS_DEFAULT);
     let supervise = flags.contains_key("supervise");
     let spawner: Option<ShardSpawner> = if supervise {
-        let queue_depth = get_usize(flags, "queue-depth", 32).max(1);
-        let workers = get_usize(flags, "workers", 2).max(1);
+        let queue_depth = get_usize(flags, "queue-depth", shard_defaults.queue_depth).max(1);
+        let workers = get_usize(flags, "workers", shard_defaults.workers).max(1);
         let metrics_dir = flags.get("shard-metrics-dir").cloned();
         Some(std::sync::Arc::new(move |idx: usize| {
             spawn_shard(idx, queue_depth, workers, seed, metrics_dir.as_deref())
@@ -1470,21 +1469,18 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         None
     };
     let cfg = RouterConfig {
-        addr: flags
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        addr: flags.get("addr").cloned().unwrap_or(defaults.addr),
         shard_addrs,
         seed,
         default_deadline_ms: flags
             .get("default-deadline-ms")
             .map(|_| get_u64(flags, "default-deadline-ms", 0)),
-        max_line_bytes: get_usize(flags, "max-line-bytes", 64 * 1024).max(1),
-        poll_ms,
-        max_attempts: get_u64(flags, "max-attempts", 5).max(1) as u32,
+        max_line_bytes: get_usize(flags, "max-line-bytes", defaults.max_line_bytes).max(1),
+        poll_ms: get_u64(flags, "probe-interval-ms", defaults.poll_ms),
+        max_attempts: get_u64(flags, "max-attempts", defaults.max_attempts as u64).max(1) as u32,
         supervise,
-        breaker_k: get_u64(flags, "breaker-k", 3).max(1) as u32,
-        breaker_window_ms: get_u64(flags, "breaker-window-ms", 30_000).max(1),
+        breaker_k: get_u64(flags, "breaker-k", defaults.breaker_k as u64).max(1) as u32,
+        breaker_window_ms: get_u64(flags, "breaker-window-ms", defaults.breaker_window_ms).max(1),
         journal_path: flags
             .get("journal")
             .cloned()
@@ -1494,7 +1490,8 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         hedge_ms,
         retry_budget_pct: retry_budget_pct as u32,
         eject_k,
-        eject_probation_ms: get_u64(flags, "eject-probation-ms", 1_000).max(1),
+        eject_probation_ms: get_u64(flags, "eject-probation-ms", defaults.eject_probation_ms)
+            .max(1),
     };
     let opts = StartOptions {
         procs,
