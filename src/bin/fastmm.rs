@@ -1,34 +1,11 @@
 //! `fastmm` — command-line driver for the workspace.
 //!
-//! ```text
-//! fastmm multiply --alg winograd --n 256 [--cutoff 16] [--seed 42]
-//! fastmm kernel   --alg strassen --n 512 [--cutoff 64] [--threads 1] [--dtype f64] [--check]
-//! fastmm bounds   --n 4096 --m 1024 [--p 49]
-//! fastmm verify   [--n 4]
-//! fastmm io       --alg strassen --n 32 --m 96 [--policy lru|fifo|opt] [--seed 61453]
-//! fastmm io       --alg strassen --n 32 --m 96 --faults "flush-every=4096"
-//! fastmm faults   --schedule cannon --n 16 --p 4 --spec "seed=7,drop=0.01" --recovery checkpoint:2
-//! fastmm pebble   --family tree --m 3 [--optimal]
-//! fastmm dot      --alg strassen --n 2 --out h2.dot
-//! fastmm report   metrics.jsonl
-//! fastmm report   --traces metrics.jsonl [--top 5]
-//! fastmm bench    run [--profile quick|standard|full] [--out BENCH_bench.json] [--filter memsim]
-//! fastmm bench    diff --base BENCH_bench.json --cand new.json [--tol 0.1] [--warn-timing]
-//! fastmm bench    list
-//! fastmm sweep    run --spec table1 [--out sweep_table1.jsonl] [--jobs 4] [--cell-timeout ms]
-//! fastmm sweep    resume --spec table1 --out sweep_table1.jsonl
-//! fastmm sweep    report --file sweep_table1.jsonl [--bench BENCH_sweep.json]
-//! fastmm sweep    diff --base a.jsonl --cand b.jsonl [--tol 0.01]
-//! fastmm serve    [--addr 127.0.0.1:0] [--queue-depth 32] [--workers 2] [--shard-id <i>]
-//! fastmm fleet    [--shards 3] [--addr 127.0.0.1:0] [--seed 0] [--attach a:p,b:p]
-//! fastmm fleet    --chaos-link "seed=7,stall-after=40@shard1" [--hedge-ms 50] [--retry-budget-pct 10]
-//! fastmm loadgen  --addr HOST:PORT [--conns 4] [--requests 250] [--seed 1] [--burst 64] [--shutdown]
-//! fastmm loadgen  --addr HOST:PORT --fleet [--kill-shard-after 40] [--stall-shard-after 40] [--shutdown]
-//! ```
-//!
-//! Every command accepts a global `--metrics <path>` flag that enables
-//! full telemetry ([`fmm_obs`]) and writes the collected metrics as JSONL
-//! to `path` on exit; `fastmm report` renders such a file as a table.
+//! [`COMMANDS`] is the whole command line: each subcommand and verb with
+//! its flags, its usage text and the function that runs it.
+//! [`fastmm::cli::run`] parses and dispatches against it, and gives every
+//! command the global `--metrics <path>` flag, which enables full
+//! telemetry ([`fastmm::obs`]) and writes the collected metrics as JSONL to
+//! `path` on exit; `fastmm report` renders such a file as a table.
 //!
 //! Workload seeds: commands that generate random inputs accept `--seed`.
 //! `multiply` defaults to 42; `io` and `sweep` default to the library's
@@ -39,7 +16,7 @@
 
 use fastmm::cdag::dot::to_dot;
 use fastmm::cdag::RecursiveCdag;
-use fastmm::cli::{die, get_u64, get_usize, parse_flags};
+use fastmm::cli::{Args, Command};
 use fastmm::core::altbasis::{karstadt_schwartz, multiply_alt_counted};
 use fastmm::core::exec::multiply_fast_counted;
 use fastmm::core::{bounds, catalog, lemmas, Bilinear2x2};
@@ -53,126 +30,319 @@ use fastmm::pebbling::optimal::recompute_gap;
 use fastmm::pebbling::players::{belady_schedule, creation_order};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: fastmm <multiply|kernel|bounds|verify|io|faults|pebble|dot|report|bench|sweep|serve|fleet|loadgen> [flags]\n\
-       global flags: --metrics <path.jsonl>  (collect full telemetry, write JSONL on exit)";
+/// `sweep run` and `sweep resume` take the same flags.
+const SWEEP_RUN_FLAGS: &[&str] = &[
+    "spec",
+    "out",
+    "seed",
+    "jobs",
+    "max-cells",
+    "verbose",
+    "cell-timeout",
+    "retry-cells",
+    "inject-hang",
+];
 
-const KERNEL_USAGE: &str =
-    "usage: fastmm kernel [--alg classical|strassen] [--n 256] [--cutoff 64]\n\
-       [--threads 1] [--dtype f64|i64] [--seed 42] [--check]\n\
-       Runs the real cache-blocked kernel (fmm-kernel) once and prints a\n\
-       report: wall time, classical-equivalent GFLOP/s, packing time, and\n\
-       micro-tile / recursion counts. --check also runs the naive\n\
-       reference and exits 1 unless the products agree exactly.";
+/// Every command and verb, in the order the global usage lists them.
+/// Continuation lines of a usage text print with the indentation they
+/// are written with here.
+const COMMANDS: &[Command] = &[
+    Command::new(
+        "multiply",
+        &["alg", "n", "cutoff", "seed"],
+        "usage: fastmm multiply [--alg strassen|winograd|classical|ks] [--n 128] [--cutoff 16]
+       [--seed 42]
+       Multiplies two seeded random matrices through the fast recursion (ks:
+       the alternative-basis algorithm) and checks the product against naive.",
+        cmd_multiply,
+    ),
+    Command::new(
+        "kernel",
+        &["alg", "n", "cutoff", "threads", "dtype", "seed", "check"],
+        "usage: fastmm kernel [--alg classical|strassen] [--n 256] [--cutoff 64]
+       [--threads 1] [--dtype f64|i64] [--seed 42] [--check]
+       Runs the real cache-blocked kernel (fmm-kernel) once and prints a
+       report: wall time, classical-equivalent GFLOP/s, packing time, and
+       micro-tile / recursion counts. --check also runs the naive
+       reference and exits 1 unless the products agree exactly.",
+        cmd_kernel,
+    ),
+    Command::new(
+        "bounds",
+        &["n", "m", "p"],
+        "usage: fastmm bounds [--n 4096] [--m 1024] [--p 1]
+       Prints the sequential I/O lower bounds, and the parallel ones when
+       --p is above 1.",
+        cmd_bounds,
+    ),
+    Command::new(
+        "verify",
+        &["n"],
+        "usage: fastmm verify [--n 4]
+       Runs the lemma battery on every fast catalog algorithm; exits 1 if a
+       check fails.",
+        cmd_verify,
+    ),
+    Command::new(
+        "io",
+        &["alg", "n", "m", "seed", "policy", "faults"],
+        "usage: fastmm io [--alg strassen|winograd|classical] [--n 32] [--m 96] [--seed 61453]
+       [--policy lru|fifo|opt] [--faults \"flush-every=4096\"]
+       Measures one multiply's I/O in a simulated cache of M words against the
+       lower bound. --faults runs it twice, clean and with seeded cache wipes,
+       and reports the recovery I/O (lru|fifo only).",
+        cmd_io,
+    ),
+    Command::new(
+        "faults",
+        &[
+            "schedule", "alg", "n", "p", "levels", "spec", "recovery", "seed",
+        ],
+        "usage: fastmm faults [--schedule cannon|3d|caps|cannon-threaded] [--n <order>]
+       [--p <grid>] [--levels <k>] [--alg strassen|winograd] [--seed <u64>]
+       [--spec \"seed=7,crash=0.02,drop=0.01,dup=0.005,retries=8,crash@3:1\"]
+       [--recovery recompute|checkpoint:<period>|none]",
+        cmd_faults,
+    ),
+    Command::new(
+        "pebble",
+        &[
+            "family", "m", "optimal", "len", "leaves", "rows", "cols", "n",
+        ],
+        "usage: fastmm pebble [--family chain|tree|grid|butterfly|strassen] [--m 4] [--optimal]
+       [--len 6] [--leaves 4] [--rows 3] [--cols 3] [--n <size>]
+       Pebbles one CDAG with Belady's rule at cache size M; --optimal adds the
+       exact optima with and without recomputation. --len sizes the chain,
+       --leaves the tree, --rows and --cols the grid, --n the butterfly (8)
+       or the strassen CDAG (4).",
+        cmd_pebble,
+    ),
+    Command::new(
+        "dot",
+        &["alg", "n", "out"],
+        "usage: fastmm dot [--alg strassen|winograd|classical] [--n 2] [--out <file.dot>]
+       Writes the H_n CDAG as Graphviz to the --out file, or to stdout.",
+        cmd_dot,
+    ),
+    Command {
+        positional: true,
+        ..Command::new(
+            "report",
+            &["traces", "top"],
+            "usage: fastmm report <metrics.jsonl>
+       fastmm report --traces <metrics.jsonl> [--top <k>]
+       Without --traces: render counters/histograms/events as a table.
+       With --traces: reconstruct per-job span trees from span records
+       (written under FMM_OBS=full / --metrics) and rank the slowest jobs.",
+            cmd_report,
+        )
+    },
+    Command::new(
+        "bench run",
+        &["profile", "out", "filter", "inject-slow"],
+        "usage: fastmm bench run [--profile quick|standard|full] [--out <path.json>]
+       [--filter <substr>] [--inject-slow <substr>]
+       --inject-slow is a test hook: it sleeps ~25 ms in every timed pass of
+       the matching targets, so that bench diff has a regression to catch.",
+        cmd_bench_run,
+    ),
+    Command::new(
+        "bench diff",
+        &["base", "cand", "tol", "warn-timing"],
+        "usage: fastmm bench diff --base <path.json> --cand <path.json> [--tol <fraction>]
+       [--warn-timing]",
+        cmd_bench_diff,
+    ),
+    Command::new(
+        "bench list",
+        &[],
+        "usage: fastmm bench list
+       Prints the target catalog with groups, tolerances and profiles.",
+        cmd_bench_list,
+    ),
+    Command::new(
+        "sweep run",
+        SWEEP_RUN_FLAGS,
+        "usage: fastmm sweep run --spec <name> [--out <file>] [--seed <u64>] [--jobs <n>]
+       [--max-cells <k>] [--cell-timeout <ms>] [--retry-cells <n>] [--verbose]
+       [--inject-hang <cell>:<ms>]
+       --inject-hang is a test hook: cell <cell> sleeps <ms> milliseconds, so
+       that a timeout can be provoked on purpose.",
+        cmd_sweep_run,
+    ),
+    Command::new(
+        "sweep resume",
+        SWEEP_RUN_FLAGS,
+        "usage: fastmm sweep resume --spec <name> [--out <file>] [--seed <u64>] [--jobs <n>]
+       [--max-cells <k>] [--cell-timeout <ms>] [--retry-cells <n>] [--verbose]
+       [--inject-hang <cell>:<ms>]
+       Runs only the cells the --out file lacks, under the seed it was started
+       with unless --seed is given. The flags are those of sweep run.",
+        cmd_sweep_run,
+    ),
+    Command::new(
+        "sweep report",
+        &["file", "bench"],
+        "usage: fastmm sweep report --file <file> [--bench <path.json>]",
+        cmd_sweep_report,
+    ),
+    Command::new(
+        "sweep diff",
+        &["base", "cand", "tol"],
+        "usage: fastmm sweep diff --base <file> --cand <file> [--tol <fraction>]",
+        cmd_sweep_diff,
+    ),
+    Command::new(
+        "sweep specs",
+        &[],
+        "usage: fastmm sweep specs
+       Lists the built-in sweep specs.",
+        cmd_sweep_specs,
+    ),
+    Command::new(
+        "serve",
+        &[
+            "addr",
+            "queue-depth",
+            "workers",
+            "default-deadline-ms",
+            "max-line-bytes",
+            "trace-seed",
+            "shard-id",
+            "span-id-base",
+        ],
+        "usage: fastmm serve [--addr 127.0.0.1:0] [--queue-depth 32] [--workers 2]
+       [--default-deadline-ms <ms>] [--max-line-bytes 65536] [--trace-seed <u64>]
+       [--shard-id <i>] [--span-id-base <u64>]
+       Prints 'fastmm serve listening on HOST:PORT', serves until a client
+       sends {\"kind\":\"shutdown\"}, then drains and exits 0. --shard-id tags
+       health/stats replies when the server runs as a fleet shard;
+       --span-id-base partitions span ids so merged fleet traces never
+       collide.",
+        cmd_serve,
+    ),
+    Command::new(
+        "fleet",
+        &[
+            "shards",
+            "addr",
+            "queue-depth",
+            "workers",
+            "seed",
+            "default-deadline-ms",
+            "max-line-bytes",
+            "probe-interval-ms",
+            "max-attempts",
+            "attach",
+            "shard-metrics-dir",
+            "supervise",
+            "breaker-k",
+            "breaker-window-ms",
+            "journal",
+            "resume",
+            "chaos-link",
+            "hedge-ms",
+            "retry-budget-pct",
+            "eject-k",
+            "eject-probation-ms",
+        ],
+        "usage: fastmm fleet [--shards 3] [--addr 127.0.0.1:0] [--queue-depth 32]
+       [--workers 2] [--seed 0] [--default-deadline-ms <ms>] [--max-line-bytes 65536]
+       [--probe-interval-ms 100] [--max-attempts 5] [--attach host:port,...]
+       [--shard-metrics-dir <dir>] [--supervise] [--breaker-k 3]
+       [--breaker-window-ms 30000] [--journal <path>] [--resume <path>]
+       [--chaos-link \"seed=7,delay-ms=200@shard2,stall-after=40@shard1,garble=0.01\"]
+       [--hedge-ms <ms>] [--retry-budget-pct 10] [--eject-k 4] [--eject-probation-ms 1000]
+       Spawns N `fastmm serve` shard processes (or attaches to --attach
+       addresses), routes jobs to shards by spec hash, prints
+       'fastmm fleet listening on HOST:PORT (N shards)', serves until a client
+       sends {\"kind\":\"shutdown\"}, drains every shard, and exits 0 iff the
+       fleet-wide conservation law holds. --supervise respawns dead shards at
+       the same ring index (a crash loop of --breaker-k deaths inside
+       --breaker-window-ms quarantines the shard instead). --journal writes a
+       write-ahead job journal; --resume <journal> rebuilds counters, the
+       idempotency map, and the in-flight set after a router SIGKILL,
+       reattaching to the journal's recorded shard addresses. --chaos-link
+       wraps every shard reply connection in a seeded gray-failure adversary
+       (delay/stall/garble; also enables the stall-shard verb and turns
+       hedging on with an auto p95 delay). --hedge-ms sets a fixed hedge
+       delay (0 = off). Hedges and the re-dispatch of jobs a shard sheds
+       back spend a shared budget of --retry-budget-pct% of accepted jobs;
+       jobs orphaned by a shard's death re-dispatch free, up to
+       --max-attempts. A shard whose latency EWMA exceeds --eject-k x the
+       fleet median is ejected, then re-admitted after --eject-probation-ms.
+       Fleet-only verbs: fleet-stats, drain-shard (params.shard), kill-shard
+       (chaos SIGKILL, params.seed or params.shard), kill-router (journaled
+       fleets), stall-shard (chaos-link fleets).",
+        cmd_fleet,
+    ),
+    Command::new(
+        "loadgen",
+        &[
+            "addr",
+            "conns",
+            "requests",
+            "seed",
+            "poison-pct",
+            "oversized-pct",
+            "tiny-deadline-pct",
+            "expensive-pct",
+            "deadline-ms",
+            "burst",
+            "shutdown",
+            "fleet",
+            "kill-shard-after",
+            "stall-shard-after",
+            "reconnect",
+            "kill-router-after",
+        ],
+        "usage: fastmm loadgen --addr <host:port> [--conns 4] [--requests 250]
+       [--seed 1] [--poison-pct 10] [--oversized-pct 5] [--tiny-deadline-pct 5]
+       [--expensive-pct 10] [--deadline-ms 10000] [--burst <n>] [--shutdown]
+       [--fleet] [--kill-shard-after <n>] [--stall-shard-after <n>]
+       [--reconnect <n>] [--kill-router-after <n>]
+       Drives a seeded chaos mix and prints a one-line JSON summary; exits
+       nonzero if any request was lost or the server counters don't balance.
+       --fleet targets a `fastmm fleet` router; --kill-shard-after N (fleet
+       only) SIGKILLs one seeded-chosen shard once N requests are in flight
+       and still demands zero lost replies; --stall-shard-after N (fleet only,
+       the fleet must run a chaos link) freezes one seeded-chosen shard's
+       reply link mid-run — a gray failure the fleet must hedge around.
+       --reconnect N survives a vanished server with up to N seeded-backoff
+       reconnects per connection, re-sending unsettled requests under the same
+       client_tag (0 = old fail-fast behaviour); --kill-router-after N (fleet
+       only, needs --reconnect) SIGKILLs the router itself mid-run — resume it
+       from its journal and the run must still lose nothing.",
+        cmd_loadgen,
+    ),
+];
 
-const REPORT_USAGE: &str = "usage: fastmm report <metrics.jsonl>\n\
-       fastmm report --traces <metrics.jsonl> [--top <k>]\n\
-       Without --traces: render counters/histograms/events as a table.\n\
-       With --traces: reconstruct per-job span trees from span records\n\
-       (written under FMM_OBS=full / --metrics) and rank the slowest jobs.";
-
-const BENCH_USAGE: &str = "usage: fastmm bench <run|diff|list> [flags]\n\
-       run  [--profile quick|standard|full] [--out <path.json>]\n\
-            [--filter <substr>] [--inject-slow <substr>]\n\
-       diff --base <path.json> --cand <path.json> [--tol <fraction>] [--warn-timing]\n\
-       list (print the target catalog with groups, tolerances, profiles)";
-
-const SERVE_USAGE: &str =
-    "usage: fastmm serve [--addr 127.0.0.1:0] [--queue-depth 32] [--workers 2]\n\
-       [--default-deadline-ms <ms>] [--max-line-bytes 65536] [--trace-seed <u64>]\n\
-       [--shard-id <i>] [--span-id-base <u64>]\n\
-       Prints 'fastmm serve listening on HOST:PORT', serves until a client\n\
-       sends {\"kind\":\"shutdown\"}, then drains and exits 0. --shard-id tags\n\
-       health/stats replies when the server runs as a fleet shard;\n\
-       --span-id-base partitions span ids so merged fleet traces never\n\
-       collide.";
-
-const FLEET_USAGE: &str =
-    "usage: fastmm fleet [--shards 3] [--addr 127.0.0.1:0] [--queue-depth 32]\n\
-       [--workers 2] [--seed 0] [--default-deadline-ms <ms>] [--max-line-bytes 65536]\n\
-       [--probe-interval-ms 100] [--max-attempts 5] [--attach host:port,...]\n\
-       [--shard-metrics-dir <dir>] [--supervise] [--breaker-k 3]\n\
-       [--breaker-window-ms 30000] [--journal <path>] [--resume <path>]\n\
-       [--chaos-link \"seed=7,delay-ms=200@shard2,stall-after=40@shard1,garble=0.01\"]\n\
-       [--hedge-ms <ms>] [--retry-budget-pct 10] [--eject-k 4] [--eject-probation-ms 1000]\n\
-       Spawns N `fastmm serve` shard processes (or attaches to --attach\n\
-       addresses), routes jobs to shards by spec hash, prints\n\
-       'fastmm fleet listening on HOST:PORT (N shards)', serves until a client\n\
-       sends {\"kind\":\"shutdown\"}, drains every shard, and exits 0 iff the\n\
-       fleet-wide conservation law holds. --supervise respawns dead shards at\n\
-       the same ring index (a crash loop of --breaker-k deaths inside\n\
-       --breaker-window-ms quarantines the shard instead). --journal writes a\n\
-       write-ahead job journal; --resume <journal> rebuilds counters, the\n\
-       idempotency map, and the in-flight set after a router SIGKILL,\n\
-       reattaching to the journal's recorded shard addresses. --chaos-link\n\
-       wraps every shard reply connection in a seeded gray-failure adversary\n\
-       (delay/stall/garble; also enables the stall-shard verb and turns\n\
-       hedging on with an auto p95 delay). --hedge-ms sets a fixed hedge\n\
-       delay (0 = off). Hedges and the re-dispatch of jobs a shard sheds\n\
-       back spend a shared budget of --retry-budget-pct% of accepted jobs;\n\
-       jobs orphaned by a shard's death re-dispatch free, up to\n\
-       --max-attempts. A shard whose latency EWMA exceeds --eject-k x the\n\
-       fleet median is ejected, then re-admitted after --eject-probation-ms.\n\
-       Fleet-only verbs: fleet-stats, drain-shard (params.shard), kill-shard\n\
-       (chaos SIGKILL, params.seed or params.shard), kill-router (journaled\n\
-       fleets), stall-shard (chaos-link fleets).";
-
-const LOADGEN_USAGE: &str =
-    "usage: fastmm loadgen --addr <host:port> [--conns 4] [--requests 250]\n\
-       [--seed 1] [--poison-pct 10] [--oversized-pct 5] [--tiny-deadline-pct 5]\n\
-       [--expensive-pct 10] [--deadline-ms 10000] [--burst <n>] [--shutdown]\n\
-       [--fleet] [--kill-shard-after <n>] [--stall-shard-after <n>]\n\
-       [--reconnect <n>] [--kill-router-after <n>]\n\
-       Drives a seeded chaos mix and prints a one-line JSON summary; exits\n\
-       nonzero if any request was lost or the server counters don't balance.\n\
-       --fleet targets a `fastmm fleet` router; --kill-shard-after N (fleet\n\
-       only) SIGKILLs one seeded-chosen shard once N requests are in flight\n\
-       and still demands zero lost replies; --stall-shard-after N (fleet only,\n\
-       router must run with --chaos-link) freezes one seeded-chosen shard's\n\
-       reply link mid-run — a gray failure the fleet must hedge around.\n\
-       --reconnect N survives a vanished server with up to N seeded-backoff\n\
-       reconnects per connection, re-sending unsettled requests under the same\n\
-       client_tag (0 = old fail-fast behaviour); --kill-router-after N (fleet\n\
-       only, needs --reconnect) SIGKILLs the router itself mid-run — resume it\n\
-       from its journal and the run must still lose nothing.";
-
-const SWEEP_USAGE: &str = "usage: fastmm sweep <run|resume|report|diff|specs> [flags]\n\
-       run    --spec <name> [--out <file>] [--seed <u64>] [--jobs <n>] [--max-cells <k>]\n\
-              [--cell-timeout <ms>] [--retry-cells <n>] [--verbose]\n\
-       resume --spec <name> --out <file> [--seed <u64>] [--jobs <n>] [--cell-timeout <ms>]\n\
-       report --file <file> [--bench <path.json>]\n\
-       diff   --base <file> --cand <file> [--tol <fraction>]\n\
-       specs  (list the built-in sweep specs)";
-
-const FAULTS_USAGE: &str =
-    "usage: fastmm faults [--schedule cannon|3d|caps|cannon-threaded] [--n <order>]\n\
-       [--p <grid>] [--levels <k>] [--alg strassen|winograd] [--seed <u64>]\n\
-       [--spec \"seed=7,crash=0.02,drop=0.01,dup=0.005,retries=8,crash@3:1\"]\n\
-       [--recovery recompute|checkpoint:<period>|none]";
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    fastmm::cli::run(COMMANDS, &argv)
+}
 
 /// The catalog algorithm `--alg` names. Any other name exits 2 with the
 /// names the command accepts: the catalog's, then its own `extra` ones.
-fn algorithm(flags: &HashMap<String, String>, extra: &[&str]) -> Bilinear2x2 {
-    let name = flags.get("alg").map(String::as_str).unwrap_or("strassen");
+fn algorithm(args: &Args, extra: &[&str]) -> Bilinear2x2 {
+    let name = args.str("alg").unwrap_or("strassen");
     catalog::by_name(name).unwrap_or_else(|| {
         let names: Vec<&str> = catalog::NAMES.iter().chain(extra).copied().collect();
-        eprintln!("unknown algorithm '{name}' ({})", names.join("|"));
-        std::process::exit(2);
+        args.die(&format!("unknown algorithm '{name}' ({})", names.join("|")))
     })
 }
 
-fn cmd_multiply(flags: &HashMap<String, String>) {
-    let n = get_usize(flags, "n", 128);
-    let cutoff = get_usize(flags, "cutoff", 16);
-    let mut rng = StdRng::seed_from_u64(get_usize(flags, "seed", 42) as u64);
+fn cmd_multiply(args: &Args) -> ExitCode {
+    let n: usize = args.get("n", 128);
+    let cutoff: usize = args.get("cutoff", 16);
+    let mut rng = StdRng::seed_from_u64(args.get("seed", 42));
     let a = Matrix::<i64>::random_small(n, n, &mut rng);
     let b = Matrix::<i64>::random_small(n, n, &mut rng);
     let reference = multiply_naive(&a, &b);
 
-    if flags.get("alg").map(String::as_str) == Some("ks") {
+    if args.str("alg") == Some("ks") {
         let ks = karstadt_schwartz();
         let levels =
             (n.trailing_zeros() as usize).saturating_sub(cutoff.max(1).trailing_zeros() as usize);
@@ -187,9 +357,9 @@ fn cmd_multiply(flags: &HashMap<String, String>) {
         );
         println!("  transform ops:  {}", transform.total());
         println!("  wall time:      {dt:?}");
-        return;
+        return ExitCode::SUCCESS;
     }
-    let alg = algorithm(flags, &["ks"]);
+    let alg = algorithm(args, &["ks"]);
     let start = std::time::Instant::now();
     let (c, counts) = multiply_fast_counted(&alg, &a, &b, cutoff);
     let dt = start.elapsed();
@@ -200,6 +370,7 @@ fn cmd_multiply(flags: &HashMap<String, String>) {
         counts.scalar_mults, counts.scalar_adds
     );
     println!("  wall time:  {dt:?}");
+    ExitCode::SUCCESS
 }
 
 /// One seeded multiply through the real kernel: wall time, the [`Report`]
@@ -223,32 +394,31 @@ fn run_kernel_typed<T: fastmm::matrix::Scalar>(
     (dt, report, matches)
 }
 
-fn cmd_kernel(flags: &HashMap<String, String>) -> ExitCode {
-    let alg_name = flags.get("alg").map(String::as_str).unwrap_or("strassen");
+fn cmd_kernel(args: &Args) -> ExitCode {
+    let alg_name = args.str("alg").unwrap_or("strassen");
     let Some(alg) = fastmm::kernel::Alg::parse(alg_name) else {
-        die(
-            &format!("unknown algorithm '{alg_name}' (classical|strassen)"),
-            KERNEL_USAGE,
-        );
+        args.die(&format!(
+            "unknown algorithm '{alg_name}' (classical|strassen)"
+        ));
     };
-    let n = get_usize(flags, "n", 256);
+    let n = args.get("n", 256);
     if n == 0 {
-        die("--n must be at least 1", KERNEL_USAGE);
+        args.die("--n must be at least 1");
     }
-    let cutoff = get_usize(flags, "cutoff", 64);
+    let cutoff = args.get("cutoff", 64);
     if cutoff == 0 {
-        die("--cutoff must be at least 1", KERNEL_USAGE);
+        args.die("--cutoff must be at least 1");
     }
-    let threads = get_usize(flags, "threads", 1);
+    let threads = args.get("threads", 1);
     if threads == 0 {
-        die("--threads must be at least 1", KERNEL_USAGE);
+        args.die("--threads must be at least 1");
     }
-    let dtype = flags.get("dtype").map(String::as_str).unwrap_or("f64");
+    let dtype = args.str("dtype").unwrap_or("f64");
     if !matches!(dtype, "f64" | "i64") {
-        die(&format!("unknown dtype '{dtype}' (f64|i64)"), KERNEL_USAGE);
+        args.die(&format!("unknown dtype '{dtype}' (f64|i64)"));
     }
-    let seed = get_u64(flags, "seed", 42);
-    let check = flags.contains_key("check");
+    let seed = args.get("seed", 42);
+    let check = args.flag("check");
     let cfg = fastmm::kernel::KernelCfg {
         alg,
         cutoff,
@@ -294,10 +464,10 @@ fn cmd_kernel(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_bounds(flags: &HashMap<String, String>) {
-    let n = get_usize(flags, "n", 4096);
-    let m = get_usize(flags, "m", 1024);
-    let p = get_usize(flags, "p", 1);
+fn cmd_bounds(args: &Args) -> ExitCode {
+    let n = args.get("n", 4096);
+    let m = args.get("m", 1024);
+    let p = args.get("p", 1);
     println!("I/O lower bounds at n = {n}, M = {m}, P = {p}:");
     println!(
         "  classical sequential:   Ω ≈ {:.3e}",
@@ -325,10 +495,11 @@ fn cmd_bounds(flags: &HashMap<String, String>) {
             bounds::parallel_crossover_m(n, p, bounds::OMEGA_FAST)
         );
     }
+    ExitCode::SUCCESS
 }
 
-fn cmd_verify(flags: &HashMap<String, String>) -> ExitCode {
-    let n = get_usize(flags, "n", 4);
+fn cmd_verify(args: &Args) -> ExitCode {
+    let n = args.get("n", 4);
     let mut rng = StdRng::seed_from_u64(2019);
     let mut all_ok = true;
     for alg in catalog::all_fast() {
@@ -352,13 +523,13 @@ fn cmd_verify(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_io(flags: &HashMap<String, String>) {
-    let n = get_usize(flags, "n", 32);
-    let m = get_usize(flags, "m", 96);
-    let seed = get_usize(flags, "seed", seq::DEFAULT_WORKLOAD_SEED as usize) as u64;
-    let alg = algorithm(flags, &[]);
+fn cmd_io(args: &Args) -> ExitCode {
+    let n = args.get("n", 32);
+    let m = args.get("m", 96);
+    let seed = args.get("seed", seq::DEFAULT_WORKLOAD_SEED);
+    let alg = algorithm(args, &[]);
     let tile = seq::natural_tile(m);
-    let policy = flags.get("policy").map(String::as_str).unwrap_or("lru");
+    let policy = args.str("policy").unwrap_or("lru");
     let run = |mem: &mut seq::Mem, a: &seq::TMat, b: &seq::TMat| -> seq::TMat {
         if alg.name == "classical" {
             seq::classical_blocked(mem, a, b, tile)
@@ -366,9 +537,13 @@ fn cmd_io(flags: &HashMap<String, String>) {
             seq::fast_recursive(mem, &alg, a, b, tile)
         }
     };
-    if let Some(spec_str) = flags.get("faults") {
-        cmd_io_faulty(spec_str, n, m, seed, &alg, tile, policy, run);
-        return;
+    let head = format!(
+        "{} at n = {n}, M = {m} ({}, tile {tile}, seed {seed})",
+        alg.name,
+        policy.to_uppercase()
+    );
+    if let Some(spec) = args.str("faults") {
+        return cmd_io_faulty(args, spec, n, m, seed, &head, run);
     }
     let stats = match policy {
         "lru" => seq::measure_seeded(n, m, Policy::Lru, seed, run).1,
@@ -376,10 +551,7 @@ fn cmd_io(flags: &HashMap<String, String>) {
         // Offline-optimal replacement, streamed in two passes — no
         // recorded trace, so it runs at the same n as the online policies.
         "opt" => seq::measure_opt_seeded(n, m, seed, run),
-        other => {
-            eprintln!("unknown policy '{other}' (lru|fifo|opt)");
-            std::process::exit(2);
-        }
+        other => args.die(&format!("unknown policy '{other}' (lru|fifo|opt)")),
     };
     let omega = if alg.name == "classical" {
         bounds::OMEGA_CLASSICAL
@@ -387,11 +559,7 @@ fn cmd_io(flags: &HashMap<String, String>) {
         bounds::OMEGA_FAST
     };
     let lb = bounds::sequential(n, m, omega);
-    println!(
-        "{} at n = {n}, M = {m} ({}, tile {tile}, seed {seed}):",
-        alg.name,
-        policy.to_uppercase()
-    );
+    println!("{head}:");
     println!(
         "  measured I/O:  {} ({} loads, {} stores)",
         stats.io(),
@@ -400,56 +568,43 @@ fn cmd_io(flags: &HashMap<String, String>) {
     );
     println!("  lower bound:   {lb:.0}");
     println!("  ratio:         {:.2}", stats.io() as f64 / lb);
+    ExitCode::SUCCESS
 }
 
 /// `fastmm io --faults "<spec>"` — run the same workload twice, clean
 /// and with seeded cache-wipe faults, and report the recovery I/O the
 /// injected flushes cost. The fault spec must set `flush-every=<N>`.
-#[allow(clippy::too_many_arguments)]
 fn cmd_io_faulty<F>(
+    args: &Args,
     spec_str: &str,
     n: usize,
     m: usize,
     seed: u64,
-    alg: &Bilinear2x2,
-    tile: usize,
-    policy: &str,
+    head: &str,
     run: F,
-) where
+) -> ExitCode
+where
     F: FnOnce(&mut seq::Mem, &seq::TMat, &seq::TMat) -> seq::TMat + Copy,
 {
-    use fastmm::faults::FaultSpec;
-    let spec = match FaultSpec::parse(spec_str) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            std::process::exit(2);
-        }
-    };
+    let spec = fastmm::faults::FaultSpec::parse(spec_str)
+        .unwrap_or_else(|e| args.die(&format!("bad --faults spec: {e}")));
     let Some(every) = spec.flush_every else {
-        eprintln!("io --faults requires flush-every=<N> in the spec (got '{spec_str}')");
-        std::process::exit(2);
+        args.die(&format!(
+            "io --faults requires flush-every=<N> in the spec (got '{spec_str}')"
+        ));
     };
-    let cache_policy = match policy {
+    let cache_policy = match args.str("policy").unwrap_or("lru") {
         "lru" => Policy::Lru,
         "fifo" => Policy::Fifo,
-        other => {
-            eprintln!("io --faults supports --policy lru|fifo (got '{other}')");
-            std::process::exit(2);
-        }
+        other => args.die(&format!(
+            "io --faults supports --policy lru|fifo (got '{other}')"
+        )),
     };
-    let (clean_product, clean) = {
-        let (prod, stats) = seq::measure_seeded(n, m, cache_policy, seed, run);
-        (prod, stats)
-    };
+    let (clean_product, clean) = seq::measure_seeded(n, m, cache_policy, seed, run);
     let (faulty_product, faulty, flushes) =
         seq::measure_faulty_seeded(n, m, cache_policy, seed, every, run);
     let recovery = faulty.io().saturating_sub(clean.io());
-    println!(
-        "{} at n = {n}, M = {m} ({}, tile {tile}, seed {seed}) under faults flush-every={every}:",
-        alg.name,
-        policy.to_uppercase()
-    );
+    println!("{head} under faults flush-every={every}:");
     println!(
         "  product:       {}",
         if faulty_product == clean_product {
@@ -467,47 +622,32 @@ fn cmd_io_faulty<F>(
         "  recovery I/O:  {recovery} (+{:.2}%)",
         100.0 * recovery as f64 / clean.io().max(1) as f64
     );
-    if faulty_product != clean_product {
-        std::process::exit(1);
+    if faulty_product == clean_product {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
 /// `fastmm faults` — run a distributed schedule under a seeded fault
 /// plan, verify the recovered product against the fault-free run, and
 /// report the communication cost of the faults.
-fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_faults(args: &Args) -> ExitCode {
     use fastmm::faults::{FaultSpec, FaultStats, Recovery};
     use fastmm::memsim::{par, par_faults, par_threads};
 
-    let schedule = flags
-        .get("schedule")
-        .map(String::as_str)
-        .unwrap_or("cannon");
-    let spec_str = flags
-        .get("spec")
-        .map(String::as_str)
-        .unwrap_or("seed=7,crash=0.05,drop=0.02,dup=0.01,retries=8");
-    let spec = match FaultSpec::parse(spec_str) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bad --spec: {e}");
-            eprintln!("{FAULTS_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let recovery = match flags.get("recovery").map(String::as_str) {
-        None => Recovery::Recompute,
-        Some(s) => match Recovery::parse(s) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bad --recovery: {e}");
-                eprintln!("{FAULTS_USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-    };
+    let schedule = args.str("schedule").unwrap_or("cannon");
+    let spec = FaultSpec::parse(
+        args.str("spec")
+            .unwrap_or("seed=7,crash=0.05,drop=0.02,dup=0.01,retries=8"),
+    )
+    .unwrap_or_else(|e| args.die(&format!("bad --spec: {e}")));
+    let recovery = args
+        .str("recovery")
+        .map_or(Ok(Recovery::Recompute), Recovery::parse)
+        .unwrap_or_else(|e| args.die(&format!("bad --recovery: {e}")));
     let plan = spec.plan();
-    let seed = get_usize(flags, "seed", 42) as u64;
+    let seed = args.get("seed", 42);
 
     // A shared workload: the faulty run must reproduce this product.
     let make = |n: usize| -> (Matrix<i64>, Matrix<i64>) {
@@ -529,8 +669,8 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
     }
     let outcome = match schedule {
         "cannon" | "3d" => {
-            let p = get_usize(flags, "p", if schedule == "cannon" { 4 } else { 2 });
-            let n = get_usize(flags, "n", 16);
+            let p = args.get("p", if schedule == "cannon" { 4 } else { 2 });
+            let n = args.get("n", 16);
             let (a, b) = make(n);
             let (clean, clean_net) = if schedule == "cannon" {
                 par::cannon(&a, &b, p)
@@ -558,9 +698,9 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
             }
         }
         "caps" => {
-            let n = get_usize(flags, "n", 16);
-            let levels = get_usize(flags, "levels", 2);
-            let alg = algorithm(flags, &[]);
+            let n = args.get("n", 16);
+            let levels = args.get("levels", 2);
+            let alg = algorithm(args, &[]);
             let (a, b) = make(n);
             let (clean, clean_net) = par::caps_strassen(&alg, &a, &b, levels);
             match par_faults::caps_strassen_faulty(&alg, &a, &b, levels, &plan, recovery) {
@@ -579,8 +719,8 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
             }
         }
         "cannon-threaded" => {
-            let p = get_usize(flags, "p", 4);
-            let n = get_usize(flags, "n", 16);
+            let p = args.get("p", 4);
+            let n = args.get("n", 16);
             let (a, b) = make(n);
             let clean =
                 par_threads::cannon_threaded_faulty(&a, &b, p, &FaultSpec::default().plan())
@@ -600,11 +740,9 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
                 }
             }
         }
-        other => {
-            eprintln!("unknown schedule '{other}' (cannon|3d|caps|cannon-threaded)");
-            eprintln!("{FAULTS_USAGE}");
-            return ExitCode::from(2);
-        }
+        other => args.die(&format!(
+            "unknown schedule '{other}' (cannon|3d|caps|cannon-threaded)"
+        )),
     };
     let f = &outcome.faults;
     println!(
@@ -648,21 +786,18 @@ fn cmd_faults(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_pebble(flags: &HashMap<String, String>) {
-    let m = get_usize(flags, "m", 4);
-    let fam = flags.get("family").map(String::as_str).unwrap_or("tree");
+fn cmd_pebble(args: &Args) -> ExitCode {
+    let m = args.get("m", 4);
+    let fam = args.str("family").unwrap_or("tree");
     let g = match fam {
-        "chain" => families::chain(get_usize(flags, "len", 6)),
-        "tree" => families::binary_tree(get_usize(flags, "leaves", 4)),
-        "grid" => families::dp_grid(get_usize(flags, "rows", 3), get_usize(flags, "cols", 3)),
-        "butterfly" => families::butterfly(get_usize(flags, "n", 8)),
-        "strassen" => {
-            RecursiveCdag::build(&catalog::strassen().to_base(), get_usize(flags, "n", 4)).graph
-        }
-        other => {
-            eprintln!("unknown family '{other}' (chain|tree|grid|butterfly|strassen)");
-            std::process::exit(2);
-        }
+        "chain" => families::chain(args.get("len", 6)),
+        "tree" => families::binary_tree(args.get("leaves", 4)),
+        "grid" => families::dp_grid(args.get("rows", 3), args.get("cols", 3)),
+        "butterfly" => families::butterfly(args.get("n", 8)),
+        "strassen" => RecursiveCdag::build(&catalog::strassen().to_base(), args.get("n", 4)).graph,
+        other => args.die(&format!(
+            "unknown family '{other}' (chain|tree|grid|butterfly|strassen)"
+        )),
     };
     println!("{fam}: {} vertices, {} edges", g.len(), g.edge_count());
     let moves = belady_schedule(&g, &creation_order(&g), m);
@@ -673,7 +808,7 @@ fn cmd_pebble(flags: &HashMap<String, String>) {
         r.loads,
         r.stores
     );
-    if flags.contains_key("optimal") {
+    if args.flag("optimal") {
         match recompute_gap(&g, m, 3_000_000) {
             Ok((without, with)) => {
                 println!("  exact optimal without recompute: {}", without.cost);
@@ -686,18 +821,18 @@ fn cmd_pebble(flags: &HashMap<String, String>) {
             Err(e) => println!("  exact search unavailable: {e:?}"),
         }
     }
+    ExitCode::SUCCESS
 }
 
-fn cmd_dot(flags: &HashMap<String, String>) -> ExitCode {
-    let n = get_usize(flags, "n", 2);
-    let alg = algorithm(flags, &[]);
+fn cmd_dot(args: &Args) -> ExitCode {
+    let n = args.get("n", 2);
+    let alg = algorithm(args, &[]);
     let h = RecursiveCdag::build(&alg.to_base(), n);
     let dot = to_dot(&h.graph, &format!("{}_H{n}", alg.name));
-    match flags.get("out") {
+    match args.str("out") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, dot) {
-                eprintln!("cannot write '{path}': {e}");
-                return ExitCode::from(2);
+                args.die(&format!("cannot write '{path}': {e}"));
             }
             println!("wrote {path}");
         }
@@ -706,9 +841,16 @@ fn cmd_dot(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Render a JSONL metrics file (written by `--metrics`) as a table.
-fn cmd_report(path: &str) -> ExitCode {
+/// `fastmm report` — render a JSONL metrics file (written by `--metrics`)
+/// as a table, or, with `--traces`, reconstruct per-job span trees from
+/// its span records and rank the slowest jobs.
+fn cmd_report(args: &Args) -> ExitCode {
     use fastmm::obs::json::{parse_line, Value};
+    let (path, top) = match (args.positional(), args.path("traces")) {
+        (Some(path), None) if !args.flag("top") => (path, None),
+        (None, Some(path)) => (path, Some(args.get("top", 5))),
+        _ => args.die("report takes one metrics file: <file>, or --traces <file>"),
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -716,8 +858,12 @@ fn cmd_report(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(top) = top {
+        print!("{}", fastmm::obs::trace::render_report(&text, top));
+        return ExitCode::SUCCESS;
+    }
     let mut rows: Vec<(String, String)> = Vec::new();
-    let mut events: HashMap<String, u64> = HashMap::new();
+    let mut events: std::collections::HashMap<String, u64> = Default::default();
     let mut spans = 0usize;
     let mut malformed = 0usize;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -782,370 +928,211 @@ fn cmd_report(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `fastmm report --traces` — reconstruct per-job span trees from the
-/// span records in a metrics JSONL file and rank the slowest jobs.
-fn cmd_report_traces(path: &str, top: usize) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read '{path}': {e}");
-            return ExitCode::FAILURE;
-        }
+/// `fastmm bench run` — run the fmm-bench target catalog.
+fn cmd_bench_run(args: &Args) -> ExitCode {
+    use fastmm::bench::targets::{run_targets, Profile, RunOptions};
+    let opts = RunOptions {
+        profile: args
+            .opt_with("profile", "quick|standard|full", Profile::parse)
+            .unwrap_or(Profile::Quick),
+        filter: args.opt("filter"),
+        inject_slow: args.opt("inject-slow"),
     };
-    print!("{}", fastmm::obs::trace::render_report(&text, top));
+    let doc = run_targets(&opts);
+    if doc.targets.is_empty() {
+        args.die(&format!(
+            "bench run: no targets matched{}",
+            opts.filter
+                .as_deref()
+                .map(|f| format!(" filter '{f}'"))
+                .unwrap_or_default()
+        ));
+    }
+    print!("{}", doc.render_table());
+    if let Some(out) = args.str("out") {
+        if let Err(e) = std::fs::write(out, doc.to_jsonl()) {
+            args.die(&format!("cannot write '{out}': {e}"));
+        }
+        println!("bench document written to {out}");
+    }
     ExitCode::SUCCESS
 }
 
-/// `fastmm bench <run|diff|list>` — drive the fmm-bench harness: run the
-/// named target catalog, gate a candidate document against a baseline,
-/// or list the catalog.
-fn cmd_bench(args: &[String]) -> ExitCode {
+/// `fastmm bench diff` — gate a candidate bench document against a
+/// baseline.
+fn cmd_bench_diff(args: &Args) -> ExitCode {
     use fastmm::bench::diff::{diff, DiffOptions};
     use fastmm::bench::doc::BenchDoc;
-    use fastmm::bench::targets::{all_targets, run_targets, Profile, RunOptions};
-    let Some(verb) = args.first() else {
-        eprintln!("{BENCH_USAGE}");
-        return ExitCode::from(2);
+    let load = |key: &str| -> BenchDoc {
+        let path: String = args.req(key);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| args.die(&format!("cannot read '{path}': {e}")));
+        BenchDoc::parse(&text).unwrap_or_else(|e| args.die(&format!("'{path}': {e}")))
     };
-    match verb.as_str() {
-        "run" => {
-            let flags = parse_flags(
-                &args[1..],
-                &["profile", "out", "filter", "inject-slow"],
-                BENCH_USAGE,
-            );
-            let profile = flags
-                .get("profile")
-                .map(|v| {
-                    Profile::parse(v).unwrap_or_else(|| {
-                        eprintln!("--profile expects quick|standard|full, got '{v}'");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(Profile::Quick);
-            let opts = RunOptions {
-                profile,
-                filter: flags.get("filter").cloned(),
-                inject_slow: flags.get("inject-slow").cloned(),
-            };
-            let doc = run_targets(&opts);
-            if doc.targets.is_empty() {
-                eprintln!(
-                    "bench run: no targets matched{}",
-                    opts.filter
-                        .as_deref()
-                        .map(|f| format!(" filter '{f}'"))
-                        .unwrap_or_default()
-                );
-                return ExitCode::from(2);
-            }
-            print!("{}", doc.render_table());
-            if let Some(out) = flags.get("out") {
-                if let Err(e) = std::fs::write(out, doc.to_jsonl()) {
-                    eprintln!("cannot write '{out}': {e}");
-                    return ExitCode::from(2);
-                }
-                println!("bench document written to {out}");
-            }
-            ExitCode::SUCCESS
-        }
-        "diff" => {
-            let flags = parse_flags(
-                &args[1..],
-                &["base", "cand", "tol", "warn-timing"],
-                BENCH_USAGE,
-            );
-            let require = |key: &str| -> String {
-                flags.get(key).cloned().unwrap_or_else(|| {
-                    eprintln!("bench diff requires --{key}");
-                    eprintln!("{BENCH_USAGE}");
-                    std::process::exit(2);
-                })
-            };
-            let load = |path: &str| -> BenchDoc {
-                let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read '{path}': {e}");
-                    std::process::exit(2);
-                });
-                BenchDoc::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("'{path}': {e}");
-                    std::process::exit(2);
-                })
-            };
-            let base = load(&require("base"));
-            let cand = load(&require("cand"));
-            let opts = DiffOptions {
-                tol_override: flags.get("tol").map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("--tol expects a fraction, got '{v}'");
-                        std::process::exit(2);
-                    })
-                }),
-            };
-            let warn_timing = flags.contains_key("warn-timing");
-            let report = diff(&base, &cand, &opts);
-            print!("{}", report.render());
-            if report.is_clean(warn_timing) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "list" => {
-            parse_flags(&args[1..], &[], BENCH_USAGE);
-            let targets = all_targets();
-            let width = targets.iter().map(|t| t.name.len()).max().unwrap_or(6);
-            for t in &targets {
-                println!(
-                    "{:<width$}  group {:<7} tol {:>4.0}%  from profile {}",
-                    t.name,
-                    t.group,
-                    t.tol * 100.0,
-                    t.min_profile.as_str()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown bench verb '{other}'");
-            eprintln!("{BENCH_USAGE}");
-            ExitCode::from(2)
-        }
+    let base = load("base");
+    let cand = load("cand");
+    let opts = DiffOptions {
+        tol_override: args.opt_with("tol", "a fraction", |v| v.parse().ok()),
+    };
+    let report = diff(&base, &cand, &opts);
+    print!("{}", report.render());
+    if report.is_clean(args.flag("warn-timing")) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
-/// `fastmm sweep <run|resume|report|diff|specs>` — drive the fmm-sweep
-/// orchestration engine from the CLI.
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    use fastmm::sweep::{checkpoint, diff, engine, report, SweepSpec};
-    let Some(verb) = args.first() else {
-        eprintln!("{SWEEP_USAGE}");
-        return ExitCode::from(2);
-    };
-    let require = |flags: &HashMap<String, String>, key: &str| -> String {
-        flags.get(key).cloned().unwrap_or_else(|| {
-            eprintln!("sweep {verb} requires --{key}");
-            eprintln!("{SWEEP_USAGE}");
-            std::process::exit(2);
-        })
-    };
-    let load_spec = |name: &str| -> SweepSpec {
-        SweepSpec::builtin(name).unwrap_or_else(|| {
-            eprintln!(
-                "unknown spec '{name}' (built-ins: {})",
-                SweepSpec::builtin_names().join(", ")
-            );
-            std::process::exit(2);
-        })
-    };
-    match verb.as_str() {
-        "run" | "resume" => {
-            let flags = parse_flags(
-                &args[1..],
-                &[
-                    "spec",
-                    "out",
-                    "seed",
-                    "jobs",
-                    "max-cells",
-                    "verbose",
-                    "cell-timeout",
-                    "retry-cells",
-                    "inject-hang",
-                ],
-                SWEEP_USAGE,
-            );
-            let spec = load_spec(&require(&flags, "spec"));
-            let out = flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| format!("sweep_{}.jsonl", spec.name));
-            let default_seed = if verb == "resume" {
-                // Unless overridden, continue with the seed the
-                // checkpoint was started with. Lenient load: a torn tail
-                // is the resume engine's job to repair, not a reason to
-                // refuse the resume.
-                match checkpoint::load_lenient(&out) {
-                    Ok((h, _, _)) => h.seed,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            } else {
-                seq::DEFAULT_WORKLOAD_SEED
-            };
-            // Undocumented test hook (CI's fault-smoke job): make cell
-            // IDX sleep MS milliseconds, so a timeout can be provoked on
-            // purpose. Grammar: --inject-hang IDX:MS
-            let inject_hang = flags.get("inject-hang").map(|v| {
-                let parsed = v
-                    .split_once(':')
-                    .and_then(|(i, ms)| Some((i.parse().ok()?, ms.parse().ok()?)));
-                parsed.unwrap_or_else(|| {
-                    eprintln!("--inject-hang expects <cell>:<millis>, got '{v}'");
-                    std::process::exit(2);
-                })
-            });
-            let cfg = engine::RunConfig {
-                seed: get_usize(&flags, "seed", default_seed as usize) as u64,
-                jobs: get_usize(&flags, "jobs", 0),
-                max_cells: flags
-                    .contains_key("max-cells")
-                    .then(|| get_usize(&flags, "max-cells", 0)),
-                verbose: flags.contains_key("verbose"),
-                cell_timeout_ms: flags
-                    .contains_key("cell-timeout")
-                    .then(|| get_usize(&flags, "cell-timeout", 0) as u64),
-                cell_retries: get_usize(&flags, "retry-cells", 0) as u32,
-                inject_hang,
-            };
-            let total = spec.expand().len();
-            let result = if verb == "run" {
-                engine::run_to_file(&spec, &cfg, &out)
-            } else {
-                engine::resume_file(&spec, &cfg, &out)
-            };
-            match result {
-                Ok(stats) => {
-                    println!(
-                        "sweep '{}' ({} cells): {} executed ({} ok, {} errors, \
-                         {} timed out), {} skipped, {} remaining -> {out}",
-                        spec.name,
-                        total,
-                        stats.executed,
-                        stats.ok,
-                        stats.errors,
-                        stats.timeouts,
-                        stats.skipped,
-                        stats.remaining
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("sweep {verb} failed: {e}");
-                    ExitCode::from(2)
-                }
-            }
+fn cmd_bench_list(_: &Args) -> ExitCode {
+    let targets = fastmm::bench::targets::all_targets();
+    let width = targets.iter().map(|t| t.name.len()).max().unwrap_or(6);
+    for t in &targets {
+        println!(
+            "{:<width$}  group {:<7} tol {:>4.0}%  from profile {}",
+            t.name,
+            t.group,
+            t.tol * 100.0,
+            t.min_profile.as_str()
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+/// `fastmm sweep run` and `fastmm sweep resume` — execute a built-in
+/// sweep spec into a checkpoint file, from scratch or from where an
+/// earlier run stopped.
+fn cmd_sweep_run(args: &Args) -> ExitCode {
+    use fastmm::sweep::{checkpoint, engine, SweepSpec};
+    let name: String = args.req("spec");
+    let spec = SweepSpec::builtin(&name).unwrap_or_else(|| {
+        args.die(&format!(
+            "unknown spec '{name}' (built-ins: {})",
+            SweepSpec::builtin_names().join(", ")
+        ))
+    });
+    let out = args
+        .opt("out")
+        .unwrap_or_else(|| format!("sweep_{}.jsonl", spec.name));
+    let resume = args.command() == "sweep resume";
+    let default_seed = if resume {
+        // Unless overridden, continue with the seed the checkpoint was
+        // started with. Lenient load: a torn tail is the resume engine's
+        // job to repair, not a reason to refuse the resume.
+        match checkpoint::load_lenient(&out) {
+            Ok((h, _, _)) => h.seed,
+            Err(e) => args.die(&e.to_string()),
         }
-        "report" => {
-            let flags = parse_flags(&args[1..], &["file", "bench"], SWEEP_USAGE);
-            let path = require(&flags, "file");
-            let (header, records) = match checkpoint::load(&path) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let summary = report::summarize(&records);
-            print!("{}", report::render(&header, &summary));
-            if let Some(bench) = flags.get("bench") {
-                let doc = report::bench_json(&header, &summary);
-                if let Err(e) = std::fs::write(bench, doc) {
-                    eprintln!("cannot write '{bench}': {e}");
-                    return ExitCode::from(2);
-                }
-                println!("\nbench summary written to {bench}");
-            }
+    } else {
+        seq::DEFAULT_WORKLOAD_SEED
+    };
+    let cfg = engine::RunConfig {
+        seed: args.get("seed", default_seed),
+        jobs: args.get("jobs", 0),
+        max_cells: args.opt("max-cells"),
+        verbose: args.flag("verbose"),
+        cell_timeout_ms: args.opt("cell-timeout"),
+        cell_retries: args.get("retry-cells", 0),
+        inject_hang: args.opt_with("inject-hang", "<cell>:<millis>", |v| {
+            let (cell, ms) = v.split_once(':')?;
+            Some((cell.parse().ok()?, ms.parse().ok()?))
+        }),
+    };
+    let total = spec.expand().len();
+    let result = if resume {
+        engine::resume_file(&spec, &cfg, &out)
+    } else {
+        engine::run_to_file(&spec, &cfg, &out)
+    };
+    match result {
+        Ok(stats) => {
+            println!(
+                "sweep '{}' ({} cells): {} executed ({} ok, {} errors, \
+                 {} timed out), {} skipped, {} remaining -> {out}",
+                spec.name,
+                total,
+                stats.executed,
+                stats.ok,
+                stats.errors,
+                stats.timeouts,
+                stats.skipped,
+                stats.remaining
+            );
             ExitCode::SUCCESS
         }
-        "diff" => {
-            let flags = parse_flags(&args[1..], &["base", "cand", "tol"], SWEEP_USAGE);
-            let base = require(&flags, "base");
-            let cand = require(&flags, "cand");
-            let tol: f64 = flags
-                .get("tol")
-                .map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("--tol expects a fraction, got '{v}'");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(0.0);
-            let load = |p: &str| match checkpoint::load(p) {
-                Ok((_, recs)) => recs,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
-            let d = diff::diff(&load(&base), &load(&cand), tol);
-            print!("{}", diff::render(&d, tol));
-            if d.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "specs" => {
-            parse_flags(&args[1..], &[], SWEEP_USAGE);
-            for name in SweepSpec::builtin_names() {
-                let spec = SweepSpec::builtin(name).expect("builtin exists");
-                println!(
-                    "{name:<8} {:>4} cells  hash {}",
-                    spec.expand().len(),
-                    spec.hash()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown sweep verb '{other}'");
-            eprintln!("{SWEEP_USAGE}");
-            ExitCode::from(2)
-        }
+        Err(e) => args.die(&format!("{} failed: {e}", args.command())),
     }
 }
 
-/// Write the global registry as JSONL to `path`. Returns `false` (after
-/// a one-line error) when the file cannot be written — `parse_flags`
-/// validated the path up front, so this only trips if the destination
-/// vanished mid-run.
-fn write_metrics(path: &str) -> bool {
-    let write = || -> std::io::Result<()> {
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        fastmm::obs::global().write_jsonl(&mut out)
+/// `fastmm sweep report` — summarise a sweep checkpoint file.
+fn cmd_sweep_report(args: &Args) -> ExitCode {
+    use fastmm::sweep::{checkpoint, report};
+    let path: String = args.req("file");
+    let (header, records) = checkpoint::load(&path).unwrap_or_else(|e| args.die(&e.to_string()));
+    let summary = report::summarize(&records);
+    print!("{}", report::render(&header, &summary));
+    if let Some(bench) = args.str("bench") {
+        let doc = report::bench_json(&header, &summary);
+        if let Err(e) = std::fs::write(bench, doc) {
+            args.die(&format!("cannot write '{bench}': {e}"));
+        }
+        println!("\nbench summary written to {bench}");
+    }
+    ExitCode::SUCCESS
+}
+
+/// `fastmm sweep diff` — compare two sweep checkpoint files cell by cell.
+fn cmd_sweep_diff(args: &Args) -> ExitCode {
+    use fastmm::sweep::{checkpoint, diff};
+    let base: String = args.req("base");
+    let cand: String = args.req("cand");
+    let tol = args
+        .opt_with("tol", "a fraction", |v| v.parse().ok())
+        .unwrap_or(0.0);
+    let load = |path: &str| match checkpoint::load(path) {
+        Ok((_, records)) => records,
+        Err(e) => args.die(&e.to_string()),
     };
-    match write() {
-        Ok(()) => {
-            eprintln!("metrics written to {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("cannot write metrics to '{path}': {e}");
-            false
-        }
+    let d = diff::diff(&load(&base), &load(&cand), tol);
+    print!("{}", diff::render(&d, tol));
+    if d.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_sweep_specs(_: &Args) -> ExitCode {
+    use fastmm::sweep::SweepSpec;
+    for name in SweepSpec::builtin_names() {
+        let spec = SweepSpec::builtin(name).expect("builtin exists");
+        println!(
+            "{name:<8} {:>4} cells  hash {}",
+            spec.expand().len(),
+            spec.hash()
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+fn cmd_serve(args: &Args) -> ExitCode {
     use fastmm::serve::{ServerConfig, ServerHandle};
-    if flags.contains_key("span-id-base") {
+    if let Some(base) = args.opt("span-id-base") {
         // Fleet shards get disjoint span-id ranges so their span JSONL
         // can be merged into one trace without id collisions.
-        fastmm::obs::span::set_span_id_base(get_u64(flags, "span-id-base", 0));
+        fastmm::obs::span::set_span_id_base(base);
     }
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
-        addr: flags.get("addr").cloned().unwrap_or(defaults.addr),
-        queue_depth: get_usize(flags, "queue-depth", defaults.queue_depth).max(1),
-        workers: get_usize(flags, "workers", defaults.workers).max(1),
-        default_deadline_ms: flags
-            .get("default-deadline-ms")
-            .map(|_| get_usize(flags, "default-deadline-ms", 0) as u64),
-        max_line_bytes: get_usize(flags, "max-line-bytes", defaults.max_line_bytes).max(1),
-        trace_seed: get_usize(flags, "trace-seed", defaults.trace_seed as usize) as u64,
-        shard_id: flags.get("shard-id").map(|_| get_u64(flags, "shard-id", 0)),
+        addr: args.get("addr", defaults.addr),
+        queue_depth: args.get("queue-depth", defaults.queue_depth).max(1),
+        workers: args.get("workers", defaults.workers).max(1),
+        default_deadline_ms: args.opt("default-deadline-ms"),
+        max_line_bytes: args.get("max-line-bytes", defaults.max_line_bytes).max(1),
+        trace_seed: args.get("trace-seed", defaults.trace_seed),
+        shard_id: args.opt("shard-id"),
     };
-    let handle = match ServerHandle::start(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve: cannot bind: {e}");
-            eprintln!("{SERVE_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let handle =
+        ServerHandle::start(cfg).unwrap_or_else(|e| args.die(&format!("serve: cannot bind: {e}")));
     // The line CI (and humans) parse for the ephemeral port.
     println!("fastmm serve listening on {}", handle.addr());
     use std::io::Write as _;
@@ -1160,74 +1147,58 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_loadgen(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_loadgen(args: &Args) -> ExitCode {
     use fastmm::serve::{loadgen, LoadgenConfig};
-    let Some(addr) = flags.get("addr") else {
-        eprintln!("loadgen: --addr <host:port> is required");
-        eprintln!("{LOADGEN_USAGE}");
-        return ExitCode::from(2);
+    let Some(addr) = args.opt("addr") else {
+        args.die("loadgen: --addr <host:port> is required");
     };
     let defaults = LoadgenConfig::default();
     let cfg = LoadgenConfig {
-        addr: addr.clone(),
-        conns: get_usize(flags, "conns", defaults.conns).max(1),
-        requests: get_usize(flags, "requests", defaults.requests),
-        seed: get_usize(flags, "seed", defaults.seed as usize) as u64,
-        poison_pct: get_usize(flags, "poison-pct", defaults.poison_pct as usize) as u64,
-        oversized_pct: get_usize(flags, "oversized-pct", defaults.oversized_pct as usize) as u64,
-        tiny_deadline_pct: get_usize(
-            flags,
-            "tiny-deadline-pct",
-            defaults.tiny_deadline_pct as usize,
-        ) as u64,
-        expensive_pct: get_usize(flags, "expensive-pct", defaults.expensive_pct as usize) as u64,
-        deadline_ms: get_usize(flags, "deadline-ms", defaults.deadline_ms as usize) as u64,
+        addr,
+        conns: args.get("conns", defaults.conns).max(1),
+        requests: args.get("requests", defaults.requests),
+        seed: args.get("seed", defaults.seed),
+        poison_pct: args.get("poison-pct", defaults.poison_pct),
+        oversized_pct: args.get("oversized-pct", defaults.oversized_pct),
+        tiny_deadline_pct: args.get("tiny-deadline-pct", defaults.tiny_deadline_pct),
+        expensive_pct: args.get("expensive-pct", defaults.expensive_pct),
+        deadline_ms: args.get("deadline-ms", defaults.deadline_ms),
         oversized_bytes: defaults.oversized_bytes,
-        burst: flags.get("burst").map(|_| get_usize(flags, "burst", 64)),
-        shutdown: flags.contains_key("shutdown"),
-        fleet: flags.contains_key("fleet"),
-        kill_shard_after: flags
-            .get("kill-shard-after")
-            .map(|_| get_usize(flags, "kill-shard-after", 0)),
-        stall_shard_after: flags
-            .get("stall-shard-after")
-            .map(|_| get_usize(flags, "stall-shard-after", 0)),
-        reconnect: get_usize(flags, "reconnect", 0) as u32,
-        kill_router_after: flags
-            .get("kill-router-after")
-            .map(|_| get_usize(flags, "kill-router-after", 0)),
+        burst: args.opt("burst"),
+        shutdown: args.flag("shutdown"),
+        fleet: args.flag("fleet"),
+        kill_shard_after: args.opt("kill-shard-after"),
+        stall_shard_after: args.opt("stall-shard-after"),
+        reconnect: args.get("reconnect", 0),
+        kill_router_after: args.opt("kill-router-after"),
     };
-    if cfg.kill_shard_after.is_some() && !cfg.fleet {
-        die(
+    for (wrong, message) in [
+        (
+            cfg.kill_shard_after.is_some() && !cfg.fleet,
             "--kill-shard-after is a fleet chaos flag; add --fleet",
-            LOADGEN_USAGE,
-        );
-    }
-    if cfg.stall_shard_after.is_some() && !cfg.fleet {
-        die(
+        ),
+        (
+            cfg.stall_shard_after.is_some() && !cfg.fleet,
             "--stall-shard-after is a fleet chaos flag; add --fleet",
-            LOADGEN_USAGE,
-        );
-    }
-    if cfg.kill_router_after.is_some() && !cfg.fleet {
-        die(
+        ),
+        (
+            cfg.kill_router_after.is_some() && !cfg.fleet,
             "--kill-router-after is a fleet chaos flag; add --fleet",
-            LOADGEN_USAGE,
-        );
-    }
-    if cfg.kill_router_after.is_some() && cfg.reconnect == 0 {
-        die(
+        ),
+        (
+            cfg.kill_router_after.is_some() && cfg.reconnect == 0,
             "--kill-router-after needs --reconnect N so workers survive the router's death",
-            LOADGEN_USAGE,
-        );
-    }
-    if cfg.fleet && cfg.burst.is_some() {
+        ),
         // The burst phase leans on pause/resume, which the router
         // rejects (queue discipline is per-shard, not fleet-wide).
-        die(
+        (
+            cfg.fleet && cfg.burst.is_some(),
             "--burst drives a single server's pause/resume; drop it with --fleet",
-            LOADGEN_USAGE,
-        );
+        ),
+    ] {
+        if wrong {
+            args.die(message);
+        }
     }
     match loadgen::run(&cfg) {
         Ok(summary) => {
@@ -1332,180 +1303,135 @@ fn spawn_shard(
     });
     Ok((addr, child))
 }
-
 /// `fastmm fleet` — spawn (or attach to) N shards, run the router in the
 /// foreground, and at drain time assert the fleet-wide conservation law
 /// plus every acked shard's own law.
-fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_fleet(args: &Args) -> ExitCode {
     use fastmm::router::{journal, RouterConfig, RouterHandle, ShardSpawner, StartOptions};
-    let defaults = RouterConfig::default();
-    // The spawned shards' own sizing.
-    let shard_defaults = fastmm::serve::ServerConfig::default();
     // --resume loads the journal up front: the header fixes the shard
     // addresses and the seed (ring geometry must match the dead router's),
     // and the records rebuild counters + the in-flight set.
-    let resume: Option<(String, journal::Header, fastmm::router::Replay)> =
-        match flags.get("resume") {
-            Some(path) => {
-                if flags.contains_key("attach") {
-                    die(
-                        "--resume replays the journal's recorded shard addresses; drop --attach",
-                        FLEET_USAGE,
+    let resume = args.str("resume").map(|path| {
+        if args.flag("attach") {
+            args.die("--resume replays the journal's recorded shard addresses; drop --attach");
+        }
+        match journal::load_lenient(path) {
+            Ok((header, records, torn)) => {
+                if let Some(t) = torn {
+                    eprintln!(
+                        "fleet: journal tail torn at line {} ({}); dropped",
+                        t.line, t.detail
                     );
                 }
-                match journal::load_lenient(path) {
-                    Ok((header, records, torn)) => {
-                        if let Some(t) = torn {
-                            eprintln!(
-                                "fleet: journal tail torn at line {} ({}); dropped",
-                                t.line, t.detail
-                            );
-                        }
-                        Some((path.clone(), header, journal::replay(&records)))
-                    }
-                    Err(e) => {
-                        eprintln!("fleet: cannot resume: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
+                (path.to_string(), header, journal::replay(&records))
             }
-            None => None,
-        };
-    let seed = match &resume {
-        Some((_, header, _)) => get_u64(flags, "seed", header.seed),
-        None => get_u64(flags, "seed", 0),
-    };
-    // Gray-failure flags are validated BEFORE any shard is spawned: a
-    // die() below this point would orphan shard children still holding
-    // our stderr pipe, wedging callers that wait on it.
-    let chaos_link = match flags.get("chaos-link") {
-        Some(spec) => match fastmm::faults::LinkChaosSpec::parse(spec) {
-            Ok(s) => Some(s),
-            Err(e) => die(&format!("--chaos-link: {e}"), FLEET_USAGE),
-        },
-        None => None,
-    };
-    // Hedging defaults on (auto p95 delay) exactly when the chaos link
-    // layer is active — gray failures are what hedges exist for — and
-    // off otherwise, keeping clean-fleet runs byte-stable. --hedge-ms
-    // overrides either way (0 = off, N = fixed delay).
-    let hedge_ms = match flags.get("hedge-ms") {
-        Some(_) => Some(get_u64(flags, "hedge-ms", 0)),
-        None if chaos_link.is_some() => None,
-        None => Some(0),
-    };
-    let retry_budget_pct = get_u64(flags, "retry-budget-pct", defaults.retry_budget_pct as u64);
+            Err(e) => args.die(&format!("fleet: cannot resume: {e}")),
+        }
+    });
+    let seed = args.get(
+        "seed",
+        resume.as_ref().map_or(0, |(_, header, _)| header.seed),
+    );
+    // Every flag is parsed BEFORE any shard is spawned: a die() after
+    // that point would orphan shard children still holding our stderr
+    // pipe, wedging callers that wait on it.
+    let chaos_link = args.str("chaos-link").map(|spec| {
+        fastmm::faults::LinkChaosSpec::parse(spec)
+            .unwrap_or_else(|e| args.die(&format!("--chaos-link: {e}")))
+    });
+    let defaults = RouterConfig::default();
+    let retry_budget_pct = args.get("retry-budget-pct", defaults.retry_budget_pct);
     if retry_budget_pct > 100 {
-        die(
-            &format!("--retry-budget-pct must be 0..=100, got {retry_budget_pct}"),
-            FLEET_USAGE,
-        );
+        args.die(&format!(
+            "--retry-budget-pct must be 0..=100, got {retry_budget_pct}"
+        ));
     }
-    let eject_k = match flags.get("eject-k") {
-        Some(v) => match v.parse::<f64>() {
-            Ok(k) if k > 1.0 => k,
-            _ => die(
-                &format!("--eject-k must be a multiplier greater than 1, got '{v}'"),
-                FLEET_USAGE,
-            ),
-        },
-        None => defaults.eject_k,
-    };
-    let (shard_addrs, procs): (Vec<String>, Vec<Option<std::process::Child>>) =
-        if let Some((_, header, _)) = &resume {
-            let procs = header.shard_addrs.iter().map(|_| None).collect();
-            (header.shard_addrs.clone(), procs)
-        } else if let Some(list) = flags.get("attach") {
-            let addrs: Vec<String> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(str::to_string)
-                .collect();
-            if addrs.is_empty() {
-                die("--attach expects host:port[,host:port...]", FLEET_USAGE);
-            }
-            let procs = addrs.iter().map(|_| None).collect();
-            (addrs, procs)
-        } else {
-            let shards = get_usize(flags, "shards", 3);
-            if shards == 0 {
-                die("--shards must be at least 1", FLEET_USAGE);
-            }
-            let queue_depth = get_usize(flags, "queue-depth", shard_defaults.queue_depth).max(1);
-            let workers = get_usize(flags, "workers", shard_defaults.workers).max(1);
-            let metrics_dir = flags.get("shard-metrics-dir").map(String::as_str);
-            let mut addrs = Vec::with_capacity(shards);
-            let mut procs: Vec<Option<std::process::Child>> = Vec::with_capacity(shards);
-            for idx in 0..shards {
-                match spawn_shard(idx, queue_depth, workers, seed, metrics_dir) {
-                    Ok((addr, child)) => {
-                        addrs.push(addr);
-                        procs.push(Some(child));
-                    }
-                    Err(e) => {
-                        for p in procs.iter_mut().flatten() {
-                            let _ = p.kill();
-                            let _ = p.wait();
-                        }
-                        eprintln!("fleet: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            (addrs, procs)
-        };
-    let n = shard_addrs.len();
-    let supervise = flags.contains_key("supervise");
-    let spawner: Option<ShardSpawner> = if supervise {
-        let queue_depth = get_usize(flags, "queue-depth", shard_defaults.queue_depth).max(1);
-        let workers = get_usize(flags, "workers", shard_defaults.workers).max(1);
-        let metrics_dir = flags.get("shard-metrics-dir").cloned();
-        Some(std::sync::Arc::new(move |idx: usize| {
-            spawn_shard(idx, queue_depth, workers, seed, metrics_dir.as_deref())
-                .map(|(addr, child)| (addr, Some(child)))
-        }))
-    } else {
-        None
-    };
-    let cfg = RouterConfig {
-        addr: flags.get("addr").cloned().unwrap_or(defaults.addr),
-        shard_addrs,
+    let mut cfg = RouterConfig {
+        addr: args.get("addr", defaults.addr),
+        shard_addrs: Vec::new(),
         seed,
-        default_deadline_ms: flags
-            .get("default-deadline-ms")
-            .map(|_| get_u64(flags, "default-deadline-ms", 0)),
-        max_line_bytes: get_usize(flags, "max-line-bytes", defaults.max_line_bytes).max(1),
-        poll_ms: get_u64(flags, "probe-interval-ms", defaults.poll_ms),
-        max_attempts: get_u64(flags, "max-attempts", defaults.max_attempts as u64).max(1) as u32,
-        supervise,
-        breaker_k: get_u64(flags, "breaker-k", defaults.breaker_k as u64).max(1) as u32,
-        breaker_window_ms: get_u64(flags, "breaker-window-ms", defaults.breaker_window_ms).max(1),
-        journal_path: flags
-            .get("journal")
-            .cloned()
+        default_deadline_ms: args.opt("default-deadline-ms"),
+        max_line_bytes: args.get("max-line-bytes", defaults.max_line_bytes).max(1),
+        poll_ms: args.get("probe-interval-ms", defaults.poll_ms),
+        max_attempts: args.get("max-attempts", defaults.max_attempts).max(1),
+        supervise: args.flag("supervise"),
+        breaker_k: args.get("breaker-k", defaults.breaker_k).max(1),
+        breaker_window_ms: args
+            .get("breaker-window-ms", defaults.breaker_window_ms)
+            .max(1),
+        journal_path: args
+            .opt("journal")
             .or_else(|| resume.as_ref().map(|(path, _, _)| path.clone())),
         allow_kill_router: true,
+        // Hedging defaults on (auto p95 delay) exactly when the chaos
+        // link layer is active — gray failures are what hedges exist for
+        // — and off otherwise, keeping clean-fleet runs byte-stable.
+        // --hedge-ms overrides either way (0 = off, N = fixed delay).
+        hedge_ms: args.opt("hedge-ms").or(chaos_link.is_none().then_some(0)),
         chaos_link,
-        hedge_ms,
-        retry_budget_pct: retry_budget_pct as u32,
-        eject_k,
-        eject_probation_ms: get_u64(flags, "eject-probation-ms", defaults.eject_probation_ms)
+        retry_budget_pct,
+        eject_k: args
+            .opt_with("eject-k", "a multiplier greater than 1", |v| {
+                v.parse().ok().filter(|k: &f64| *k > 1.0)
+            })
+            .unwrap_or(defaults.eject_k),
+        eject_probation_ms: args
+            .get("eject-probation-ms", defaults.eject_probation_ms)
             .max(1),
     };
+    // The spawned shards' own sizing, for the first spawn and for every
+    // --supervise respawn.
+    let shard_defaults = fastmm::serve::ServerConfig::default();
+    let queue_depth = args.get("queue-depth", shard_defaults.queue_depth).max(1);
+    let workers = args.get("workers", shard_defaults.workers).max(1);
+    let metrics_dir: Option<String> = args.opt("shard-metrics-dir");
+    let spawn: ShardSpawner = std::sync::Arc::new(move |idx: usize| {
+        spawn_shard(idx, queue_depth, workers, seed, metrics_dir.as_deref())
+            .map(|(addr, child)| (addr, Some(child)))
+    });
+    let mut procs: Vec<Option<std::process::Child>> = Vec::new();
+    if let Some((_, header, _)) = &resume {
+        cfg.shard_addrs = header.shard_addrs.clone();
+    } else if let Some(list) = args.str("attach") {
+        cfg.shard_addrs = list
+            .split(',')
+            .map(str::trim)
+            .filter(|a| !a.is_empty())
+            .map(str::to_string)
+            .collect();
+        if cfg.shard_addrs.is_empty() {
+            args.die("--attach expects host:port[,host:port...]");
+        }
+    } else {
+        let shards = args.get("shards", 3);
+        if shards == 0 {
+            args.die("--shards must be at least 1");
+        }
+        for idx in 0..shards {
+            match spawn(idx) {
+                Ok((addr, child)) => {
+                    cfg.shard_addrs.push(addr);
+                    procs.push(child);
+                }
+                Err(e) => {
+                    for p in procs.iter_mut().flatten() {
+                        let _ = p.kill();
+                        let _ = p.wait();
+                    }
+                    args.die(&format!("fleet: {e}"));
+                }
+            }
+        }
+    }
+    procs.resize_with(cfg.shard_addrs.len(), || None);
+    let n = cfg.shard_addrs.len();
     let opts = StartOptions {
         procs,
-        spawner,
+        spawner: cfg.supervise.then_some(spawn),
         resume: resume.map(|(_, _, replay)| replay),
     };
-    let handle = match RouterHandle::start_with(cfg, opts) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("fleet: cannot start router: {e}");
-            eprintln!("{FLEET_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let handle = RouterHandle::start_with(cfg, opts)
+        .unwrap_or_else(|e| args.die(&format!("fleet: cannot start router: {e}")));
     // The line CI (and humans) parse for the ephemeral port.
     println!("fastmm fleet listening on {} ({n} shards)", handle.addr());
     use std::io::Write as _;
@@ -1556,178 +1482,32 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    if cmd == "report" {
-        return match &args[1..] {
-            [path] if !path.starts_with("--") => cmd_report(path),
-            [traces, path, rest @ ..] if traces == "--traces" && !path.starts_with("--") => {
-                let top = match rest {
-                    [] => 5,
-                    [flag, k] if flag == "--top" => k.parse().unwrap_or_else(|_| {
-                        eprintln!("--top expects a number, got '{k}'");
-                        std::process::exit(2);
-                    }),
-                    _ => {
-                        eprintln!("{REPORT_USAGE}");
-                        return ExitCode::from(2);
-                    }
-                };
-                cmd_report_traces(path, top)
-            }
-            _ => {
-                eprintln!("{REPORT_USAGE}");
-                ExitCode::from(2)
-            }
-        };
+#[cfg(test)]
+mod tests {
+    use super::COMMANDS;
+    use std::collections::BTreeSet;
+
+    /// Every `--name` that `text` mentions.
+    fn flag_names(text: &str) -> BTreeSet<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
     }
-    if cmd == "bench" {
-        return cmd_bench(&args[1..]);
-    }
-    if cmd == "sweep" {
-        // The verbs parse their own flags; --metrics still works globally.
-        let metrics = args
-            .iter()
-            .position(|a| a == "--metrics")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        if metrics.is_some() {
-            fastmm::obs::set_level(fastmm::obs::Level::Full);
-        }
-        let code = cmd_sweep(&args[1..]);
-        if let Some(path) = metrics {
-            if !write_metrics(&path) {
-                return ExitCode::from(2);
-            }
-        }
-        return code;
-    }
-    let (allowed, usage): (&[&str], &str) = match cmd.as_str() {
-        "multiply" => (&["alg", "n", "cutoff", "seed"], USAGE),
-        "kernel" => (
-            &["alg", "n", "cutoff", "threads", "dtype", "seed", "check"],
-            KERNEL_USAGE,
-        ),
-        "bounds" => (&["n", "m", "p"], USAGE),
-        "verify" => (&["n"], USAGE),
-        "io" => (&["alg", "n", "m", "seed", "policy", "faults"], USAGE),
-        "faults" => (
-            &[
-                "schedule", "alg", "n", "p", "levels", "spec", "recovery", "seed",
-            ],
-            FAULTS_USAGE,
-        ),
-        "pebble" => (
-            &[
-                "family", "m", "optimal", "len", "leaves", "rows", "cols", "n",
-            ],
-            USAGE,
-        ),
-        "dot" => (&["alg", "n", "out"], USAGE),
-        "serve" => (
-            &[
-                "addr",
-                "queue-depth",
-                "workers",
-                "default-deadline-ms",
-                "max-line-bytes",
-                "trace-seed",
-                "shard-id",
-                "span-id-base",
-            ],
-            SERVE_USAGE,
-        ),
-        "fleet" => (
-            &[
-                "shards",
-                "addr",
-                "queue-depth",
-                "workers",
-                "seed",
-                "default-deadline-ms",
-                "max-line-bytes",
-                "probe-interval-ms",
-                "max-attempts",
-                "attach",
-                "shard-metrics-dir",
-                "supervise",
-                "breaker-k",
-                "breaker-window-ms",
-                "journal",
-                "resume",
-                "chaos-link",
-                "hedge-ms",
-                "retry-budget-pct",
-                "eject-k",
-                "eject-probation-ms",
-            ],
-            FLEET_USAGE,
-        ),
-        "loadgen" => (
-            &[
-                "addr",
-                "conns",
-                "requests",
-                "seed",
-                "poison-pct",
-                "oversized-pct",
-                "tiny-deadline-pct",
-                "expensive-pct",
-                "deadline-ms",
-                "burst",
-                "shutdown",
-                "fleet",
-                "kill-shard-after",
-                "stall-shard-after",
-                "reconnect",
-                "kill-router-after",
-            ],
-            LOADGEN_USAGE,
-        ),
-        other => {
-            eprintln!("unknown command '{other}'");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let flags = parse_flags(&args[1..], allowed, usage);
-    if flags.contains_key("metrics") {
-        fastmm::obs::set_level(fastmm::obs::Level::Full);
-    }
-    let code = match cmd.as_str() {
-        "multiply" => {
-            cmd_multiply(&flags);
-            ExitCode::SUCCESS
-        }
-        "kernel" => cmd_kernel(&flags),
-        "bounds" => {
-            cmd_bounds(&flags);
-            ExitCode::SUCCESS
-        }
-        "verify" => cmd_verify(&flags),
-        "io" => {
-            cmd_io(&flags);
-            ExitCode::SUCCESS
-        }
-        "faults" => cmd_faults(&flags),
-        "pebble" => {
-            cmd_pebble(&flags);
-            ExitCode::SUCCESS
-        }
-        "dot" => cmd_dot(&flags),
-        "serve" => cmd_serve(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        _ => unreachable!("command validated above"),
-    };
-    if let Some(path) = flags.get("metrics") {
-        if !write_metrics(path) {
-            return ExitCode::from(2);
+
+    #[test]
+    fn every_usage_names_exactly_its_flags() {
+        for cmd in COMMANDS {
+            let mut named = flag_names(cmd.usage);
+            // The global flag every command takes.
+            named.remove("metrics");
+            let flags: BTreeSet<&str> = cmd.flags.iter().copied().collect();
+            assert_eq!(named, flags, "usage of '{}'", cmd.name);
         }
     }
-    code
 }

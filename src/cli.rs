@@ -1,134 +1,278 @@
 //! Shared CLI plumbing for the `fastmm` subcommands.
 //!
-//! Every subcommand (`serve`, `loadgen`, `bench`, `sweep`, `fleet`, …)
-//! parses the same `--flag [value]` grammar, wants the same "unknown flag
-//! fails loudly" behaviour, and reports usage errors the same way: one
-//! line on stderr, the relevant usage text, exit status 2. Those helpers
-//! accreted as near-identical copies inside `src/bin/fastmm.rs`; this
-//! module is the single shared implementation.
+//! `fastmm` is a table of [`Command`]s, one per subcommand and per verb
+//! (`serve`, `bench run`, `sweep diff`, …), and [`run`] is the one path
+//! every invocation takes: look up the command, parse its flags into an
+//! [`Args`] (unknown flags fail loudly), turn on full telemetry under
+//! `--metrics`, run it, and write the metrics. Usage errors are reported
+//! the same way everywhere: one line on stderr, the command's usage text,
+//! exit status 2.
 //!
 //! Exit-2 semantics are deliberate: status 2 means "the command line was
 //! wrong", distinct from status 1 ("the command ran and its invariants
 //! failed"). CI scripts lean on the distinction.
 
 use std::collections::HashMap;
+use std::process::ExitCode;
+use std::str::FromStr;
+
+/// One `fastmm` subcommand or verb.
+pub struct Command {
+    /// `"kernel"`, or `"<group> <verb>"` such as `"bench run"`.
+    pub name: &'static str,
+    /// The `--flags` it accepts besides the global `--metrics`, in the
+    /// order an unknown-flag error lists them.
+    pub flags: &'static [&'static str],
+    /// Whether it takes one positional argument.
+    pub positional: bool,
+    /// Printed, as written, after every usage error.
+    pub usage: &'static str,
+    /// Runs the command; its exit code is the process's.
+    pub run: fn(&Args) -> ExitCode,
+}
+
+impl Command {
+    /// A command that takes flags only.
+    pub const fn new(
+        name: &'static str,
+        flags: &'static [&'static str],
+        usage: &'static str,
+        run: fn(&Args) -> ExitCode,
+    ) -> Command {
+        Command {
+            name,
+            flags,
+            positional: false,
+            usage,
+            run,
+        }
+    }
+}
+
+/// The `fastmm` entry point: dispatch `argv` (without the program name)
+/// to its entry in `table`.
+pub fn run(table: &[Command], argv: &[String]) -> ExitCode {
+    let mut groups: Vec<&str> = table.iter().map(|c| group(c.name)).collect();
+    groups.dedup();
+    let usage = format!(
+        "usage: fastmm <{}> [flags]
+       global flags: --metrics <path.jsonl>  (collect full telemetry, write JSONL on exit)",
+        groups.join("|")
+    );
+    let Some(first) = argv.first() else {
+        die("missing command", &usage);
+    };
+    let verbs: Vec<&Command> = table.iter().filter(|c| group(c.name) == first).collect();
+    let (cmd, rest) = match verbs[..] {
+        [] => die(&format!("unknown command '{first}'"), &usage),
+        [cmd] if cmd.name == first => (cmd, &argv[1..]),
+        _ => {
+            let usage: Vec<&str> = verbs.iter().map(|c| c.usage).collect();
+            let usage = usage.join("\n");
+            let Some(verb) = argv.get(1) else {
+                die(&format!("missing {first} verb"), &usage);
+            };
+            let name = format!("{first} {verb}");
+            match verbs.iter().find(|c| c.name == name) {
+                Some(cmd) => (*cmd, &argv[2..]),
+                None => die(&format!("unknown {first} verb '{verb}'"), &usage),
+            }
+        }
+    };
+    let args = Args::parse(cmd, rest);
+    let metrics = args.path("metrics");
+    if metrics.is_some() {
+        fmm_obs::set_level(fmm_obs::Level::Full);
+    }
+    let code = (cmd.run)(&args);
+    let Some(path) = metrics else {
+        return code;
+    };
+    // `parse` validated the path up front, so this only fails if the
+    // destination vanished mid-run.
+    match std::fs::write(path, fmm_obs::global().to_jsonl()) {
+        Ok(()) => {
+            eprintln!("metrics written to {path}");
+            code
+        }
+        Err(e) => {
+            eprintln!("cannot write metrics to '{path}': {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// `"bench"` for `"bench run"`; a plain command is its own group.
+fn group(name: &str) -> &str {
+    name.split_once(' ').map_or(name, |(group, _)| group)
+}
 
 /// One-line error + usage text, then exit 2. Never returns.
-pub fn die(message: &str, usage: &str) -> ! {
+fn die(message: &str, usage: &str) -> ! {
     eprintln!("{message}");
     eprintln!("{usage}");
     std::process::exit(2);
 }
 
-/// Parse `--flag [value]` pairs, rejecting anything not in `allowed` — a
-/// misspelled flag must fail loudly, not silently run with defaults.
-/// Exits with status 2 (printing `usage`) on an unknown flag or a stray
-/// positional argument.
-///
-/// The global `--metrics <path>` flag is always accepted; its path is
-/// validated up front (fail fast on an unwritable destination instead of
-/// running the whole command and losing the telemetry at exit).
-pub fn parse_flags(args: &[String], allowed: &[&str], usage: &str) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let Some(name) = a.strip_prefix("--") else {
-            die(&format!("unexpected argument '{a}'"), usage);
+/// One command's parsed `--flag [value]` pairs (plus, for a command that
+/// takes one, its positional argument). Every accessor that rejects a
+/// value exits 2 through [`Args::die`].
+pub struct Args {
+    command: &'static str,
+    usage: &'static str,
+    /// `None` for a flag given without a value.
+    flags: HashMap<String, Option<String>>,
+    positional: Option<String>,
+}
+
+impl Args {
+    /// Parse `args` for `cmd`, rejecting any flag not in its list — a
+    /// misspelled flag must fail loudly, not silently run with defaults —
+    /// and any positional argument unless it takes one.
+    ///
+    /// The global `--metrics <path>` flag is always accepted; its path is
+    /// validated up front (fail fast on an unwritable destination instead
+    /// of running the whole command and losing the telemetry at exit).
+    pub fn parse(cmd: &Command, args: &[String]) -> Args {
+        let mut parsed = Args {
+            command: cmd.name,
+            usage: cmd.usage,
+            flags: HashMap::new(),
+            positional: None,
         };
-        if name != "metrics" && !allowed.contains(&name) {
-            let expected: Vec<String> = std::iter::once("--metrics".to_string())
-                .chain(allowed.iter().map(|f| format!("--{f}")))
-                .collect();
-            die(
-                &format!(
+        let mut it = args.iter().peekable();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                if cmd.positional && parsed.positional.is_none() {
+                    parsed.positional = Some(a.clone());
+                    continue;
+                }
+                parsed.die(&format!("unexpected argument '{a}'"));
+            };
+            if name != "metrics" && !cmd.flags.contains(&name) {
+                let expected: Vec<String> = std::iter::once("--metrics".to_string())
+                    .chain(cmd.flags.iter().map(|f| format!("--{f}")))
+                    .collect();
+                parsed.die(&format!(
                     "unknown flag '--{name}' (expected one of: {})",
                     expected.join(", ")
-                ),
-                usage,
-            );
+                ));
+            }
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            parsed.flags.insert(name.to_string(), value);
         }
-        let value = match it.next_if(|v| !v.starts_with("--")) {
-            Some(v) => v.clone(),
-            None => "true".to_string(),
-        };
-        flags.insert(name.to_string(), value);
+        if let Some(path) = parsed.path("metrics") {
+            // Append mode so the probe never clobbers an existing file.
+            if let Err(e) = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+            {
+                parsed.die(&format!("cannot open metrics path '{path}': {e}"));
+            }
+        }
+        parsed
     }
-    if flags.get("metrics").map(String::as_str) == Some("true") {
-        die("--metrics expects a file path", usage);
+
+    /// The command these arguments belong to, e.g. `"sweep run"`.
+    pub fn command(&self) -> &'static str {
+        self.command
     }
-    if let Some(path) = flags.get("metrics") {
-        // Append mode so the probe never clobbers an existing file.
-        if let Err(e) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            die(&format!("cannot open metrics path '{path}': {e}"), usage);
+
+    /// One-line error + this command's usage, then exit 2.
+    pub fn die(&self, message: &str) -> ! {
+        die(message, self.usage)
+    }
+
+    /// Whether `--key` was given at all (a boolean flag).
+    pub fn flag(&self, key: &str) -> bool {
+        self.flags.contains_key(key)
+    }
+
+    /// The raw value of `--key`; a flag given bare reads as `"true"`.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        self.flags.get(key).map(|v| v.as_deref().unwrap_or("true"))
+    }
+
+    /// `--key <path>`; exits 2 when the flag is given without a value.
+    pub fn path(&self, key: &str) -> Option<&str> {
+        match self.flags.get(key) {
+            Some(None) => self.die(&format!("--{key} expects a file path")),
+            Some(Some(v)) => Some(v),
+            None => None,
         }
     }
-    flags
-}
 
-/// `--key <number>` with a default; exits 2 on a non-numeric value.
-pub fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} expects a number, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(default)
-}
+    /// The positional argument, for the one command that takes it.
+    pub fn positional(&self) -> Option<&str> {
+        self.positional.as_deref()
+    }
 
-/// `--key <u64>` with a default; exits 2 on a non-numeric value.
-pub fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> u64 {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} expects a number, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(default)
-}
+    /// `--key` through `parse`; exits 2 with "--key expects `expected`"
+    /// when `parse` rejects the value.
+    pub fn opt_with<T>(
+        &self,
+        key: &str,
+        expected: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let v = self.str(key)?;
+        Some(
+            parse(v).unwrap_or_else(|| self.die(&format!("--{key} expects {expected}, got '{v}'"))),
+        )
+    }
 
-/// A flag the subcommand cannot run without; exits 2 when absent.
-pub fn require(flags: &HashMap<String, String>, key: &str, what: &str, usage: &str) -> String {
-    flags
-        .get(key)
-        .cloned()
-        .unwrap_or_else(|| die(&format!("{what} requires --{key}"), usage))
+    /// `--key <value>` if given; exits 2 on a value `T` cannot parse.
+    pub fn opt<T: FromStr>(&self, key: &str) -> Option<T> {
+        self.opt_with(key, "a number", |v| v.parse().ok())
+    }
+
+    /// `--key <value>` with a default; exits 2 on an unparsable value.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.opt(key).unwrap_or(default)
+    }
+
+    /// A flag the command cannot run without; exits 2 when absent.
+    pub fn req<T: FromStr>(&self, key: &str) -> T {
+        self.opt(key)
+            .unwrap_or_else(|| self.die(&format!("{} requires --{key}", self.command)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn parse(list: &[&str], flags: &'static [&'static str]) -> Args {
+        let cmd = Command {
+            name: "test",
+            flags,
+            positional: false,
+            usage: "usage",
+            run: |_| ExitCode::SUCCESS,
+        };
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        Args::parse(&cmd, &args)
     }
 
     #[test]
     fn flags_parse_values_and_bare_booleans() {
-        let flags = parse_flags(
-            &args(&["--n", "32", "--verbose", "--seed", "7"]),
+        let args = parse(
+            &["--n", "32", "--verbose", "--seed", "7"],
             &["n", "verbose", "seed"],
-            "usage",
         );
-        assert_eq!(flags["n"], "32");
-        assert_eq!(flags["verbose"], "true");
-        assert_eq!(flags["seed"], "7");
+        assert_eq!(args.str("n"), Some("32"));
+        assert_eq!(args.str("verbose"), Some("true"));
+        assert!(args.flag("verbose"));
+        assert_eq!(args.str("seed"), Some("7"));
     }
 
     #[test]
     fn numeric_getters_fall_back_to_defaults() {
-        let flags = parse_flags(&args(&["--n", "32"]), &["n"], "usage");
-        assert_eq!(get_usize(&flags, "n", 0), 32);
-        assert_eq!(get_usize(&flags, "m", 96), 96);
-        assert_eq!(get_u64(&flags, "seed", 61453), 61453);
+        let args = parse(&["--n", "32"], &["n"]);
+        assert_eq!(args.get::<usize>("n", 0), 32);
+        assert_eq!(args.get::<usize>("m", 96), 96);
+        assert_eq!(args.get::<u64>("seed", 61453), 61453);
     }
 
     #[test]
@@ -136,8 +280,8 @@ mod tests {
         let dir = std::env::temp_dir().join("fastmm_cli_metrics_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.jsonl");
-        let flags = parse_flags(&args(&["--metrics", path.to_str().unwrap()]), &[], "usage");
-        assert!(flags.contains_key("metrics"));
+        let args = parse(&["--metrics", path.to_str().unwrap()], &[]);
+        assert!(args.flag("metrics"));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -263,3 +263,33 @@ fn bench_list_names_every_catalog_target() {
     }
     assert!(text.contains("from profile standard"));
 }
+
+#[test]
+fn metrics_flag_writes_a_file_report_can_render() {
+    let metrics = scratch("metrics.jsonl");
+    let rendered = scratch("report_metrics.jsonl");
+    let out = fastmm(&[
+        "bench",
+        "run",
+        "--profile",
+        "quick",
+        "--filter",
+        "memsim/lru/n32",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let written = std::fs::metadata(&metrics).map(|m| m.len()).unwrap_or(0);
+    assert!(written > 0, "bench run --metrics left an empty file");
+    // `report` takes --metrics like every other command.
+    let report = fastmm(&[
+        "report",
+        metrics.to_str().unwrap(),
+        "--metrics",
+        rendered.to_str().unwrap(),
+    ]);
+    assert!(report.status.success(), "stderr: {}", stderr(&report));
+    for p in [&metrics, &rendered] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -311,3 +311,136 @@ fn sweep_injected_hang_times_out_and_sweep_continues() {
     assert!(stdout(&out).contains("1 timed out"), "{}", stdout(&out));
     let _ = std::fs::remove_file(&out_path);
 }
+
+#[test]
+fn every_command_rejects_an_unknown_flag_with_its_own_usage() {
+    for cmd in [
+        "multiply",
+        "kernel",
+        "bounds",
+        "verify",
+        "io",
+        "faults",
+        "pebble",
+        "dot",
+        "report",
+        "bench run",
+        "bench diff",
+        "bench list",
+        "sweep run",
+        "sweep resume",
+        "sweep report",
+        "sweep diff",
+        "sweep specs",
+        "serve",
+        "fleet",
+        "loadgen",
+    ] {
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        args.push("--zzz");
+        let out = fastmm(&args);
+        assert_exit_2_clean(&out);
+        let err = stderr(&out);
+        assert!(err.contains("unknown flag '--zzz'"), "{cmd}: {err}");
+        assert!(
+            err.contains(&format!("usage: fastmm {cmd}")),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
+fn every_schedule_recovers_the_fault_free_product_and_writes_metrics() {
+    for schedule in ["cannon", "3d", "caps", "cannon-threaded"] {
+        let metrics = scratch(&format!("faults_{schedule}.jsonl"));
+        let out = fastmm(&[
+            "faults",
+            "--schedule",
+            schedule,
+            "--spec",
+            "seed=7,crash=0.05,drop=0.02,dup=0.01,retries=8",
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{schedule}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("matches fault-free run"),
+            "{schedule}: {}",
+            stdout(&out)
+        );
+        let written = std::fs::metadata(&metrics).map(|m| m.len()).unwrap_or(0);
+        assert!(written > 0, "{schedule}: empty --metrics file");
+        let _ = std::fs::remove_file(&metrics);
+    }
+}
+
+#[test]
+fn checkpoint_recovery_survives_a_late_forced_crash() {
+    let out = fastmm(&[
+        "faults",
+        "--schedule",
+        "cannon",
+        "--n",
+        "16",
+        "--p",
+        "4",
+        "--spec",
+        "seed=7,crash@5:3",
+        "--recovery",
+        "checkpoint:1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("matches fault-free run"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn torn_checkpoint_after_a_hung_cell_resumes_to_completion() {
+    let path = scratch("torn_sweep.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let file = path.to_str().unwrap();
+    let out = fastmm(&[
+        "sweep",
+        "run",
+        "--spec",
+        "smoke",
+        "--out",
+        file,
+        "--jobs",
+        "2",
+        "--cell-timeout",
+        "500",
+        "--inject-hang",
+        "1:60000",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("1 timed out"), "{}", stdout(&out));
+    // A crash mid-append: tear the last checkpoint line.
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(len - 7)
+        .unwrap();
+    let out = fastmm(&[
+        "sweep",
+        "resume",
+        "--spec",
+        "smoke",
+        "--out",
+        file,
+        "--jobs",
+        "2",
+        "--cell-timeout",
+        "60000",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("0 remaining"), "{}", stdout(&out));
+    let out = fastmm(&["sweep", "report", "--file", file]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let _ = std::fs::remove_file(&path);
+}
