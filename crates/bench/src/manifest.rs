@@ -1,9 +1,11 @@
 //! The environment manifest embedded in every `fmm-bench/v1` document,
 //! so a benchmark number is never context-free: compiler, target triple,
 //! opt-level (captured by `build.rs` at compile time), CPU model and
-//! core count (from `/proc/cpuinfo` at run time), the git revision, and
-//! the `FMM_OBS` level the run executed under (telemetry is not free, so
-//! two runs at different levels are not comparable).
+//! core count (from `/proc/cpuinfo` at run time), the git revision, the
+//! micro-kernel `f64` multiplies run on (`kernel_isa`: `avx2+fma` or
+//! `portable`, picked at run time by `fmm-kernel`), and the `FMM_OBS`
+//! level the run executed under (telemetry is not free, so two runs at
+//! different levels are not comparable).
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -18,6 +20,10 @@ pub fn collect() -> BTreeMap<String, String> {
     m.insert("cpu_model".into(), model);
     m.insert("cpu_cores".into(), cores.to_string());
     m.insert("git_rev".into(), git_rev());
+    m.insert(
+        "kernel_isa".into(),
+        fmm_kernel::f64_kernel_isa().to_string(),
+    );
     m.insert(
         "fmm_obs".into(),
         format!("{:?}", fmm_obs::level()).to_ascii_lowercase(),
@@ -67,6 +73,7 @@ mod tests {
             "cpu_model",
             "cpu_cores",
             "git_rev",
+            "kernel_isa",
             "fmm_obs",
         ] {
             let v = m.get(key).unwrap_or_else(|| panic!("missing {key}"));

@@ -207,6 +207,59 @@ fn kernel_naive_n512() -> BTreeMap<String, String> {
     ])
 }
 
+/// Independent accumulator chains per roof pass, and steps per chain.
+const ROOF_LANES: usize = 64;
+const ROOF_STEPS: usize = 200_000;
+
+/// The multiply-add roof loop: `acc = acc·x + y` over [`ROOF_LANES`]
+/// independent chains, so the loop is bound by arithmetic, not latency
+/// or memory. `fused` picks the form each micro-kernel computes: a
+/// separate multiply and add (portable) or one fused multiply-add.
+#[inline(always)]
+fn roof_loop(fused: bool) -> [f64; ROOF_LANES] {
+    let x = std::hint::black_box([1.000_000_1f64; ROOF_LANES]);
+    let y = std::hint::black_box([1.0e-9f64; ROOF_LANES]);
+    let mut acc = [1.0f64; ROOF_LANES];
+    for _ in 0..ROOF_STEPS {
+        for l in 0..ROOF_LANES {
+            acc[l] = if fused {
+                acc[l].mul_add(x[l], y[l])
+            } else {
+                acc[l] * x[l] + y[l]
+            };
+        }
+    }
+    std::hint::black_box(acc)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn roof_loop_avx2() -> [f64; ROOF_LANES] {
+    roof_loop(true)
+}
+
+fn roof_extras() -> BTreeMap<String, String> {
+    extras(&[("flops", (2 * ROOF_LANES * ROOF_STEPS).to_string())])
+}
+
+/// The roof of the portable micro-kernel: the loop compiled for the
+/// build's baseline target (no AVX, no FMA).
+fn kernel_roof_portable() -> BTreeMap<String, String> {
+    roof_loop(false);
+    roof_extras()
+}
+
+/// The roof of the AVX2+FMA micro-kernel: the same loop under
+/// `#[target_feature(enable = "avx2,fma")]`, fused. Only in the catalog
+/// when the CPU has both features.
+#[cfg(target_arch = "x86_64")]
+fn kernel_roof_avx2() -> BTreeMap<String, String> {
+    // SAFETY: `all_targets` lists this target only when the CPU has
+    // AVX2 and FMA.
+    unsafe { roof_loop_avx2() };
+    roof_extras()
+}
+
 /// The first few smoke-spec sweep cells, end to end (cell throughput).
 fn sweep_smoke_cells() -> BTreeMap<String, String> {
     let spec = fmm_sweep::SweepSpec::builtin("smoke").expect("smoke spec exists");
@@ -333,9 +386,10 @@ fn fleet_loadgen_e2e() -> BTreeMap<String, String> {
     ])
 }
 
-/// Every named target, in render order.
+/// Every named target this CPU can run, in render order
+/// (`kernel/roof/fma_avx2` needs AVX2 and FMA).
 pub fn all_targets() -> Vec<Target> {
-    vec![
+    let mut targets = vec![
         Target {
             name: "memsim/lru/n32_m1024",
             group: "memsim",
@@ -448,7 +502,25 @@ pub fn all_targets() -> Vec<Target> {
             min_profile: Profile::Quick,
             run: fleet_loadgen_e2e,
         },
-    ]
+        Target {
+            name: "kernel/roof/fma_portable",
+            group: "kernel",
+            tol: 0.35,
+            min_profile: Profile::Standard,
+            run: kernel_roof_portable,
+        },
+    ];
+    #[cfg(target_arch = "x86_64")]
+    if fmm_kernel::f64_kernel_isa() == "avx2+fma" {
+        targets.push(Target {
+            name: "kernel/roof/fma_avx2",
+            group: "kernel",
+            tol: 0.35,
+            min_profile: Profile::Standard,
+            run: kernel_roof_avx2,
+        });
+    }
+    targets
 }
 
 /// How a `bench run` is shaped.

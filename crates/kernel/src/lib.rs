@@ -12,8 +12,13 @@
 //!
 //! * [`Alg::Classical`] — cache-blocked classical multiplication. A
 //!   BLIS-style loop nest packs contiguous panels of A (`MC`×`KC`) and B
-//!   (`KC`×`NC`) and runs an autovectorizable [`MR`]-row micro-kernel over
-//!   them; C rows stay resident across the K sweep. With `threads > 1`,
+//!   (`KC`×`NC`) and runs a register-blocked [`MR`]×8 micro-kernel over
+//!   them: portable generic Rust for every scalar, or, for `f64` on an
+//!   x86-64 CPU with AVX2 and FMA (detected at run time, see
+//!   [`f64_kernel_isa`]), a `std::arch` fused multiply-add kernel. A fused
+//!   multiply-add rounds once, so general `f64` results may differ from
+//!   `multiply_naive` in the last bits; small-integer operands (every
+//!   benchmark, golden and checksum here) stay exact. With `threads > 1`,
 //!   `MC`-row panels of C are the work items.
 //! * [`Alg::Strassen`] — `fmm_core::catalog::strassen()` run by
 //!   `fmm-core`'s generic 2×2 recursion step ([`fmm_core::exec::step`])
@@ -40,6 +45,8 @@
 
 mod classical;
 mod fast;
+
+pub use classical::f64_kernel_isa;
 
 use fmm_faults::cancel;
 use fmm_matrix::{Matrix, Scalar};
@@ -106,7 +113,9 @@ impl Default for KernelCfg {
 pub struct Report {
     /// Nanoseconds spent gathering A/B tiles into contiguous panels.
     pub pack_ns: u64,
-    /// Micro-kernel invocations (each computes up to [`MR`]×[`NC`] of C).
+    /// `MR`-row groups the micro-kernel swept, one per (packed block,
+    /// group): each covers up to [`MR`]×[`NC`] of C, one register tile
+    /// per 8 columns.
     pub micro_tiles: u64,
     /// Classical leaf products run by the Strassen recursion (0 for a
     /// pure classical multiply).

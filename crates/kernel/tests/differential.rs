@@ -126,6 +126,37 @@ proptest! {
     }
 }
 
+/// A compatible pair whose shape crosses the 4×8 register tile's edges:
+/// MR = 4 row remainders, NR = 8 column remainders and the MC = 64 row
+/// panel, with the shared dimension past the KC = 256 depth block on
+/// about half the cases.
+fn tile_edge_pair() -> impl Strategy<Value = (Matrix<i64>, Matrix<i64>)> {
+    (1usize..=70, 1usize..=24, proptest::bool::ANY, 1usize..=140).prop_flat_map(
+        |(m, k, deep, n)| {
+            let k = if deep { k + 250 } else { k };
+            (int_matrix(m, k), int_matrix(k, n))
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn f64_tile_edges_are_exact_on_small_integers(
+        pair in tile_edge_pair(),
+        threads in 1usize..=3,
+    ) {
+        let (a, b) = pair;
+        // On this CPU this runs whichever f64 micro-kernel it selects
+        // (the fused AVX2 one where available); small integers keep every
+        // product and partial sum exact either way.
+        let exact = to_f64(&multiply_naive(&a, &b));
+        let (af, bf) = (to_f64(&a), to_f64(&b));
+        prop_assert_eq!(multiply(&cfg(Alg::Classical, 1, threads), &af, &bf), exact);
+    }
+}
+
 /// The two thread-leak tests scan `/proc/self/task` for the whole
 /// process, so they must not overlap with each other (the harness runs
 /// `#[test]`s concurrently).

@@ -36,11 +36,14 @@ pub fn join_quadrants<T: Scalar>(q: &[Matrix<T>; 4]) -> Matrix<T> {
             "quadrant shape mismatch"
         );
     }
-    Matrix::from_fn(2 * h, 2 * h, |i, j| {
-        let (qi, ri) = (i / h, i % h);
-        let (qj, rj) = (j / h, j % h);
-        q[qi * 2 + qj][(ri, rj)]
-    })
+    let mut data = Vec::with_capacity(4 * h * h);
+    for [left, right] in [[&q[0], &q[1]], [&q[2], &q[3]]] {
+        for i in 0..h {
+            data.extend_from_slice(left.row(i));
+            data.extend_from_slice(right.row(i));
+        }
+    }
+    Matrix::from_vec(2 * h, 2 * h, data)
 }
 
 /// Next power of two ≥ `n` (with `next_pow2(0) == 1`).
@@ -54,13 +57,11 @@ pub fn next_pow2(n: usize) -> usize {
 /// Panics if `size` is smaller than either dimension.
 pub fn pad_to<T: Scalar>(m: &Matrix<T>, size: usize) -> Matrix<T> {
     assert!(size >= m.rows() && size >= m.cols(), "pad size too small");
-    Matrix::from_fn(size, size, |i, j| {
-        if i < m.rows() && j < m.cols() {
-            m[(i, j)]
-        } else {
-            T::zero()
-        }
-    })
+    let mut p = Matrix::zeros(size, size);
+    for i in 0..m.rows() {
+        p.as_mut_slice()[i * size..i * size + m.cols()].copy_from_slice(m.row(i));
+    }
+    p
 }
 
 /// Zero-pad a matrix up to the next power-of-two square covering both
@@ -75,7 +76,7 @@ pub fn pad_pow2<T: Scalar>(m: &Matrix<T>) -> Matrix<T> {
 /// Panics if the corner exceeds the matrix.
 pub fn crop<T: Scalar>(m: &Matrix<T>, rows: usize, cols: usize) -> Matrix<T> {
     assert!(rows <= m.rows() && cols <= m.cols(), "crop exceeds matrix");
-    Matrix::from_fn(rows, cols, |i, j| m[(i, j)])
+    MatrixView::full(m).window(0, 0, rows, cols).to_matrix()
 }
 
 #[cfg(test)]
@@ -90,6 +91,41 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let m = Matrix::<i64>::random_small(8, 8, &mut rng);
         assert_eq!(join_quadrants(&split_quadrants(&m)), m);
+    }
+
+    #[test]
+    fn row_copy_helpers_match_the_elementwise_definitions() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for h in [1, 3, 8] {
+            let n = 2 * h;
+            let m = Matrix::<i64>::random_small(n, n, &mut rng);
+            let quads = split_quadrants(&m);
+            assert_eq!(join_quadrants(&quads), m, "h={h}");
+            let views = MatrixView::full(&m).quadrants();
+            for (q, (quad, view)) in quads.iter().zip(&views).enumerate() {
+                let (r0, c0) = ((q / 2) * h, (q % 2) * h);
+                let reference = Matrix::from_fn(h, h, |i, j| m[(r0 + i, c0 + j)]);
+                assert_eq!(*quad, reference, "h={h} quadrant {q}");
+                assert_eq!(view.to_matrix(), reference, "h={h} view {q}");
+            }
+            for (rows, cols) in [(h, h), (n - 1, h), (1, n)] {
+                let corner = crop(&m, rows, cols);
+                let padded = pad_to(&corner, n + 1);
+                let reference = Matrix::from_fn(n + 1, n + 1, |i, j| {
+                    if i < rows && j < cols {
+                        m[(i, j)]
+                    } else {
+                        0
+                    }
+                });
+                assert_eq!(padded, reference, "h={h} pad {rows}x{cols}");
+                assert_eq!(
+                    crop(&padded, rows, cols),
+                    corner,
+                    "h={h} crop {rows}x{cols}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -84,9 +84,14 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
         self.data[self.offset + i * self.stride + j]
     }
 
-    /// Materialize the view as an owned matrix.
+    /// Materialize the view as an owned matrix, one row copy per row.
     pub fn to_matrix(&self) -> Matrix<T> {
-        Matrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
+        let mut data = Vec::with_capacity(self.rows * self.cols);
+        for i in 0..self.rows {
+            let start = self.offset + i * self.stride;
+            data.extend_from_slice(&self.data[start..start + self.cols]);
+        }
+        Matrix::from_vec(self.rows, self.cols, data)
     }
 }
 
