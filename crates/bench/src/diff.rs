@@ -6,7 +6,10 @@
 //! * **Structural** — the candidate is not comparable: a baseline target
 //!   is missing, a target recorded zero passes (silent "no data"), or a
 //!   deterministic extras counter drifted (same seed, different I/O count
-//!   is a correctness change, not noise). These always fail.
+//!   is a correctness change, not noise). These always fail. The one
+//!   excused absence is a roof target whose micro-kernel ISA the
+//!   candidate's CPU lacks, as its manifest's `kernel_isa` shows; it is
+//!   reported as `SKIP` and does not fail.
 //! * **Timing** — `cand.p50 > base.p50 · (1 + tol)`, strictly: exactly
 //!   at tolerance passes. A zero-p50 baseline with a nonzero candidate
 //!   is also a timing regression (the ratio is unbounded). Tolerances
@@ -49,6 +52,9 @@ pub struct ExtraDrift {
 pub struct DiffReport {
     /// Baseline targets absent from the candidate (structural).
     pub missing: Vec<String>,
+    /// Baseline roof targets absent because the candidate's CPU lacks
+    /// their ISA: (target, ISA). Informational only.
+    pub skipped: Vec<(String, &'static str)>,
     /// Targets with `passes == 0` in either document (structural).
     pub empty: Vec<String>,
     /// Deterministic extras that changed value (structural).
@@ -76,6 +82,11 @@ impl DiffReport {
         for t in &self.missing {
             out.push_str(&format!(
                 "STRUCT missing   {t}: in baseline, not in candidate\n"
+            ));
+        }
+        for (t, isa) in &self.skipped {
+            out.push_str(&format!(
+                "SKIP   isa       {t}: the candidate's CPU lacks {isa}\n"
             ));
         }
         for t in &self.empty {
@@ -122,7 +133,10 @@ pub fn diff(base: &BenchDoc, cand: &BenchDoc, opts: &DiffOptions) -> DiffReport 
     let mut report = DiffReport::default();
     for bt in &base.targets {
         let Some(ct) = cand.targets.iter().find(|t| t.name == bt.name) else {
-            report.missing.push(bt.name.clone());
+            match crate::targets::roof_isa(&bt.name).filter(|isa| lacks(cand, isa)) {
+                Some(isa) => report.skipped.push((bt.name.clone(), isa)),
+                None => report.missing.push(bt.name.clone()),
+            }
             continue;
         };
         if bt.stats.passes == 0 || ct.stats.passes == 0 {
@@ -168,6 +182,15 @@ pub fn diff(base: &BenchDoc, cand: &BenchDoc, opts: &DiffOptions) -> DiffReport 
         }
     }
     report
+}
+
+/// Whether `doc`'s manifest shows a CPU without the `isa` micro-kernel:
+/// `kernel_isa` is the first of [`fmm_kernel::F64_KERNELS`] the CPU
+/// runs, so every kernel listed before it is one the CPU lacks.
+fn lacks(doc: &BenchDoc, isa: &str) -> bool {
+    let at = |name: &str| fmm_kernel::F64_KERNELS.iter().position(|k| *k == name);
+    let chosen = doc.manifest.get("kernel_isa").and_then(|k| at(k));
+    matches!((at(isa), chosen), (Some(i), Some(c)) if i < c)
 }
 
 #[cfg(test)]
@@ -221,6 +244,42 @@ mod tests {
         assert_eq!(report.missing, vec!["a/x".to_string()]);
         // Structural failures are not excused by warn-only timing.
         assert!(!report.is_clean(true));
+    }
+
+    #[test]
+    fn a_roof_is_skipped_only_when_the_candidates_cpu_lacks_its_isa() {
+        let base = doc(vec![
+            target("kernel/roof/fma_avx512", 1000, 0.35, &[]),
+            target("kernel/roof/fma_avx2", 1000, 0.35, &[]),
+        ]);
+        let on = |isa: Option<&str>| {
+            let mut cand = doc(vec![]);
+            if let Some(isa) = isa {
+                cand.manifest.insert("kernel_isa".into(), isa.into());
+            }
+            diff(&base, &cand, &DiffOptions::default())
+        };
+        // An AVX2 CPU lacks AVX-512F; it could run the avx2 roof, so that
+        // one missing is structural.
+        let avx2 = on(Some("avx2+fma"));
+        assert_eq!(
+            avx2.skipped,
+            vec![("kernel/roof/fma_avx512".to_string(), "avx512f")]
+        );
+        assert_eq!(avx2.missing, vec!["kernel/roof/fma_avx2".to_string()]);
+        assert!(avx2
+            .render()
+            .contains("SKIP   isa       kernel/roof/fma_avx512"));
+        // A portable-only CPU lacks both; nothing fails.
+        let portable = on(Some("portable"));
+        assert_eq!(portable.skipped.len(), 2);
+        assert!(portable.is_clean(false), "{}", portable.render());
+        // An AVX-512F CPU, or a manifest that does not say, excuses nothing.
+        for isa in [Some("avx512f"), None] {
+            let report = on(isa);
+            assert!(report.skipped.is_empty(), "{isa:?}");
+            assert_eq!(report.missing.len(), 2, "{isa:?}");
+        }
     }
 
     #[test]

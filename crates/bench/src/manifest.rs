@@ -2,10 +2,10 @@
 //! so a benchmark number is never context-free: compiler, target triple,
 //! opt-level (captured by `build.rs` at compile time), CPU model and
 //! core count (from `/proc/cpuinfo` at run time), the git revision, the
-//! micro-kernel `f64` multiplies run on (`kernel_isa`: `avx2+fma` or
-//! `portable`, picked at run time by `fmm-kernel`), and the `FMM_OBS`
-//! level the run executed under (telemetry is not free, so two runs at
-//! different levels are not comparable).
+//! micro-kernel `f64` multiplies run on (`kernel_isa`: `avx512f`,
+//! `avx2+fma` or `portable`, picked at run time by `fmm-kernel`), and the
+//! `FMM_OBS` level the run executed under (telemetry is not free, so two
+//! runs at different levels are not comparable).
 
 use std::collections::BTreeMap;
 use std::process::Command;

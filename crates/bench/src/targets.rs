@@ -238,6 +238,12 @@ fn roof_loop_avx2() -> [f64; ROOF_LANES] {
     roof_loop(true)
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn roof_loop_avx512() -> [f64; ROOF_LANES] {
+    roof_loop(true)
+}
+
 fn roof_extras() -> BTreeMap<String, String> {
     extras(&[("flops", (2 * ROOF_LANES * ROOF_STEPS).to_string())])
 }
@@ -250,14 +256,50 @@ fn kernel_roof_portable() -> BTreeMap<String, String> {
 }
 
 /// The roof of the AVX2+FMA micro-kernel: the same loop under
-/// `#[target_feature(enable = "avx2,fma")]`, fused. Only in the catalog
-/// when the CPU has both features.
+/// `#[target_feature(enable = "avx2,fma")]`, fused.
 #[cfg(target_arch = "x86_64")]
 fn kernel_roof_avx2() -> BTreeMap<String, String> {
     // SAFETY: `all_targets` lists this target only when the CPU has
     // AVX2 and FMA.
     unsafe { roof_loop_avx2() };
     roof_extras()
+}
+
+/// The roof of the AVX-512F micro-kernel: the same loop under
+/// `#[target_feature(enable = "avx512f")]`, fused, in 8-lane registers.
+#[cfg(target_arch = "x86_64")]
+fn kernel_roof_avx512() -> BTreeMap<String, String> {
+    // SAFETY: `all_targets` lists this target only when the CPU has
+    // AVX-512F.
+    unsafe { roof_loop_avx512() };
+    roof_extras()
+}
+
+/// The roof targets, one per `f64` micro-kernel, with the kernel's name
+/// in [`fmm_kernel::F64_KERNELS`].
+const ROOFS: [(&str, &str); 3] = [
+    ("kernel/roof/fma_portable", "portable"),
+    ("kernel/roof/fma_avx2", "avx2+fma"),
+    ("kernel/roof/fma_avx512", "avx512f"),
+];
+
+/// The micro-kernel ISA a roof target measures (`None` for every other
+/// target, which any CPU runs).
+pub fn roof_isa(target: &str) -> Option<&'static str> {
+    ROOFS
+        .iter()
+        .find(|(name, _)| *name == target)
+        .map(|&(_, isa)| isa)
+}
+
+fn roof(name: &'static str, run: fn() -> BTreeMap<String, String>) -> Target {
+    Target {
+        name,
+        group: "kernel",
+        tol: 0.35,
+        min_profile: Profile::Standard,
+        run,
+    }
 }
 
 /// The first few smoke-spec sweep cells, end to end (cell throughput).
@@ -387,7 +429,8 @@ fn fleet_loadgen_e2e() -> BTreeMap<String, String> {
 }
 
 /// Every named target this CPU can run, in render order
-/// (`kernel/roof/fma_avx2` needs AVX2 and FMA).
+/// (`kernel/roof/fma_avx2` needs AVX2 and FMA, `kernel/roof/fma_avx512`
+/// needs AVX-512F).
 pub fn all_targets() -> Vec<Target> {
     let mut targets = vec![
         Target {
@@ -502,23 +545,16 @@ pub fn all_targets() -> Vec<Target> {
             min_profile: Profile::Quick,
             run: fleet_loadgen_e2e,
         },
-        Target {
-            name: "kernel/roof/fma_portable",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Standard,
-            run: kernel_roof_portable,
-        },
+        roof(ROOFS[0].0, kernel_roof_portable),
     ];
     #[cfg(target_arch = "x86_64")]
-    if fmm_kernel::f64_kernel_isa() == "avx2+fma" {
-        targets.push(Target {
-            name: "kernel/roof/fma_avx2",
-            group: "kernel",
-            tol: 0.35,
-            min_profile: Profile::Standard,
-            run: kernel_roof_avx2,
-        });
+    {
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            targets.push(roof(ROOFS[1].0, kernel_roof_avx2));
+        }
+        if is_x86_feature_detected!("avx512f") {
+            targets.push(roof(ROOFS[2].0, kernel_roof_avx512));
+        }
     }
     targets
 }

@@ -1,30 +1,47 @@
 //! Cache-blocked classical multiplication over contiguous packed panels.
 //!
-//! The loop nest is BLIS-shaped: for each `NC`-wide column slab of B and
-//! each `KC`-deep slice of the shared dimension, pack the B tile into
-//! `kc`×[`NR`] column micro-panels, then for each `MC`-tall row panel of
-//! A pack the A tile into `kc`×[`MR`] row strips, and run the register
-//! tiled micro-kernel on every (strip, micro-panel) pair: one
-//! [`MR`]×[`NR`] tile of C held in registers for the whole `kc` sweep.
+//! The loop nest ([`blocked`]) is BLIS-shaped and generic over the
+//! register tile `MR`×`NR`: for each `NC`-wide column slab of B and each
+//! `KC`-deep slice of the shared dimension, pack the B tile into
+//! `kc`×`NR` column micro-panels, then for each `MC`-tall row panel of A
+//! pack the A tile into `kc`×`MR` row strips, and run the micro-kernel on
+//! every (strip, micro-panel) pair: one `MR`×`NR` tile of C held in
+//! registers for the whole `kc` sweep.
 //!
-//! Two micro-kernels compute that tile. The portable one is plain generic
-//! Rust over a `[[T; NR]; MR]` accumulator; it runs for `i64` and every
-//! other [`Scalar`], and it is the oracle the tests hold the other to.
-//! For `f64` on an x86-64 CPU with AVX2 and FMA (checked at run time with
-//! `is_x86_feature_detected!`, no build flag), a `std::arch` kernel keeps
-//! the tile in eight 4-lane registers and uses fused multiply-adds; the
-//! module's only `unsafe` code is that kernel and the `T` → `f64` slice
-//! cast that selects it.
+//! Three micro-kernels run through that one nest:
+//!
+//! * the portable 4×8 ([`micro`]), plain generic Rust over a
+//!   `[[T; 8]; 4]` accumulator; it runs for `i64` and every other
+//!   [`Scalar`], and it is the oracle the tests hold the others to;
+//! * for `f64` on an x86-64 CPU with AVX2 and FMA, a 4×8 `std::arch`
+//!   kernel ([`avx2::micro`]): eight 4-lane accumulators, two B loads and
+//!   four broadcasts per `k`;
+//! * for `f64` on an x86-64 CPU with AVX-512F, an 8×16 `std::arch` kernel
+//!   ([`avx512::micro`]): sixteen 8-lane accumulators, two B loads and
+//!   eight broadcasts per `k`. Every power-of-two order ≥ 16 tiles
+//!   exactly, the 64×64 Strassen leaves included.
+//!
+//! [`gemm_block`] picks the fastest kernel this CPU runs, checked at run
+//! time with `is_x86_feature_detected!` (no build flag): AVX-512F, then
+//! AVX2+FMA, then portable. The module's only `unsafe` code is the two
+//! `std::arch` kernels and the `T` → `f64` slice cast that selects them.
 //!
 //! Rounding: a fused multiply-add rounds once where the portable
-//! `c += a·b` rounds twice. Small-integer operands, whose products and
-//! partial sums are exact in `f64` (every benchmark, golden and checksum
-//! in this workspace), give identical results on both kernels; general
-//! `f64` results may differ from `multiply_naive` in the last bits.
+//! `c += a·b` rounds twice. Both fused kernels compute
+//! `c = fma(a_k, b_k, c)` in ascending `k` from the same starting C, so
+//! they agree bit for bit on any `f64` input. Small-integer operands,
+//! whose products and partial sums are exact in `f64` (every benchmark,
+//! golden and checksum in this workspace), give identical results on all
+//! three kernels; general `f64` results may differ from `multiply_naive`
+//! in the last bits.
 //!
-//! [`fmm_faults::cancel::poll`] runs once per `MR`-row group of a packed
-//! block (roughly `MR·KC·NC` scalar ops apart), which keeps served kernel
-//! jobs responsive to deadlines even in debug builds.
+//! [`fmm_faults::cancel::poll`] runs once per packed A strip (roughly
+//! `MR·KC·NC` scalar ops apart), which keeps served kernel jobs
+//! responsive to deadlines even in debug builds. [`Report::micro_tiles`]
+//! counts [`MR`]-row units (`ceil(rows / MR)` per strip), so it reads the
+//! same whichever kernel ran.
+//!
+//! [`Report::micro_tiles`]: crate::Report::micro_tiles
 
 use crate::{pool, Stats, KC, MC, MR, NC};
 use fmm_faults::cancel;
@@ -76,19 +93,61 @@ pub(crate) fn multiply<T: Scalar>(
     c
 }
 
-/// Columns the micro-kernel computes at once: with [`MR`] rows, an
-/// `MR`×`NR` tile of C lives in registers across the whole `kc` sweep.
+/// Columns of the portable and AVX2 tiles (their rows are [`MR`]).
 const NR: usize = 8;
 
-/// One `MR`×`NR` tile of C, held while the micro-kernel runs.
-type Tile<T> = [[T; NR]; MR];
+/// Every `f64` micro-kernel by name, in the order [`gemm_block`] prefers
+/// them: the first one this CPU runs is [`f64_kernel_isa`], so every
+/// kernel listed before it is one the CPU lacks.
+pub const F64_KERNELS: [&str; 3] = ["avx512f", "avx2+fma", "portable"];
+
+/// The `f64` micro-kernels, in [`F64_KERNELS`] order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+impl Isa {
+    const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Portable];
+
+    fn name(self) -> &'static str {
+        F64_KERNELS[self as usize]
+    }
+
+    /// Whether this CPU can run the kernel (std caches the answer).
+    fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => avx512::available(),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 | Isa::Avx2 => false,
+            Isa::Portable => true,
+        }
+    }
+
+    /// The first kernel in [`F64_KERNELS`] order this CPU can run.
+    fn best() -> Isa {
+        Isa::ALL
+            .into_iter()
+            .find(|isa| isa.available())
+            .unwrap_or(Isa::Portable)
+    }
+}
+
+/// Which micro-kernel `f64` multiplies run on this CPU: `"avx512f"`,
+/// `"avx2+fma"` (both picked at run time) or `"portable"`. Every other
+/// scalar type always runs the portable kernel.
+pub fn f64_kernel_isa() -> &'static str {
+    Isa::best().name()
+}
 
 /// Multiply the `m`×`k` row-major block `a` by the `k`×`n` row-major `b`
-/// into the zero-initialised `m`×`n` row-major `c`.
-///
-/// `f64` on an x86-64 CPU with AVX2 and FMA runs the fused kernel
-/// ([`fma::micro`]); every other scalar type and CPU runs the portable
-/// [`micro`].
+/// into the zero-initialised `m`×`n` row-major `c`, on the fastest
+/// kernel this CPU runs for `T`.
 pub(crate) fn gemm_block<T: Scalar>(
     a: &[T],
     b: &[T],
@@ -98,8 +157,30 @@ pub(crate) fn gemm_block<T: Scalar>(
     n: usize,
     stats: &Stats,
 ) {
+    gemm_block_on(Isa::best(), a, b, c, m, k, n, stats);
+}
+
+/// [`gemm_block`] on a chosen `f64` kernel, which the tests use to run
+/// each kernel this CPU has. Scalars other than `f64` run the portable
+/// kernel whatever `isa` says. Panics if the CPU cannot run `isa`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_block_on<T: Scalar>(
+    isa: Isa,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+    stats: &Stats,
+) {
+    assert!(
+        isa.available(),
+        "this CPU cannot run the {} kernel",
+        isa.name()
+    );
     #[cfg(target_arch = "x86_64")]
-    if TypeId::of::<T>() == TypeId::of::<f64>() && fma::available() {
+    if isa != Isa::Portable && TypeId::of::<T>() == TypeId::of::<f64>() {
         // SAFETY: `T` is `f64` (the `TypeId`s are equal), so each slice
         // is reinterpreted as itself: same address, length and layout.
         let (a, b, c) = unsafe {
@@ -109,37 +190,35 @@ pub(crate) fn gemm_block<T: Scalar>(
                 std::slice::from_raw_parts_mut(c.as_mut_ptr().cast::<f64>(), c.len()),
             )
         };
-        // SAFETY: `fma::available()` just confirmed AVX2 and FMA.
-        let kernel = |kc, pa: &[f64], pb: &[f64], acc: &mut Tile<f64>| unsafe {
-            fma::micro(kc, pa, pb, acc)
-        };
-        return blocked(a, b, c, m, k, n, stats, kernel);
+        // SAFETY (both closures): the assert above confirmed the CPU
+        // runs `isa`'s features.
+        if isa == Isa::Avx512 {
+            let kernel =
+                |kc, pa: &[f64], pb: &[f64], acc: &mut _| unsafe { avx512::micro(kc, pa, pb, acc) };
+            return blocked::<f64, { avx512::MR }, { avx512::NR }>(a, b, c, m, k, n, stats, kernel);
+        }
+        let kernel =
+            |kc, pa: &[f64], pb: &[f64], acc: &mut _| unsafe { avx2::micro(kc, pa, pb, acc) };
+        return blocked::<f64, MR, NR>(a, b, c, m, k, n, stats, kernel);
     }
-    blocked(a, b, c, m, k, n, stats, micro::<T>);
+    blocked::<T, MR, NR>(a, b, c, m, k, n, stats, micro::<T, MR, NR>);
 }
 
-/// Which micro-kernel `f64` multiplies run on this CPU: `"avx2+fma"`
-/// (the fused x86-64 kernel, picked at run time) or `"portable"`. Every
-/// other scalar type always runs the portable kernel.
-pub fn f64_kernel_isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if fma::available() {
-        return "avx2+fma";
-    }
-    "portable"
-}
-
-/// The BLIS-shaped loop nest of [`gemm_block`] around one micro-kernel.
+/// The BLIS-shaped loop nest of [`gemm_block`] around one `MR`×`NR`
+/// micro-kernel.
 ///
-/// B is packed into `kc`×[`NR`] column micro-panels
-/// (`pb[(p·kc + k)·NR + j]`) and A into `kc`×[`MR`] row strips
+/// B is packed into `kc`×`NR` column micro-panels
+/// (`pb[(p·kc + k)·NR + j]`) and A into `kc`×`MR` row strips
 /// interleaved per `k` (`pa[(q·kc + k)·MR + r]`), both zero-padded at
-/// ragged edges. Each tile of C is loaded into a [`Tile`], accumulated
-/// over the whole `kc` sweep, and written back, so the kernel never
-/// touches C out of bounds and the summation order over `k` is the
-/// plain `c += a·b` one.
+/// ragged edges; both read their source rows contiguously. Each tile of
+/// C is loaded into an `[[T; NR]; MR]` accumulator, swept over the whole
+/// `kc`, and written back, so the kernel never touches C out of bounds
+/// and the summation order over `k` is ascending on every kernel. The
+/// packing buffers are sized to this call's largest block: a 64×64
+/// Strassen leaf packs 64 KiB of `f64`, not a full `MC`×`KC` plus
+/// `KC`×`NC` pair (1.1 MiB).
 #[allow(clippy::too_many_arguments)]
-fn blocked<T: Scalar>(
+fn blocked<T: Scalar, const MR: usize, const NR: usize>(
     a: &[T],
     b: &[T],
     c: &mut [T],
@@ -147,11 +226,12 @@ fn blocked<T: Scalar>(
     k: usize,
     n: usize,
     stats: &Stats,
-    kernel: impl Fn(usize, &[T], &[T], &mut Tile<T>),
+    kernel: impl Fn(usize, &[T], &[T], &mut [[T; NR]; MR]),
 ) {
     let zero = T::zero();
-    let mut pa: Vec<T> = Vec::with_capacity(MC * KC);
-    let mut pb: Vec<T> = Vec::with_capacity(KC * NC);
+    let kc_max = KC.min(k);
+    let mut pa = vec![zero; MC.min(m).next_multiple_of(MR) * kc_max];
+    let mut pb = vec![zero; NC.min(n).next_multiple_of(NR) * kc_max];
     let mut pack_ns = 0u64;
     let mut tiles = 0u64;
     for j0 in (0..n).step_by(NC) {
@@ -159,45 +239,56 @@ fn blocked<T: Scalar>(
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
             let t = Instant::now();
-            pb.clear();
-            for p0 in (0..nc).step_by(NR) {
-                let nr = NR.min(nc - p0);
-                for kk in k0..k0 + kc {
-                    let row = kk * n + j0 + p0;
-                    pb.extend_from_slice(&b[row..row + nr]);
-                    pb.resize(pb.len() + NR - nr, zero);
+            let pb = &mut pb[..nc.next_multiple_of(NR) * kc];
+            for (kk, row) in b[k0 * n..].chunks(n).take(kc).enumerate() {
+                let (full, ragged) = row[j0..j0 + nc].as_chunks::<NR>();
+                let mut steps = pb.as_chunks_mut::<NR>().0.iter_mut().skip(kk).step_by(kc);
+                // `full` leads the zip, so `steps` stops at the ragged panel.
+                for (src, dst) in full.iter().zip(steps.by_ref()) {
+                    *dst = *src;
+                }
+                if let Some(dst) = steps.next() {
+                    dst[..ragged.len()].copy_from_slice(ragged);
+                    dst[ragged.len()..].fill(zero);
                 }
             }
             pack_ns += t.elapsed().as_nanos() as u64;
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
                 let t = Instant::now();
-                pa.clear();
-                for q0 in (i0..i0 + mc).step_by(MR) {
+                let pa = &mut pa[..mc.next_multiple_of(MR) * kc];
+                for (strip, q0) in pa.chunks_exact_mut(kc * MR).zip((i0..i0 + mc).step_by(MR)) {
                     let mr = MR.min(i0 + mc - q0);
-                    for kk in k0..k0 + kc {
-                        pa.extend((q0..q0 + mr).map(|ii| a[ii * k + kk]));
-                        pa.resize(pa.len() + MR - mr, zero);
+                    // Rows past a ragged edge read as empty, which packs zeros.
+                    let rows: [&[T]; MR] = std::array::from_fn(|r| {
+                        if r < mr {
+                            &a[(q0 + r) * k + k0..][..kc]
+                        } else {
+                            &[]
+                        }
+                    });
+                    for (kk, step) in strip.as_chunks_mut::<MR>().0.iter_mut().enumerate() {
+                        *step = std::array::from_fn(|r| rows[r].get(kk).copied().unwrap_or(zero));
                     }
                 }
                 pack_ns += t.elapsed().as_nanos() as u64;
                 for (strip, q0) in pa.chunks_exact(kc * MR).zip((i0..i0 + mc).step_by(MR)) {
                     cancel::poll();
                     let mr = MR.min(i0 + mc - q0);
-                    for (panel, p0) in pb.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
-                        let nr = NR.min(nc - p0);
+                    for (panel, p0) in pb.chunks_exact(kc * NR).zip((j0..j0 + nc).step_by(NR)) {
+                        let nr = NR.min(j0 + nc - p0);
                         let mut acc = [[zero; NR]; MR];
                         for (r, acc_row) in acc.iter_mut().take(mr).enumerate() {
-                            let at = (q0 + r) * n + j0 + p0;
+                            let at = (q0 + r) * n + p0;
                             acc_row[..nr].copy_from_slice(&c[at..at + nr]);
                         }
                         kernel(kc, strip, panel, &mut acc);
                         for (r, acc_row) in acc.iter().take(mr).enumerate() {
-                            let at = (q0 + r) * n + j0 + p0;
+                            let at = (q0 + r) * n + p0;
                             c[at..at + nr].copy_from_slice(&acc_row[..nr]);
                         }
                     }
-                    tiles += 1;
+                    tiles += mr.div_ceil(crate::MR) as u64;
                 }
             }
         }
@@ -206,11 +297,16 @@ fn blocked<T: Scalar>(
     stats.tiles(tiles);
 }
 
-/// The portable micro-kernel, and the oracle for [`fma::micro`]:
+/// The portable micro-kernel, and the oracle for the `std::arch` ones:
 /// `acc += strip · panel` over `kc` steps of one packed A strip and one
 /// packed B micro-panel, one `a·b` product added per term.
 #[inline]
-fn micro<T: Scalar>(kc: usize, pa: &[T], pb: &[T], acc: &mut Tile<T>) {
+fn micro<T: Scalar, const MR: usize, const NR: usize>(
+    kc: usize,
+    pa: &[T],
+    pb: &[T],
+    acc: &mut [[T; NR]; MR],
+) {
     let mut tile = *acc;
     for (a, b) in pa[..kc * MR]
         .chunks_exact(MR)
@@ -229,8 +325,8 @@ fn micro<T: Scalar>(kc: usize, pa: &[T], pb: &[T], acc: &mut Tile<T>) {
 /// registers, and each `k` step is two B loads, four A broadcasts and
 /// eight fused multiply-adds (rounding contract: see the module doc).
 #[cfg(target_arch = "x86_64")]
-mod fma {
-    use super::{Tile, MR, NR};
+mod avx2 {
+    use super::{MR, NR};
     use std::arch::x86_64::*;
 
     /// Whether this CPU can run [`micro`] (the answer is cached by std).
@@ -238,33 +334,26 @@ mod fma {
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
 
-    /// `acc += strip · panel`, as the portable `micro` computes it but
-    /// with fused multiply-adds.
+    /// `acc += strip · panel` with fused multiply-adds.
     ///
     /// # Safety
     /// The CPU must support AVX2 and FMA ([`available`]).
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn micro(kc: usize, pa: &[f64], pb: &[f64], acc: &mut Tile<f64>) {
+    pub(super) unsafe fn micro(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
         assert!(
             pa.len() >= kc * MR && pb.len() >= kc * NR,
             "packed panels shorter than kc"
         );
-        let (mut a, mut b) = (pa.as_ptr(), pb.as_ptr());
         // SAFETY: every row of `acc` holds NR = 8 f64s, so both 4-lane
         // loads (and the stores below) stay inside it; the feature
         // requirement is this function's own.
-        let [mut c00, mut c01, mut c10, mut c11, mut c20, mut c21, mut c30, mut c31] = unsafe {
+        let mut c = acc.map(|row| unsafe {
             [
-                _mm256_loadu_pd(acc[0].as_ptr()),
-                _mm256_loadu_pd(acc[0].as_ptr().add(4)),
-                _mm256_loadu_pd(acc[1].as_ptr()),
-                _mm256_loadu_pd(acc[1].as_ptr().add(4)),
-                _mm256_loadu_pd(acc[2].as_ptr()),
-                _mm256_loadu_pd(acc[2].as_ptr().add(4)),
-                _mm256_loadu_pd(acc[3].as_ptr()),
-                _mm256_loadu_pd(acc[3].as_ptr().add(4)),
+                _mm256_loadu_pd(row.as_ptr()),
+                _mm256_loadu_pd(row.as_ptr().add(4)),
             ]
-        };
+        });
+        let (mut a, mut b) = (pa.as_ptr(), pb.as_ptr());
         for _ in 0..kc {
             // SAFETY: the assert above gives `kc` steps of MR A values
             // and NR B values; `a` and `b` advance by exactly one step
@@ -272,32 +361,83 @@ mod fma {
             unsafe {
                 let b0 = _mm256_loadu_pd(b);
                 let b1 = _mm256_loadu_pd(b.add(4));
-                let a0 = _mm256_broadcast_sd(&*a);
-                c00 = _mm256_fmadd_pd(a0, b0, c00);
-                c01 = _mm256_fmadd_pd(a0, b1, c01);
-                let a1 = _mm256_broadcast_sd(&*a.add(1));
-                c10 = _mm256_fmadd_pd(a1, b0, c10);
-                c11 = _mm256_fmadd_pd(a1, b1, c11);
-                let a2 = _mm256_broadcast_sd(&*a.add(2));
-                c20 = _mm256_fmadd_pd(a2, b0, c20);
-                c21 = _mm256_fmadd_pd(a2, b1, c21);
-                let a3 = _mm256_broadcast_sd(&*a.add(3));
-                c30 = _mm256_fmadd_pd(a3, b0, c30);
-                c31 = _mm256_fmadd_pd(a3, b1, c31);
+                for (r, row) in c.iter_mut().enumerate() {
+                    let ar = _mm256_broadcast_sd(&*a.add(r));
+                    row[0] = _mm256_fmadd_pd(ar, b0, row[0]);
+                    row[1] = _mm256_fmadd_pd(ar, b1, row[1]);
+                }
                 a = a.add(MR);
                 b = b.add(NR);
             }
         }
-        // SAFETY: as for the loads above.
-        unsafe {
-            _mm256_storeu_pd(acc[0].as_mut_ptr(), c00);
-            _mm256_storeu_pd(acc[0].as_mut_ptr().add(4), c01);
-            _mm256_storeu_pd(acc[1].as_mut_ptr(), c10);
-            _mm256_storeu_pd(acc[1].as_mut_ptr().add(4), c11);
-            _mm256_storeu_pd(acc[2].as_mut_ptr(), c20);
-            _mm256_storeu_pd(acc[2].as_mut_ptr().add(4), c21);
-            _mm256_storeu_pd(acc[3].as_mut_ptr(), c30);
-            _mm256_storeu_pd(acc[3].as_mut_ptr().add(4), c31);
+        for (row, regs) in acc.iter_mut().zip(c) {
+            // SAFETY: as for the loads above.
+            unsafe {
+                _mm256_storeu_pd(row.as_mut_ptr(), regs[0]);
+                _mm256_storeu_pd(row.as_mut_ptr().add(4), regs[1]);
+            }
+        }
+    }
+}
+
+/// The `f64` micro-kernel on AVX-512F: the 8×16 tile is sixteen 8-lane
+/// registers, and each `k` step is two B loads, eight A broadcasts and
+/// sixteen fused multiply-adds (rounding contract: see the module doc).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// Rows and columns of this kernel's tile.
+    pub(super) const MR: usize = 8;
+    pub(super) const NR: usize = 16;
+
+    /// Whether this CPU can run [`micro`] (the answer is cached by std).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f")
+    }
+
+    /// `acc += strip · panel` with fused multiply-adds.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F ([`available`]).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn micro(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
+        assert!(
+            pa.len() >= kc * MR && pb.len() >= kc * NR,
+            "packed panels shorter than kc"
+        );
+        // SAFETY: every row of `acc` holds NR = 16 f64s, so both 8-lane
+        // loads (and the stores below) stay inside it; the feature
+        // requirement is this function's own.
+        let mut c = acc.map(|row| unsafe {
+            [
+                _mm512_loadu_pd(row.as_ptr()),
+                _mm512_loadu_pd(row.as_ptr().add(8)),
+            ]
+        });
+        let (mut a, mut b) = (pa.as_ptr(), pb.as_ptr());
+        for _ in 0..kc {
+            // SAFETY: the assert above gives `kc` steps of MR A values
+            // and NR B values; `a` and `b` advance by exactly one step
+            // per iteration, so every read is inside `pa` / `pb`.
+            unsafe {
+                let b0 = _mm512_loadu_pd(b);
+                let b1 = _mm512_loadu_pd(b.add(8));
+                for (r, row) in c.iter_mut().enumerate() {
+                    let ar = _mm512_set1_pd(*a.add(r));
+                    row[0] = _mm512_fmadd_pd(ar, b0, row[0]);
+                    row[1] = _mm512_fmadd_pd(ar, b1, row[1]);
+                }
+                a = a.add(MR);
+                b = b.add(NR);
+            }
+        }
+        for (row, regs) in acc.iter_mut().zip(c) {
+            // SAFETY: as for the loads above.
+            unsafe {
+                _mm512_storeu_pd(row.as_mut_ptr(), regs[0]);
+                _mm512_storeu_pd(row.as_mut_ptr().add(8), regs[1]);
+            }
         }
     }
 }
@@ -306,6 +446,7 @@ mod fma {
 mod tests {
     use super::*;
     use fmm_matrix::multiply::multiply_naive;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -316,6 +457,35 @@ mod tests {
 
     fn tiled<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, threads: usize) -> Matrix<T> {
         multiply(a, b, threads, &Stats::default())
+    }
+
+    /// Every kernel this CPU runs, announcing the ones it lacks.
+    fn kernels_here() -> Vec<Isa> {
+        for isa in Isa::ALL.into_iter().filter(|isa| !isa.available()) {
+            eprintln!(
+                "skipped: this CPU lacks {}, so its kernel did not run",
+                isa.name()
+            );
+        }
+        Isa::ALL.into_iter().filter(|isa| isa.available()).collect()
+    }
+
+    /// `a·b` through [`gemm_block_on`] on one kernel.
+    fn on(isa: Isa, a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let stats = Stats::default();
+        gemm_block_on(
+            isa,
+            a.as_slice(),
+            b.as_slice(),
+            c.as_mut_slice(),
+            m,
+            k,
+            n,
+            &stats,
+        );
+        c
     }
 
     #[test]
@@ -343,20 +513,53 @@ mod tests {
     fn f64_small_integer_entries_are_exact() {
         let mut rng = StdRng::seed_from_u64(5);
         // Products of entries in [-9, 9] summed over ≤ 257 terms are
-        // exactly representable, so even f64 agreement (on either micro-
+        // exactly representable, so even f64 agreement (on any micro-
         // kernel) is equality here. 66×257×130 crosses every tile edge:
-        // MR and NR remainders, MC + 2 rows, KC + 1 depth.
+        // 4- and 8-row and 8- and 16-column remainders, MC + 2 rows,
+        // KC + 1 depth.
         for (m, k, n) in [(40, 33, 51), (66, 257, 130)] {
             let a = Matrix::<f64>::random_small(m, k, &mut rng);
             let b = Matrix::<f64>::random_small(k, n, &mut rng);
-            assert_eq!(tiled(&a, &b, 1), multiply_naive(&a, &b), "{m}x{k}x{n}");
+            let want = multiply_naive(&a, &b);
+            assert_eq!(tiled(&a, &b, 1), want, "{m}x{k}x{n}");
+            for isa in kernels_here() {
+                assert_eq!(on(isa, &a, &b), want, "{isa:?} {m}x{k}x{n}");
+            }
         }
     }
 
-    /// Random packed panels for one `kc`-deep tile, plus a random
-    /// starting tile: small integers when `ints`, else uniform in
-    /// [-1, 1).
-    fn panels(kc: usize, ints: bool, seed: u64) -> (Vec<f64>, Vec<f64>, Tile<f64>) {
+    #[test]
+    fn micro_tiles_count_four_row_units_on_every_kernel() {
+        // 70 rows = one MC = 64 panel (16 units) + 6 rows (2 units), per
+        // KC block: two blocks at depth 300.
+        let a = Matrix::<f64>::random_small(70, 300, &mut StdRng::seed_from_u64(3));
+        let b = Matrix::<f64>::random_small(300, 20, &mut StdRng::seed_from_u64(4));
+        let blocks = 300usize.div_ceil(KC) as u64;
+        for isa in kernels_here() {
+            let stats = Stats::default();
+            let mut c = Matrix::zeros(70, 20);
+            gemm_block_on(
+                isa,
+                a.as_slice(),
+                b.as_slice(),
+                c.as_mut_slice(),
+                70,
+                300,
+                20,
+                &stats,
+            );
+            let groups: u64 = (0..70)
+                .step_by(MC)
+                .map(|i0| MC.min(70 - i0).div_ceil(MR) as u64)
+                .sum();
+            assert_eq!(stats.report().micro_tiles, blocks * groups, "{isa:?}");
+        }
+    }
+
+    /// Random packed panels for one `kc`-deep 8×16 tile (A strip
+    /// `kc`×8, B micro-panel `kc`×16), plus a random starting tile:
+    /// small integers when `ints`, else general floats in [-1, 1).
+    fn panels(kc: usize, ints: bool, seed: u64) -> (Vec<f64>, Vec<f64>, [[f64; 16]; 8]) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut draw = || {
             if ints {
@@ -365,61 +568,142 @@ mod tests {
                 rng.gen_range(-1_000_000i64..1_000_000) as f64 / 1e6 + 1e-7 / 3.0
             }
         };
-        let pa = (0..kc * MR).map(|_| draw()).collect();
-        let pb = (0..kc * NR).map(|_| draw()).collect();
-        let mut acc = [[0.0; NR]; MR];
+        let pa = (0..kc * 8).map(|_| draw()).collect();
+        let pb = (0..kc * 16).map(|_| draw()).collect();
+        let mut acc = [[0.0; 16]; 8];
         for v in acc.iter_mut().flatten() {
             *v = draw();
         }
         (pa, pb, acc)
     }
 
-    /// The portable kernel against a scalar dot product, then the fused
-    /// kernel against the portable one on the same packed panels.
+    /// One kernel over the 8×16 tile of [`panels`]: a `mr`×`nr` kernel
+    /// runs on each sub-tile, its sub-panels cut from the full ones.
+    fn run_tiled<const R: usize, const C: usize>(
+        kc: usize,
+        pa: &[f64],
+        pb: &[f64],
+        start: &[[f64; 16]; 8],
+        kernel: impl Fn(usize, &[f64], &[f64], &mut [[f64; C]; R]),
+    ) -> [[f64; 16]; 8] {
+        let mut out = *start;
+        for r0 in (0..8).step_by(R) {
+            for j0 in (0..16).step_by(C) {
+                let sa: Vec<f64> = pa.chunks(8).flat_map(|s| s[r0..r0 + R].to_vec()).collect();
+                let sb: Vec<f64> = pb.chunks(16).flat_map(|s| s[j0..j0 + C].to_vec()).collect();
+                let mut acc = [[0.0; C]; R];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    row.copy_from_slice(&start[r0 + r][j0..j0 + C]);
+                }
+                kernel(kc, &sa, &sb, &mut acc);
+                for (r, row) in acc.iter().enumerate() {
+                    out[r0 + r][j0..j0 + C].copy_from_slice(row);
+                }
+            }
+        }
+        out
+    }
+
+    /// Each kernel against its scalar definition, bit for bit: the
+    /// portable one against `c += a·b`, the fused ones against
+    /// `c = a.mul_add(b, c)`, every one in ascending `k`. So the AVX-512
+    /// and AVX2 kernels agree exactly on general `f64` panels, and all
+    /// three agree on integers.
     #[test]
     fn micro_kernels_agree_on_the_same_panels() {
         for kc in [1, 7, 64, KC] {
             for ints in [true, false] {
                 let (pa, pb, start) = panels(kc, ints, 100 + kc as u64);
-                let mut portable = start;
-                micro(kc, &pa, &pb, &mut portable);
-                let term = |r: usize, j: usize, k: usize| pa[k * MR + r] * pb[k * NR + j];
+                let scalar = |fused: bool| {
+                    let mut out = start;
+                    for (r, row) in out.iter_mut().enumerate() {
+                        for (j, cv) in row.iter_mut().enumerate() {
+                            for kk in 0..kc {
+                                let (a, b) = (pa[kk * 8 + r], pb[kk * 16 + j]);
+                                *cv = if fused {
+                                    a.mul_add(b, *cv)
+                                } else {
+                                    *cv + a * b
+                                };
+                            }
+                        }
+                    }
+                    out
+                };
+                let (plain, fused) = (scalar(false), scalar(true));
                 if ints {
-                    for r in 0..MR {
-                        for j in 0..NR {
-                            let want = start[r][j] + (0..kc).map(|k| term(r, j, k)).sum::<f64>();
-                            assert_eq!(portable[r][j], want, "kc={kc} ({r}, {j})");
-                        }
-                    }
+                    assert_eq!(plain, fused, "kc={kc}: integer sums must be exact");
                 }
-                #[cfg(target_arch = "x86_64")]
-                if fma::available() {
-                    let mut fused = start;
-                    // SAFETY: `fma::available()` confirmed AVX2 and FMA.
-                    unsafe { fma::micro(kc, &pa, &pb, &mut fused) };
-                    for r in 0..MR {
-                        for j in 0..NR {
-                            let (p, f) = (portable[r][j], fused[r][j]);
-                            // Each of the kc steps rounds at most twice, by
-                            // half an ulp of a partial sum no larger than
-                            // the sum of |terms|; integers round never.
-                            let mass = start[r][j].abs()
-                                + (0..kc).map(|k| term(r, j, k).abs()).sum::<f64>();
-                            let tol = if ints {
-                                0.0
-                            } else {
-                                2.0 * kc as f64 * f64::EPSILON * mass
-                            };
-                            assert!(
-                                (p - f).abs() <= tol,
-                                "kc={kc} ints={ints} ({r}, {j}): {p} vs {f}"
-                            );
+                let portable = run_tiled::<MR, NR>(kc, &pa, &pb, &start, micro::<f64, MR, NR>);
+                assert_eq!(portable, plain, "portable kc={kc} ints={ints}");
+                for isa in kernels_here() {
+                    let got = match isa {
+                        Isa::Portable => continue,
+                        // SAFETY: `kernels_here` lists only kernels this
+                        // CPU runs.
+                        #[cfg(target_arch = "x86_64")]
+                        Isa::Avx2 => {
+                            run_tiled::<MR, NR>(kc, &pa, &pb, &start, |kc, a, b, acc| unsafe {
+                                avx2::micro(kc, a, b, acc)
+                            })
                         }
-                    }
-                    continue;
+                        #[cfg(target_arch = "x86_64")]
+                        Isa::Avx512 => {
+                            run_tiled::<8, 16>(kc, &pa, &pb, &start, |kc, a, b, acc| unsafe {
+                                avx512::micro(kc, a, b, acc)
+                            })
+                        }
+                        #[cfg(not(target_arch = "x86_64"))]
+                        _ => unreachable!("no std::arch kernel on this target"),
+                    };
+                    assert_eq!(got, fused, "{isa:?} kc={kc} ints={ints}");
                 }
-                eprintln!("skipped: this CPU lacks AVX2+FMA, so only the portable kernel ran");
             }
+        }
+    }
+
+    /// A compatible pair whose shape crosses every tile's edges: 4- and
+    /// 8-row and 8- and 16-column remainders, the MC row panel, and on
+    /// about half the cases the KC depth block.
+    fn tile_edge_pair() -> impl Strategy<Value = (Matrix<f64>, Matrix<f64>)> {
+        (
+            1usize..=MC + 20,
+            1usize..=24,
+            proptest::bool::ANY,
+            1usize..=70,
+        )
+            .prop_map(|(m, k, deep, n)| {
+                let k = if deep { k + KC - 6 } else { k };
+                let mut rng = StdRng::seed_from_u64((m * 1000 + k * 10 + n) as u64);
+                (
+                    Matrix::<f64>::random_small(m, k, &mut rng),
+                    Matrix::<f64>::random_small(k, n, &mut rng),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn every_kernel_is_exact_on_small_integers_at_tile_edges(pair in tile_edge_pair()) {
+            let (a, b) = pair;
+            let want = multiply_naive(&a, &b);
+            for isa in kernels_here() {
+                prop_assert_eq!(on(isa, &a, &b), want.clone(), "{:?}", isa);
+            }
+        }
+    }
+
+    #[test]
+    fn the_chosen_kernel_is_the_first_one_available() {
+        let best = f64_kernel_isa();
+        for (isa, name) in Isa::ALL.into_iter().zip(F64_KERNELS) {
+            assert_eq!(isa.name(), name);
+            if name == best {
+                break;
+            }
+            assert!(!isa.available(), "{name} runs here but {best} was chosen");
         }
     }
 

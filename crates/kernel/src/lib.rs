@@ -10,16 +10,18 @@
 //! matter in practice are `f64` and `i64` — the differential suite proves
 //! bit-exact `i64` agreement with the naive reference). Two algorithms:
 //!
-//! * [`Alg::Classical`] — cache-blocked classical multiplication. A
-//!   BLIS-style loop nest packs contiguous panels of A (`MC`×`KC`) and B
-//!   (`KC`×`NC`) and runs a register-blocked [`MR`]×8 micro-kernel over
-//!   them: portable generic Rust for every scalar, or, for `f64` on an
-//!   x86-64 CPU with AVX2 and FMA (detected at run time, see
-//!   [`f64_kernel_isa`]), a `std::arch` fused multiply-add kernel. A fused
-//!   multiply-add rounds once, so general `f64` results may differ from
-//!   `multiply_naive` in the last bits; small-integer operands (every
-//!   benchmark, golden and checksum here) stay exact. With `threads > 1`,
-//!   `MC`-row panels of C are the work items.
+//! * [`Alg::Classical`] — cache-blocked classical multiplication. One
+//!   BLIS-style loop nest, generic over the register tile, packs
+//!   contiguous panels of A (`MC`×`KC`) and B (`KC`×`NC`) and runs a
+//!   micro-kernel over them: the portable generic 4×8 for every scalar,
+//!   or, for `f64` on x86-64 (detected at run time, see
+//!   [`f64_kernel_isa`]), a `std::arch` fused multiply-add kernel — 8×16
+//!   on AVX-512F, else 4×8 on AVX2+FMA. A fused multiply-add rounds once,
+//!   so general `f64` results may differ from `multiply_naive` in the
+//!   last bits (the two fused kernels agree with each other exactly);
+//!   small-integer operands (every benchmark, golden and checksum here)
+//!   stay exact. With `threads > 1`, `MC`-row panels of C are the work
+//!   items.
 //! * [`Alg::Strassen`] — `fmm_core::catalog::strassen()` run by
 //!   `fmm-core`'s generic 2×2 recursion step ([`fmm_core::exec::step`])
 //!   with a tuned cutoff n₀: recursion while the order exceeds the cutoff,
@@ -46,7 +48,7 @@
 mod classical;
 mod fast;
 
-pub use classical::f64_kernel_isa;
+pub use classical::{f64_kernel_isa, F64_KERNELS};
 
 use fmm_faults::cancel;
 use fmm_matrix::{Matrix, Scalar};
@@ -54,14 +56,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+// MC/KC/NC were measured on a 2-core AVX-512 Xeon (48 KiB L1d, 2 MiB L2
+// per core) with the 8×16 kernel: fourteen (MC, KC, NC) points spanning
+// MC 32–128, KC 128–512 and NC 256–512, best of 100–120 in-process runs
+// each of classical and Strassen-c64 at n = 256 and 512, all landed
+// within the host's run-to-run noise of 64/256/512, and KC = 512 was
+// slower at n = 512. At 64/256/512 an A strip (8×KC f64, 16 KiB) stays
+// in L1 while the B slab (KC×NC, 1 MiB) streams from L2.
+
 /// Rows per packed A panel (and per row-panel work item in the threaded
-/// classical path).
+/// classical path); a multiple of every micro-kernel's tile height.
 pub const MC: usize = 64;
 /// Shared inner dimension per packed panel pair.
 pub const KC: usize = 256;
 /// Columns per packed B panel.
 pub const NC: usize = 512;
-/// Rows the micro-kernel computes at once (register tiling).
+/// Rows per counted micro tile: [`Report::micro_tiles`] counts `MR`-row
+/// units whichever kernel ran. Also the portable and AVX2 tile height.
 pub const MR: usize = 4;
 
 /// Which algorithm [`multiply`] runs.
@@ -113,9 +124,9 @@ impl Default for KernelCfg {
 pub struct Report {
     /// Nanoseconds spent gathering A/B tiles into contiguous panels.
     pub pack_ns: u64,
-    /// `MR`-row groups the micro-kernel swept, one per (packed block,
-    /// group): each covers up to [`MR`]×[`NC`] of C, one register tile
-    /// per 8 columns.
+    /// [`MR`]-row units of C the micro-kernel swept, `ceil(rows / MR)`
+    /// per packed A strip and block: each covers up to [`MR`]×[`NC`] of
+    /// C. The count does not depend on which kernel (tile shape) ran.
     pub micro_tiles: u64,
     /// Classical leaf products run by the Strassen recursion (0 for a
     /// pure classical multiply).
@@ -341,7 +352,7 @@ mod tests {
         assert_eq!(c, multiply_naive(&a, &b));
         assert!(report.level_products.is_empty());
         assert_eq!(report.leaf_products, 0);
-        // 48 rows → 12 MR-row groups in one panel.
+        // 48 rows → 12 MR-row units in one panel.
         assert_eq!(report.micro_tiles, 12);
     }
 

@@ -28,7 +28,7 @@ fn int_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<i64>> {
 }
 
 /// A compatible (m×k, k×n) pair with every dimension drawn independently,
-/// crossing the MR=4 row-group and panel boundaries.
+/// crossing the 4- and 8-row strip and 8- and 16-column panel boundaries.
 fn mul_pair() -> impl Strategy<Value = (Matrix<i64>, Matrix<i64>)> {
     (1usize..=40, 1usize..=40, 1usize..=40)
         .prop_flat_map(|(m, k, n)| (int_matrix(m, k), int_matrix(k, n)))
@@ -126,10 +126,10 @@ proptest! {
     }
 }
 
-/// A compatible pair whose shape crosses the 4×8 register tile's edges:
-/// MR = 4 row remainders, NR = 8 column remainders and the MC = 64 row
-/// panel, with the shared dimension past the KC = 256 depth block on
-/// about half the cases.
+/// A compatible pair whose shape crosses the edges of both register
+/// tiles, 4×8 and 8×16: 4- and 8-row remainders, 8- and 16-column
+/// remainders and the MC = 64 row panel, with the shared dimension past
+/// the KC = 256 depth block on about half the cases.
 fn tile_edge_pair() -> impl Strategy<Value = (Matrix<i64>, Matrix<i64>)> {
     (1usize..=70, 1usize..=24, proptest::bool::ANY, 1usize..=140).prop_flat_map(
         |(m, k, deep, n)| {
@@ -148,9 +148,10 @@ proptest! {
         threads in 1usize..=3,
     ) {
         let (a, b) = pair;
-        // On this CPU this runs whichever f64 micro-kernel it selects
-        // (the fused AVX2 one where available); small integers keep every
-        // product and partial sum exact either way.
+        // This runs whichever f64 micro-kernel the CPU selects (AVX-512F,
+        // else AVX2+FMA, else portable); small integers keep every product
+        // and partial sum exact on each. `classical.rs`'s unit tests force
+        // every kernel the CPU has through the same edges.
         let exact = to_f64(&multiply_naive(&a, &b));
         let (af, bf) = (to_f64(&a), to_f64(&b));
         prop_assert_eq!(multiply(&cfg(Alg::Classical, 1, threads), &af, &bf), exact);

@@ -1,7 +1,6 @@
 //! Row-major dense matrices.
 
 use crate::scalar::Scalar;
-use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -84,9 +83,18 @@ impl<T: Scalar> Matrix<T> {
     /// Matrix with entries drawn uniformly from small integers in `[-9, 9]`,
     /// embedded via [`Scalar::from_i64`]. Small entries keep exact-arithmetic
     /// products far from overflow at every size used in tests and benches.
+    ///
+    /// Each entry is the draw `Uniform::new_inclusive(-9, 9)` makes from
+    /// the same two `u64`s, `(hi·2⁶⁴ + lo) mod 19 − 9`, with the `u128`
+    /// remainder split into constant-divisor ones (2⁶⁴ ≡ 17 mod 19).
     pub fn random_small(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        let dist = Uniform::new_inclusive(-9i64, 9);
-        Self::from_fn(rows, cols, |_, _| T::from_i64(dist.sample(rng)))
+        let data = (0..rows * cols)
+            .map(|_| {
+                let (hi, lo) = (rng.next_u64(), rng.next_u64());
+                T::from_i64(((hi % 19) * 17 + lo % 19) as i64 % 19 - 9)
+            })
+            .collect();
+        Self::from_vec(rows, cols, data)
     }
 
     /// Number of rows.
@@ -268,6 +276,26 @@ mod tests {
         assert!(!a.approx_eq(&Matrix::from_rows(&[&[1.5f64, 2.0]]), 1e-9));
         // Shape mismatch is never equal.
         assert!(!a.approx_eq(&Matrix::zeros(2, 2), 1e-9));
+    }
+
+    #[test]
+    fn random_small_draws_what_uniform_draws() {
+        use rand::distributions::{Distribution, Uniform};
+        let dist = Uniform::new_inclusive(-9i64, 9);
+        for seed in 0..200u64 {
+            for (r, c) in [(1, 1), (3, 7), (16, 16), (33, 5)] {
+                let reference: Vec<i64> = {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    (0..r * c).map(|_| dist.sample(&mut rng)).collect()
+                };
+                let ints = Matrix::<i64>::random_small(r, c, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(ints.as_slice(), &reference[..], "i64 seed {seed} {r}x{c}");
+                let floats = Matrix::<f64>::random_small(r, c, &mut StdRng::seed_from_u64(seed));
+                let want: Vec<u64> = reference.iter().map(|&v| (v as f64).to_bits()).collect();
+                let got: Vec<u64> = floats.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "f64 seed {seed} {r}x{c}");
+            }
+        }
     }
 
     #[test]

@@ -411,12 +411,15 @@ fn kernel_job_completes_verifies_and_honours_its_deadline() {
     assert_eq!(resp.status, Status::Error);
     assert!(resp.reason.starts_with("rejected:"), "got: {}", resp.reason);
 
-    // An order-512 multiply cannot finish in 50 ms in a debug build; the
+    // An order-1536 `i64` classical multiply is 7·10⁹ integer operations
+    // on the portable kernel, far more than any build does in 50 ms; the
     // micro-tile cancellation polls must cut it short, and the worker
     // (plus its kernel thread pool) must come back for the next job.
     let big = Request::new("k-slow", Kind::Kernel)
         .with_deadline(50)
-        .with_param("n", "512")
+        .with_param("alg", "classical")
+        .with_param("n", "1536")
+        .with_param("dtype", "i64")
         .with_param("threads", "2");
     let started = std::time::Instant::now();
     let resp = client.round_trip(&big);
