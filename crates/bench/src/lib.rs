@@ -7,17 +7,13 @@
 //!   interpolated percentiles, a versioned `fmm-bench/v1` JSONL document
 //!   with an environment manifest ([`doc`], [`manifest`]), and the
 //!   regression gate ([`diff`]).
-//! * Criterion benches (one file per experiment family) under `benches/`:
-//!   `kernels` (X3 wall-time + flop story), `lemma_engines` (F2),
-//!   `pebbling` (X2), `cache_sim` (T1 sequential rows), `cdag_build`
-//!   (F1 scaling), `parallel_sim` (T1 parallel rows).
-//! * The [`tables`](../src/bin/tables.rs) binary regenerates Table I and
-//!   every figure-equivalent as aligned text tables:
-//!   `cargo run -p fmm-bench --release --bin tables -- --all`.
+//! * [`tables`]: Table I and every figure-equivalent as aligned text
+//!   tables, printed by `fastmm tables --all` (or one section at a time).
 
 pub mod diff;
 pub mod doc;
 pub mod manifest;
+pub mod tables;
 pub mod targets;
 
 use fmm_matrix::Matrix;

@@ -8,10 +8,16 @@
 
 use crate::doc::{BenchDoc, TargetResult, TargetStats};
 use crate::manifest;
-use fmm_core::{catalog, Bilinear2x2};
+use fmm_cdag::flow::{max_vertex_disjoint_paths, min_dominator_size};
+use fmm_cdag::RecursiveCdag;
+use fmm_core::{catalog, lemmas, Bilinear2x2};
 use fmm_memsim::cache::Policy;
 use fmm_memsim::{par, seq};
 use fmm_obs::Histogram;
+use fmm_pebbling::families;
+use fmm_pebbling::game::{run_schedule, CostModel};
+use fmm_pebbling::optimal::optimal_pebbling;
+use fmm_pebbling::players::{belady_schedule, creation_order};
 use fmm_serve::loadgen::{self, LoadgenConfig};
 use fmm_serve::server::{ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
@@ -68,7 +74,7 @@ impl Profile {
 pub struct Target {
     /// Stable name, e.g. `memsim/lru/n32_m1024` — the `diff` join key.
     pub name: &'static str,
-    /// Coarse group (`memsim` / `sweep` / `par` / `serve`).
+    /// Coarse group, the name's first segment (`memsim`, `kernel`, `lemma`, …).
     pub group: &'static str,
     /// Relative p50 tolerance recorded into the document for `diff`.
     pub tol: f64,
@@ -428,6 +434,75 @@ fn fleet_loadgen_e2e() -> BTreeMap<String, String> {
     ])
 }
 
+/// A quick-profile target whose group is its name's first segment.
+fn quick(name: &'static str, run: fn() -> BTreeMap<String, String>) -> Target {
+    Target {
+        name,
+        group: name.split('/').next().unwrap_or(name),
+        tol: 0.35,
+        min_profile: Profile::Quick,
+        run,
+    }
+}
+
+/// Building the Strassen CDAG H^16 (Θ(n^{log₂7}) vertices).
+fn cdag_build_h16() -> BTreeMap<String, String> {
+    let h = RecursiveCdag::build(&strassen().to_base(), 16);
+    extras(&[
+        ("vertices", h.graph.len().to_string()),
+        ("edges", h.graph.edge_count().to_string()),
+    ])
+}
+
+/// The exhaustive Lemma 3.1 matching check on the A-encoder of every
+/// fast catalog algorithm.
+fn lemma_3_1_all_fast() -> BTreeMap<String, String> {
+    let algs = catalog::all_fast();
+    let holds = algs
+        .iter()
+        .filter(|alg| lemmas::check_lemma_3_1(&alg.to_base().encoder_bipartite_a(), "bench").holds)
+        .count();
+    extras(&[
+        ("algorithms", algs.len().to_string()),
+        ("holds", holds.to_string()),
+    ])
+}
+
+/// The min-dominator max-flow on H^4, over the outputs of one r = 2
+/// sub-CDAG.
+fn lemma_dominator_h4() -> BTreeMap<String, String> {
+    let h = RecursiveCdag::build(&strassen().to_base(), 4);
+    let z = h.sub_output_vertices(1);
+    extras(&[("dominator", min_dominator_size(&h.graph, &z).to_string())])
+}
+
+/// Vertex-disjoint input-to-output paths on H^8 (the Lemma 3.11 engine).
+fn lemma_disjoint_paths_h8() -> BTreeMap<String, String> {
+    let h = RecursiveCdag::build(&strassen().to_base(), 8);
+    let paths = max_vertex_disjoint_paths(&h.graph, &h.graph.inputs(), &h.outputs, &[]);
+    extras(&[("paths", paths.to_string())])
+}
+
+/// A Belady no-recompute schedule of H^8 at M = 16, generated and played.
+fn pebbling_belady_h8() -> BTreeMap<String, String> {
+    let h = RecursiveCdag::build(&strassen().to_base(), 8);
+    let moves = belady_schedule(&h.graph, &creation_order(&h.graph), 16);
+    let io = run_schedule(&h.graph, &moves, 16, false)
+        .expect("Belady schedules are legal")
+        .io();
+    extras(&[("io", io.to_string())])
+}
+
+/// The exact optimal pebbling search, recomputation allowed, on the 3×3
+/// DP grid at M = 4.
+fn pebbling_optimal_grid3x3() -> BTreeMap<String, String> {
+    let g = families::dp_grid(3, 3);
+    let cost = optimal_pebbling(&g, 4, true, CostModel::SYMMETRIC, 3_000_000)
+        .expect("the 3x3 grid solves within budget")
+        .cost;
+    extras(&[("cost", cost.to_string())])
+}
+
 /// Every named target this CPU can run, in render order
 /// (`kernel/roof/fma_avx2` needs AVX2 and FMA, `kernel/roof/fma_avx512`
 /// needs AVX-512F).
@@ -545,6 +620,12 @@ pub fn all_targets() -> Vec<Target> {
             min_profile: Profile::Quick,
             run: fleet_loadgen_e2e,
         },
+        quick("cdag/build/strassen_h16", cdag_build_h16),
+        quick("lemma/3_1/all_fast", lemma_3_1_all_fast),
+        quick("lemma/dominator/strassen_h4", lemma_dominator_h4),
+        quick("lemma/disjoint_paths/strassen_h8", lemma_disjoint_paths_h8),
+        quick("pebbling/belady/strassen_h8_m16", pebbling_belady_h8),
+        quick("pebbling/optimal/grid3x3_m4", pebbling_optimal_grid3x3),
         roof(ROOFS[0].0, kernel_roof_portable),
     ];
     #[cfg(target_arch = "x86_64")]
@@ -699,11 +780,7 @@ mod tests {
         // spill, and the asymptotic n^{log2 7} advantage hasn't kicked
         // in yet at this order. §X16 reports the same inversion.
         let io = |doc: &crate::doc::BenchDoc, name: &str| -> u64 {
-            doc.targets
-                .iter()
-                .find(|t| t.name == name)
-                .unwrap()
-                .extras["model_io"]
+            doc.targets.iter().find(|t| t.name == name).unwrap().extras["model_io"]
                 .parse()
                 .unwrap()
         };

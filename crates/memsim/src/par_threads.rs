@@ -1,10 +1,10 @@
 //! A *concurrently executed* distributed run: Cannon's algorithm with one
-//! OS thread per virtual processor and crossbeam channels as the network.
+//! OS thread per virtual processor and `mpsc` channels as the network.
 //!
 //! [`crate::par`] simulates the distributed machine round-by-round in a
 //! single thread (deterministic, cheap, exact word counts). This module
 //! executes the same algorithm with real concurrency — each processor is a
-//! `crossbeam::scope` thread owning its blocks, and every block exchanged
+//! `std::thread::scope` thread owning its blocks, and every block exchanged
 //! travels through a bounded channel and is counted atomically. The
 //! initial skew is performed locally, so the wire carries only the `p−1`
 //! shift rounds; the tests check that this volume equals the shift
@@ -16,12 +16,12 @@
 //! included; any other plan publishes under `cannon-threaded-faulty`.
 
 use crate::par_faults::run_label;
-use crossbeam::channel::RecvTimeoutError;
 use fmm_faults::{backoff_micros, channel_id, FaultPlan, FaultStats};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::ops::add_assign;
 use fmm_matrix::{Matrix, Scalar};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 /// Result of a fault-injected threaded run.
@@ -102,11 +102,15 @@ pub fn cannon_threaded_faulty<T: Scalar>(
     // never block even on a slow receiver — backoff sleeps are the only
     // waits on the send path.
     let (a_tx, a_rx): (Vec<_>, Vec<_>) = (0..nprocs)
-        .map(|_| crossbeam::channel::bounded::<Envelope<Matrix<T>>>(2 * p))
+        .map(|_| mpsc::sync_channel::<Envelope<Matrix<T>>>(2 * p))
         .unzip();
     let (b_tx, b_rx): (Vec<_>, Vec<_>) = (0..nprocs)
-        .map(|_| crossbeam::channel::bounded::<Envelope<Matrix<T>>>(2 * p))
+        .map(|_| mpsc::sync_channel::<Envelope<Matrix<T>>>(2 * p))
         .unzip();
+    // Each inbox has one reader: processor proc(i, j) takes the proc(i, j)-th
+    // receiver of each direction, in spawn order.
+    let mut a_rx = a_rx.into_iter();
+    let mut b_rx = b_rx.into_iter();
 
     // What each worker hands back: its accumulator plus local fault
     // counters, or a description of why the network let it down.
@@ -119,7 +123,7 @@ pub fn cannon_threaded_faulty<T: Scalar>(
     let collect = fault_free && fmm_obs::detailed();
     let (obs_tx, obs_rx) = fmm_obs::collector_channel();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(nprocs);
         for i in 0..p {
             for j in 0..p {
@@ -129,23 +133,23 @@ pub fn cannon_threaded_faulty<T: Scalar>(
                 let mut b_blk = take(b, (i + j) % p, j);
                 // A shifts left: send to (i, j−1), receive from (i, j+1).
                 let a_out = a_tx[proc(i, (j + p - 1) % p)].clone();
-                let a_in = a_rx[proc(i, j)].clone();
+                let a_in = a_rx.next().expect("one A inbox per processor");
                 // B shifts up: send to (i−1, j), receive from (i+1, j).
                 let b_out = b_tx[proc((i + p - 1) % p, j)].clone();
-                let b_in = b_rx[proc(i, j)].clone();
+                let b_in = b_rx.next().expect("one B inbox per processor");
                 let words = &words;
                 let recovery = &recovery;
                 let messages = &messages;
                 let label = &label;
                 let obs_tx = obs_tx.clone();
-                handles.push(
-                    s.spawn(move |_| -> Result<(Matrix<T>, FaultStats), String> {
+                handles.push(s.spawn(move || {
+                    let result = (|| -> Result<(Matrix<T>, FaultStats), String> {
                         let me = proc(i, j);
                         let mut stats = FaultStats::default();
                         let mut local = collect.then(fmm_obs::LocalCollector::new);
                         // One lossy logical send: roll per attempt, back off
                         // between retries, deliver (plus a possible duplicate).
-                        let send = |out: &crossbeam::channel::Sender<Envelope<Matrix<T>>>,
+                        let send = |out: &SyncSender<Envelope<Matrix<T>>>,
                                     dir: u64,
                                     to: usize,
                                     step: usize,
@@ -202,7 +206,7 @@ pub fn cannon_threaded_faulty<T: Scalar>(
                         };
                         // Deadline-bounded receive of the round-`step` block;
                         // stale duplicates from earlier rounds are discarded.
-                        let recv = |inbox: &crossbeam::channel::Receiver<Envelope<Matrix<T>>>,
+                        let recv = |inbox: &Receiver<Envelope<Matrix<T>>>,
                                     step: usize|
                          -> Result<Matrix<T>, String> {
                             loop {
@@ -259,18 +263,25 @@ pub fn cannon_threaded_faulty<T: Scalar>(
                             let _ = obs_tx.send(local);
                         }
                         Ok((acc, stats))
-                    }),
-                );
+                    })();
+                    // Hand the inboxes back with the result: they stay
+                    // open until every worker has joined, so a duplicate
+                    // sent after its receiver finished is not a hang-up.
+                    (result, a_in, b_in)
+                }));
             }
         }
+        let mut inboxes = Vec::with_capacity(nprocs);
         for (idx, h) in handles.into_iter().enumerate() {
             results[idx] = Some(match h.join() {
-                Ok(r) => r,
+                Ok((r, a_in, b_in)) => {
+                    inboxes.push((a_in, b_in));
+                    r
+                }
                 Err(_) => Err(format!("proc {idx}: worker panicked")),
             });
         }
-    })
-    .expect("thread scope failed");
+    });
     drop(obs_tx);
 
     let mut faults = FaultStats::default();

@@ -6,8 +6,8 @@
 //!    [`enabled()`] / [`detailed()`] — a single relaxed atomic load — and
 //!    label strings are only materialised inside the guarded branch, so the
 //!    kernels' hot loops see one predictable branch and no allocation.
-//! 2. **No external dependencies** beyond `crossbeam` (used to merge
-//!    per-worker [`LocalCollector`]s out of scoped threads). JSON is
+//! 2. **No dependencies** beyond std: per-worker [`LocalCollector`]s
+//!    leave scoped threads over an `mpsc` channel, and JSON is
 //!    hand-rolled in [`json`], including the escaping and the tiny flat
 //!    parser the `fastmm report` subcommand uses.
 //! 3. **Deterministic output.** Snapshots are sorted by metric name and
@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub mod json;
@@ -471,7 +471,7 @@ impl Registry {
         (inner.spans.clone(), inner.spans_dropped)
     }
 
-    /// Drop all metrics, events, and spans (used between `tables` sections).
+    /// Drop all metrics, events, and spans.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.metrics.clear();
@@ -612,7 +612,7 @@ pub fn event(name: &str, labels: LabelRef<'_>) {
 
 /// Lock-free per-thread metric buffer for parallel simulators.
 ///
-/// Workers record into their own collector, ship it over a crossbeam
+/// Workers record into their own collector, ship it over an `mpsc`
 /// channel when done, and the coordinator [`Registry::absorb`]s each one —
 /// no shared-lock traffic on the simulation's hot path.
 #[derive(Default, Debug)]
@@ -668,16 +668,13 @@ impl LocalCollector {
 }
 
 /// A channel for shipping collectors out of scoped worker threads.
-pub fn collector_channel() -> (
-    crossbeam::channel::Sender<LocalCollector>,
-    crossbeam::channel::Receiver<LocalCollector>,
-) {
-    crossbeam::channel::unbounded()
+pub fn collector_channel() -> (mpsc::Sender<LocalCollector>, mpsc::Receiver<LocalCollector>) {
+    mpsc::channel()
 }
 
 /// Drain every collector currently in `rx` into the global registry.
 /// Call after the workers' scope has joined (so all sends have happened).
-pub fn absorb_all(rx: &crossbeam::channel::Receiver<LocalCollector>) {
+pub fn absorb_all(rx: &mpsc::Receiver<LocalCollector>) {
     while let Ok(local) = rx.try_recv() {
         global().absorb(local);
     }
@@ -861,17 +858,16 @@ mod tests {
     fn collector_channel_round_trip() {
         let r = Registry::new();
         let (tx, rx) = collector_channel();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..4u64 {
                 let tx = tx.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut local = LocalCollector::new();
                     local.add("net.words", &[("proc", p.to_string())], p + 1);
                     tx.send(local).unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
         drop(tx);
         while let Ok(local) = rx.try_recv() {
             r.absorb(local);

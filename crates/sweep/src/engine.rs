@@ -1,4 +1,4 @@
-//! The worker pool: expand a spec, distribute cells over crossbeam scoped
+//! The worker pool: expand a spec, distribute cells over std scoped
 //! threads, isolate per-cell panics, and stream each finished cell to a
 //! sink (normally an append-only JSONL checkpoint).
 //!
@@ -13,6 +13,8 @@ use crate::spec::{Cell, SweepSpec};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -111,40 +113,30 @@ where
         return stats;
     }
     let jobs = cfg.effective_jobs().min(todo.len());
-    let (job_tx, job_rx) = crossbeam::channel::bounded::<Cell>(todo.len());
-    for c in todo {
-        if job_tx.send(c.clone()).is_err() {
-            // Cannot happen (capacity == len, receiver alive), but a
-            // closed queue is not worth a panic: the unsent cells simply
-            // count as lost and the sweep reports the shortfall.
-            break;
-        }
-    }
-    drop(job_tx);
-    let (res_tx, res_rx) = crossbeam::channel::bounded::<(CellRecord, u32)>(todo.len());
-    let scope_result = crossbeam::scope(|s| {
+    // Workers claim cells by bumping a shared cursor over `todo`.
+    let next = AtomicUsize::new(0);
+    let (res_tx, res_rx) = mpsc::sync_channel::<(CellRecord, u32)>(todo.len());
+    std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            let job_rx = job_rx.clone();
+            let next = &next;
             let res_tx = res_tx.clone();
-            handles.push(s.spawn(move |_| {
-                // The queue is fully loaded before workers start, so an
-                // empty try_recv means the sweep is drained.
-                while let Ok(cell) = job_rx.try_recv() {
-                    let seed = cell_seed(cfg.seed, &cell);
+            handles.push(s.spawn(move || {
+                while let Some(cell) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let seed = cell_seed(cfg.seed, cell);
                     let start = Instant::now();
-                    let mut status = run_one(&cell, seed, cfg);
+                    let mut status = run_one(cell, seed, cfg);
                     let mut attempts = 0u32;
                     while attempts < cfg.cell_retries && !matches!(status, CellStatus::Ok(_)) {
                         attempts += 1;
                         std::thread::sleep(Duration::from_micros(fmm_faults::backoff_micros(
                             attempts,
                         )));
-                        status = run_one(&cell, seed, cfg);
+                        status = run_one(cell, seed, cfg);
                     }
                     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                     let rec = CellRecord {
-                        cell,
+                        cell: cell.clone(),
                         seed,
                         status,
                         wall_ms,
@@ -206,9 +198,6 @@ where
             }
         }
     });
-    if scope_result.is_err() {
-        eprintln!("sweep: worker scope failed; results above are partial");
-    }
     stats
 }
 

@@ -14,6 +14,7 @@
 //! varies the workload, not the traffic — but a fixed default keeps every
 //! artifact byte-reproducible.
 
+use fastmm::bench::tables;
 use fastmm::cdag::dot::to_dot;
 use fastmm::cdag::RecursiveCdag;
 use fastmm::cli::{Args, Command};
@@ -125,6 +126,28 @@ const COMMANDS: &[Command] = &[
         "usage: fastmm dot [--alg strassen|winograd|classical] [--n 2] [--out <file.dot>]
        Writes the H_n CDAG as Graphviz to the --out file, or to stdout.",
         cmd_dot,
+    ),
+    Command::new(
+        "tables",
+        &[
+            "all",
+            "table1",
+            "parallel",
+            "fig1",
+            "fig2",
+            "fig3",
+            "recompute",
+            "flops",
+            "fft",
+            "policies",
+            "segments",
+        ],
+        "usage: fastmm tables [--all] [--table1] [--parallel] [--fig1] [--fig2] [--fig3]
+       [--recompute] [--flops] [--fft] [--policies] [--segments]
+       Prints the paper's Table I, figure and recomputation-study sections as
+       text tables, in this order: every section under --all, else the ones
+       named. Under --metrics each section runs in a span named by its flag.",
+        cmd_tables,
     ),
     Command {
         positional: true,
@@ -322,6 +345,23 @@ const COMMANDS: &[Command] = &[
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     fastmm::cli::run(COMMANDS, &argv)
+}
+
+/// Runs the selected [`tables::SECTIONS`] in their table order.
+fn cmd_tables(args: &Args) -> ExitCode {
+    let selected: Vec<&(&str, fn())> = tables::SECTIONS
+        .iter()
+        .filter(|(flag, _)| args.flag("all") || args.flag(&flag[2..]))
+        .collect();
+    if selected.is_empty() {
+        args.die("tables needs --all or at least one section flag");
+    }
+    for (flag, run) in selected {
+        fastmm::obs::event("tables.section", &[("flag", flag.to_string())]);
+        let _span = fastmm::obs::Span::enter(flag);
+        run();
+    }
+    ExitCode::SUCCESS
 }
 
 /// The catalog algorithm `--alg` names. Any other name exits 2 with the
@@ -1498,6 +1538,14 @@ mod tests {
                 &rest[..end]
             })
             .collect()
+    }
+
+    #[test]
+    fn tables_flags_are_all_and_the_sections() {
+        let cmd = COMMANDS.iter().find(|c| c.name == "tables").unwrap();
+        let sections = fastmm::bench::tables::SECTIONS.iter().map(|(f, _)| &f[2..]);
+        let expected: Vec<&str> = std::iter::once("all").chain(sections).collect();
+        assert_eq!(cmd.flags, expected);
     }
 
     #[test]

@@ -50,6 +50,13 @@ fn unknown_flag_exits_2() {
 }
 
 #[test]
+fn tables_without_a_section_exits_2() {
+    let out = fastmm(&["tables"]);
+    assert_exit_2_clean(&out);
+    assert!(stderr(&out).contains("usage: fastmm tables"));
+}
+
+#[test]
 fn unknown_command_exits_2() {
     let out = fastmm(&["frobnicate"]);
     assert_exit_2_clean(&out);
@@ -323,6 +330,7 @@ fn every_command_rejects_an_unknown_flag_with_its_own_usage() {
         "faults",
         "pebble",
         "dot",
+        "tables",
         "report",
         "bench run",
         "bench diff",

@@ -4,7 +4,8 @@
 //! of the measured counters alone, so any simulator refactor that silently
 //! shifts a single number changes this text and fails here. The one
 //! nondeterministic line — `cell wall time (us): ...` — is stripped before
-//! comparison.
+//! comparison. `fastmm tables --all` prints no wall times at all (fixed
+//! grids, fixed seeds), so its stdout is compared byte for byte.
 //!
 //! To regenerate after an *intentional* change:
 //!
@@ -15,6 +16,20 @@
 use fmm_sweep::{checkpoint, report};
 use std::fs;
 use std::path::Path;
+use std::process::{Command, Output};
+
+fn fastmm(args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_fastmm"))
+        .args(args)
+        .output()
+        .expect("spawn fastmm");
+    assert!(
+        out.status.success(),
+        "fastmm {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
 
 /// Drop wall-clock lines: the only part of the report that varies run to
 /// run on identical inputs.
@@ -54,4 +69,25 @@ fn sweep_report_on_committed_table1_matches_golden() {
     let summary = report::summarize(&records);
     let text = normalize(&report::render(&header, &summary));
     check_golden(&text, Path::new("tests/golden/sweep_table1_report.txt"));
+}
+
+#[test]
+fn tables_all_matches_golden() {
+    let out = fastmm(&["tables", "--all"]);
+    let text = String::from_utf8(out.stdout).expect("tables output is UTF-8");
+    check_golden(&text, Path::new("tests/golden/tables_all.txt"));
+}
+
+/// `--metrics` on `tables` writes one block: each selected section's span
+/// (named by its flag) and one `tables.section` event, which `report`
+/// renders.
+#[test]
+fn tables_metrics_render_through_report() {
+    let path = std::env::temp_dir().join(format!("fastmm_tables_{}.jsonl", std::process::id()));
+    let path = path.to_str().unwrap();
+    fastmm(&["tables", "--fig2", "--metrics", path]);
+    let table = String::from_utf8(fastmm(&["report", path]).stdout).unwrap();
+    let _ = fs::remove_file(path);
+    assert!(table.contains("obs.span.total_ns{span=--fig2}"), "{table}");
+    assert!(table.contains("tables.section: 1"), "{table}");
 }

@@ -1,11 +1,13 @@
 //! Binary-level contract for `fastmm serve` + `fastmm loadgen`: the two
-//! subcommands must compose from the shell exactly the way the CI
-//! serve-smoke job uses them — ephemeral port printed on stdout, seeded
-//! loadgen summary on one line, graceful shutdown with balanced counters
-//! and exit code 0, and flushed `serve_*` metrics in the JSONL file.
+//! subcommands must compose from the shell — ephemeral port printed on
+//! stdout, seeded loadgen summary on one line, graceful shutdown with
+//! balanced counters and exit code 0, and flushed `serve_*` metrics in the
+//! JSONL file. The chaos smoke run (EXPERIMENTS.md §X13) leaves its
+//! metrics, loadgen summary and server stdout under `target/serve-smoke/`.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader, Read};
+use std::path::Path;
+use std::process::{Child, Command, Output, Stdio};
 
 fn fastmm_cmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fastmm"))
@@ -120,4 +122,82 @@ fn loadgen_exits_nonzero_when_the_server_vanishes() {
         .output()
         .expect("run fastmm loadgen");
     assert_ne!(load.status.code(), Some(0), "lost replies must fail loudly");
+}
+
+/// The seeded chaos mix against a depth-32, 4-worker server: 1000
+/// requests, ≥10% poison/oversized, a 64-request burst at a paused pool,
+/// then graceful shutdown.
+fn chaos_loadgen(addr: &str) -> Output {
+    fastmm_cmd()
+        .args([
+            "loadgen",
+            "--addr",
+            addr,
+            "--conns",
+            "4",
+            "--requests",
+            "250",
+            "--seed",
+            "20260807",
+            "--burst",
+            "64",
+            "--shutdown",
+        ])
+        .output()
+        .expect("run fastmm loadgen")
+}
+
+#[test]
+fn chaos_load_drains_traces_and_reproduces() {
+    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/serve-smoke");
+    let _ = std::fs::remove_dir_all(&out);
+    std::fs::create_dir_all(&out).expect("create artifact dir");
+    let metrics = out.join("serve_metrics.jsonl");
+    let (mut server, addr) = spawn_server(&["--metrics", metrics.to_str().unwrap()]);
+    let load = chaos_loadgen(&addr);
+    let summary = String::from_utf8_lossy(&load.stdout).into_owned();
+    std::fs::write(out.join("loadgen.json"), &summary).expect("write summary");
+    assert_eq!(load.status.code(), Some(0), "loadgen failed: {summary}");
+    // Zero lost accepted jobs, reproducible shed at the overload tier.
+    for key in ["\"lost\":0", "\"ok\":1", "\"burst_shed\":32"] {
+        assert!(summary.contains(key), "missing {key}: {summary}");
+    }
+
+    // Graceful drain: exit 0 with the conservation law in the last line.
+    let status = server.wait().expect("server exits");
+    let mut rest = String::new();
+    server
+        .stdout
+        .take()
+        .expect("stdout piped")
+        .read_to_string(&mut rest)
+        .expect("read drained line");
+    std::fs::write(out.join("serve.out"), &rest).expect("write server stdout");
+    assert_eq!(status.code(), Some(0), "server must drain and exit 0");
+    assert!(rest.contains("fastmm serve drained:"), "{rest}");
+    let flushed = std::fs::read_to_string(&metrics).expect("metrics flushed");
+    for key in ["serve_accepted", "serve_latency_us"] {
+        assert!(flushed.contains(key), "metrics missing {key}");
+    }
+
+    // Per-job span trees reconstruct from the metrics file.
+    let traces = fastmm_cmd()
+        .args([
+            "report",
+            "--traces",
+            metrics.to_str().unwrap(),
+            "--top",
+            "5",
+        ])
+        .output()
+        .expect("run fastmm report --traces");
+    let traces = String::from_utf8_lossy(&traces.stdout);
+    assert!(traces.contains("slowest traces (top 5 of"), "{traces}");
+    assert!(traces.contains("job."), "{traces}");
+
+    // Same seed, fresh server: the summary reproduces byte for byte.
+    let (mut again, addr) = spawn_server(&[]);
+    let rerun = chaos_loadgen(&addr);
+    assert_eq!(again.wait().expect("server exits").code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&rerun.stdout), summary);
 }
