@@ -5,7 +5,9 @@
 //! shifts a single number changes this text and fails here. The one
 //! nondeterministic line — `cell wall time (us): ...` — is stripped before
 //! comparison. `fastmm tables --all` prints no wall times at all (fixed
-//! grids, fixed seeds), so its stdout is compared byte for byte.
+//! grids, fixed seeds), so its stdout is compared byte for byte, and so
+//! are the `io`, `bounds` and `faults` reports: seeded simulations whose
+//! text is a function of their counters alone.
 //!
 //! To regenerate after an *intentional* change:
 //!
@@ -90,4 +92,55 @@ fn tables_metrics_render_through_report() {
     let _ = fs::remove_file(path);
     assert!(table.contains("obs.span.total_ns{span=--fig2}"), "{table}");
     assert!(table.contains("tables.section: 1"), "{table}");
+}
+
+/// One golden per report: `fastmm <args>` stdout, byte for byte.
+fn check_command_golden(args: &[&str], golden: &str) {
+    let out = fastmm(args);
+    let text = String::from_utf8(out.stdout).expect("report is UTF-8");
+    check_golden(&text, &Path::new("tests/golden").join(golden));
+}
+
+#[test]
+fn io_reports_match_golden_for_every_policy() {
+    for policy in ["lru", "fifo", "opt"] {
+        check_command_golden(
+            &["io", "--n", "32", "--m", "96", "--policy", policy],
+            &format!("io_{policy}.txt"),
+        );
+    }
+}
+
+#[test]
+fn io_faults_report_matches_golden() {
+    check_command_golden(
+        &[
+            "io",
+            "--n",
+            "16",
+            "--m",
+            "64",
+            "--faults",
+            "flush-every=512",
+        ],
+        "io_faults.txt",
+    );
+}
+
+#[test]
+fn bounds_report_matches_golden() {
+    check_command_golden(
+        &["bounds", "--n", "4096", "--m", "1024", "--p", "49"],
+        "bounds_p49.txt",
+    );
+}
+
+#[test]
+fn faults_reports_match_golden_for_every_schedule() {
+    for schedule in ["cannon", "3d", "caps", "cannon-threaded"] {
+        check_command_golden(
+            &["faults", "--schedule", schedule],
+            &format!("faults_{schedule}.txt"),
+        );
+    }
 }
