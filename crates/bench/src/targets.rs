@@ -11,7 +11,7 @@ use crate::manifest;
 use fmm_cdag::flow::{max_vertex_disjoint_paths, min_dominator_size};
 use fmm_cdag::RecursiveCdag;
 use fmm_core::{catalog, lemmas, Bilinear2x2};
-use fmm_memsim::cache::Policy;
+use fmm_memsim::seq::Replacement;
 use fmm_memsim::{par, seq};
 use fmm_obs::Histogram;
 use fmm_pebbling::families;
@@ -97,17 +97,9 @@ fn strassen() -> Bilinear2x2 {
 
 /// One sequential cache-simulator pass (the memsim hot path PR 3
 /// rewrote; these targets are the regression net for that 380× win).
-fn memsim_pass(policy: &str, n: usize, m: usize) -> BTreeMap<String, String> {
-    let algo = strassen();
-    let tile = seq::natural_tile(m);
-    let run = |mem: &mut seq::Mem, a: &seq::TMat, b: &seq::TMat| -> seq::TMat {
-        seq::fast_recursive(mem, &algo, a, b, tile)
-    };
-    let stats = match policy {
-        "opt" => seq::measure_opt_seeded(n, m, seq::DEFAULT_WORKLOAD_SEED, run),
-        "fifo" => seq::measure_seeded(n, m, Policy::Fifo, seq::DEFAULT_WORKLOAD_SEED, run).1,
-        _ => seq::measure_seeded(n, m, Policy::Lru, seq::DEFAULT_WORKLOAD_SEED, run).1,
-    };
+fn memsim_pass(policy: Replacement, n: usize, m: usize) -> BTreeMap<String, String> {
+    let (tile, seed) = (seq::natural_tile(m), seq::DEFAULT_WORKLOAD_SEED);
+    let stats = seq::simulate(Some(&strassen()), n, m, tile, policy, seed, None).stats;
     extras(&[
         ("io", stats.io().to_string()),
         ("loads", stats.loads.to_string()),
@@ -116,16 +108,16 @@ fn memsim_pass(policy: &str, n: usize, m: usize) -> BTreeMap<String, String> {
 }
 
 fn memsim_lru_n32() -> BTreeMap<String, String> {
-    memsim_pass("lru", 32, 1024)
+    memsim_pass(Replacement::Lru, 32, 1024)
 }
 fn memsim_fifo_n32() -> BTreeMap<String, String> {
-    memsim_pass("fifo", 32, 1024)
+    memsim_pass(Replacement::Fifo, 32, 1024)
 }
 fn memsim_opt_n32() -> BTreeMap<String, String> {
-    memsim_pass("opt", 32, 1024)
+    memsim_pass(Replacement::Opt, 32, 1024)
 }
 fn memsim_lru_n128() -> BTreeMap<String, String> {
-    memsim_pass("lru", 128, 1024)
+    memsim_pass(Replacement::Lru, 128, 1024)
 }
 
 /// Predicted I/O for a kernel grid cell, from the sequential cache
@@ -140,15 +132,10 @@ fn model_io(alg: fmm_kernel::Alg, n: usize, leaf: usize) -> u64 {
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut map = cache.lock().expect("model_io cache");
     *map.entry((alg.as_str(), n, leaf)).or_insert_with(|| {
-        let algo = strassen();
-        let run = |mem: &mut seq::Mem, a: &seq::TMat, b: &seq::TMat| -> seq::TMat {
-            match alg {
-                fmm_kernel::Alg::Classical => seq::classical_blocked(mem, a, b, leaf),
-                fmm_kernel::Alg::Strassen => seq::fast_recursive(mem, &algo, a, b, leaf),
-            }
-        };
-        seq::measure_seeded(n, 1024, Policy::Lru, seq::DEFAULT_WORKLOAD_SEED, run)
-            .1
+        let algo = (alg == fmm_kernel::Alg::Strassen).then(strassen);
+        let seed = seq::DEFAULT_WORKLOAD_SEED;
+        seq::simulate(algo.as_ref(), n, 1024, leaf, Replacement::Lru, seed, None)
+            .stats
             .io()
     })
 }

@@ -178,6 +178,18 @@ pub fn cancelled_reason(payload: &(dyn std::any::Any + Send)) -> Option<CancelRe
     payload.downcast_ref::<Cancelled>().map(|c| c.0)
 }
 
+/// The message a panic was raised with (`panic!("…")` payloads are
+/// `&str` or `String`).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 thread_local! {
     /// Stack of scoped tokens; the innermost governs this thread.
     static SCOPED: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };

@@ -742,6 +742,91 @@ where
     measure_opt_seeded(n, m_words, DEFAULT_WORKLOAD_SEED, f)
 }
 
+/// Cache replacement for [`simulate`]: the two online policies, or
+/// offline-optimal (Belady), which [`measure_opt_seeded`] computes in two
+/// streaming passes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Replacement {
+    /// Least-recently-used.
+    Lru,
+    /// First-in-first-out.
+    Fifo,
+    /// Offline-optimal (Belady).
+    Opt,
+}
+
+impl Replacement {
+    /// The names, in the order an error message lists them.
+    pub const NAMES: [&'static str; 3] = ["lru", "fifo", "opt"];
+    const ALL: [Replacement; 3] = [Replacement::Lru, Replacement::Fifo, Replacement::Opt];
+
+    /// Canonical string form.
+    pub fn as_str(self) -> &'static str {
+        Replacement::NAMES[self as usize]
+    }
+
+    /// Parse the canonical string form.
+    pub fn parse(s: &str) -> Option<Replacement> {
+        let i = Replacement::NAMES.iter().position(|name| *name == s)?;
+        Some(Replacement::ALL[i])
+    }
+}
+
+/// What [`simulate`] measured.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Simulated {
+    pub stats: CacheStats,
+    /// The computed product; `None` under [`Replacement::Opt`], whose
+    /// passes only feed the access stream.
+    pub product: Option<Matrix<f64>>,
+    /// Cache wipes the `flush_every` fault fired.
+    pub flushes: u64,
+}
+
+/// One seeded `n × n` multiply through a cache of `m_words`: blocked
+/// classical when `alg` is `None`, else `alg`'s recursion, both at
+/// `tile` (the block side, or the recursion's cutoff). `flush_every`
+/// wipes the cache every that many accesses
+/// ([`Mem::inject_flush_every`]); it needs an online `replacement`.
+pub fn simulate(
+    alg: Option<&Bilinear2x2>,
+    n: usize,
+    m_words: usize,
+    tile: usize,
+    replacement: Replacement,
+    seed: u64,
+    flush_every: Option<u64>,
+) -> Simulated {
+    let run = |mem: &mut Mem, a: &TMat, b: &TMat| match alg {
+        None => classical_blocked(mem, a, b, tile),
+        Some(alg) => fast_recursive(mem, alg, a, b, tile),
+    };
+    let policy = match replacement {
+        Replacement::Lru => Policy::Lru,
+        Replacement::Fifo => Policy::Fifo,
+        Replacement::Opt => {
+            assert!(flush_every.is_none(), "cache faults need an online policy");
+            return Simulated {
+                stats: measure_opt_seeded(n, m_words, seed, run),
+                product: None,
+                flushes: 0,
+            };
+        }
+    };
+    let (product, stats, flushes) = match flush_every {
+        Some(every) => measure_faulty_seeded(n, m_words, policy, seed, every, run),
+        None => {
+            let (product, stats) = measure_seeded(n, m_words, policy, seed, run);
+            (product, stats, 0)
+        }
+    };
+    Simulated {
+        stats,
+        product: Some(product),
+        flushes,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

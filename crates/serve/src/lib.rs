@@ -1,6 +1,6 @@
 //! # fmm-serve — a bounded, load-shedding job server
 //!
-//! Runs the workspace's simulators as network jobs: a multi-threaded TCP
+//! Runs the workspace's workloads as network jobs: a multi-threaded TCP
 //! server speaking newline-delimited JSON (the same hand-rolled dialect
 //! [`fmm_obs::json`] writes and `fastmm report` reads), with the failure
 //! behaviour made explicit at every stage instead of implicit in thread
@@ -22,6 +22,15 @@
 //!   and exits. Every accepted job gets exactly one terminal reply:
 //!   `accepted == completed + errored + cancelled + deadline_exceeded`
 //!   holds in the final counters.
+//!
+//! A job *is* the `fastmm` command of the same name: [`jobs`] holds each
+//! workload's params, defaults, validation and execution once, and
+//! `fastmm io|bounds|faults|kernel` map their flags to the same params,
+//! run the same [`jobs::JobSpec`] under the same [`jobs::isolate`], and
+//! print its typed [`jobs::Outcome`] where the server replies with
+//! [`jobs::Outcome::fields`]. The one job the command line runs and the
+//! server refuses is `faults` on `cannon-threaded`, whose threads never
+//! poll the cancel token ([`jobs::JobSpec::refusal`]).
 //!
 //! The conservation law lives in one place, [`ledger`]: the seven
 //! counters, the status-to-counter mapping, and the `reject`/`shed`

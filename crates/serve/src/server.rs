@@ -9,7 +9,7 @@
 //!   ├── conn reader (one per connection; parses lines, admits jobs,
 //!   │                answers control messages inline)
 //!   └── serve-worker-{0..W} ── pop → check deadline → run under
-//!                              catch_unwind → one terminal reply
+//!                              jobs::isolate → one terminal reply
 //! ```
 //!
 //! Invariant the whole design serves: **every accepted job gets exactly
@@ -25,7 +25,7 @@
 //! join, and remaining connections are closed.
 
 use crate::conn::{self, Reply};
-use crate::jobs::JobSpec;
+use crate::jobs::{self, JobSpec, Stopped};
 use crate::ledger::{Ledger, Names, StatsSnapshot};
 use crate::proto::{Request, Response, Status};
 use crate::queue::{BoundedQueue, PushError};
@@ -33,7 +33,6 @@ use fmm_faults::{cancel, splitmix64, CancelReason, CancelToken};
 use fmm_obs::Histogram;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -281,16 +280,6 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Result-map counters worth echoing onto the job's root span, so the
 /// trace tree shows I/O alongside wall time at each node.
 const SPAN_FIELD_KEYS: [&str; 6] = ["io", "loads", "stores", "words", "total_words", "flops"];
@@ -319,10 +308,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         ),
         None => {
             let _scope = cancel::enter(&token);
-            // The panic becomes a structured `error` reply below; mute
-            // the default hook so a poison job costs one log line, not a
-            // backtrace per request.
-            let _quiet = cancel::quiet_panics();
             // Every span the job's simulator opens on this thread closes
             // under the job's trace id; the root span is the tree's top.
             let _tracing = fmm_obs::span::trace_scope(trace);
@@ -332,7 +317,9 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                 // another process; the merged trace tree links them.
                 root.set_parent(parent_span);
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| spec.run()));
+            // A panic becomes a structured `error` reply below, not a
+            // backtrace per request.
+            let outcome = jobs::isolate(|| spec.run());
             if let Ok(Ok(map)) = &outcome {
                 for key in SPAN_FIELD_KEYS {
                     if let Some(v) = map.get(key).and_then(|v| v.parse().ok()) {
@@ -344,19 +331,13 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             match outcome {
                 Ok(Ok(map)) => (Status::Completed, String::new(), map),
                 Ok(Err(e)) => (Status::Error, e, BTreeMap::new()),
-                Err(payload) => match cancel::cancelled_reason(payload.as_ref()) {
-                    Some(CancelReason::DeadlineExceeded) => {
-                        (Status::DeadlineExceeded, String::new(), BTreeMap::new())
-                    }
-                    Some(CancelReason::Cancelled) => {
-                        (Status::Cancelled, String::new(), BTreeMap::new())
-                    }
-                    None => (
-                        Status::Error,
-                        format!("panic: {}", panic_message(payload.as_ref())),
-                        BTreeMap::new(),
-                    ),
-                },
+                Err(Stopped::Cancelled(CancelReason::DeadlineExceeded)) => {
+                    (Status::DeadlineExceeded, String::new(), BTreeMap::new())
+                }
+                Err(Stopped::Cancelled(CancelReason::Cancelled)) => {
+                    (Status::Cancelled, String::new(), BTreeMap::new())
+                }
+                Err(panic) => (Status::Error, panic.to_string(), BTreeMap::new()),
             }
         }
     };

@@ -525,3 +525,31 @@ fn control_replies_carry_exactly_the_pinned_wire_keys() {
         server.wait();
     }
 }
+
+#[test]
+fn zero_sizes_and_uncancellable_schedules_are_rejected_at_admission() {
+    let server = small_server(8, 1);
+    let mut client = Client::connect(&server);
+    let refused = [
+        (Kind::Io, "m", "0", "param 'm' must be at least 1"),
+        (Kind::Bounds, "m", "0", "param 'm' must be at least 1"),
+        (Kind::Bounds, "p", "0", "param 'p' must be at least 1"),
+        (Kind::Kernel, "n", "0", "param 'n' must be at least 1"),
+        (Kind::Faults, "schedule", "cannon-threaded", "never poll"),
+    ];
+    for (i, (kind, key, value, reason)) in refused.into_iter().enumerate() {
+        let resp = client.round_trip(&Request::new(&format!("r{i}"), kind).with_param(key, value));
+        assert_eq!(resp.status, Status::Error, "{key}={value}");
+        assert!(resp.reason.starts_with("rejected:"), "{}", resp.reason);
+        assert!(resp.reason.contains(reason), "{}", resp.reason);
+    }
+    // `faults=` runs the io job twice, clean and with cache wipes.
+    let faulty = cheap_io("faulty").with_param("faults", "flush-every=512");
+    let resp = client.round_trip(&faulty);
+    assert_eq!(resp.status, Status::Completed, "{resp:?}");
+    assert_eq!(resp.result["matches"], "true");
+    assert!(resp.result["flushes"].parse::<u64>().unwrap() > 0);
+    let stats = server.shutdown_and_wait();
+    assert_eq!((stats.rejected, stats.completed), (5, 1));
+    assert!(stats.balanced());
+}

@@ -2,12 +2,12 @@
 //! the measured I/O, evaluate the Theorem 1.1 bound, and derive the
 //! deterministic per-cell workload seed.
 
-use crate::spec::{AlgKind, Cell, PolicyKind, RunMode};
+use crate::spec::{AlgKind, Cell, RunMode};
 use fmm_cdag::RecursiveCdag;
 use fmm_core::altbasis::karstadt_schwartz;
 use fmm_core::{bounds, catalog, Bilinear2x2};
+use fmm_faults::splitmix64;
 use fmm_matrix::Matrix;
-use fmm_memsim::cache::Policy;
 use fmm_memsim::{par, seq};
 use fmm_pebbling::game::run_schedule;
 use fmm_pebbling::players::{demand_schedule, EvictionMode};
@@ -39,15 +39,6 @@ pub struct Measurement {
     pub bound: f64,
     /// `measured / bound` — the quantity whose min/max the report tracks.
     pub ratio: f64,
-}
-
-/// splitmix64 — the standard 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic workload seed for a cell: mixes the root seed with the
@@ -83,21 +74,9 @@ pub fn run_cell(cell: &Cell, seed: u64) -> Result<Measurement, String> {
 
 fn run_cache_cell(cell: &Cell, seed: u64) -> Result<Measurement, String> {
     let (n, m) = (cell.n, cell.m);
+    let alg = (cell.alg != AlgKind::Classical).then(|| fast_algorithm(cell.alg));
     let tile = seq::natural_tile(m);
-    let run = |mem: &mut seq::Mem, a: &seq::TMat, b: &seq::TMat| -> seq::TMat {
-        if cell.alg == AlgKind::Classical {
-            seq::classical_blocked(mem, a, b, tile)
-        } else {
-            seq::fast_recursive(mem, &fast_algorithm(cell.alg), a, b, tile)
-        }
-    };
-    let stats = match cell.policy {
-        PolicyKind::Lru => seq::measure_seeded(n, m, Policy::Lru, seed, run).1,
-        PolicyKind::Fifo => seq::measure_seeded(n, m, Policy::Fifo, seed, run).1,
-        // Streaming two-pass Belady: no materialized trace, so OPT cells
-        // scale to the same n as the online policies.
-        PolicyKind::Opt => seq::measure_opt_seeded(n, m, seed, run),
-    };
+    let stats = seq::simulate(alg.as_ref(), n, m, tile, cell.policy, seed, None).stats;
     let bound = bounds::sequential(n, m, cell.alg.omega());
     Ok(Measurement {
         io: stats.io(),
@@ -174,7 +153,7 @@ fn run_pebble_cell(cell: &Cell) -> Result<Measurement, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepSpec;
+    use crate::spec::{PolicyKind, SweepSpec};
 
     fn cell(alg: AlgKind, n: usize, m: usize, p: usize, mode: RunMode) -> Cell {
         Cell {

@@ -233,19 +233,12 @@ fn run_one(cell: &Cell, seed: u64, cfg: &RunConfig) -> CellStatus {
             if cancel::cancelled_reason(payload.as_ref()).is_some() {
                 CellStatus::TimedOut
             } else {
-                CellStatus::Error(format!("panic: {}", panic_message(payload.as_ref())))
+                CellStatus::Error(format!(
+                    "panic: {}",
+                    cancel::panic_message(payload.as_ref())
+                ))
             }
         }
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -69,37 +69,11 @@ impl AlgKind {
     }
 }
 
-/// Cache replacement policy axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum PolicyKind {
-    /// Least-recently-used.
-    Lru,
-    /// First-in-first-out.
-    Fifo,
-    /// Offline-optimal (Belady), via trace replay.
-    Opt,
-}
-
-impl PolicyKind {
-    /// Canonical string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PolicyKind::Lru => "lru",
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::Opt => "opt",
-        }
-    }
-
-    /// Parse the canonical string form.
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s {
-            "lru" => Some(PolicyKind::Lru),
-            "fifo" => Some(PolicyKind::Fifo),
-            "opt" => Some(PolicyKind::Opt),
-            _ => None,
-        }
-    }
-}
+/// Cache replacement policy axis: memsim's own [`Replacement`], so a cell
+/// runs through [`fmm_memsim::seq::simulate`] as it is.
+///
+/// [`Replacement`]: fmm_memsim::seq::Replacement
+pub use fmm_memsim::seq::Replacement as PolicyKind;
 
 /// How a cell is executed — the recompute-mode axis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

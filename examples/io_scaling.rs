@@ -7,8 +7,8 @@
 //! ```
 
 use fastmm::core::{bounds, catalog};
-use fastmm::memsim::cache::Policy;
-use fastmm::memsim::{model, seq};
+use fastmm::memsim::model;
+use fastmm::memsim::seq::{self, Replacement};
 
 fn fit_exponent(points: &[(usize, f64)]) -> f64 {
     // Least-squares slope of log(io) vs log(n).
@@ -34,47 +34,37 @@ fn main() {
         "algorithm", "n", "measured I/O", "lower bound", "ratio"
     );
 
-    let mut classical_pts = Vec::new();
-    let mut strassen_pts = Vec::new();
-
-    for n in [16usize, 32, 64] {
-        let (_, s) = seq::measure(n, m, Policy::Lru, |mem, a, b| {
-            seq::classical_blocked(mem, a, b, tile)
-        });
-        let lb = bounds::sequential(n, m, bounds::OMEGA_CLASSICAL);
-        println!(
-            "{:<12} {n:>6} {:>12} {:>14.0} {:>8.2}",
-            "classical",
-            s.io(),
-            lb,
-            s.io() as f64 / lb
-        );
-        classical_pts.push((n, s.io() as f64));
-    }
     let strassen = catalog::strassen();
-    for n in [16usize, 32, 64] {
-        let (_, s) = seq::measure(n, m, Policy::Lru, |mem, a, b| {
-            seq::fast_recursive(mem, &strassen, a, b, tile)
-        });
-        let lb = bounds::sequential(n, m, bounds::OMEGA_FAST);
-        println!(
-            "{:<12} {n:>6} {:>12} {:>14.0} {:>8.2}",
-            "strassen",
-            s.io(),
-            lb,
-            s.io() as f64 / lb
-        );
-        strassen_pts.push((n, s.io() as f64));
+    let mut points = Vec::new();
+    for (name, alg, omega) in [
+        ("classical", None, bounds::OMEGA_CLASSICAL),
+        ("strassen", Some(&strassen), bounds::OMEGA_FAST),
+    ] {
+        let mut pts = Vec::new();
+        for n in [16usize, 32, 64] {
+            let seed = seq::DEFAULT_WORKLOAD_SEED;
+            let io = seq::simulate(alg, n, m, tile, Replacement::Lru, seed, None)
+                .stats
+                .io();
+            let lb = bounds::sequential(n, m, omega);
+            println!(
+                "{name:<12} {n:>6} {io:>12} {lb:>14.0} {:>8.2}",
+                io as f64 / lb
+            );
+            pts.push((n, io as f64));
+        }
+        points.push(pts);
     }
+    let (classical_pts, strassen_pts) = (&points[0], &points[1]);
 
     println!("\nFitted growth exponents (I/O ~ n^e at fixed M):");
     println!(
         "  classical: e = {:.2}   (theory: 3.00)",
-        fit_exponent(&classical_pts)
+        fit_exponent(classical_pts)
     );
     println!(
         "  strassen:  e = {:.2}   (theory: log₂7 = {:.2})",
-        fit_exponent(&strassen_pts),
+        fit_exponent(strassen_pts),
         bounds::OMEGA_FAST
     );
 

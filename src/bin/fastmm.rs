@@ -9,8 +9,8 @@
 //!
 //! Workload seeds: commands that generate random inputs accept `--seed`.
 //! `multiply` defaults to 42; `io` and `sweep` default to the library's
-//! [`seq::DEFAULT_WORKLOAD_SEED`] (61453 = 0xF00D) so CLI runs reproduce
-//! library defaults exactly. Simulated I/O is data-oblivious — the seed
+//! [`fastmm::memsim::seq::DEFAULT_WORKLOAD_SEED`] (61453 = 0xF00D) so CLI
+//! runs reproduce library defaults exactly. Simulated I/O is data-oblivious — the seed
 //! varies the workload, not the traffic — but a fixed default keeps every
 //! artifact byte-reproducible.
 
@@ -20,15 +20,16 @@ use fastmm::cdag::RecursiveCdag;
 use fastmm::cli::{Args, Command};
 use fastmm::core::altbasis::{karstadt_schwartz, multiply_alt_counted};
 use fastmm::core::exec::multiply_fast_counted;
-use fastmm::core::{bounds, catalog, lemmas, Bilinear2x2};
+use fastmm::core::{catalog, lemmas, Bilinear2x2};
+use fastmm::faults::Recovery;
 use fastmm::matrix::multiply::multiply_naive;
 use fastmm::matrix::Matrix;
-use fastmm::memsim::cache::Policy;
-use fastmm::memsim::seq;
 use fastmm::pebbling::families;
 use fastmm::pebbling::game::run_schedule;
 use fastmm::pebbling::optimal::recompute_gap;
 use fastmm::pebbling::players::{belady_schedule, creation_order};
+use fastmm::serve::jobs::{self, JobSpec, Outcome};
+use fastmm::serve::proto::Kind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -62,7 +63,7 @@ const COMMANDS: &[Command] = &[
     Command::new(
         "kernel",
         &["alg", "n", "cutoff", "threads", "dtype", "seed", "check"],
-        "usage: fastmm kernel [--alg classical|strassen] [--n 256] [--cutoff 64]
+        "usage: fastmm kernel [--alg classical|strassen] [--n 64] [--cutoff 64]
        [--threads 1] [--dtype f64|i64] [--seed 42] [--check]
        Runs the real cache-blocked kernel (fmm-kernel) once and prints a
        report: wall time, classical-equivalent GFLOP/s, packing time, and
@@ -413,129 +414,77 @@ fn cmd_multiply(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One seeded multiply through the real kernel: wall time, the [`Report`]
-/// the backend accumulated, and — under `--check` — whether the product
-/// matched the naive reference. Generic so `--dtype i64` and `--dtype
-/// f64` share the whole path; small-integer entries make even the f64
-/// comparison exact (every partial sum fits in the 53-bit mantissa).
-fn run_kernel_typed<T: fastmm::matrix::Scalar>(
-    cfg: &fastmm::kernel::KernelCfg,
-    n: usize,
-    seed: u64,
-    check: bool,
-) -> (std::time::Duration, fastmm::kernel::Report, Option<bool>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a = Matrix::<T>::random_small(n, n, &mut rng);
-    let b = Matrix::<T>::random_small(n, n, &mut rng);
-    let start = std::time::Instant::now();
-    let (c, report) = fastmm::kernel::multiply_with_report(cfg, &a, &b);
-    let dt = start.elapsed();
-    let matches = check.then(|| c == multiply_naive(&a, &b));
-    (dt, report, matches)
+/// A workload command (`io`, `bounds`, `faults`, `kernel`) runs the
+/// server's job of the same name: its flags are the params a request
+/// would carry, checked by the job's own validator (a bad one exits 2),
+/// and the job runs as a server worker runs it (a failed run prints one
+/// line, `context: reason` or `panic: …`, and exits 1). `print` renders
+/// the outcome as text and picks the exit code.
+fn workload(args: &Args, kind: Kind, print: impl FnOnce(&Outcome) -> ExitCode) -> ExitCode {
+    let spec =
+        JobSpec::validate(kind, &args.params()).unwrap_or_else(|e| args.die(&e.flag_message()));
+    match jobs::isolate(|| spec.execute()) {
+        Ok(Ok(outcome)) => print(&outcome),
+        Ok(Err(e)) => {
+            match &spec {
+                JobSpec::Faults(job) => eprintln!("faults {}: {e}", job.schedule),
+                _ => eprintln!("{}: {e}", args.command()),
+            }
+            ExitCode::FAILURE
+        }
+        Err(stopped) => {
+            eprintln!("{stopped}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn cmd_kernel(args: &Args) -> ExitCode {
-    let alg_name = args.str("alg").unwrap_or("strassen");
-    let Some(alg) = fastmm::kernel::Alg::parse(alg_name) else {
-        args.die(&format!(
-            "unknown algorithm '{alg_name}' (classical|strassen)"
-        ));
-    };
-    let n = args.get("n", 256);
-    if n == 0 {
-        args.die("--n must be at least 1");
-    }
-    let cutoff = args.get("cutoff", 64);
-    if cutoff == 0 {
-        args.die("--cutoff must be at least 1");
-    }
-    let threads = args.get("threads", 1);
-    if threads == 0 {
-        args.die("--threads must be at least 1");
-    }
-    let dtype = args.str("dtype").unwrap_or("f64");
-    if !matches!(dtype, "f64" | "i64") {
-        args.die(&format!("unknown dtype '{dtype}' (f64|i64)"));
-    }
-    let seed = args.get("seed", 42);
-    let check = args.flag("check");
-    let cfg = fastmm::kernel::KernelCfg {
-        alg,
-        cutoff,
-        threads,
-    };
-    let (dt, report, matches) = if dtype == "i64" {
-        run_kernel_typed::<i64>(&cfg, n, seed, check)
-    } else {
-        run_kernel_typed::<f64>(&cfg, n, seed, check)
-    };
-    let flops = fastmm::kernel::classical_flops(n);
-    let gflops = flops as f64 / dt.as_secs_f64() / 1e9;
-    println!(
-        "{} kernel, n = {n}, cutoff = {cutoff}, threads = {threads}, dtype = {dtype}",
-        alg.as_str()
-    );
-    println!("  wall time:      {dt:?}");
-    println!("  rate:           {gflops:.2} GFLOP/s (classical-equivalent, {flops} flops)");
-    println!(
-        "  packing time:   {:?}",
-        std::time::Duration::from_nanos(report.pack_ns)
-    );
-    println!("  micro tiles:    {}", report.micro_tiles);
-    if alg == fastmm::kernel::Alg::Strassen {
-        let levels: Vec<String> = report
-            .level_products
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
-        println!("  leaf products:  {}", report.leaf_products);
-        println!("  level products: [{}]", levels.join(", "));
-    }
-    match matches {
-        Some(true) => {
-            println!("  check:          product matches naive reference");
-            ExitCode::SUCCESS
+    workload(args, Kind::Kernel, |outcome| {
+        let Outcome::Kernel(job, run) = outcome else {
+            unreachable!("a kernel job measures a multiply")
+        };
+        let (report, flops, wall) = (&run.report, run.flops, run.wall);
+        let (n, cutoff, threads, dtype) = (job.n, job.cutoff, job.threads, &job.dtype);
+        let alg = job.alg.as_str();
+        println!("{alg} kernel, n = {n}, cutoff = {cutoff}, threads = {threads}, dtype = {dtype}");
+        println!("  wall time:      {wall:?}");
+        let gflops = flops as f64 / wall.as_secs_f64() / 1e9;
+        println!("  rate:           {gflops:.2} GFLOP/s (classical-equivalent, {flops} flops)");
+        let pack = std::time::Duration::from_nanos(report.pack_ns);
+        println!("  packing time:   {pack:?}");
+        println!("  micro tiles:    {}", report.micro_tiles);
+        if job.alg == fastmm::kernel::Alg::Strassen {
+            println!("  leaf products:  {}", report.leaf_products);
+            println!("  level products: {:?}", report.level_products);
         }
-        Some(false) => {
-            eprintln!("  check:          MISMATCH against naive reference");
-            ExitCode::FAILURE
+        match run.matches {
+            Some(true) => println!("  check:          product matches naive reference"),
+            Some(false) => eprintln!("  check:          MISMATCH against naive reference"),
+            None => {}
         }
-        None => ExitCode::SUCCESS,
-    }
+        exit(run.matches != Some(false))
+    })
 }
 
 fn cmd_bounds(args: &Args) -> ExitCode {
-    let n = args.get("n", 4096);
-    let m = args.get("m", 1024);
-    let p = args.get("p", 1);
-    println!("I/O lower bounds at n = {n}, M = {m}, P = {p}:");
-    println!(
-        "  classical sequential:   Ω ≈ {:.3e}",
-        bounds::sequential(n, m, bounds::OMEGA_CLASSICAL)
-    );
-    println!(
-        "  fast (2×2) sequential:  Ω ≈ {:.3e}   [holds with recomputation]",
-        bounds::sequential(n, m, bounds::OMEGA_FAST)
-    );
-    if p > 1 {
-        println!(
-            "  fast parallel (max):    Ω ≈ {:.3e}",
-            bounds::parallel(n, m, p, bounds::OMEGA_FAST)
-        );
-        println!(
-            "    memory-dependent:     Ω ≈ {:.3e}",
-            bounds::parallel_memory_dependent(n, m, p, bounds::OMEGA_FAST)
-        );
-        println!(
-            "    memory-independent:   Ω ≈ {:.3e}",
-            bounds::parallel_memory_independent(n, p, bounds::OMEGA_FAST)
-        );
-        println!(
-            "    crossover M*:         {:.3e}",
-            bounds::parallel_crossover_m(n, p, bounds::OMEGA_FAST)
-        );
-    }
-    ExitCode::SUCCESS
+    workload(args, Kind::Bounds, |outcome| {
+        let Outcome::Bounds(job, run) = outcome else {
+            unreachable!("a bounds job measures bounds")
+        };
+        let (n, m, p) = (job.n, job.m, job.p);
+        println!("I/O lower bounds at n = {n}, M = {m}, P = {p}:");
+        println!("  classical sequential:   Ω ≈ {:.3e}", run.classical_seq);
+        let fast = run.fast_seq;
+        println!("  fast (2×2) sequential:  Ω ≈ {fast:.3e}   [holds with recomputation]");
+        if let Some([max, dependent, independent, crossover]) = run.parallel {
+            println!("  fast parallel (max):    Ω ≈ {max:.3e}");
+            println!("    memory-dependent:     Ω ≈ {dependent:.3e}");
+            println!("    memory-independent:   Ω ≈ {independent:.3e}");
+            println!("    crossover M*:         {crossover:.3e}");
+        }
+        ExitCode::SUCCESS
+    })
 }
 
 fn cmd_verify(args: &Args) -> ExitCode {
@@ -564,105 +513,48 @@ fn cmd_verify(args: &Args) -> ExitCode {
 }
 
 fn cmd_io(args: &Args) -> ExitCode {
-    let n = args.get("n", 32);
-    let m = args.get("m", 96);
-    let seed = args.get("seed", seq::DEFAULT_WORKLOAD_SEED);
-    let alg = algorithm(args, &[]);
-    let tile = seq::natural_tile(m);
-    let policy = args.str("policy").unwrap_or("lru");
-    let run = |mem: &mut seq::Mem, a: &seq::TMat, b: &seq::TMat| -> seq::TMat {
-        if alg.name == "classical" {
-            seq::classical_blocked(mem, a, b, tile)
-        } else {
-            seq::fast_recursive(mem, &alg, a, b, tile)
-        }
-    };
-    let head = format!(
-        "{} at n = {n}, M = {m} ({}, tile {tile}, seed {seed})",
-        alg.name,
-        policy.to_uppercase()
-    );
-    if let Some(spec) = args.str("faults") {
-        return cmd_io_faulty(args, spec, n, m, seed, &head, run);
-    }
-    let stats = match policy {
-        "lru" => seq::measure_seeded(n, m, Policy::Lru, seed, run).1,
-        "fifo" => seq::measure_seeded(n, m, Policy::Fifo, seed, run).1,
-        // Offline-optimal replacement, streamed in two passes — no
-        // recorded trace, so it runs at the same n as the online policies.
-        "opt" => seq::measure_opt_seeded(n, m, seed, run),
-        other => args.die(&format!("unknown policy '{other}' (lru|fifo|opt)")),
-    };
-    let omega = if alg.name == "classical" {
-        bounds::OMEGA_CLASSICAL
-    } else {
-        bounds::OMEGA_FAST
-    };
-    let lb = bounds::sequential(n, m, omega);
-    println!("{head}:");
-    println!(
-        "  measured I/O:  {} ({} loads, {} stores)",
-        stats.io(),
-        stats.loads,
-        stats.stores
-    );
-    println!("  lower bound:   {lb:.0}");
-    println!("  ratio:         {:.2}", stats.io() as f64 / lb);
-    ExitCode::SUCCESS
+    workload(args, Kind::Io, |outcome| {
+        let Outcome::Io(job, run) = outcome else {
+            unreachable!("an io job measures a cache simulation")
+        };
+        let (alg, n, m, seed, tile) = (&job.alg.name, job.n, job.m, job.seed, run.tile);
+        let policy = job.policy.as_str().to_uppercase();
+        let head = format!("{alg} at n = {n}, M = {m} ({policy}, tile {tile}, seed {seed})");
+        let (io, stats) = (run.clean.stats.io(), &run.clean.stats);
+        let (Some(faulty), Some(every)) = (&run.faulty, job.flush_every) else {
+            println!("{head}:");
+            let (loads, stores) = (stats.loads, stats.stores);
+            println!("  measured I/O:  {io} ({loads} loads, {stores} stores)");
+            println!("  lower bound:   {:.0}", run.bound);
+            println!("  ratio:         {:.2}", io as f64 / run.bound);
+            return ExitCode::SUCCESS;
+        };
+        // Seeded cache wipes: the same workload, run clean and faulty.
+        let matches = faulty.product == run.clean.product;
+        let (faulty_io, flushes) = (faulty.stats.io(), faulty.flushes);
+        let recovery = faulty_io.saturating_sub(io);
+        println!("{head} under faults flush-every={every}:");
+        println!("  product:       {}", verdict(matches));
+        println!("  clean I/O:     {io}");
+        println!("  faulty I/O:    {faulty_io} ({flushes} cache flush(es) injected)");
+        let percent = 100.0 * recovery as f64 / io.max(1) as f64;
+        println!("  recovery I/O:  {recovery} (+{percent:.2}%)");
+        exit(matches)
+    })
 }
 
-/// `fastmm io --faults "<spec>"` — run the same workload twice, clean
-/// and with seeded cache-wipe faults, and report the recovery I/O the
-/// injected flushes cost. The fault spec must set `flush-every=<N>`.
-fn cmd_io_faulty<F>(
-    args: &Args,
-    spec_str: &str,
-    n: usize,
-    m: usize,
-    seed: u64,
-    head: &str,
-    run: F,
-) -> ExitCode
-where
-    F: FnOnce(&mut seq::Mem, &seq::TMat, &seq::TMat) -> seq::TMat + Copy,
-{
-    let spec = fastmm::faults::FaultSpec::parse(spec_str)
-        .unwrap_or_else(|e| args.die(&format!("bad --faults spec: {e}")));
-    let Some(every) = spec.flush_every else {
-        args.die(&format!(
-            "io --faults requires flush-every=<N> in the spec (got '{spec_str}')"
-        ));
-    };
-    let cache_policy = match args.str("policy").unwrap_or("lru") {
-        "lru" => Policy::Lru,
-        "fifo" => Policy::Fifo,
-        other => args.die(&format!(
-            "io --faults supports --policy lru|fifo (got '{other}')"
-        )),
-    };
-    let (clean_product, clean) = seq::measure_seeded(n, m, cache_policy, seed, run);
-    let (faulty_product, faulty, flushes) =
-        seq::measure_faulty_seeded(n, m, cache_policy, seed, every, run);
-    let recovery = faulty.io().saturating_sub(clean.io());
-    println!("{head} under faults flush-every={every}:");
-    println!(
-        "  product:       {}",
-        if faulty_product == clean_product {
-            "matches fault-free run"
-        } else {
-            "DIVERGES FROM FAULT-FREE RUN"
-        }
-    );
-    println!("  clean I/O:     {}", clean.io());
-    println!(
-        "  faulty I/O:    {} ({flushes} cache flush(es) injected)",
-        faulty.io()
-    );
-    println!(
-        "  recovery I/O:  {recovery} (+{:.2}%)",
-        100.0 * recovery as f64 / clean.io().max(1) as f64
-    );
-    if faulty_product == clean_product {
+/// How a faulty run's product compares with the fault-free one's.
+fn verdict(matches: bool) -> &'static str {
+    if matches {
+        "matches fault-free run"
+    } else {
+        "DIVERGES FROM FAULT-FREE RUN"
+    }
+}
+
+/// Exit 0 when the run's invariants hold, else 1.
+fn exit(ok: bool) -> ExitCode {
+    if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -673,157 +565,35 @@ where
 /// plan, verify the recovered product against the fault-free run, and
 /// report the communication cost of the faults.
 fn cmd_faults(args: &Args) -> ExitCode {
-    use fastmm::faults::{FaultSpec, FaultStats, Recovery};
-    use fastmm::memsim::{par, par_faults, par_threads};
-
-    let schedule = args.str("schedule").unwrap_or("cannon");
-    let spec = FaultSpec::parse(
-        args.str("spec")
-            .unwrap_or("seed=7,crash=0.05,drop=0.02,dup=0.01,retries=8"),
-    )
-    .unwrap_or_else(|e| args.die(&format!("bad --spec: {e}")));
-    let recovery = args
-        .str("recovery")
-        .map_or(Ok(Recovery::Recompute), Recovery::parse)
-        .unwrap_or_else(|e| args.die(&format!("bad --recovery: {e}")));
-    let plan = spec.plan();
-    let seed = args.get("seed", 42);
-
-    // A shared workload: the faulty run must reproduce this product.
-    let make = |n: usize| -> (Matrix<i64>, Matrix<i64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (
-            Matrix::<i64>::random_small(n, n, &mut rng),
-            Matrix::<i64>::random_small(n, n, &mut rng),
-        )
-    };
-    // (clean product, clean total words) and the faulty run's
-    // (product, total, recovery, stats), normalised across schedules.
-    struct Outcome {
-        matches: bool,
-        clean_words: u64,
-        total_words: u64,
-        recovery_words: u64,
-        faults: FaultStats,
-        detail: String,
-    }
-    let outcome = match schedule {
-        "cannon" | "3d" => {
-            let p = args.get("p", if schedule == "cannon" { 4 } else { 2 });
-            let n = args.get("n", 16);
-            let (a, b) = make(n);
-            let (clean, clean_net) = if schedule == "cannon" {
-                par::cannon(&a, &b, p)
-            } else {
-                par::replicated_3d(&a, &b, p)
-            };
-            let faulty = if schedule == "cannon" {
-                par_faults::cannon_faulty(&a, &b, p, &plan, recovery)
-            } else {
-                par_faults::replicated_3d_faulty(&a, &b, p, &plan, recovery)
-            };
-            match faulty {
-                Ok(r) => Outcome {
-                    matches: r.product == clean,
-                    clean_words: clean_net.total_words,
-                    total_words: r.net.total_words,
-                    recovery_words: r.net.recovery_words,
-                    faults: r.faults,
-                    detail: format!("n = {n}, p = {p}"),
-                },
-                Err(e) => {
-                    eprintln!("faults {schedule}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    workload(args, Kind::Faults, |outcome| {
+        let Outcome::Faults(job, run) = outcome else {
+            unreachable!("a faults job measures a faulty schedule")
+        };
+        let (schedule, n, p, f) = (&job.schedule, job.n, job.p, &run.faults);
+        let detail = match schedule.as_str() {
+            "caps" => format!("{}, n = {n}, levels = {}", job.alg.name, job.levels),
+            "cannon-threaded" => format!("n = {n}, p = {p}, retry/backoff shim"),
+            _ => format!("n = {n}, p = {p}"),
+        };
+        let (spec, recovery) = (job.spec.canonical(), job.recovery.as_string());
+        println!("fault injection: {schedule} ({detail}), spec {spec}, recovery {recovery}");
+        println!("  product:         {}", verdict(run.matches));
+        let (total, clean, recovery) = (run.total_words, run.clean_words, run.recovery_words);
+        println!("  total words:     {total} (fault-free {clean})");
+        let percent = 100.0 * recovery as f64 / clean.max(1) as f64;
+        println!("  recovery words:  {recovery} (+{percent:.2}%)");
+        println!(
+            "  faults:          {} crash(es), {} drop(s), {} dup(s), {} retry(ies), \
+             {} checkpoint(s), {} restore(s)",
+            f.crashes, f.drops, f.dups, f.retries, f.checkpoints, f.restores
+        );
+        if f.unrecovered > 0 {
+            println!("  unrecovered:     {} (recovery = none)", f.unrecovered);
         }
-        "caps" => {
-            let n = args.get("n", 16);
-            let levels = args.get("levels", 2);
-            let alg = algorithm(args, &[]);
-            let (a, b) = make(n);
-            let (clean, clean_net) = par::caps_strassen(&alg, &a, &b, levels);
-            match par_faults::caps_strassen_faulty(&alg, &a, &b, levels, &plan, recovery) {
-                Ok(r) => Outcome {
-                    matches: r.product == clean,
-                    clean_words: clean_net.total_words,
-                    total_words: r.net.total_words,
-                    recovery_words: r.net.recovery_words,
-                    faults: r.faults,
-                    detail: format!("{}, n = {n}, levels = {levels}", alg.name),
-                },
-                Err(e) => {
-                    eprintln!("faults caps: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "cannon-threaded" => {
-            let p = args.get("p", 4);
-            let n = args.get("n", 16);
-            let (a, b) = make(n);
-            let clean =
-                par_threads::cannon_threaded_faulty(&a, &b, p, &FaultSpec::default().plan())
-                    .expect("an inert fault plan never drops a message");
-            match par_threads::cannon_threaded_faulty(&a, &b, p, &plan) {
-                Ok(r) => Outcome {
-                    matches: r.product == clean.product,
-                    clean_words: clean.total_words,
-                    total_words: r.total_words,
-                    recovery_words: r.recovery_words,
-                    faults: r.faults,
-                    detail: format!("n = {n}, p = {p}, retry/backoff shim"),
-                },
-                Err(e) => {
-                    eprintln!("faults cannon-threaded: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        other => args.die(&format!(
-            "unknown schedule '{other}' (cannon|3d|caps|cannon-threaded)"
-        )),
-    };
-    let f = &outcome.faults;
-    println!(
-        "fault injection: {schedule} ({}), spec {}, recovery {}",
-        outcome.detail,
-        spec.canonical(),
-        recovery.as_string()
-    );
-    println!(
-        "  product:         {}",
-        if outcome.matches {
-            "matches fault-free run"
-        } else {
-            "DIVERGES FROM FAULT-FREE RUN"
-        }
-    );
-    println!(
-        "  total words:     {} (fault-free {})",
-        outcome.total_words, outcome.clean_words
-    );
-    println!(
-        "  recovery words:  {} (+{:.2}%)",
-        outcome.recovery_words,
-        100.0 * outcome.recovery_words as f64 / outcome.clean_words.max(1) as f64
-    );
-    println!(
-        "  faults:          {} crash(es), {} drop(s), {} dup(s), {} retry(ies), \
-         {} checkpoint(s), {} restore(s)",
-        f.crashes, f.drops, f.dups, f.retries, f.checkpoints, f.restores
-    );
-    if f.unrecovered > 0 {
-        println!("  unrecovered:     {} (recovery = none)", f.unrecovered);
-    }
-    // Recovery::None is *expected* to corrupt the product when a crash
-    // fired — that is the demonstration. Everything else must match.
-    let expected_mismatch = matches!(recovery, Recovery::None) && f.unrecovered > 0;
-    if outcome.matches || expected_mismatch {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+        // Recovery::None is *expected* to corrupt the product when a crash
+        // fired — that is the demonstration. Everything else must match.
+        exit(run.matches || (matches!(job.recovery, Recovery::None) && f.unrecovered > 0))
+    })
 }
 
 fn cmd_pebble(args: &Args) -> ExitCode {
@@ -1063,7 +833,7 @@ fn cmd_sweep_run(args: &Args) -> ExitCode {
             Err(e) => args.die(&e.to_string()),
         }
     } else {
-        seq::DEFAULT_WORKLOAD_SEED
+        fastmm::memsim::seq::DEFAULT_WORKLOAD_SEED
     };
     let cfg = engine::RunConfig {
         seed: args.get("seed", default_seed),

@@ -452,3 +452,37 @@ fn torn_checkpoint_after_a_hung_cell_resumes_to_completion() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn zero_sizes_exit_2_instead_of_running() {
+    for (args, message) in [
+        (
+            &["io", "--n", "8", "--m", "0"][..],
+            "--m must be at least 1",
+        ),
+        (&["bounds", "--m", "0"][..], "--m must be at least 1"),
+        (&["bounds", "--p", "0"][..], "--p must be at least 1"),
+        (&["kernel", "--n", "0"][..], "--n must be at least 1"),
+    ] {
+        let out = fastmm(args);
+        assert_exit_2_clean(&out);
+        assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+    }
+}
+
+#[test]
+fn poison_inputs_exit_1_with_one_panic_line() {
+    for args in [
+        // Strassen needs a power-of-two order; Cannon needs p to divide n.
+        &["io", "--n", "12"][..],
+        &["faults", "--schedule", "cannon", "--p", "5", "--n", "16"][..],
+    ] {
+        let out = fastmm(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: a backtrace:\n{err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.starts_with("panic: "), "{args:?}: {err}");
+    }
+}
