@@ -132,7 +132,8 @@ fn model_io(alg: fmm_kernel::Alg, n: usize, leaf: usize) -> u64 {
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut map = cache.lock().expect("model_io cache");
     *map.entry((alg.as_str(), n, leaf)).or_insert_with(|| {
-        let algo = (alg == fmm_kernel::Alg::Strassen).then(strassen);
+        let algo = (alg != fmm_kernel::Alg::Classical)
+            .then(|| catalog::by_name(alg.as_str()).expect("a catalog algorithm"));
         let seed = seq::DEFAULT_WORKLOAD_SEED;
         seq::simulate(algo.as_ref(), n, 1024, leaf, Replacement::Lru, seed, None)
             .stats
@@ -140,10 +141,15 @@ fn model_io(alg: fmm_kernel::Alg, n: usize, leaf: usize) -> u64 {
     })
 }
 
+/// The largest order whose predicted I/O the kernel targets report:
+/// simulating one order-1024 multiply word by word takes over a minute.
+const MODEL_IO_MAX_N: usize = 512;
+
 /// One real multiply through `fmm-kernel` (f64, seeded small-integer
 /// entries, so the checksum is exact and machine-stable). Extras carry
-/// the checksum, the classical-equivalent flop count, and the simulator's
-/// predicted I/O for the same (alg, n, cutoff) cell.
+/// the checksum, the classical-equivalent flop count, and up to order
+/// [`MODEL_IO_MAX_N`] the simulator's predicted I/O for the same
+/// (alg, n, cutoff) cell.
 fn kernel_pass(
     alg: fmm_kernel::Alg,
     n: usize,
@@ -161,13 +167,16 @@ fn kernel_pass(
     let sum: f64 = c.as_slice().iter().sum();
     let leaf = match alg {
         fmm_kernel::Alg::Classical => seq::natural_tile(1024),
-        fmm_kernel::Alg::Strassen => cutoff,
+        _ => cutoff,
     };
-    extras(&[
+    let mut out = extras(&[
         ("checksum", format!("{sum:.0}")),
         ("flops", fmm_kernel::classical_flops(n).to_string()),
-        ("model_io", model_io(alg, n, leaf).to_string()),
-    ])
+    ]);
+    if n <= MODEL_IO_MAX_N {
+        out.insert("model_io".into(), model_io(alg, n, leaf).to_string());
+    }
+    out
 }
 
 fn kernel_classical_n128() -> BTreeMap<String, String> {
@@ -184,6 +193,12 @@ fn kernel_strassen_n512() -> BTreeMap<String, String> {
 }
 fn kernel_strassen_mt_n512() -> BTreeMap<String, String> {
     kernel_pass(fmm_kernel::Alg::Strassen, 512, 64, 2)
+}
+fn kernel_classical_n1024() -> BTreeMap<String, String> {
+    kernel_pass(fmm_kernel::Alg::Classical, 1024, 64, 1)
+}
+fn kernel_strassen_n1024() -> BTreeMap<String, String> {
+    kernel_pass(fmm_kernel::Alg::Strassen, 1024, 64, 1)
 }
 
 /// The naive reference at the acceptance grid cell — the denominator of
@@ -564,6 +579,20 @@ pub fn all_targets() -> Vec<Target> {
             tol: 0.50,
             min_profile: Profile::Standard,
             run: kernel_strassen_mt_n512,
+        },
+        Target {
+            name: "kernel/classical/n1024_f64",
+            group: "kernel",
+            tol: 0.35,
+            min_profile: Profile::Standard,
+            run: kernel_classical_n1024,
+        },
+        Target {
+            name: "kernel/strassen/n1024_c64_f64",
+            group: "kernel",
+            tol: 0.35,
+            min_profile: Profile::Standard,
+            run: kernel_strassen_n1024,
         },
         Target {
             name: "sweep/smoke_cells",

@@ -4,9 +4,17 @@
 //! register tile `MR`×`NR`: for each `NC`-wide column slab of B and each
 //! `KC`-deep slice of the shared dimension, pack the B tile into
 //! `kc`×`NR` column micro-panels, then for each `MC`-tall row panel of A
-//! pack the A tile into `kc`×`MR` row strips, and run the micro-kernel on
+//! pack the A tile into `MR`×`kc` row strips, and run the micro-kernel on
 //! every (strip, micro-panel) pair: one `MR`×`NR` tile of C held in
 //! registers for the whole `kc` sweep.
+//!
+//! The nest runs one [`Product`]: `Σ C-blocks += (Σ A-blocks)(Σ B-blocks)`
+//! over weighted sums of equally shaped blocks. A classical multiply is
+//! the one-term case. A fused Strassen leaf (`crate::fast`) lists the
+//! blocks its encoded operands are made of and the C blocks its product
+//! decodes into: packing adds up the operand sums, and the C-tile store
+//! adds the tile into every destination, so no encoded operand or product
+//! is ever stored.
 //!
 //! Three micro-kernels run through that one nest:
 //!
@@ -23,8 +31,11 @@
 //!
 //! [`gemm_block`] picks the fastest kernel this CPU runs, checked at run
 //! time with `is_x86_feature_detected!` (no build flag): AVX-512F, then
-//! AVX2+FMA, then portable. The module's only `unsafe` code is the two
-//! `std::arch` kernels and the `T` → `f64` slice cast that selects them.
+//! AVX2+FMA, then portable. Each `std::arch` kernel comes with a copy of
+//! the nest compiled for its features (`avx512::gemm`, `avx2::gemm`), so
+//! the packing sums and C-tile additions vectorise at the kernel's width.
+//! The module's only `unsafe` code is those two kernels, their nests, and
+//! the `T` → `f64` cast that selects them.
 //!
 //! Rounding: a fused multiply-add rounds once where the portable
 //! `c += a·b` rounds twice. Both fused kernels compute
@@ -33,7 +44,8 @@
 //! whose products and partial sums are exact in `f64` (every benchmark,
 //! golden and checksum in this workspace), give identical results on all
 //! three kernels; general `f64` results may differ from `multiply_naive`
-//! in the last bits.
+//! in the last bits. A one-term product does no arithmetic outside the
+//! kernel, so classical results depend on the kernel alone.
 //!
 //! [`fmm_faults::cancel::poll`] runs once per packed A strip (roughly
 //! `MR·KC·NC` scalar ops apart), which keeps served kernel jobs
@@ -73,8 +85,18 @@ pub(crate) fn multiply<T: Scalar>(
         return c;
     }
     let (a_data, b_data) = (a.as_slice(), b.as_slice());
+    let product = Product::plain(k, n);
     if threads <= 1 || m <= MC {
-        gemm_block(a_data, b_data, c.as_mut_slice(), m, k, n, stats);
+        let mut packs = Packs::default();
+        gemm_block(
+            a_data,
+            b_data,
+            c.as_mut_slice(),
+            &product,
+            (m, k, n),
+            &mut packs,
+            stats,
+        );
         return c;
     }
     // Each item is one MC-tall slab of C rows (disjoint &mut slices, so
@@ -88,9 +110,129 @@ pub(crate) fn multiply<T: Scalar>(
     pool(threads, panels, |(i0, c_rows): (usize, &mut [T])| {
         let mc = c_rows.len() / n;
         let a_rows = &a_data[i0 * k..(i0 + mc) * k];
-        gemm_block(a_rows, b_data, c_rows, mc, k, n, stats);
+        let mut packs = Packs::default();
+        gemm_block(
+            a_rows,
+            b_data,
+            c_rows,
+            &product,
+            (mc, k, n),
+            &mut packs,
+            stats,
+        );
     });
     c
+}
+
+/// A weighted sum `Σ coef · block` of equally shaped blocks of one
+/// row-major matrix whose rows are `ld` elements apart. Each term names
+/// its block by the offset of the block's first element.
+#[derive(Clone, Debug)]
+pub(crate) struct Blocks<T> {
+    pub(crate) ld: usize,
+    pub(crate) terms: Vec<(T, usize)>,
+}
+
+impl<T: Scalar> Blocks<T> {
+    /// The whole matrix as one block.
+    fn whole(ld: usize) -> Blocks<T> {
+        Blocks {
+            ld,
+            terms: vec![(T::one(), 0)],
+        }
+    }
+
+    /// The block's offset when the sum is one block with coefficient 1.
+    fn lone(&self) -> Option<usize> {
+        match self.terms[..] {
+            [(coef, offset)] if coef == T::one() => Some(offset),
+            _ => None,
+        }
+    }
+
+    /// `dst.len()` elements of the sum from `at` (an offset within each
+    /// block, `row · ld + col`) of `data`, written to `dst` in one
+    /// contiguous pass per term.
+    fn sum_into(&self, data: &[T], at: usize, dst: &mut [T]) {
+        let len = dst.len();
+        let ((first, offset), rest) = self.terms.split_first().expect("a sum has terms");
+        let src = &data[offset + at..][..len];
+        match *first == T::one() {
+            true => dst.copy_from_slice(src),
+            false => {
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = *first * x;
+                }
+            }
+        }
+        for &(coef, offset) in rest {
+            for (d, &x) in dst.iter_mut().zip(&data[offset + at..][..len]) {
+                *d += coef * x;
+            }
+        }
+    }
+
+    /// `len` elements of the sum from `at`, borrowed from `data` when the
+    /// sum is [`lone`](Self::lone), else added up into `scratch`.
+    fn row<'s>(&self, data: &'s [T], at: usize, len: usize, scratch: &'s mut [T]) -> &'s [T] {
+        if let Some(offset) = self.lone() {
+            return &data[offset + at..][..len];
+        }
+        self.sum_into(data, at, &mut scratch[..len]);
+        &scratch[..len]
+    }
+}
+
+/// One product of the loop nest: `Σ c-blocks += (Σ a-blocks)·(Σ b-blocks)`,
+/// every block sum a [`Blocks`]. A classical multiply is the one-term
+/// product [`Product::plain`]; each leaf of the fused Strassen recursion
+/// lists its encoded A and B blocks and the C blocks it decodes into.
+#[derive(Clone, Debug)]
+pub(crate) struct Product<T> {
+    pub(crate) a: Blocks<T>,
+    pub(crate) b: Blocks<T>,
+    pub(crate) c: Blocks<T>,
+}
+
+impl<T: Scalar> Product<T> {
+    /// `C += A·B` for row-major `A` (`k` columns), `B` and `C` (`n`
+    /// columns each).
+    pub(crate) fn plain(k: usize, n: usize) -> Product<T> {
+        Product {
+            a: Blocks::whole(k),
+            b: Blocks::whole(n),
+            c: Blocks::whole(n),
+        }
+    }
+}
+
+/// The loop nest's only buffers: the packed A strips and B micro-panels,
+/// and the scratch row a weighted sum of B rows is added up in. They grow
+/// to the largest product they have served, so a fused recursion reuses
+/// one set across all its leaves.
+pub(crate) struct Packs<T> {
+    a: Vec<T>,
+    b: Vec<T>,
+    row: Vec<T>,
+}
+
+impl<T> Default for Packs<T> {
+    fn default() -> Packs<T> {
+        Packs {
+            a: Vec::new(),
+            b: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+}
+
+/// `v`, grown to at least `len` elements (a fresh zeroed allocation, as
+/// cheap as an untouched one, rather than a copy of the old contents).
+fn at_least<T: Scalar>(v: &mut Vec<T>, len: usize) -> &mut [T] {
+    if v.len() < len {
+        *v = vec![T::zero(); len];
+    }
+    v
 }
 
 /// Columns of the portable and AVX2 tiles (their rows are [`MR`]).
@@ -145,19 +287,19 @@ pub fn f64_kernel_isa() -> &'static str {
     Isa::best().name()
 }
 
-/// Multiply the `m`×`k` row-major block `a` by the `k`×`n` row-major `b`
-/// into the zero-initialised `m`×`n` row-major `c`, on the fastest
+/// Run `product` over the row-major matrices `a`, `b` and `c`, each
+/// block of it `m`×`k`, `k`×`n` and `m`×`n` (`shape`), on the fastest
 /// kernel this CPU runs for `T`.
 pub(crate) fn gemm_block<T: Scalar>(
     a: &[T],
     b: &[T],
     c: &mut [T],
-    m: usize,
-    k: usize,
-    n: usize,
+    product: &Product<T>,
+    shape: (usize, usize, usize),
+    packs: &mut Packs<T>,
     stats: &Stats,
 ) {
-    gemm_block_on(Isa::best(), a, b, c, m, k, n, stats);
+    gemm_block_on(Isa::best(), a, b, c, product, shape, packs, stats);
 }
 
 /// [`gemm_block`] on a chosen `f64` kernel, which the tests use to run
@@ -169,9 +311,9 @@ pub(crate) fn gemm_block_on<T: Scalar>(
     a: &[T],
     b: &[T],
     c: &mut [T],
-    m: usize,
-    k: usize,
-    n: usize,
+    product: &Product<T>,
+    shape: (usize, usize, usize),
+    packs: &mut Packs<T>,
     stats: &Stats,
 ) {
     assert!(
@@ -181,57 +323,73 @@ pub(crate) fn gemm_block_on<T: Scalar>(
     );
     #[cfg(target_arch = "x86_64")]
     if isa != Isa::Portable && TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: `T` is `f64` (the `TypeId`s are equal), so each slice
-        // is reinterpreted as itself: same address, length and layout.
-        let (a, b, c) = unsafe {
+        // SAFETY: `T` is `f64` (the `TypeId`s are equal), so each slice,
+        // the product's coefficients and the buffers are reinterpreted as
+        // themselves: same addresses, lengths and layouts.
+        let (a, b, c, product, packs) = unsafe {
             (
                 std::slice::from_raw_parts(a.as_ptr().cast::<f64>(), a.len()),
                 std::slice::from_raw_parts(b.as_ptr().cast::<f64>(), b.len()),
                 std::slice::from_raw_parts_mut(c.as_mut_ptr().cast::<f64>(), c.len()),
+                &*(product as *const Product<T>).cast::<Product<f64>>(),
+                &mut *(packs as *mut Packs<T>).cast::<Packs<f64>>(),
             )
         };
-        // SAFETY (both closures): the assert above confirmed the CPU
-        // runs `isa`'s features.
-        if isa == Isa::Avx512 {
-            let kernel =
-                |kc, pa: &[f64], pb: &[f64], acc: &mut _| unsafe { avx512::micro(kc, pa, pb, acc) };
-            return blocked::<f64, { avx512::MR }, { avx512::NR }>(a, b, c, m, k, n, stats, kernel);
-        }
-        let kernel =
-            |kc, pa: &[f64], pb: &[f64], acc: &mut _| unsafe { avx2::micro(kc, pa, pb, acc) };
-        return blocked::<f64, MR, NR>(a, b, c, m, k, n, stats, kernel);
+        // SAFETY (both calls): the assert above confirmed the CPU runs
+        // `isa`'s features.
+        return unsafe {
+            match isa {
+                Isa::Avx512 => avx512::gemm(a, b, c, product, shape, packs, stats),
+                _ => avx2::gemm(a, b, c, product, shape, packs, stats),
+            }
+        };
     }
-    blocked::<T, MR, NR>(a, b, c, m, k, n, stats, micro::<T, MR, NR>);
+    blocked::<T, MR, NR>(a, b, c, product, shape, packs, stats, micro::<T, MR, NR>);
 }
 
 /// The BLIS-shaped loop nest of [`gemm_block`] around one `MR`×`NR`
 /// micro-kernel.
 ///
 /// B is packed into `kc`×`NR` column micro-panels
-/// (`pb[(p·kc + k)·NR + j]`) and A into `kc`×`MR` row strips
-/// interleaved per `k` (`pa[(q·kc + k)·MR + r]`), both zero-padded at
-/// ragged edges; both read their source rows contiguously. Each tile of
-/// C is loaded into an `[[T; NR]; MR]` accumulator, swept over the whole
-/// `kc`, and written back, so the kernel never touches C out of bounds
-/// and the summation order over `k` is ascending on every kernel. The
-/// packing buffers are sized to this call's largest block: a 64×64
-/// Strassen leaf packs 64 KiB of `f64`, not a full `MC`×`KC` plus
-/// `KC`×`NC` pair (1.1 MiB).
+/// (`pb[(p·kc + k)·NR + j]`) and A into `MR`×`kc` row strips kept row
+/// by row (`pa[(q·MR + r)·kc + k]`), both zero-padded at ragged edges.
+/// Packing reads and writes every row of the product's A and B sums
+/// contiguously: an A row is added up straight into its strip, and a B
+/// row in the scratch before it is dealt out to the micro-panels. The
+/// additions of a fused Strassen leaf are therefore timed as packing.
+///
+/// A lone C block keeps the classical order: each tile of C is loaded
+/// into an `[[T; NR]; MR]` accumulator, swept over the whole `kc`, and
+/// written back, so the summation order over `k` is ascending on every
+/// kernel. For a sum of C blocks the tile starts at zero and is added,
+/// times its coefficient, into every block. Either way the kernel never
+/// touches C out of bounds. The packing buffers grow to this product's
+/// largest block: a 64×64 Strassen leaf packs 64 KiB of `f64`, not a
+/// full `MC`×`KC` plus `KC`×`NC` pair (1.1 MiB).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn blocked<T: Scalar, const MR: usize, const NR: usize>(
     a: &[T],
     b: &[T],
     c: &mut [T],
-    m: usize,
-    k: usize,
-    n: usize,
+    product: &Product<T>,
+    (m, k, n): (usize, usize, usize),
+    packs: &mut Packs<T>,
     stats: &Stats,
     kernel: impl Fn(usize, &[T], &[T], &mut [[T; NR]; MR]),
 ) {
     let zero = T::zero();
     let kc_max = KC.min(k);
-    let mut pa = vec![zero; MC.min(m).next_multiple_of(MR) * kc_max];
-    let mut pb = vec![zero; NC.min(n).next_multiple_of(NR) * kc_max];
+    let nc_max = NC.min(n);
+    let pa = at_least(&mut packs.a, MC.min(m).next_multiple_of(MR) * kc_max);
+    let pb = at_least(&mut packs.b, nc_max.next_multiple_of(NR) * kc_max);
+    let scratch = at_least(&mut packs.row, nc_max);
+    let Product {
+        a: sa,
+        b: sb,
+        c: sc,
+    } = product;
+    let lone_c = sc.lone();
     let mut pack_ns = 0u64;
     let mut tiles = 0u64;
     for j0 in (0..n).step_by(NC) {
@@ -240,8 +398,9 @@ fn blocked<T: Scalar, const MR: usize, const NR: usize>(
             let kc = KC.min(k - k0);
             let t = Instant::now();
             let pb = &mut pb[..nc.next_multiple_of(NR) * kc];
-            for (kk, row) in b[k0 * n..].chunks(n).take(kc).enumerate() {
-                let (full, ragged) = row[j0..j0 + nc].as_chunks::<NR>();
+            for kk in 0..kc {
+                let row = sb.row(b, (k0 + kk) * sb.ld + j0, nc, scratch);
+                let (full, ragged) = row.as_chunks::<NR>();
                 let mut steps = pb.as_chunks_mut::<NR>().0.iter_mut().skip(kk).step_by(kc);
                 // `full` leads the zip, so `steps` stops at the ragged panel.
                 for (src, dst) in full.iter().zip(steps.by_ref()) {
@@ -259,16 +418,12 @@ fn blocked<T: Scalar, const MR: usize, const NR: usize>(
                 let pa = &mut pa[..mc.next_multiple_of(MR) * kc];
                 for (strip, q0) in pa.chunks_exact_mut(kc * MR).zip((i0..i0 + mc).step_by(MR)) {
                     let mr = MR.min(i0 + mc - q0);
-                    // Rows past a ragged edge read as empty, which packs zeros.
-                    let rows: [&[T]; MR] = std::array::from_fn(|r| {
-                        if r < mr {
-                            &a[(q0 + r) * k + k0..][..kc]
-                        } else {
-                            &[]
+                    for (r, row) in strip.chunks_exact_mut(kc).enumerate() {
+                        match r < mr {
+                            true => sa.sum_into(a, (q0 + r) * sa.ld + k0, row),
+                            // Rows past a ragged edge pack as zeros.
+                            false => row.fill(zero),
                         }
-                    });
-                    for (kk, step) in strip.as_chunks_mut::<MR>().0.iter_mut().enumerate() {
-                        *step = std::array::from_fn(|r| rows[r].get(kk).copied().unwrap_or(zero));
                     }
                 }
                 pack_ns += t.elapsed().as_nanos() as u64;
@@ -277,15 +432,27 @@ fn blocked<T: Scalar, const MR: usize, const NR: usize>(
                     let mr = MR.min(i0 + mc - q0);
                     for (panel, p0) in pb.chunks_exact(kc * NR).zip((j0..j0 + nc).step_by(NR)) {
                         let nr = NR.min(j0 + nc - p0);
+                        let at = |r: usize| (q0 + r) * sc.ld + p0;
                         let mut acc = [[zero; NR]; MR];
-                        for (r, acc_row) in acc.iter_mut().take(mr).enumerate() {
-                            let at = (q0 + r) * n + p0;
-                            acc_row[..nr].copy_from_slice(&c[at..at + nr]);
+                        if let Some(offset) = lone_c {
+                            for (r, acc_row) in acc.iter_mut().take(mr).enumerate() {
+                                acc_row[..nr].copy_from_slice(&c[offset + at(r)..][..nr]);
+                            }
                         }
                         kernel(kc, strip, panel, &mut acc);
-                        for (r, acc_row) in acc.iter().take(mr).enumerate() {
-                            let at = (q0 + r) * n + p0;
-                            c[at..at + nr].copy_from_slice(&acc_row[..nr]);
+                        if let Some(offset) = lone_c {
+                            for (r, acc_row) in acc.iter().take(mr).enumerate() {
+                                c[offset + at(r)..][..nr].copy_from_slice(&acc_row[..nr]);
+                            }
+                            continue;
+                        }
+                        for &(coef, offset) in &sc.terms {
+                            for (r, acc_row) in acc.iter().take(mr).enumerate() {
+                                let dst = &mut c[offset + at(r)..][..nr];
+                                for (d, &v) in dst.iter_mut().zip(acc_row) {
+                                    *d += coef * v;
+                                }
+                            }
                         }
                     }
                     tiles += mr.div_ceil(crate::MR) as u64;
@@ -308,11 +475,10 @@ fn micro<T: Scalar, const MR: usize, const NR: usize>(
     acc: &mut [[T; NR]; MR],
 ) {
     let mut tile = *acc;
-    for (a, b) in pa[..kc * MR]
-        .chunks_exact(MR)
-        .zip(pb[..kc * NR].chunks_exact(NR))
-    {
-        for (row, &av) in tile.iter_mut().zip(a) {
+    let rows: [&[T]; MR] = std::array::from_fn(|r| &pa[r * kc..][..kc]);
+    for (kk, b) in pb[..kc * NR].chunks_exact(NR).enumerate() {
+        for (row, a) in tile.iter_mut().zip(rows) {
+            let av = a[kk];
             for (cv, &bv) in row.iter_mut().zip(b) {
                 *cv += av * bv;
             }
@@ -326,8 +492,30 @@ fn micro<T: Scalar, const MR: usize, const NR: usize>(
 /// eight fused multiply-adds (rounding contract: see the module doc).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MR, NR};
+    use super::{blocked, Packs, Product, MR, NR};
+    use crate::Stats;
     use std::arch::x86_64::*;
+
+    /// The loop nest around [`micro`], compiled for AVX2 and FMA as a
+    /// whole, so the weighted-sum packing and the C-tile additions
+    /// vectorise at the kernel's width too.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA ([`available`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gemm(
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        product: &Product<f64>,
+        shape: (usize, usize, usize),
+        packs: &mut Packs<f64>,
+        stats: &Stats,
+    ) {
+        // SAFETY: this function's own feature requirement.
+        let kernel = |kc, pa: &[f64], pb: &[f64], acc: &mut _| unsafe { micro(kc, pa, pb, acc) };
+        blocked::<f64, MR, NR>(a, b, c, product, shape, packs, stats, kernel);
+    }
 
     /// Whether this CPU can run [`micro`] (the answer is cached by std).
     pub(super) fn available() -> bool {
@@ -355,18 +543,19 @@ mod avx2 {
         });
         let (mut a, mut b) = (pa.as_ptr(), pb.as_ptr());
         for _ in 0..kc {
-            // SAFETY: the assert above gives `kc` steps of MR A values
-            // and NR B values; `a` and `b` advance by exactly one step
-            // per iteration, so every read is inside `pa` / `pb`.
+            // SAFETY: the assert above gives MR rows of `kc` A values
+            // and `kc` steps of NR B values; `a` advances one value and
+            // `b` one step per iteration, so every read (`a` plus `r·kc`
+            // for r < MR, and one step of `b`) is inside `pa` / `pb`.
             unsafe {
                 let b0 = _mm256_loadu_pd(b);
                 let b1 = _mm256_loadu_pd(b.add(4));
                 for (r, row) in c.iter_mut().enumerate() {
-                    let ar = _mm256_broadcast_sd(&*a.add(r));
+                    let ar = _mm256_broadcast_sd(&*a.add(r * kc));
                     row[0] = _mm256_fmadd_pd(ar, b0, row[0]);
                     row[1] = _mm256_fmadd_pd(ar, b1, row[1]);
                 }
-                a = a.add(MR);
+                a = a.add(1);
                 b = b.add(NR);
             }
         }
@@ -385,11 +574,34 @@ mod avx2 {
 /// sixteen fused multiply-adds (rounding contract: see the module doc).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use super::{blocked, Packs, Product};
+    use crate::Stats;
     use std::arch::x86_64::*;
 
     /// Rows and columns of this kernel's tile.
     pub(super) const MR: usize = 8;
     pub(super) const NR: usize = 16;
+
+    /// The loop nest around [`micro`], compiled for AVX-512F as a whole,
+    /// so the weighted-sum packing and the C-tile additions vectorise at
+    /// the kernel's width too.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F ([`available`]).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gemm(
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        product: &Product<f64>,
+        shape: (usize, usize, usize),
+        packs: &mut Packs<f64>,
+        stats: &Stats,
+    ) {
+        // SAFETY: this function's own feature requirement.
+        let kernel = |kc, pa: &[f64], pb: &[f64], acc: &mut _| unsafe { micro(kc, pa, pb, acc) };
+        blocked::<f64, MR, NR>(a, b, c, product, shape, packs, stats, kernel);
+    }
 
     /// Whether this CPU can run [`micro`] (the answer is cached by std).
     pub(super) fn available() -> bool {
@@ -417,18 +629,19 @@ mod avx512 {
         });
         let (mut a, mut b) = (pa.as_ptr(), pb.as_ptr());
         for _ in 0..kc {
-            // SAFETY: the assert above gives `kc` steps of MR A values
-            // and NR B values; `a` and `b` advance by exactly one step
-            // per iteration, so every read is inside `pa` / `pb`.
+            // SAFETY: the assert above gives MR rows of `kc` A values
+            // and `kc` steps of NR B values; `a` advances one value and
+            // `b` one step per iteration, so every read (`a` plus `r·kc`
+            // for r < MR, and one step of `b`) is inside `pa` / `pb`.
             unsafe {
                 let b0 = _mm512_loadu_pd(b);
                 let b1 = _mm512_loadu_pd(b.add(8));
                 for (r, row) in c.iter_mut().enumerate() {
-                    let ar = _mm512_set1_pd(*a.add(r));
+                    let ar = _mm512_set1_pd(*a.add(r * kc));
                     row[0] = _mm512_fmadd_pd(ar, b0, row[0]);
                     row[1] = _mm512_fmadd_pd(ar, b1, row[1]);
                 }
-                a = a.add(MR);
+                a = a.add(1);
                 b = b.add(NR);
             }
         }
@@ -474,16 +687,15 @@ mod tests {
     fn on(isa: Isa, a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
         let mut c = Matrix::zeros(a.rows(), b.cols());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let stats = Stats::default();
         gemm_block_on(
             isa,
             a.as_slice(),
             b.as_slice(),
             c.as_mut_slice(),
-            m,
-            k,
-            n,
-            &stats,
+            &Product::plain(k, n),
+            (m, k, n),
+            &mut Packs::default(),
+            &Stats::default(),
         );
         c
     }
@@ -543,9 +755,9 @@ mod tests {
                 a.as_slice(),
                 b.as_slice(),
                 c.as_mut_slice(),
-                70,
-                300,
-                20,
+                &Product::plain(300, 20),
+                (70, 300, 20),
+                &mut Packs::default(),
                 &stats,
             );
             let groups: u64 = (0..70)
@@ -589,13 +801,13 @@ mod tests {
         let mut out = *start;
         for r0 in (0..8).step_by(R) {
             for j0 in (0..16).step_by(C) {
-                let sa: Vec<f64> = pa.chunks(8).flat_map(|s| s[r0..r0 + R].to_vec()).collect();
+                let sa = &pa[r0 * kc..(r0 + R) * kc];
                 let sb: Vec<f64> = pb.chunks(16).flat_map(|s| s[j0..j0 + C].to_vec()).collect();
                 let mut acc = [[0.0; C]; R];
                 for (r, row) in acc.iter_mut().enumerate() {
                     row.copy_from_slice(&start[r0 + r][j0..j0 + C]);
                 }
-                kernel(kc, &sa, &sb, &mut acc);
+                kernel(kc, sa, &sb, &mut acc);
                 for (r, row) in acc.iter().enumerate() {
                     out[r0 + r][j0..j0 + C].copy_from_slice(row);
                 }
@@ -619,7 +831,7 @@ mod tests {
                     for (r, row) in out.iter_mut().enumerate() {
                         for (j, cv) in row.iter_mut().enumerate() {
                             for kk in 0..kc {
-                                let (a, b) = (pa[kk * 8 + r], pb[kk * 16 + j]);
+                                let (a, b) = (pa[r * kc + kk], pb[kk * 16 + j]);
                                 *cv = if fused {
                                     a.mul_add(b, *cv)
                                 } else {
@@ -659,6 +871,39 @@ mod tests {
                     assert_eq!(got, fused, "{isa:?} kc={kc} ints={ints}");
                 }
             }
+        }
+    }
+
+    /// A one-term product does no arithmetic outside the kernel: on
+    /// general `f64` inputs each entry of C is one chain over ascending
+    /// `k` from zero, fused on the `std::arch` kernels and `c + a·b` on
+    /// the portable one, even across `KC` depth blocks (C is stored and
+    /// reloaded between them, which rounds nothing).
+    #[test]
+    fn classical_entries_are_one_ascending_chain_on_general_f64() {
+        let (m, k, n) = (37, KC + 44, 21);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut draw = |rows, cols| {
+            Matrix::<f64>::from_fn(rows, cols, |_, _| {
+                rng.gen_range(-1_000_000i64..1_000_000) as f64 / 7.3e5 + 1e-9
+            })
+        };
+        let (a, b) = (draw(m, k), draw(k, n));
+        for isa in kernels_here() {
+            let fused = isa != Isa::Portable;
+            let want = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0, |c: f64, kk| match fused {
+                    true => a[(i, kk)].mul_add(b[(kk, j)], c),
+                    false => c + a[(i, kk)] * b[(kk, j)],
+                })
+            });
+            let got = on(isa, &a, &b);
+            let same = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{isa:?}");
         }
     }
 

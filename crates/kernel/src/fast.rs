@@ -1,24 +1,40 @@
-//! The fast recursion: `fmm-core`'s generic 2×2 step over blocks, with the
-//! packed classical tile kernel at the leaves.
+//! The fast recursion: fused leaves at the bottom, `fmm-core`'s generic
+//! 2×2 step above them.
 //!
-//! Each level is [`fmm_core::exec::step`]: split, encode through the
-//! algorithm's SLPs, multiply the `t` operand pairs, decode, join. What
-//! makes it a *kernel* rather than an operation counter is the base case:
-//! once the order drops to the cutoff n₀, the subproblem is handed to
-//! [`crate::classical::gemm_block`], so leaf work runs on packed panels at
-//! full micro-kernel speed. Non-power-of-two orders are padded to the next
-//! power of two and cropped on the way out.
+//! The bottom `L = min(2, levels)` levels of the recursion run fused, the
+//! "ABC" scheme of Huang, Smith, Henry and van de Geijn, *Strassen's
+//! Algorithm Reloaded* (SC16). Taking the `L`-fold Kronecker power of
+//! the algorithm's `u`, `v` and `w` turns those levels into `t^L` leaf
+//! products, each `Σ w·C-blocks += (Σ u·A-blocks)(Σ v·B-blocks)` over
+//! order-`n/2^L` blocks of the operands. [`classical::gemm_block`] runs
+//! each one: it packs the weighted sums of A and B blocks straight into
+//! its panels and adds every C tile into each of its destination blocks.
+//! The encoded operands and the products are never stored; they are
+//! recomputed at every repack, which is recomputation in the paper's
+//! sense. The only buffers are the packing buffers, shared by all the
+//! leaves.
 //!
-//! With more than one thread, the *top* level's `t` subproducts run on the
-//! crate's worker pool, each by the sequential recursion.
+//! Above the fused levels each level is [`fmm_core::exec::step`]: split,
+//! encode through the algorithm's SLPs, multiply the `t` operand pairs,
+//! decode, join. Non-power-of-two orders are padded to the next power of
+//! two and cropped on the way out.
+//!
+//! With more than one thread, the *top* level stays a materialized step
+//! whose `t` subproducts run on the crate's worker pool, each fused below
+//! it.
 
-use crate::{classical, pool, Stats};
+use crate::classical::{self, Blocks, Packs, Product};
+use crate::{pool, Stats};
 use fmm_core::exec;
 use fmm_core::Bilinear2x2;
 use fmm_faults::cancel;
 use fmm_matrix::quad::{crop, next_pow2, pad_to};
 use fmm_matrix::{Matrix, Scalar};
 use std::sync::Mutex;
+
+/// Recursion levels the fused leaves take at the bottom. Two beat one
+/// and three at n = 512, cutoff 64 (DESIGN.md §7).
+const FUSED_LEVELS: usize = 2;
 
 /// Multiply square operands of equal order with `alg`, recursing while the
 /// order exceeds `cutoff`; any order works (padding).
@@ -54,6 +70,17 @@ pub(crate) fn multiply<T: Scalar>(
     recurse(alg, a, b, cutoff, 0, threads, stats)
 }
 
+/// How many times the recursion halves order `n` (a power of two) before
+/// its leaves are at most `cutoff`.
+fn levels(mut n: usize, cutoff: usize) -> usize {
+    let mut levels = 0;
+    while n > cutoff && n > 1 {
+        n /= 2;
+        levels += 1;
+    }
+    levels
+}
+
 fn recurse<T: Scalar>(
     alg: &Bilinear2x2,
     a: &Matrix<T>,
@@ -63,12 +90,9 @@ fn recurse<T: Scalar>(
     threads: usize,
     stats: &Stats,
 ) -> Matrix<T> {
-    let n = a.rows();
-    if n <= cutoff || n == 1 {
-        let mut c = Matrix::zeros(n, n);
-        classical::gemm_block(a.as_slice(), b.as_slice(), c.as_mut_slice(), n, n, n, stats);
-        stats.leaf();
-        return c;
+    let below = levels(a.rows(), cutoff);
+    if below == 0 || (below <= FUSED_LEVELS && threads <= 1) {
+        return fused(alg, a, b, below, depth, stats);
     }
     cancel::poll();
     stats.level(depth, alg.t() as u64);
@@ -95,6 +119,86 @@ fn recurse<T: Scalar>(
             .collect()
     })
     .0
+}
+
+/// One block sum of a leaf product, at the resolution of the levels
+/// expanded so far: `(coefficient, block row, block column)` per term.
+type Terms = Vec<(i64, usize, usize)>;
+
+/// Refine `terms` by one level through one row of coefficients over the
+/// quadrants (`11, 12, 21, 22`): each block splits into four, and the
+/// quadrants with a nonzero coefficient stay.
+fn refine(terms: &Terms, row: impl Fn(usize) -> i64) -> Terms {
+    let mut out = Vec::new();
+    for &(coef, i, j) in terms {
+        for q in 0..4 {
+            let c = row(q);
+            if c != 0 {
+                out.push((coef * c, 2 * i + q / 2, 2 * j + q % 2));
+            }
+        }
+    }
+    out
+}
+
+/// The bottom `levels` levels of `alg` on order-`n` operands as `t^levels`
+/// leaf products of order `n / 2^levels`, each run by the classical loop
+/// nest on weighted sums of blocks (zero levels: one classical leaf).
+fn fused<T: Scalar>(
+    alg: &Bilinear2x2,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    levels: usize,
+    depth: usize,
+    stats: &Stats,
+) -> Matrix<T> {
+    let n = a.rows();
+    let h = n >> levels;
+    let whole: Terms = vec![(1, 0, 0)];
+    let mut leaves = vec![[whole.clone(), whole.clone(), whole]];
+    for level in 0..levels {
+        leaves = leaves
+            .iter()
+            .flat_map(|[u, v, w]| {
+                (0..alg.t()).map(move |r| {
+                    [
+                        refine(u, |q| alg.u[r][q]),
+                        refine(v, |q| alg.v[r][q]),
+                        refine(w, |q| alg.w[q][r]),
+                    ]
+                })
+            })
+            .collect();
+        stats.level(depth + level, leaves.len() as u64);
+    }
+    let blocks = |terms: &Terms| Blocks {
+        ld: n,
+        terms: terms
+            .iter()
+            .map(|&(coef, i, j)| (T::from_i64(coef), (i * n + j) * h))
+            .collect(),
+    };
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut c = Matrix::zeros(n, n);
+    let mut packs = Packs::default();
+    for [u, v, w] in &leaves {
+        let product = Product {
+            a: blocks(u),
+            b: blocks(v),
+            c: blocks(w),
+        };
+        classical::gemm_block(
+            a,
+            b,
+            c.as_mut_slice(),
+            &product,
+            (h, h, h),
+            &mut packs,
+            stats,
+        );
+        stats.leaf();
+    }
+    c
 }
 
 #[cfg(test)]

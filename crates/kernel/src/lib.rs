@@ -8,7 +8,7 @@
 //! One entry point, [`multiply`] (or [`multiply_with_report`]), runs a
 //! [`KernelCfg`]. It is generic over [`fmm_matrix::Scalar`] (the two that
 //! matter in practice are `f64` and `i64` — the differential suite proves
-//! bit-exact `i64` agreement with the naive reference). Two algorithms:
+//! bit-exact `i64` agreement with the naive reference). Three algorithms:
 //!
 //! * [`Alg::Classical`] — cache-blocked classical multiplication. One
 //!   BLIS-style loop nest, generic over the register tile, packs
@@ -22,12 +22,20 @@
 //!   small-integer operands (every benchmark, golden and checksum here)
 //!   stay exact. With `threads > 1`, `MC`-row panels of C are the work
 //!   items.
-//! * [`Alg::Strassen`] — `fmm_core::catalog::strassen()` run by
-//!   `fmm-core`'s generic 2×2 recursion step ([`fmm_core::exec::step`])
-//!   with a tuned cutoff n₀: recursion while the order exceeds the cutoff,
-//!   then the classical tile kernel on the leaves. Non-power-of-two orders
-//!   are padded up and cropped. With `threads > 1`, the top level's seven
-//!   subproducts are the work items.
+//! * [`Alg::Strassen`] and [`Alg::Winograd`] — `fmm_core::catalog`'s
+//!   2×2 algorithm of that name, recursing while the order exceeds the
+//!   cutoff n₀, so every leaf is at most n₀. The bottom two levels (or
+//!   one, or none, if the recursion is that shallow) are *fused*, the ABC
+//!   scheme of Huang, Smith, Henry and van de Geijn, *Strassen's
+//!   Algorithm Reloaded* (SC16): each of their `7²` leaf products runs
+//!   through the classical loop nest, which packs the weighted sums of A
+//!   and B blocks straight into its panels and adds each C tile into
+//!   every C block it decodes into. No encoded operand and no product is
+//!   stored; each is recomputed at every repack. Levels above those run
+//!   `fmm-core`'s generic 2×2 step ([`fmm_core::exec::step`]), which
+//!   materializes them. Non-power-of-two orders are padded up and
+//!   cropped. With `threads > 1`, the top level stays a materialized step
+//!   whose seven subproducts are the work items, each fused below it.
 //!
 //! Both kinds of work item run on one scoped worker pool of std threads
 //! named `fmm-kernel-{w}`.
@@ -80,21 +88,31 @@ pub const MR: usize = 4;
 pub enum Alg {
     Classical,
     Strassen,
+    Winograd,
 }
 
 impl Alg {
+    /// Every algorithm, in [`Alg::NAMES`] order.
+    pub const ALL: [Alg; 3] = [Alg::Classical, Alg::Strassen, Alg::Winograd];
+    /// The algorithms' names, as [`Alg::parse`] reads them.
+    pub const NAMES: [&'static str; 3] = ["classical", "strassen", "winograd"];
+
     pub fn parse(s: &str) -> Option<Alg> {
-        Some(match s {
-            "classical" => Alg::Classical,
-            "strassen" => Alg::Strassen,
-            _ => return None,
-        })
+        let i = Alg::NAMES.iter().position(|&name| name == s)?;
+        Some(Alg::ALL[i])
     }
 
     pub fn as_str(self) -> &'static str {
+        Alg::NAMES[self as usize]
+    }
+
+    /// The `fmm-core` algorithm a fast variant runs (`None` for
+    /// classical, which runs the tile kernel directly).
+    fn bilinear(self) -> Option<fmm_core::Bilinear2x2> {
         match self {
-            Alg::Classical => "classical",
-            Alg::Strassen => "strassen",
+            Alg::Classical => None,
+            Alg::Strassen => Some(fmm_core::catalog::strassen()),
+            Alg::Winograd => Some(fmm_core::catalog::winograd()),
         }
     }
 }
@@ -122,7 +140,8 @@ impl Default for KernelCfg {
 /// What one multiply did, for the CLI report table and the obs mirror.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Report {
-    /// Nanoseconds spent gathering A/B tiles into contiguous panels.
+    /// Nanoseconds spent gathering A/B tiles into contiguous panels,
+    /// adding up a fused leaf's weighted block sums included.
     pub pack_ns: u64,
     /// [`MR`]-row units of C the micro-kernel swept, `ceil(rows / MR)`
     /// per packed A strip and block: each covers up to [`MR`]×[`NC`] of
@@ -205,12 +224,9 @@ pub fn multiply_with_report<T: Scalar>(
     assert!(cfg.threads >= 1, "kernel threads must be at least 1");
     let mut span = fmm_obs::span::Span::enter("kernel.multiply");
     let stats = Stats::default();
-    let c = match cfg.alg {
-        Alg::Classical => classical::multiply(a, b, cfg.threads, &stats),
-        Alg::Strassen => {
-            let alg = fmm_core::catalog::strassen();
-            fast::multiply(&alg, a, b, cfg.cutoff, cfg.threads, &stats)
-        }
+    let c = match cfg.alg.bilinear() {
+        None => classical::multiply(a, b, cfg.threads, &stats),
+        Some(alg) => fast::multiply(&alg, a, b, cfg.cutoff, cfg.threads, &stats),
     };
     let report = stats.report();
     publish(&report);
@@ -302,17 +318,18 @@ mod tests {
     fn alg_parses_and_round_trips() {
         assert_eq!(Alg::parse("classical"), Some(Alg::Classical));
         assert_eq!(Alg::parse("strassen"), Some(Alg::Strassen));
-        assert_eq!(Alg::parse("winograd"), None);
-        for alg in [Alg::Classical, Alg::Strassen] {
+        assert_eq!(Alg::parse("winograd"), Some(Alg::Winograd));
+        assert_eq!(Alg::parse("ks"), None);
+        for alg in Alg::ALL {
             assert_eq!(Alg::parse(alg.as_str()), Some(alg));
         }
     }
 
     #[test]
-    fn both_algs_match_naive_through_the_config_entry_point() {
+    fn every_alg_matches_naive_through_the_config_entry_point() {
         let (a, b) = pair(37, 9);
         let reference = multiply_naive(&a, &b);
-        for alg in [Alg::Classical, Alg::Strassen] {
+        for alg in Alg::ALL {
             for threads in [1, 3] {
                 let cfg = KernelCfg {
                     alg,

@@ -12,12 +12,17 @@
 //!   rounds. For the small-integer workloads used everywhere in this
 //!   workspace the f64 kernel is in fact *exact*, and a tighter assert
 //!   pins that down.
+//! * **The fused leaves are exact.** Every fast catalog algorithm, at
+//!   one and two fused levels and with materialized levels above them,
+//!   on orders that pad and leaves that cross the register tiles' edges,
+//!   on one thread and on the pool, equals the naive `i64` product.
 //! * **Cancellation soundness.** A fired token unwinds the multiply with
 //!   the `Cancelled` sentinel and leaves no `fmm-kernel-*` worker threads
 //!   behind (checked against `/proc/self/task/*/comm`).
 
+use fmm_core::catalog;
 use fmm_faults::cancel;
-use fmm_kernel::{multiply, Alg, KernelCfg};
+use fmm_kernel::{multiply, multiply_with_report, Alg, KernelCfg};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::{Matrix, Rational};
 use proptest::prelude::*;
@@ -155,6 +160,82 @@ proptest! {
         let exact = to_f64(&multiply_naive(&a, &b));
         let (af, bf) = (to_f64(&a), to_f64(&b));
         prop_assert_eq!(multiply(&cfg(Alg::Classical, 1, threads), &af, &bf), exact);
+    }
+}
+
+/// A square pair whose recursion has exactly `levels` ∈ 1..=3 levels
+/// above leaves of order `2^e` (e ≤ 4, so leaves of 1 to 16 cross the
+/// 4×8 and 8×16 register tiles' edges): the order is drawn from
+/// `(2^(levels+e-1), 2^(levels+e)]`, so most orders pad, and the cutoff
+/// from `[2^e, 2^(e+1))`.
+fn recursion_case() -> impl Strategy<Value = Case> {
+    (1usize..=3, 0usize..=4, 0usize..64, 0usize..16).prop_flat_map(|(levels, e, pick, extra)| {
+        let padded = 1usize << (levels + e);
+        let n = padded - pick % (padded / 2).max(1);
+        let cutoff = (1usize << e) + extra % (1usize << e);
+        (int_matrix(n, n), int_matrix(n, n)).prop_map(move |(a, b)| Case {
+            a,
+            b,
+            cutoff,
+            levels,
+        })
+    })
+}
+
+#[derive(Clone, Debug)]
+struct Case {
+    a: Matrix<i64>,
+    b: Matrix<i64>,
+    cutoff: usize,
+    levels: usize,
+}
+
+/// The kernel algorithm of each fast catalog algorithm, by name.
+fn fast_algs() -> Vec<Alg> {
+    catalog::all_fast()
+        .iter()
+        .map(|alg| Alg::parse(&alg.name).expect("the kernel runs every fast catalog algorithm"))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One or two levels are all fused; a third is materialized above
+    /// them. On the pool the top level is the materialized split, with
+    /// the rest fused below it. The counts are those of the recursion.
+    #[test]
+    fn fused_leaves_are_bit_exact_i64(case in recursion_case()) {
+        let reference = multiply_naive(&case.a, &case.b);
+        let products: Vec<u64> = (1..=case.levels as u32).map(|l| 7u64.pow(l)).collect();
+        for alg in fast_algs() {
+            for threads in [1, 3] {
+                let (c, report) = multiply_with_report(&cfg(alg, case.cutoff, threads), &case.a, &case.b);
+                prop_assert_eq!(&c, &reference, "{:?} threads={}", alg, threads);
+                prop_assert_eq!(&report.level_products, &products);
+                prop_assert_eq!(report.leaf_products, *products.last().unwrap());
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_f64_is_exact_on_small_integers() {
+    // 96 pads to 128; cutoff 32 fuses two levels, cutoff 16 adds one
+    // materialized level above them. Entries in [-9, 9] keep every
+    // weighted sum and partial product exact in f64.
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(12);
+    let a = Matrix::<i64>::random_small(96, 96, &mut rng);
+    let b = Matrix::<i64>::random_small(96, 96, &mut rng);
+    let exact = to_f64(&multiply_naive(&a, &b));
+    let (af, bf) = (to_f64(&a), to_f64(&b));
+    for alg in fast_algs() {
+        for cutoff in [16, 32, 64] {
+            for threads in [1, 3] {
+                let c = multiply(&cfg(alg, cutoff, threads), &af, &bf);
+                assert_eq!(c, exact, "{alg:?} cutoff={cutoff} threads={threads}");
+            }
+        }
     }
 }
 

@@ -162,8 +162,6 @@ const SCHEDULES: [&str; 4] = ["cannon", "3d", "caps", "cannon-threaded"];
 
 /// The request kinds that are jobs.
 const JOBS: [&str; 5] = ["io", "bounds", "faults", "sweep-cell", "kernel"];
-/// The algorithms `fmm-kernel` runs.
-const KERNELS: [&str; 2] = ["classical", "strassen"];
 
 /// A parameter that does not make a job: its name, the value it was
 /// given, and what is wrong with it. `Display` words it for the wire
@@ -362,7 +360,7 @@ impl JobSpec {
             Kind::Io => {
                 let mut job = Io {
                     alg: p.alg()?,
-                    n: p.num("n", 32)?,
+                    n: p.at_least("n", 32, 1)?,
                     m: p.at_least("m", 96, 1)?,
                     seed: p.num("seed", seq::DEFAULT_WORKLOAD_SEED)?,
                     policy: Replacement::parse(p.one_of("policy", "lru", &Replacement::NAMES)?)
@@ -383,7 +381,7 @@ impl JobSpec {
                 JobSpec::Io(job)
             }
             Kind::Bounds => JobSpec::Bounds(Bounds {
-                n: p.num("n", 4096)?,
+                n: p.at_least("n", 4096, 1)?,
                 m: p.at_least("m", 1024, 1)?,
                 p: p.at_least("p", 1, 1)?,
             }),
@@ -399,9 +397,9 @@ impl JobSpec {
                 JobSpec::Faults(Faults {
                     spec: p.malformed("spec", FaultSpec::parse(spec))?,
                     recovery: p.malformed("recovery", Recovery::parse(recovery))?,
-                    n: p.num("n", 16)?,
-                    p: p.num("p", procs)?,
-                    levels: p.num("levels", 2)?,
+                    n: p.at_least("n", 16, 1)?,
+                    p: p.at_least("p", procs, 1)?,
+                    levels: p.at_least("levels", 2, 1)?,
                     alg: p.alg()?,
                     seed: p.num("seed", 42)?,
                     schedule,
@@ -415,8 +413,12 @@ impl JobSpec {
                 seed: p.num("seed", 42)?,
             },
             Kind::Kernel => JobSpec::Kernel(Kernel {
-                alg: fmm_kernel::Alg::parse(p.one_of("alg", "strassen", &KERNELS)?)
-                    .expect("a listed kernel"),
+                alg: fmm_kernel::Alg::parse(p.one_of(
+                    "alg",
+                    "strassen",
+                    &fmm_kernel::Alg::NAMES,
+                )?)
+                .expect("a listed kernel"),
                 n: p.at_least("n", 64, 1)?,
                 cutoff: p.at_least("cutoff", 64, 1)?,
                 threads: p.at_least("threads", 1, 1)?,
@@ -756,7 +758,7 @@ mod tests {
         assert!(JobSpec::from_request(Kind::Faults, &params(&[("schedule", "ring")])).is_err());
         assert!(JobSpec::from_request(Kind::Faults, &params(&[("spec", "drop=lots")])).is_err());
         assert!(JobSpec::from_request(Kind::SweepCell, &params(&[("spec", "nope")])).is_err());
-        assert!(JobSpec::from_request(Kind::Kernel, &params(&[("alg", "winograd")])).is_err());
+        assert!(JobSpec::from_request(Kind::Kernel, &params(&[("alg", "ks")])).is_err());
         assert!(JobSpec::from_request(Kind::Kernel, &params(&[("cutoff", "0")])).is_err());
         assert!(JobSpec::from_request(Kind::Kernel, &params(&[("threads", "0")])).is_err());
         assert!(JobSpec::from_request(Kind::Kernel, &params(&[("dtype", "f32")])).is_err());
@@ -776,11 +778,15 @@ mod tests {
 
     #[test]
     fn kernel_job_runs_both_dtypes_and_verifies_when_asked() {
-        for dtype in ["i64", "f64"] {
+        for (alg, dtype) in [
+            ("strassen", "i64"),
+            ("strassen", "f64"),
+            ("winograd", "f64"),
+        ] {
             let spec = JobSpec::from_request(
                 Kind::Kernel,
                 &params(&[
-                    ("alg", "strassen"),
+                    ("alg", alg),
                     ("n", "24"),
                     ("cutoff", "8"),
                     ("dtype", dtype),
@@ -791,7 +797,7 @@ mod tests {
             assert_eq!(spec.span_name(), "job.kernel");
             let out = spec.run().unwrap();
             assert_eq!(out["matches"], "true");
-            assert_eq!(out["alg"], "strassen");
+            assert_eq!(out["alg"], alg);
             assert_eq!(out["dtype"], dtype);
             assert_eq!(out["flops"], fmm_kernel::classical_flops(24).to_string());
             assert!(out["wall_us"].parse::<u64>().is_ok());
@@ -933,9 +939,14 @@ mod tests {
     #[test]
     fn zero_sizes_are_rejected_not_run() {
         for (kind, key) in [
+            (Kind::Io, "n"),
             (Kind::Io, "m"),
+            (Kind::Bounds, "n"),
             (Kind::Bounds, "m"),
             (Kind::Bounds, "p"),
+            (Kind::Faults, "n"),
+            (Kind::Faults, "p"),
+            (Kind::Faults, "levels"),
             (Kind::Kernel, "n"),
         ] {
             let err = JobSpec::validate(kind, &params(&[(key, "0")])).unwrap_err();

@@ -63,7 +63,7 @@ const COMMANDS: &[Command] = &[
     Command::new(
         "kernel",
         &["alg", "n", "cutoff", "threads", "dtype", "seed", "check"],
-        "usage: fastmm kernel [--alg classical|strassen] [--n 64] [--cutoff 64]
+        "usage: fastmm kernel [--alg classical|strassen|winograd] [--n 64] [--cutoff 64]
        [--threads 1] [--dtype f64|i64] [--seed 42] [--check]
        Runs the real cache-blocked kernel (fmm-kernel) once and prints a
        report: wall time, classical-equivalent GFLOP/s, packing time, and
@@ -454,7 +454,7 @@ fn cmd_kernel(args: &Args) -> ExitCode {
         let pack = std::time::Duration::from_nanos(report.pack_ns);
         println!("  packing time:   {pack:?}");
         println!("  micro tiles:    {}", report.micro_tiles);
-        if job.alg == fastmm::kernel::Alg::Strassen {
+        if job.alg != fastmm::kernel::Alg::Classical {
             println!("  leaf products:  {}", report.leaf_products);
             println!("  level products: {:?}", report.level_products);
         }

@@ -52,6 +52,7 @@ impl Command {
 /// The `fastmm` entry point: dispatch `argv` (without the program name)
 /// to its entry in `table`.
 pub fn run(table: &[Command], argv: &[String]) -> ExitCode {
+    exit_quietly_on_closed_pipe();
     let mut groups: Vec<&str> = table.iter().map(|c| group(c.name)).collect();
     groups.dedup();
     let usage = format!(
@@ -100,6 +101,26 @@ pub fn run(table: &[Command], argv: &[String]) -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Exit status for a process whose reader went away: 128 + SIGPIPE, what
+/// a shell reports for a writer that signal ended.
+const CLOSED_PIPE: i32 = 141;
+
+/// Make a closed stdout or stderr end the process quietly, as a pipeline
+/// expects (`fastmm tables --all | head -1`). std's print macros panic
+/// when the pipe is gone; this hook turns that one panic into exit
+/// status [`CLOSED_PIPE`], with no message and no backtrace. Every other
+/// panic reaches the hook that was there before.
+fn exit_quietly_on_closed_pipe() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = fmm_faults::cancel::panic_message(info.payload());
+        if message.starts_with("failed printing to std") && message.contains("Broken pipe") {
+            std::process::exit(CLOSED_PIPE);
+        }
+        previous(info);
+    }));
 }
 
 /// `"bench"` for `"bench run"`; a plain command is its own group.

@@ -463,12 +463,65 @@ fn zero_sizes_exit_2_instead_of_running() {
         (&["bounds", "--m", "0"][..], "--m must be at least 1"),
         (&["bounds", "--p", "0"][..], "--p must be at least 1"),
         (&["kernel", "--n", "0"][..], "--n must be at least 1"),
+        (&["io", "--n", "0"][..], "--n must be at least 1"),
+        (&["bounds", "--n", "0"][..], "--n must be at least 1"),
+        (&["faults", "--n", "0"][..], "--n must be at least 1"),
+        (&["faults", "--p", "0"][..], "--p must be at least 1"),
+        (
+            &["faults", "--schedule", "caps", "--levels", "0"][..],
+            "--levels must be at least 1",
+        ),
     ] {
         let out = fastmm(args);
         assert_exit_2_clean(&out);
         assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
     }
+}
+
+/// Start `fastmm args` with both output streams piped, read one line of
+/// `stream` (`"stdout"` or `"stderr"`), close that pipe, and return the
+/// exit status with everything the other stream carried.
+fn read_one_line_then_close(args: &[&str], stream: &str) -> (std::process::ExitStatus, String) {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fastmm"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fastmm");
+    let out: Box<dyn Read> = Box::new(child.stdout.take().expect("stdout is piped"));
+    let err: Box<dyn Read> = Box::new(child.stderr.take().expect("stderr is piped"));
+    let (closed, mut other) = if stream == "stdout" {
+        (out, err)
+    } else {
+        (err, out)
+    };
+    let mut line = String::new();
+    BufReader::new(closed)
+        .read_line(&mut line)
+        .expect("read one line");
+    assert!(!line.is_empty(), "{args:?}: nothing on {stream}");
+    // The reader is gone: the rest of `stream` lands on a closed pipe.
+    let mut rest = String::new();
+    other
+        .read_to_string(&mut rest)
+        .expect("read the other stream");
+    (child.wait().expect("wait for fastmm"), rest)
+}
+
+#[test]
+fn a_closed_pipe_ends_the_process_quietly() {
+    // `tables --all` keeps printing for about a second after its first
+    // line, so it is still writing when the reader goes away.
+    let (status, err) = read_one_line_then_close(&["tables", "--all"], "stdout");
+    assert_eq!(status.code(), Some(141), "{err}");
+    assert!(err.is_empty(), "a closed stdout must end quietly:\n{err}");
+    // The usage error is a few lines: written in full before the pipe
+    // closes (exit 2) or cut short (141), never a panic (101).
+    let (status, _) = read_one_line_then_close(&["bounds", "--p", "0"], "stderr");
+    assert!(matches!(status.code(), Some(2 | 141)), "{status:?}");
 }
 
 #[test]

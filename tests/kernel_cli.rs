@@ -104,6 +104,7 @@ fn check_passes_for_both_algs_and_dtypes() {
         rows.push([alg, "256", "64", "f64", "42"]);
     }
     rows.push(["strassen", "200", "32", "i64", "42"]);
+    rows.push(["winograd", "200", "32", "f64", "42"]);
     for [alg, n, cutoff, dtype, seed] in rows {
         let out = fastmm(&[
             "kernel", "--alg", alg, "--n", n, "--cutoff", cutoff, "--dtype", dtype, "--seed", seed,
@@ -139,9 +140,9 @@ fn threads_flag_changes_nothing_about_the_product() {
 
 #[test]
 fn unknown_alg_exits_2() {
-    let out = fastmm(&["kernel", "--alg", "winograd"]);
+    let out = fastmm(&["kernel", "--alg", "ks"]);
     assert_exit_2_clean(&out);
-    assert!(stderr(&out).contains("unknown algorithm 'winograd' (classical|strassen)"));
+    assert!(stderr(&out).contains("unknown algorithm 'ks' (classical|strassen|winograd)"));
 }
 
 #[test]
