@@ -11,6 +11,7 @@ use crate::manifest;
 use fmm_cdag::flow::{max_vertex_disjoint_paths, min_dominator_size};
 use fmm_cdag::RecursiveCdag;
 use fmm_core::{catalog, lemmas, Bilinear2x2};
+use fmm_matrix::Matrix;
 use fmm_memsim::seq::Replacement;
 use fmm_memsim::{par, seq};
 use fmm_obs::Histogram;
@@ -21,7 +22,7 @@ use fmm_pebbling::players::{belady_schedule, creation_order};
 use fmm_serve::loadgen::{self, LoadgenConfig};
 use fmm_serve::server::{ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How many passes a run makes. Profiles are ordered: a target gated at
@@ -141,6 +142,20 @@ fn model_io(alg: fmm_kernel::Alg, n: usize, leaf: usize) -> u64 {
     })
 }
 
+/// The seeded `f64` operand of order `n` ([`crate::bench_matrix_f64`]),
+/// generated once per process: kernel passes time the multiply, not the
+/// generator.
+fn operand(n: usize, seed: u64) -> Arc<Matrix<f64>> {
+    #[allow(clippy::type_complexity)]
+    static CACHE: OnceLock<Mutex<BTreeMap<(usize, u64), Arc<Matrix<f64>>>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
+    let mut map = cache.lock().expect("operand cache");
+    Arc::clone(
+        map.entry((n, seed))
+            .or_insert_with(|| Arc::new(crate::bench_matrix_f64(n, seed))),
+    )
+}
+
 /// The largest order whose predicted I/O the kernel targets report:
 /// simulating one order-1024 multiply word by word takes over a minute.
 const MODEL_IO_MAX_N: usize = 512;
@@ -156,8 +171,7 @@ fn kernel_pass(
     cutoff: usize,
     threads: usize,
 ) -> BTreeMap<String, String> {
-    let a = crate::bench_matrix_f64(n, 1);
-    let b = crate::bench_matrix_f64(n, 2);
+    let (a, b) = (operand(n, 1), operand(n, 2));
     let cfg = fmm_kernel::KernelCfg {
         alg,
         cutoff,
@@ -205,8 +219,7 @@ fn kernel_strassen_n1024() -> BTreeMap<String, String> {
 /// the "Strassen-with-cutoff is ≥5× naive" claim BENCH_kernel.json
 /// records.
 fn kernel_naive_n512() -> BTreeMap<String, String> {
-    let a = crate::bench_matrix_f64(512, 1);
-    let b = crate::bench_matrix_f64(512, 2);
+    let (a, b) = (operand(512, 1), operand(512, 2));
     let c = fmm_matrix::multiply::multiply_naive(&a, &b);
     let sum: f64 = c.as_slice().iter().sum();
     extras(&[

@@ -194,8 +194,14 @@ mod tests {
         assert!(LinkChaosSpec::parse("garble=1.5").is_err());
         assert!(LinkChaosSpec::parse("garble=-0.1").is_err());
         assert!(LinkChaosSpec::parse("frobnicate=1").is_err());
-        assert!(LinkChaosSpec::parse("delay-ms=200").is_err(), "missing site");
-        assert!(LinkChaosSpec::parse("delay-ms=200@2").is_err(), "bare index");
+        assert!(
+            LinkChaosSpec::parse("delay-ms=200").is_err(),
+            "missing site"
+        );
+        assert!(
+            LinkChaosSpec::parse("delay-ms=200@2").is_err(),
+            "bare index"
+        );
         assert!(LinkChaosSpec::parse("stall-after=x@shard1").is_err());
         assert!(LinkChaosSpec::parse("stall-ms=0").is_err());
         assert!(LinkChaosSpec::parse("delay-ms").is_err());

@@ -3,34 +3,67 @@
 
 use crate::{Event, Key, Metric, SpanRecord};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Escape a string for embedding in a JSON string literal (quotes not
 /// included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
-fn labels_object(labels: &[(String, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
+/// Append `s`, escaped as by [`escape`], to `out`. Runs of bytes that need
+/// no escape are copied as slices, so a plain string costs one scan and
+/// one copy.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Append `{"k":"v",...}` to `out`, keys and values escaped: the one
+/// flat string→string object writer behind metric labels and the wire
+/// protocol's `params` and `result`.
+pub fn flat_object_into<'a>(out: &mut String, pairs: impl IntoIterator<Item = (&'a str, &'a str)>) {
+    out.push('{');
+    for (i, (k, v)) in pairs.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
+        out.push('"');
+        escape_into(out, k);
+        out.push_str("\":\"");
+        escape_into(out, v);
+        out.push('"');
     }
     out.push('}');
+}
+
+fn labels_object(labels: &[(String, String)]) -> String {
+    let mut out = String::new();
+    flat_object_into(
+        &mut out,
+        labels.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+    );
     out
 }
 
@@ -137,8 +170,10 @@ impl Value {
 /// object whose values are strings, numbers, `null`, or one nested flat
 /// string→string object. Returns `None` on malformed input.
 pub fn parse_line(line: &str) -> Option<BTreeMap<String, Value>> {
+    let src = line.trim();
     let mut p = Parser {
-        bytes: line.trim().as_bytes(),
+        src,
+        bytes: src.as_bytes(),
         pos: 0,
     };
     let map = p.object()?;
@@ -150,6 +185,7 @@ pub fn parse_line(line: &str) -> Option<BTreeMap<String, Value>> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -176,47 +212,39 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// A string literal. Each run of bytes up to the next `"` or `\` is
+    /// copied as one slice of the line, so a literal without escapes
+    /// costs one scan and one copy.
     fn string(&mut self) -> Option<String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self.bytes.get(self.pos)?;
+            let start = self.pos;
+            let len = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')?;
+            // `"` and `\` are ASCII, so both ends are char boundaries.
+            out.push_str(&self.src[start..start + len]);
+            self.pos = start + len + 1;
+            if self.bytes[start + len] == b'"' {
+                return Some(out);
+            }
+            let esc = *self.bytes.get(self.pos)?;
             self.pos += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos)?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self.bytes.get(self.pos..self.pos + 4)?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                    out.push(char::from_u32(code)?);
                 }
-                b => {
-                    // Collect the full UTF-8 sequence starting at `b`.
-                    let len = match b {
-                        _ if b < 0x80 => 1,
-                        _ if b >= 0xF0 => 4,
-                        _ if b >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let start = self.pos - 1;
-                    let chunk = self.bytes.get(start..start + len)?;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
-                    self.pos = start + len;
-                }
+                _ => return None,
             }
         }
     }
@@ -309,6 +337,11 @@ mod tests {
         assert_eq!(escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
         assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(escape("π≈3"), "π≈3");
+        let mut out = String::from("x");
+        for s in ["", "plain", "\u{1f}é\"\r🦀\\"] {
+            escape_into(&mut out, s);
+        }
+        assert_eq!(out, "xplain\\u001fé\\\"\\r🦀\\\\");
     }
 
     #[test]
@@ -407,6 +440,37 @@ mod tests {
             "{\"a\":\"unterminated}",
         ] {
             assert!(parse_line(bad).is_none(), "should reject: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn string_runs_around_escapes_parse() {
+        let cases = [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""plain\nrest""#, "plain\nrest"),
+            (r#""ends in a quote\"""#, "ends in a quote\""),
+            (r#""\"starts""#, "\"starts"),
+            (r#""\\\\""#, "\\\\"),
+            (r#""é 🦀 ≈""#, "é 🦀 ≈"),
+            (r#""é\t🦀\u0041ß""#, "é\t🦀Aß"),
+        ];
+        for (literal, want) in cases {
+            let line = format!("{{\"s\":{literal},\"o\":{{\"k\":{literal}}}}}");
+            let parsed = parse_line(&line).unwrap_or_else(|| panic!("should parse: {line}"));
+            assert_eq!(parsed["s"].as_str(), Some(want), "{line}");
+            match &parsed["o"] {
+                Value::Object(o) => assert_eq!(o["k"], want, "{line}"),
+                other => panic!("o should be an object, got {other:?}"),
+            }
+        }
+        for bad in [
+            r#"{"s":"a\"}"#,
+            r#"{"s":"a\q"}"#,
+            r#"{"s":"\u00"}"#,
+            r#"{"s":"\ud83d"}"#,
+        ] {
+            assert!(parse_line(bad).is_none(), "should reject: {bad}");
         }
     }
 

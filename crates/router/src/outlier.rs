@@ -114,11 +114,9 @@ impl OutlierDetector {
                 sig.strikes = 0;
                 continue;
             }
-            let over = |med: Option<f64>, ewma: &Ewma, k: f64| {
-                match (med, ewma.settled()) {
-                    (Some(m), Some(v)) if m > 0.0 => v > k * m,
-                    _ => false,
-                }
+            let over = |med: Option<f64>, ewma: &Ewma, k: f64| match (med, ewma.settled()) {
+                (Some(m), Some(v)) if m > 0.0 => v > k * m,
+                _ => false,
             };
             if over(settle_med, &sig.settle_us, self.k) || over(rtt_med, &sig.rtt_us, self.k) {
                 sig.strikes = sig.strikes.saturating_add(1);

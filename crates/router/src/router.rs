@@ -31,9 +31,9 @@ use crate::journal::{Journal, Replay};
 use fmm_faults::LinkChaosSpec;
 use fmm_serve::conn::{self, control_roundtrip, Reply};
 use fmm_serve::ledger::Ledger;
-use fmm_serve::proto::{read_bounded_line, Kind, Request, Response, Status};
+use fmm_serve::proto::{read_bounded_line, write_line, Kind, Request, Response, Status};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -413,7 +413,7 @@ impl SharedRouter {
                         }
                     }
                     Effect::Send { shard, env, line } => {
-                        let report = match self.send_to_shard(shard, &line) {
+                        let report = match self.send_to_shard(shard, line) {
                             true => Event::Sent { env },
                             false => Event::SendFailed { shard, env },
                         };
@@ -465,9 +465,9 @@ impl SharedRouter {
 
     /// Write one line to shard `idx`'s job connection; `false` when the
     /// shard is down or the write fails.
-    fn send_to_shard(&self, idx: usize, line: &str) -> bool {
-        match self.shards[idx].conn.lock().unwrap().as_ref() {
-            Some(mut conn) => writeln!(conn, "{line}").and_then(|_| conn.flush()).is_ok(),
+    fn send_to_shard(&self, idx: usize, line: String) -> bool {
+        match self.shards[idx].conn.lock().unwrap().as_mut() {
+            Some(conn) => write_line(conn, line).is_ok(),
             None => false,
         }
     }

@@ -641,7 +641,11 @@ fn kernel_jobs_route_sticky_by_spec_hash() {
         shard_of.insert(i, resp.result.get("shard").expect("shard tag").clone());
     }
     let distinct: std::collections::BTreeSet<&String> = shard_of.values().collect();
-    assert_eq!(distinct.len(), 2, "8 distinct cells should split across both shards");
+    assert_eq!(
+        distinct.len(),
+        2,
+        "8 distinct cells should split across both shards"
+    );
 
     for i in 0..8 {
         let resp = client.roundtrip(&kernel_job(&format!("re{i}"), 16 + 4 * i, 8));

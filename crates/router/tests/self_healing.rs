@@ -296,7 +296,10 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
     drop(client);
     let snap = router.shutdown_and_wait();
     assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
-    assert_eq!(snap.ledger.accepted, 2, "1 replayed settled + 1 resumed in-flight");
+    assert_eq!(
+        snap.ledger.accepted, 2,
+        "1 replayed settled + 1 resumed in-flight"
+    );
     assert_eq!(snap.ledger.completed, 2);
     assert_eq!(snap.journal_replayed, 3);
     assert_eq!(snap.resumed_inflight, 1);

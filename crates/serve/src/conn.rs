@@ -3,9 +3,9 @@
 //! reader, and the one-shot control round-trip.
 
 use crate::ledger::Ledger;
-use crate::proto::{read_bounded_line, Request, Response, Status};
+use crate::proto::{read_bounded_line, write_line, Request, Response, Status};
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,8 +35,7 @@ impl Reply {
         // A vanished client must not take the sender down with it; the
         // job still counted its terminal state.
         if let Some(stream) = stream.as_mut() {
-            let _ = writeln!(stream, "{line}");
-            let _ = stream.flush();
+            let _ = write_line(stream, line);
         }
     }
 }
@@ -153,9 +152,7 @@ pub fn control_roundtrip(
         TcpStream::connect_timeout(&sock_addr, timeout.min(Duration::from_secs(2))).ok()?;
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
-    let mut w = &stream;
-    writeln!(w, "{}", req.to_line()).ok()?;
-    w.flush().ok()?;
+    write_line(&mut &stream, req.to_line()).ok()?;
     let mut reader = BufReader::new(&stream);
     let mut buf = Vec::new();
     let mut oversized = false;

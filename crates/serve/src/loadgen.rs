@@ -13,9 +13,9 @@
 //! server config the whole run's shed count is reproducible.
 
 use crate::ledger::StatsSnapshot;
-use crate::proto::{Kind, Request, Response, Status};
+use crate::proto::{write_line, Kind, Request, Response, Status};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -362,11 +362,7 @@ impl Conn {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), String> {
-        let line = req.to_line();
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .map_err(|e| format!("send: {e}"))
+        write_line(&mut self.writer, req.to_line()).map_err(|e| format!("send: {e}"))
     }
 
     fn recv(&mut self) -> Result<Option<Response>, String> {

@@ -3,7 +3,15 @@
 //! Requests and responses reuse the flat-object JSON dialect of
 //! [`fmm_obs::json`] — values are strings, numbers, `null`, or one-level
 //! string→string objects — so the server parses with the exact parser
-//! `fastmm report` already trusts and emits with the same [`escape`].
+//! `fastmm report` already trusts and emits through the same
+//! [`escape_into`] and [`flat_object_into`].
+//!
+//! Every line is encoded into one pre-sized `String` and leaves through
+//! [`write_line`] as a single `write` (one `send()` per line); parsing
+//! moves `id`, `reason`, `params` and `result` out of the parsed map
+//! instead of copying them. The bytes of a line are pinned by literal
+//! tests below: router journals persist request lines, so an old line
+//! must still replay.
 //!
 //! Request:  `{"id":"r1","kind":"io","deadline_ms":500,"params":{"alg":"strassen","n":"32"}}`
 //! Response: `{"id":"r1","status":"completed","result":{"io":"93696",...}}`
@@ -12,9 +20,10 @@
 //! admission (malformed line, oversized line, bad params); it does not
 //! count against the accepted-jobs balance invariant.
 
-use fmm_obs::json::{escape, parse_line, Value};
+use fmm_obs::json::{escape_into, flat_object_into, parse_line, Value};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, Read, Write};
 
 /// Request kinds. Jobs go through the bounded queue; control kinds are
 /// answered inline by the connection thread.
@@ -153,17 +162,13 @@ impl Request {
     /// Parse one request line. The error string is safe to echo to the
     /// client (it never contains unescaped input).
     pub fn parse(line: &str) -> Result<Request, String> {
-        let map = parse_line(line).ok_or("malformed JSON line")?;
+        let mut map = parse_line(line).ok_or("malformed JSON line")?;
         let kind_str = map
             .get("kind")
             .and_then(Value::as_str)
             .ok_or("missing 'kind'")?;
         let kind = Kind::parse(kind_str).ok_or("unknown 'kind'")?;
-        let id = map
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
+        let id = take_str(&mut map, "id");
         if kind.is_job() && id.is_empty() {
             return Err("job requests need a non-empty 'id'".to_string());
         }
@@ -177,11 +182,7 @@ impl Request {
                 Some(n as u64)
             }
         };
-        let params = match map.get("params") {
-            None | Some(Value::Null) => BTreeMap::new(),
-            Some(Value::Object(o)) => o.clone(),
-            Some(_) => return Err("'params' must be an object".to_string()),
-        };
+        let params = take_object(&mut map, "params")?;
         Ok(Request {
             id,
             kind,
@@ -192,24 +193,11 @@ impl Request {
 
     /// Serialise to one line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":\"{}\"", escape(&self.id)));
-        out.push_str(&format!(",\"kind\":\"{}\"", self.kind.as_str()));
+        let mut out = line_head(&self.id, "kind", self.kind.as_str(), 0, &self.params);
         if let Some(ms) = self.deadline_ms {
-            out.push_str(&format!(",\"deadline_ms\":{ms}"));
+            let _ = write!(out, ",\"deadline_ms\":{ms}");
         }
-        if !self.params.is_empty() {
-            out.push_str(",\"params\":{");
-            for (i, (k, v)) in self.params.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
+        line_tail(out, "params", &self.params)
     }
 }
 
@@ -300,56 +288,104 @@ impl Response {
     }
 
     pub fn parse(line: &str) -> Result<Response, String> {
-        let map = parse_line(line).ok_or("malformed JSON line")?;
+        let mut map = parse_line(line).ok_or("malformed JSON line")?;
         let status_str = map
             .get("status")
             .and_then(Value::as_str)
             .ok_or("missing 'status'")?;
         let status = Status::parse(status_str).ok_or("unknown 'status'")?;
-        let id = map
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let reason = map
-            .get("reason")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let result = match map.get("result") {
-            None | Some(Value::Null) => BTreeMap::new(),
-            Some(Value::Object(o)) => o.clone(),
-            Some(_) => return Err("'result' must be an object".to_string()),
-        };
         Ok(Response {
-            id,
+            id: take_str(&mut map, "id"),
             status,
-            reason,
-            result,
+            reason: take_str(&mut map, "reason"),
+            result: take_object(&mut map, "result")?,
         })
     }
 
     /// Serialise to one line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":\"{}\"", escape(&self.id)));
-        out.push_str(&format!(",\"status\":\"{}\"", self.status.as_str()));
+        let mut out = line_head(
+            &self.id,
+            "status",
+            self.status.as_str(),
+            self.reason.len(),
+            &self.result,
+        );
         if !self.reason.is_empty() {
-            out.push_str(&format!(",\"reason\":\"{}\"", escape(&self.reason)));
+            out.push_str(",\"reason\":\"");
+            escape_into(&mut out, &self.reason);
+            out.push('"');
         }
-        if !self.result.is_empty() {
-            out.push_str(",\"result\":{");
-            for (i, (k, v)) in self.result.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
+        line_tail(out, "result", &self.result)
     }
+}
+
+/// Move string field `key` out of a parsed line; `""` when it is absent
+/// or not a string.
+fn take_str(map: &mut BTreeMap<String, Value>, key: &str) -> String {
+    match map.remove(key) {
+        Some(Value::Str(s)) => s,
+        _ => String::new(),
+    }
+}
+
+/// Move object field `key` out of a parsed line; empty when it is absent
+/// or `null`.
+fn take_object(
+    map: &mut BTreeMap<String, Value>,
+    key: &str,
+) -> Result<BTreeMap<String, String>, String> {
+    match map.remove(key) {
+        None | Some(Value::Null) => Ok(BTreeMap::new()),
+        Some(Value::Object(o)) => Ok(o),
+        Some(_) => Err(format!("'{key}' must be an object")),
+    }
+}
+
+/// Start a line: `{"id":"<id>","<tag>":"<name>"`, in a `String` sized
+/// for the whole line (`text` more bytes of free text, `map`'s fields and
+/// the framing newline included; escapes aside), so encoding it and
+/// [`write_line`] allocate once.
+fn line_head(
+    id: &str,
+    tag: &str,
+    name: &str,
+    text: usize,
+    map: &BTreeMap<String, String>,
+) -> String {
+    let fields: usize = map.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
+    let mut out = String::with_capacity(96 + id.len() + text + fields);
+    out.push_str("{\"id\":\"");
+    escape_into(&mut out, id);
+    out.push_str("\",\"");
+    out.push_str(tag);
+    out.push_str("\":\"");
+    out.push_str(name);
+    out.push('"');
+    out
+}
+
+/// Finish a line: `,"<key>":{...}` unless `map` is empty, then `}`.
+fn line_tail(mut out: String, key: &str, map: &BTreeMap<String, String>) -> String {
+    if !map.is_empty() {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        flat_object_into(&mut out, map.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+    }
+    out.push('}');
+    out
+}
+
+/// Write `line` and its `'\n'` terminator with one `write_all`, so a line
+/// costs one `send()` and, on a `TCP_NODELAY` socket, one segment. The
+/// write-side sibling of [`read_bounded_line`]: the server's replies, the
+/// router's envelopes and replies, control round-trips and loadgen's
+/// requests all go through it. Nothing is flushed after: every writer is
+/// an unbuffered socket.
+pub fn write_line<W: Write>(w: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 /// Read one bounded line into `buf`. Returns `false` on EOF/error (the
@@ -401,6 +437,65 @@ mod tests {
             .with_param("note", "quotes \" and \\ and\nnewlines");
         let parsed = Request::parse(&req.to_line()).unwrap();
         assert_eq!(parsed, req);
+    }
+
+    /// The exact bytes of a request line. Router journals persist
+    /// `req_line`, so an encoder that changes bytes breaks replay of old
+    /// journals even when every round trip still passes.
+    #[test]
+    fn request_line_bytes_are_pinned() {
+        let req = Request::new("c0-r17", Kind::Io)
+            .with_deadline(2500)
+            .with_param("alg", "strassen")
+            .with_param("k\"ey", "q\" b\\ n\n t\t c\u{1} é 🦀");
+        let line = r#"{"id":"c0-r17","kind":"io","deadline_ms":2500,"params":{"alg":"strassen","k\"ey":"q\" b\\ n\n t\t c\u0001 é 🦀"}}"#;
+        assert_eq!(req.to_line(), line);
+        assert_eq!(Request::parse(line).unwrap(), req);
+        let bare = Request::new("", Kind::Health);
+        assert_eq!(bare.to_line(), r#"{"id":"","kind":"health"}"#);
+    }
+
+    #[test]
+    fn response_line_bytes_are_pinned() {
+        let mut result = BTreeMap::new();
+        result.insert("io".to_string(), "93696".to_string());
+        result.insert("ratio".to_string(), "1.52".to_string());
+        let resp = Response::new("f1a", Status::Error)
+            .with_reason("panic: \"boom\"\n")
+            .with_result(result);
+        let line = r#"{"id":"f1a","status":"error","reason":"panic: \"boom\"\n","result":{"io":"93696","ratio":"1.52"}}"#;
+        assert_eq!(resp.to_line(), line);
+        assert_eq!(Response::parse(line).unwrap(), resp);
+        let bare = Response::new("x", Status::DeadlineExceeded);
+        assert_eq!(bare.to_line(), r#"{"id":"x","status":"deadline-exceeded"}"#);
+    }
+
+    /// A `Write` that records every call it gets.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_makes_one_write_per_line() {
+        let mut calls = Calls::default();
+        for req in [
+            Request::new("", Kind::Health),
+            Request::new("c0-r1", Kind::Bounds).with_param("note", "a\nb"),
+        ] {
+            let line = req.to_line();
+            write_line(&mut calls, line.clone()).unwrap();
+            assert_eq!(calls.0.last().unwrap(), format!("{line}\n").as_bytes());
+        }
+        assert_eq!(calls.0.len(), 2, "one write call per line");
     }
 
     #[test]
