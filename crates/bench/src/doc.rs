@@ -13,7 +13,7 @@
 //!  "max_ns":...,"extras":{"io":"93696",...}}
 //! ```
 
-use fmm_obs::json::{escape, parse_line, Value};
+use fmm_obs::json::{escape, flat_object_into, parse_line, Value};
 use std::collections::BTreeMap;
 
 /// The schema tag every document leads with.
@@ -58,14 +58,8 @@ pub struct BenchDoc {
 }
 
 fn flat_object(map: &BTreeMap<String, String>) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
-    }
-    out.push('}');
+    let mut out = String::new();
+    flat_object_into(&mut out, map.iter().map(|(k, v)| (k.as_str(), v.as_str())));
     out
 }
 

@@ -238,7 +238,7 @@ fn at_least<T: Scalar>(v: &mut Vec<T>, len: usize) -> &mut [T] {
 /// Columns of the portable and AVX2 tiles (their rows are [`MR`]).
 const NR: usize = 8;
 
-/// Every `f64` micro-kernel by name, in the order [`gemm_block`] prefers
+/// Every `f64` micro-kernel by name, in the order `gemm_block` prefers
 /// them: the first one this CPU runs is [`f64_kernel_isa`], so every
 /// kernel listed before it is one the CPU lacks.
 pub const F64_KERNELS: [&str; 3] = ["avx512f", "avx2+fma", "portable"];

@@ -2,7 +2,7 @@
 //!
 //! Everything else in the workspace *simulates* I/O; this crate actually
 //! multiplies matrices fast, so measured wall time can be correlated
-//! against [`fmm-memsim`]'s predicted I/O for the same (algorithm, n,
+//! against `fmm-memsim`'s predicted I/O for the same (algorithm, n,
 //! cutoff) grid cell (EXPERIMENTS §X16).
 //!
 //! One entry point, [`multiply`] (or [`multiply_with_report`]), runs a

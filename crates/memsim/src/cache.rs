@@ -11,7 +11,7 @@
 //! This is the hot path of every measured experiment, so the simulator is
 //! O(1) per access with no per-access allocation:
 //!
-//! * resident lines live in a dense **slab** ([`Slot`]) threaded with an
+//! * resident lines live in a dense **slab** (`Slot`) threaded with an
 //!   intrusive doubly-linked recency/insertion list (head = most recent,
 //!   tail = eviction victim). LRU moves a hit line to the head; FIFO
 //!   leaves the list in insertion order. Both policies share the slab —
@@ -19,7 +19,7 @@
 //!   resident set (an earlier revision kept one and leaked stale entries
 //!   across [`Cache::flush`]).
 //! * address → slot lookup goes through a fixed-size open-addressing
-//!   table ([`AddrTable`]) with Fibonacci hashing, linear probing and
+//!   table (`AddrTable`) with Fibonacci hashing, linear probing and
 //!   backward-shift deletion. The table is sized once (2× capacity,
 //!   power of two) and never rehashes.
 //!

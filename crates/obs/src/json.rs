@@ -4,6 +4,19 @@
 use crate::{Event, Key, Metric, SpanRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write;
+use std::io;
+
+/// Write `line` and its `'\n'` terminator with one `write_all`, so a line
+/// costs one `write()`: on a `TCP_NODELAY` socket one segment, in an
+/// append-only file one record that is whole or, after a crash, a torn
+/// tail ([`crate::jsonl`]). The server's replies, the router's envelopes
+/// and replies, control round-trips, loadgen's requests and every
+/// [`crate::jsonl::Log`] append go through it. Nothing is flushed after:
+/// every writer is an unbuffered socket or file.
+pub fn write_line<W: io::Write>(w: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
 
 /// Escape a string for embedding in a JSON string literal (quotes not
 /// included).

@@ -9,7 +9,9 @@
 //! 2. **No dependencies** beyond std: per-worker [`LocalCollector`]s
 //!    leave scoped threads over an `mpsc` channel, and JSON is
 //!    hand-rolled in [`json`], including the escaping and the tiny flat
-//!    parser the `fastmm report` subcommand uses.
+//!    parser the `fastmm report` subcommand uses. [`jsonl`] is the one
+//!    append-only log file (commit rule, torn-tail repair) behind the
+//!    sweep checkpoint and the router journal.
 //! 3. **Deterministic output.** Snapshots are sorted by metric name and
 //!    labels so tables and JSONL diffs are stable across runs.
 //!
@@ -24,6 +26,7 @@ use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub mod json;
+pub mod jsonl;
 pub mod progress;
 pub mod span;
 pub mod trace;

@@ -1,19 +1,22 @@
 //! Write-ahead job journal: the router's crash-survivable ledger.
 //!
-//! One JSONL record per admission and one per settlement, appended (and
-//! flushed to the page cache) *before* the corresponding reply leaves
-//! the process, so a SIGKILL at any instant loses at most work the
-//! client never heard about. `fastmm fleet --resume <journal>` replays
-//! the log to rebuild the idempotency map, the settled-status table,
-//! and the in-flight set, then re-dispatches every unsettled admission —
-//! closing the fleet conservation law `accepted == completed + errored
-//! + cancelled + deadline_exceeded` across the crash.
+//! One JSONL record per admission and one per settlement, appended
+//! *before* the corresponding reply leaves the process, so a SIGKILL at
+//! any instant loses at most work the client never heard about.
+//! `fastmm fleet --resume <journal>` replays the log to rebuild the
+//! idempotency map, the settled-status table, and the in-flight set,
+//! then re-dispatches every unsettled admission — closing the fleet
+//! conservation law `accepted == completed + errored + cancelled +
+//! deadline_exceeded` across the crash.
 //!
-//! Durability discipline: every append is a single `write(2)` of one
-//! full line, which survives process death (SIGKILL included) the
-//! moment it returns; `sync_data` runs every [`SYNC_EVERY`] records and
-//! at drain to bound *machine*-crash loss without paying an fsync per
-//! job.
+//! The file is an [`fmm_obs::jsonl`] log, the same one behind the sweep
+//! checkpoint: a record is committed once its newline is on disk, every
+//! append is one `write(2)` of the whole line, and `sync_data` runs every
+//! [`fmm_obs::jsonl::SYNC_EVERY`] records and at drain. [`Journal::reopen`]
+//! drops a torn tail (the one partial line a crash mid-append leaves)
+//! and truncates it away before the resumed router appends; a malformed
+//! committed line is corruption and refuses the resume. This module
+//! holds only the header and record schema.
 //!
 //! Schema (`fmm-journal/v1`), one flat JSON object per line in the
 //! [`fmm_obs::json`] dialect:
@@ -31,24 +34,17 @@
 //!
 //! The `req` field embeds the original request line as an escaped
 //! string (the flat dialect has no nested objects), so a resumed router
-//! can re-dispatch the job byte-identically. A crash-truncated final
-//! line is repaired by the same torn-tail lenient-load rule as
-//! `fmm_sweep`'s checkpoints: warn and drop the tail, refuse anything
-//! torn mid-file.
+//! can re-dispatch the job byte-identically.
 
 use fmm_obs::json::{escape, parse_line, Value};
+use fmm_obs::jsonl::{self, Contents, Log};
 use fmm_serve::ledger::StatsSnapshot;
 use fmm_serve::proto::Status;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Schema tag written into every header.
 pub const SCHEMA: &str = "fmm-journal/v1";
-
-/// `sync_data` cadence, in records. Every append still reaches the page
-/// cache immediately; this only bounds machine-crash loss.
-pub const SYNC_EVERY: u32 = 32;
 
 /// `(spec_hash, seed param, client_tag)` — the identity a job is
 /// journaled (and counted) under, mirroring the router's idempotency
@@ -148,77 +144,73 @@ impl Record {
     }
 }
 
-fn parse_key(map: &std::collections::BTreeMap<String, Value>) -> Result<JobKey, String> {
-    let hash = map
-        .get("spec_hash")
+type Map = std::collections::BTreeMap<String, Value>;
+
+fn text<'a>(map: &'a Map, k: &str) -> Result<&'a str, String> {
+    map.get(k)
         .and_then(Value::as_str)
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("bad 'spec_hash'")?;
-    let field = |k: &str| -> Result<String, String> {
-        map.get(k)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or(format!("missing '{k}'"))
-    };
-    Ok((hash, field("seed")?, field("client_tag")?))
+        .ok_or(format!("missing '{k}'"))
+}
+
+fn hex(map: &Map, k: &str) -> Result<u64, String> {
+    u64::from_str_radix(text(map, k)?, 16).map_err(|_| format!("bad '{k}'"))
+}
+
+fn shard(map: &Map) -> Result<usize, String> {
+    let shard = map.get("shard").and_then(Value::as_num);
+    shard.map(|n| n as usize).ok_or("bad 'shard'".into())
+}
+
+fn parse_key(map: &Map) -> Result<JobKey, String> {
+    let (seed, tag) = (text(map, "seed")?, text(map, "client_tag")?);
+    Ok((hex(map, "spec_hash")?, seed.to_string(), tag.to_string()))
 }
 
 fn parse_record(line: &str) -> Result<Record, String> {
     let map = parse_line(line).ok_or("malformed JSON line")?;
-    match map.get("type").and_then(Value::as_str) {
-        Some("admit") => Ok(Record::Admit {
-            key: parse_key(&map)?,
-            trace_id: map
-                .get("trace_id")
-                .and_then(Value::as_str)
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or("bad 'trace_id'")?,
-            shard: map
-                .get("shard")
-                .and_then(Value::as_num)
-                .map(|n| n as usize)
-                .ok_or("bad 'shard'")?,
-            req_line: map
-                .get("req")
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or("missing 'req'")?,
+    let kind = text(&map, "type")?;
+    let key = parse_key(&map)?;
+    match kind {
+        "admit" => Ok(Record::Admit {
+            key,
+            trace_id: hex(&map, "trace_id")?,
+            shard: shard(&map)?,
+            req_line: text(&map, "req")?.to_string(),
         }),
-        Some("settle") => Ok(Record::Settle {
-            key: parse_key(&map)?,
-            status: map
-                .get("status")
-                .and_then(Value::as_str)
-                .and_then(Status::parse)
-                .ok_or("bad 'status'")?,
-            reason: map
-                .get("reason")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
+        "settle" => Ok(Record::Settle {
+            key,
+            status: Status::parse(text(&map, "status")?).ok_or("bad 'status'")?,
+            reason: text(&map, "reason").unwrap_or("").to_string(),
         }),
-        Some("refuse") => Ok(Record::Refuse {
-            key: parse_key(&map)?,
+        "refuse" => Ok(Record::Refuse { key }),
+        "hedge" => Ok(Record::Hedge {
+            key,
+            shard: shard(&map)?,
         }),
-        Some("hedge") => Ok(Record::Hedge {
-            key: parse_key(&map)?,
-            shard: map
-                .get("shard")
-                .and_then(Value::as_num)
-                .map(|n| n as usize)
-                .ok_or("bad 'shard'")?,
-        }),
-        Some(other) => Err(format!("unknown record type '{other}'")),
-        None => Err("missing 'type'".to_string()),
+        other => Err(format!("unknown record type '{other}'")),
     }
 }
 
-/// A crash-truncated final line that [`load_lenient`] dropped.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TornTail {
-    /// 1-based line number of the dropped tail.
-    pub line: usize,
-    pub detail: String,
+fn header_line(seed: u64, shard_addrs: &[String]) -> String {
+    format!(
+        "{{\"type\":\"header\",\"schema\":\"{SCHEMA}\",\"seed\":\"{seed}\",\"shards\":\"{}\"}}",
+        escape(&shard_addrs.join(","))
+    )
+}
+
+fn parse_header(line: &str) -> Result<Header, String> {
+    let map = parse_line(line).ok_or("malformed header line")?;
+    if map.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+        return Err(format!("not an {SCHEMA} file"));
+    }
+    let shards = text(&map, "shards").unwrap_or("").split(',').map(str::trim);
+    Ok(Header {
+        seed: text(&map, "seed")?.parse().map_err(|_| "bad header seed")?,
+        shard_addrs: shards
+            .filter(|a| !a.is_empty())
+            .map(str::to_string)
+            .collect(),
+    })
 }
 
 /// The append-side handle. All methods are infallible by design: a
@@ -226,145 +218,51 @@ pub struct TornTail {
 /// the router keeps serving — losing durability is strictly better than
 /// losing the fleet.
 pub struct Journal {
-    inner: Mutex<Inner>,
-}
-
-struct Inner {
-    file: File,
-    since_sync: u32,
-    write_failed: bool,
+    log: Mutex<Log>,
+    write_failed: AtomicBool,
 }
 
 impl Journal {
-    /// Create (truncate) a journal and write its header, fsynced.
-    pub fn create(path: &str, seed: u64, shard_addrs: &[String]) -> Result<Journal, String> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| format!("cannot create journal '{path}': {e}"))?;
-        let header = format!(
-            "{{\"type\":\"header\",\"schema\":\"{SCHEMA}\",\"seed\":\"{seed}\",\"shards\":\"{}\"}}\n",
-            escape(&shard_addrs.join(","))
-        );
-        file.write_all(header.as_bytes())
-            .and_then(|_| file.sync_data())
-            .map_err(|e| format!("cannot write journal header to '{path}': {e}"))?;
-        Ok(Journal {
-            inner: Mutex::new(Inner {
-                file,
-                since_sync: 0,
-                write_failed: false,
-            }),
-        })
+    fn new(log: Log) -> Journal {
+        Journal {
+            log: Mutex::new(log),
+            write_failed: AtomicBool::new(false),
+        }
     }
 
-    /// Reopen an existing journal for appending (resume keeps writing
-    /// to the same file it replayed).
-    pub fn open_append(path: &str) -> Result<Journal, String> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot reopen journal '{path}': {e}"))?;
-        Ok(Journal {
-            inner: Mutex::new(Inner {
-                file,
-                since_sync: 0,
-                write_failed: false,
-            }),
-        })
+    /// Create (truncate) a journal and write its header, fsynced.
+    pub fn create(path: &str, seed: u64, shard_addrs: &[String]) -> Result<Journal, String> {
+        Log::create(path, &header_line(seed, shard_addrs)).map(Journal::new)
+    }
+
+    /// Reopen a journal to resume it: its committed header and records,
+    /// any torn tail reported and already truncated away, and a handle
+    /// that appends after the last committed record.
+    pub fn reopen(path: &str) -> Result<(Contents<Header, Record>, Journal), String> {
+        let (contents, log) = Log::reopen(path, parse_header, |_, line| parse_record(line))?;
+        Ok((contents, Journal::new(log)))
     }
 
     /// Append one record: a single `write(2)` of the full line (reaches
-    /// the page cache before return — SIGKILL-safe), with a batched
-    /// `sync_data` every [`SYNC_EVERY`] records.
+    /// the page cache before return — SIGKILL-safe), with the log's
+    /// batched `sync_data`.
     pub fn append(&self, rec: &Record) {
-        let mut line = rec.to_line();
-        line.push('\n');
-        let mut inner = self.inner.lock().unwrap();
-        if inner.file.write_all(line.as_bytes()).is_err() {
-            if !inner.write_failed {
-                inner.write_failed = true;
-                eprintln!("fleet: journal write failed; continuing without durability");
-            }
-            return;
-        }
-        inner.since_sync += 1;
-        if inner.since_sync >= SYNC_EVERY {
-            inner.since_sync = 0;
-            let _ = inner.file.sync_data();
+        let mut log = self.log.lock().expect("journal lock poisoned");
+        if log.append(rec.to_line()).is_err() && !self.write_failed.swap(true, Ordering::Relaxed) {
+            eprintln!("fleet: journal write failed; continuing without durability");
         }
     }
 
     /// Force the fsync (drain, and right before a `kill-router` dies).
     pub fn sync(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.since_sync = 0;
-        let _ = inner.file.sync_data();
+        let _ = self.log.lock().expect("journal lock poisoned").sync();
     }
 }
 
-/// Load a journal leniently: a torn *final* line (the signature of a
-/// crash mid-append) is dropped with a [`TornTail`] report; anything
-/// malformed earlier is corruption and fails the load.
-pub fn load_lenient(path: &str) -> Result<(Header, Vec<Record>, Option<TornTail>), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read journal '{path}': {e}"))?;
-    let ends_clean = text.ends_with('\n');
-    let lines: Vec<&str> = text
-        .split('\n')
-        .map(str::trim_end)
-        .filter(|l| !l.is_empty())
-        .collect();
-    let Some((&first, rest)) = lines.split_first() else {
-        return Err(format!("journal '{path}' is empty"));
-    };
-    let header = {
-        let map = parse_line(first).ok_or(format!("journal '{path}': malformed header line"))?;
-        if map.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-            return Err(format!("journal '{path}': not an {SCHEMA} file"));
-        }
-        Header {
-            seed: map
-                .get("seed")
-                .and_then(Value::as_str)
-                .and_then(|s| s.parse().ok())
-                .ok_or(format!("journal '{path}': bad header seed"))?,
-            shard_addrs: map
-                .get("shards")
-                .and_then(Value::as_str)
-                .map(|s| {
-                    s.split(',')
-                        .map(str::trim)
-                        .filter(|a| !a.is_empty())
-                        .map(str::to_string)
-                        .collect()
-                })
-                .unwrap_or_default(),
-        }
-    };
-    let mut records = Vec::with_capacity(rest.len());
-    let mut torn = None;
-    for (i, line) in rest.iter().enumerate() {
-        let last = i + 1 == rest.len();
-        match parse_record(line) {
-            Ok(rec) => records.push(rec),
-            Err(detail) if last && !ends_clean => {
-                torn = Some(TornTail {
-                    line: i + 2,
-                    detail,
-                });
-            }
-            Err(detail) => {
-                return Err(format!(
-                    "journal '{path}' line {}: {detail} (corruption before the tail)",
-                    i + 2
-                ));
-            }
-        }
-    }
-    Ok((header, records, torn))
+/// Read a journal without touching it: a torn tail is reported in
+/// [`Contents::torn`] and left in place.
+pub fn load(path: &str) -> Result<Contents<Header, Record>, String> {
+    jsonl::load(path, parse_header, |_, line| parse_record(line))
 }
 
 /// What a replay rebuilt, ready to seed a resumed router.
@@ -466,18 +364,24 @@ mod tests {
         ]
     }
 
-    fn write_journal(path: &std::path::Path, records: &[Record], tail: &str) {
-        let j = Journal::create(path.to_str().unwrap(), 7, &["127.0.0.1:1".into()]).unwrap();
+    fn tmp(name: &str) -> String {
+        let dir = std::env::temp_dir().join("fmm-journal-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join(format!("{name}-{}.jsonl", std::process::id()));
+        p.to_string_lossy().into_owned()
+    }
+
+    /// A journal holding `records`, then `tail` written raw after them.
+    fn write_journal(path: &str, records: &[Record], tail: &str) {
+        let j = Journal::create(path, 7, &["127.0.0.1:1".into()]).unwrap();
         for r in records {
             j.append(r);
         }
         j.sync();
         drop(j);
-        if !tail.is_empty() {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(path).unwrap();
-            f.write_all(tail.as_bytes()).unwrap();
-        }
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes.extend_from_slice(tail.as_bytes());
+        std::fs::write(path, bytes).unwrap();
     }
 
     #[test]
@@ -488,19 +392,51 @@ mod tests {
         }
     }
 
+    /// The bytes of every record type, pinned: a resumed router must
+    /// replay journals an older build wrote.
+    #[test]
+    fn journal_bytes_are_pinned_for_every_record_type() {
+        let path = tmp("bytes");
+        let mut records = sample_records();
+        records.push(Record::Settle {
+            key: (u64::MAX, "s\"1".into(), "t\\2".into()),
+            status: Status::DeadlineExceeded,
+            reason: "deadline 5 ms\n".into(),
+        });
+        write_journal(&path, &records, "");
+        let want = concat!(
+            r#"{"type":"header","schema":"fmm-journal/v1","seed":"7","shards":"127.0.0.1:1"}"#,
+            "\n",
+            r#"{"type":"admit","spec_hash":"0000000000000001","seed":"1","client_tag":"tag1","trace_id":"000000000000abcd","shard":0,"req":"{\"id\":\"a\",\"kind\":\"bounds\",\"params\":{\"n\":\"64\"}}"}"#,
+            "\n",
+            r#"{"type":"admit","spec_hash":"0000000000000002","seed":"2","client_tag":"tag2","trace_id":"000000000000beef","shard":1,"req":"{\"id\":\"b\",\"kind\":\"io\",\"params\":{\"n\":\"8\"}}"}"#,
+            "\n",
+            r#"{"type":"hedge","spec_hash":"0000000000000002","seed":"2","client_tag":"tag2","shard":0}"#,
+            "\n",
+            r#"{"type":"settle","spec_hash":"0000000000000001","seed":"1","client_tag":"tag1","status":"completed","reason":""}"#,
+            "\n",
+            r#"{"type":"admit","spec_hash":"0000000000000003","seed":"3","client_tag":"tag3","trace_id":"0000000000000003","shard":0,"req":"{\"id\":\"c\",\"kind\":\"io\"}"}"#,
+            "\n",
+            r#"{"type":"refuse","spec_hash":"0000000000000003","seed":"3","client_tag":"tag3"}"#,
+            "\n",
+            r#"{"type":"settle","spec_hash":"ffffffffffffffff","seed":"s\"1","client_tag":"t\\2","status":"deadline-exceeded","reason":"deadline 5 ms\n"}"#,
+            "\n",
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn journal_round_trips_and_replays() {
-        let dir = std::env::temp_dir().join("fmm_journal_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
+        let path = tmp("roundtrip");
         write_journal(&path, &sample_records(), "");
-        let (header, records, torn) = load_lenient(path.to_str().unwrap()).unwrap();
-        assert_eq!(header.seed, 7);
-        assert_eq!(header.shard_addrs, vec!["127.0.0.1:1".to_string()]);
-        assert_eq!(records, sample_records());
-        assert_eq!(torn, None);
+        let c = load(&path).unwrap();
+        assert_eq!(c.header.seed, 7);
+        assert_eq!(c.header.shard_addrs, vec!["127.0.0.1:1".to_string()]);
+        assert_eq!(c.records, sample_records());
+        assert_eq!(c.torn, None);
 
-        let r = replay(&records);
+        let r = replay(&c.records);
         assert_eq!(r.replayed, 6);
         assert_eq!(r.ledger.accepted, 2, "3 admits minus 1 refusal");
         assert_eq!(r.ledger.completed, 1);
@@ -508,57 +444,66 @@ mod tests {
         assert_eq!(r.inflight.len(), 1, "job 2 never settled");
         assert_eq!(r.inflight[0].0, key(2));
         assert_eq!(r.inflight[0].1, 0xbeef);
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn torn_tail_is_dropped_with_a_report() {
-        let dir = std::env::temp_dir().join("fmm_journal_torn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
+    fn a_torn_journal_survives_reopen_append_and_a_second_load() {
+        let path = tmp("torn");
         // SIGKILL mid-append: the final line is cut with no newline.
         write_journal(&path, &sample_records(), "{\"type\":\"settle\",\"spec_");
-        let (_, records, torn) = load_lenient(path.to_str().unwrap()).unwrap();
-        assert_eq!(records, sample_records(), "intact records all survive");
-        let torn = torn.expect("torn tail reported");
-        assert_eq!(torn.line, 8);
-        let _ = std::fs::remove_file(&path);
+        let (c, j) = Journal::reopen(&path).unwrap();
+        assert_eq!(c.records, sample_records(), "intact records all survive");
+        assert_eq!(c.torn.expect("torn tail reported").line, 8);
+        // The resumed router keeps journaling into the same file; the
+        // new record must start a fresh line, not extend the torn one.
+        let settle = Record::Settle {
+            key: key(2),
+            status: Status::Completed,
+            reason: String::new(),
+        };
+        j.append(&settle);
+        j.sync();
+        drop(j);
+        let again = load(&path).expect("a second resume loads the journal");
+        assert_eq!(again.torn, None);
+        let mut want = sample_records();
+        want.push(settle);
+        assert_eq!(again.records, want);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mid_file_corruption_is_fatal_not_repaired() {
-        let dir = std::env::temp_dir().join("fmm_journal_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
+        let path = tmp("corrupt");
         write_journal(
             &path,
             &sample_records(),
             "garbage mid file\n{\"type\":\"refuse\"}\n",
         );
-        // The garbage is followed by another (newline-terminated) line,
-        // so it is not a torn tail: refuse the journal.
-        let err = load_lenient(path.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("corruption"), "{err}");
-        let _ = std::fs::remove_file(&path);
+        // The garbage line has its newline, so it is committed: refuse
+        // the journal rather than guess.
+        let err = load(&path).unwrap_err();
+        assert!(err.contains("line 8: malformed JSON line"), "{err}");
+        assert!(Journal::reopen(&path).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_and_wrong_schema_files_are_rejected() {
-        let dir = std::env::temp_dir().join("fmm_journal_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let empty = dir.join("empty.jsonl");
+        let empty = tmp("empty");
         std::fs::write(&empty, "").unwrap();
-        assert!(load_lenient(empty.to_str().unwrap())
-            .unwrap_err()
-            .contains("empty"));
-        let wrong = dir.join("wrong.jsonl");
+        assert!(load(&empty).unwrap_err().contains("empty"));
+        let wrong = tmp("wrong");
         std::fs::write(
             &wrong,
             "{\"type\":\"header\",\"schema\":\"fmm-sweep/v1\"}\n",
         )
         .unwrap();
-        assert!(load_lenient(wrong.to_str().unwrap()).is_err());
-        let _ = std::fs::remove_file(&empty);
-        let _ = std::fs::remove_file(&wrong);
+        assert!(load(&wrong)
+            .unwrap_err()
+            .contains("not an fmm-journal/v1 file"));
+        std::fs::remove_file(&empty).ok();
+        std::fs::remove_file(&wrong).ok();
     }
 }

@@ -58,7 +58,7 @@ pub mod outlier;
 pub mod ring;
 pub mod router;
 
-pub use journal::{load_lenient, replay, Journal, Replay, TornTail};
+pub use journal::{replay, Journal, Replay};
 pub use outlier::OutlierDetector;
 pub use ring::{spec_hash, Ring, VNODES};
 pub use router::{FleetSnapshot, RouterConfig, RouterHandle, ShardSpawner, StartOptions};

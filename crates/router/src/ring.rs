@@ -1,7 +1,7 @@
 //! Consistent-hash routing: which shard owns a request?
 //!
 //! Each shard contributes [`VNODES`] virtual points to a hash ring, all
-//! derived with the workspace's canonical FNV-1a ([`fmm_sweep::fnv1a`] —
+//! derived with the workspace's canonical FNV-1a ([`fmm_sweep::spec::fnv1a`] —
 //! the same function that keys sweep checkpoints). A request routes to
 //! the first *live* shard clockwise from its spec hash, so removing a
 //! shard only moves the keys that shard owned; everything else keeps its

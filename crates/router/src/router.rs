@@ -72,7 +72,9 @@ pub struct RouterConfig {
     pub breaker_k: u32,
     /// Sliding window for the crash-loop breaker.
     pub breaker_window_ms: u64,
-    /// Write-ahead job journal path; `None` disables journaling.
+    /// Write-ahead job journal to create; `None` disables journaling. A
+    /// resume appends to the journal it replayed instead
+    /// ([`StartOptions::resume`]).
     pub journal_path: Option<String>,
     /// Honour the `kill-router` chaos verb (the fleet *binary* enables
     /// this; in-process routers must never SIGKILL their host).
@@ -142,8 +144,10 @@ pub struct StartOptions {
     pub procs: Vec<Option<Child>>,
     /// Respawn callback for the supervisor ([`RouterConfig::supervise`]).
     pub spawner: Option<ShardSpawner>,
-    /// A replayed journal to resume from (see [`crate::journal::replay`]).
-    pub resume: Option<Replay>,
+    /// A replayed journal to resume from (see [`crate::journal::replay`])
+    /// and the same journal reopened to keep appending to
+    /// ([`Journal::reopen`]); it replaces [`RouterConfig::journal_path`].
+    pub resume: Option<(Replay, Journal)>,
 }
 
 /// A running fleet router. Dropping the handle initiates shutdown and
@@ -180,14 +184,15 @@ impl RouterHandle {
         let addr = listener.local_addr()?;
         let mut procs = opts.procs;
         procs.resize_with(cfg.shard_addrs.len(), || None);
-        let resuming = opts.resume.is_some();
-        let journal = match (&cfg.journal_path, resuming) {
-            (Some(path), false) => {
-                Some(Journal::create(path, cfg.seed, &cfg.shard_addrs).map_err(io_err)?)
+        let (replay, journal) = match opts.resume {
+            Some((replay, journal)) => (Some(replay), Some(journal)),
+            None => {
+                let create = |path: &String| Journal::create(path, cfg.seed, &cfg.shard_addrs);
+                let journal = cfg.journal_path.as_ref().map(create).transpose();
+                (None, journal.map_err(io_err)?)
             }
-            (Some(path), true) => Some(Journal::open_append(path).map_err(io_err)?),
-            (None, _) => None,
         };
+        let resuming = replay.is_some();
         let n = cfg.shard_addrs.len();
         let (mut shards, mut readers, mut up) = (Vec::new(), Vec::new(), Vec::new());
         for (idx, (shard_addr, child)) in cfg.shard_addrs.iter().zip(procs).enumerate() {
@@ -234,7 +239,7 @@ impl RouterHandle {
                 shared.spawn_reader(idx, 0, stream);
             }
         }
-        if let Some(replay) = opts.resume {
+        if let Some(replay) = replay {
             shared.step(Event::Replay(replay));
         }
         shared.spawn_loop("router-health", |shared| shared.probe_round());

@@ -7,9 +7,7 @@
 //! now required to hold *across* shard death and router resume.
 
 use fmm_router::journal::{JobKey, Journal, Record};
-use fmm_router::{
-    load_lenient, replay, spec_hash, RouterConfig, RouterHandle, ShardSpawner, StartOptions,
-};
+use fmm_router::{replay, spec_hash, RouterConfig, RouterHandle, ShardSpawner, StartOptions};
 use fmm_serve::proto::{Kind, Request, Response, Status};
 use fmm_serve::server::{ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Write};
@@ -243,11 +241,12 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
         j.sync();
     }
 
-    let (header, records, torn) = load_lenient(&path).expect("load journal");
-    assert!(torn.is_none(), "clean journal has no torn tail");
+    let (contents, journal) = Journal::reopen(&path).expect("reopen journal");
+    assert!(contents.torn.is_none(), "clean journal has no torn tail");
+    let header = contents.header;
     assert_eq!(header.seed, 5);
     assert_eq!(header.shard_addrs, vec![shard_addr.clone()]);
-    let rep = replay(&records);
+    let rep = replay(&contents.records);
     assert_eq!(rep.replayed, 3);
     assert_eq!(rep.ledger.accepted, 2);
     assert_eq!(rep.ledger.completed, 1);
@@ -257,13 +256,12 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
         RouterConfig {
             shard_addrs: header.shard_addrs,
             seed: header.seed,
-            journal_path: Some(path.clone()),
             ..RouterConfig::default()
         },
         StartOptions {
             procs: vec![None],
             spawner: None,
-            resume: Some(rep),
+            resume: Some((rep, journal)),
         },
     )
     .expect("resume router");

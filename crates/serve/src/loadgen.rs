@@ -280,18 +280,9 @@ impl Summary {
             u64::from(self.ok())
         );
         if !self.server_counters.is_empty() {
-            out.push_str(",\"server\":{");
-            for (i, (k, v)) in self.server_counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\"{}\":\"{}\"",
-                    fmm_obs::json::escape(k),
-                    fmm_obs::json::escape(v)
-                ));
-            }
-            out.push('}');
+            out.push_str(",\"server\":");
+            let counters = self.server_counters.iter();
+            fmm_obs::json::flat_object_into(&mut out, counters.map(|(k, v)| (&**k, &**v)));
         }
         out.push('}');
         out

@@ -23,7 +23,11 @@
 use fmm_obs::json::{escape_into, flat_object_into, parse_line, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{BufRead, Read};
+
+/// The one-`write_all` line writer, shared with the append-only logs of
+/// [`fmm_obs::jsonl`]: the write-side sibling of [`read_bounded_line`].
+pub use fmm_obs::json::write_line;
 
 /// Request kinds. Jobs go through the bounded queue; control kinds are
 /// answered inline by the connection thread.
@@ -377,17 +381,6 @@ fn line_tail(mut out: String, key: &str, map: &BTreeMap<String, String>) -> Stri
     out
 }
 
-/// Write `line` and its `'\n'` terminator with one `write_all`, so a line
-/// costs one `send()` and, on a `TCP_NODELAY` socket, one segment. The
-/// write-side sibling of [`read_bounded_line`]: the server's replies, the
-/// router's envelopes and replies, control round-trips and loadgen's
-/// requests all go through it. Nothing is flushed after: every writer is
-/// an unbuffered socket.
-pub fn write_line<W: Write>(w: &mut W, mut line: String) -> io::Result<()> {
-    line.push('\n');
-    w.write_all(line.as_bytes())
-}
-
 /// Read one bounded line into `buf`. Returns `false` on EOF/error (the
 /// stream is done), `true` with `oversized` flagged when the line blew
 /// the limit (the remainder has been consumed so the stream stays
@@ -427,6 +420,7 @@ pub fn read_bounded_line<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io;
 
     #[test]
     fn request_round_trips_through_its_own_line() {
@@ -474,7 +468,7 @@ mod tests {
     #[derive(Default)]
     struct Calls(Vec<Vec<u8>>);
 
-    impl Write for Calls {
+    impl io::Write for Calls {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.0.push(buf.to_vec());
             Ok(buf.len())
@@ -496,6 +490,47 @@ mod tests {
             assert_eq!(calls.0.last().unwrap(), format!("{line}\n").as_bytes());
         }
         assert_eq!(calls.0.len(), 2, "one write call per line");
+
+        // An append-only log (the router journal, the sweep checkpoint)
+        // appends through the same helper: one `write()` per record, so a
+        // crash leaves a record whole or torn, never split in two.
+        // Counted by the kernel's per-thread I/O accounting, where it is
+        // available.
+        let syscalls = || -> Option<u64> {
+            let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+            io.lines()
+                .find_map(|l| l.strip_prefix("syscw: "))?
+                .parse()
+                .ok()
+        };
+        let path = std::env::temp_dir().join(format!("fmm-proto-log-{}.jsonl", std::process::id()));
+        let path = path.to_str().unwrap();
+        let mut log = fmm_obs::jsonl::Log::create(path, "{\"type\":\"header\"}").unwrap();
+        let lines: Vec<String> = (0..fmm_obs::jsonl::SYNC_EVERY + 3)
+            .map(|i| {
+                Request::new(&format!("r{i}"), Kind::Io)
+                    .with_param("n", "8")
+                    .to_line()
+            })
+            .collect();
+        let before = syscalls();
+        for line in &lines {
+            log.append(line.clone()).unwrap();
+        }
+        match (before, syscalls()) {
+            (Some(before), Some(after)) => {
+                assert_eq!(
+                    after - before,
+                    lines.len() as u64,
+                    "one write() per appended line"
+                )
+            }
+            _ => eprintln!("skipped: no per-thread I/O accounting on this system"),
+        }
+        drop(log);
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_eq!(text.lines().skip(1).collect::<Vec<_>>(), lines);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! JSONL checkpoint files: one header line, then one line per completed
 //! cell, appended as cells finish so a crash or Ctrl-C loses at most the
 //! in-flight cells. `resume` replays the file, validates it against the
-//! spec, and skips everything already done.
+//! spec, and skips everything already done. The file is an
+//! [`fmm_obs::jsonl`] log, so a cell is committed once its newline is on
+//! disk; this module holds only the header and record schema.
 //!
 //! Schema (`fmm-sweep/v1`), one flat JSON object per line:
 //!
@@ -20,6 +22,7 @@
 use crate::cell::Measurement;
 use crate::spec::{AlgKind, Cell, PolicyKind, RunMode, SweepSpec};
 use fmm_obs::json::{escape, parse_line, Value};
+use fmm_obs::jsonl::{self, Contents};
 use std::collections::BTreeMap;
 
 /// Schema tag written into every header.
@@ -147,168 +150,82 @@ fn get_str<'a>(map: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, S
         .ok_or_else(|| format!("missing string field '{key}'"))
 }
 
-fn parse_header(map: &BTreeMap<String, Value>) -> Result<Header, String> {
-    let schema = get_str(map, "schema")?;
+/// Parse a checkpoint's header line.
+pub fn parse_header(line: &str) -> Result<Header, String> {
+    let map = parse_line(line).ok_or("malformed JSON")?;
+    match get_str(&map, "type")? {
+        "header" => {}
+        "cell" => return Err("cell before header".into()),
+        other => return Err(format!("unknown type '{other}'")),
+    }
+    let schema = get_str(&map, "schema")?;
     if schema != SCHEMA {
         return Err(format!("unsupported schema '{schema}' (want {SCHEMA})"));
     }
     Ok(Header {
-        spec: get_str(map, "spec")?.to_string(),
-        spec_hash: get_str(map, "spec_hash")?.to_string(),
-        seed: get_str(map, "seed")?
+        spec: get_str(&map, "spec")?.to_string(),
+        spec_hash: get_str(&map, "spec_hash")?.to_string(),
+        seed: get_str(&map, "seed")?
             .parse()
             .map_err(|e| format!("bad seed: {e}"))?,
-        cells: get_num(map, "cells")? as usize,
+        cells: get_num(&map, "cells")? as usize,
     })
 }
 
-fn parse_cell_record(map: &BTreeMap<String, Value>) -> Result<(String, CellRecord), String> {
-    let spec_hash = get_str(map, "spec_hash")?.to_string();
+/// Parse one cell line of the checkpoint `header` heads. Every record
+/// must carry the header's spec hash — a checkpoint is a
+/// machine-readable artifact, not a log to be skimmed.
+pub fn parse_record(header: &Header, line: &str) -> Result<CellRecord, String> {
+    let map = parse_line(line).ok_or("malformed JSON")?;
+    match get_str(&map, "type")? {
+        "cell" => {}
+        "header" => return Err("duplicate header".into()),
+        other => return Err(format!("unknown type '{other}'")),
+    }
+    let spec_hash = get_str(&map, "spec_hash")?;
+    if spec_hash != header.spec_hash {
+        return Err(format!(
+            "spec hash {spec_hash} does not match header {}",
+            header.spec_hash
+        ));
+    }
     let cell = Cell {
-        id: get_num(map, "id")? as usize,
-        alg: AlgKind::parse(get_str(map, "alg")?)
-            .ok_or_else(|| format!("unknown alg '{}'", get_str(map, "alg").unwrap_or("?")))?,
-        n: get_num(map, "n")? as usize,
-        m: get_num(map, "m")? as usize,
-        p: get_num(map, "p")? as usize,
-        policy: PolicyKind::parse(get_str(map, "policy")?).ok_or("unknown policy")?,
-        mode: RunMode::parse(get_str(map, "mode")?).ok_or("unknown mode")?,
-        rep: get_num(map, "rep")? as usize,
+        id: get_num(&map, "id")? as usize,
+        alg: AlgKind::parse(get_str(&map, "alg")?)
+            .ok_or_else(|| format!("unknown alg '{}'", get_str(&map, "alg").unwrap_or("?")))?,
+        n: get_num(&map, "n")? as usize,
+        m: get_num(&map, "m")? as usize,
+        p: get_num(&map, "p")? as usize,
+        policy: PolicyKind::parse(get_str(&map, "policy")?).ok_or("unknown policy")?,
+        mode: RunMode::parse(get_str(&map, "mode")?).ok_or("unknown mode")?,
+        rep: get_num(&map, "rep")? as usize,
     };
-    let seed: u64 = get_str(map, "seed")?
+    let seed: u64 = get_str(&map, "seed")?
         .parse()
         .map_err(|e| format!("bad seed: {e}"))?;
-    let status = match get_str(map, "status")? {
+    let status = match get_str(&map, "status")? {
         "ok" => CellStatus::Ok(Measurement {
-            io: get_num(map, "io")? as u64,
-            loads: get_num(map, "loads")? as u64,
-            stores: get_num(map, "stores")? as u64,
-            words: get_num(map, "words")? as u64,
-            flops: get_num(map, "flops")? as u64,
-            recomputes: get_num(map, "recomputes")? as u64,
-            hits: get_num(map, "hits")? as u64,
-            accesses: get_num(map, "accesses")? as u64,
-            bound: get_num(map, "bound")?,
-            ratio: get_num(map, "ratio")?,
+            io: get_num(&map, "io")? as u64,
+            loads: get_num(&map, "loads")? as u64,
+            stores: get_num(&map, "stores")? as u64,
+            words: get_num(&map, "words")? as u64,
+            flops: get_num(&map, "flops")? as u64,
+            recomputes: get_num(&map, "recomputes")? as u64,
+            hits: get_num(&map, "hits")? as u64,
+            accesses: get_num(&map, "accesses")? as u64,
+            bound: get_num(&map, "bound")?,
+            ratio: get_num(&map, "ratio")?,
         }),
-        "error" => CellStatus::Error(get_str(map, "error")?.to_string()),
+        "error" => CellStatus::Error(get_str(&map, "error")?.to_string()),
         "timeout" => CellStatus::TimedOut,
         other => return Err(format!("unknown status '{other}'")),
     };
-    Ok((
-        spec_hash,
-        CellRecord {
-            cell,
-            seed,
-            status,
-            wall_ms: get_num(map, "wall_ms")?,
-        },
-    ))
-}
-
-/// A torn trailing record tolerated by [`parse_file_lenient`]: the
-/// process died mid-`write`, leaving a final line that is not valid JSON
-/// (or not a complete record). Everything before `valid_bytes` parsed
-/// cleanly; truncating the file there makes it strictly valid again.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TornTail {
-    /// 1-based line number of the torn line.
-    pub line: usize,
-    /// Byte offset of the start of the torn line — the length the file
-    /// should be truncated to before appending.
-    pub valid_bytes: u64,
-    /// Why the line failed to parse.
-    pub reason: String,
-}
-
-/// Parse one checkpoint line into `header`/`records`. Errors carry no
-/// line prefix; callers add it.
-fn parse_one(
-    line: &str,
-    header: &mut Option<Header>,
-    records: &mut Vec<CellRecord>,
-) -> Result<(), String> {
-    let map = parse_line(line).ok_or("malformed JSON")?;
-    match get_str(&map, "type")? {
-        "header" => {
-            if header.is_some() {
-                return Err("duplicate header".into());
-            }
-            *header = Some(parse_header(&map)?);
-        }
-        "cell" => {
-            let h = header.as_ref().ok_or("cell before header")?;
-            let (hash, rec) = parse_cell_record(&map)?;
-            if hash != h.spec_hash {
-                return Err(format!(
-                    "spec hash {hash} does not match header {}",
-                    h.spec_hash
-                ));
-            }
-            records.push(rec);
-        }
-        other => return Err(format!("unknown type '{other}'")),
-    }
-    Ok(())
-}
-
-fn parse_inner(
-    text: &str,
-    lenient: bool,
-) -> Result<(Header, Vec<CellRecord>, Option<TornTail>), String> {
-    // Track byte offsets so a torn tail can report where to truncate.
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    let mut offset = 0usize;
-    for raw in text.split_inclusive('\n') {
-        lines.push((offset, raw.trim_end_matches(['\n', '\r'])));
-        offset += raw.len();
-    }
-    let last_nonempty = lines.iter().rposition(|(_, l)| !l.trim().is_empty());
-    let mut header: Option<Header> = None;
-    let mut records = Vec::new();
-    for (idx, (start, line)) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Err(e) = parse_one(line, &mut header, &mut records) {
-            // Only the final non-empty line can be a torn write: an
-            // append-only file corrupts at the tail or not at all. A bad
-            // line anywhere else means real damage — refuse to guess.
-            if lenient && Some(idx) == last_nonempty {
-                if let Some(h) = header {
-                    return Ok((
-                        h,
-                        records,
-                        Some(TornTail {
-                            line: idx + 1,
-                            valid_bytes: *start as u64,
-                            reason: e,
-                        }),
-                    ));
-                }
-            }
-            return Err(format!("line {}: {e}", idx + 1));
-        }
-    }
-    let header = header.ok_or("missing header line")?;
-    Ok((header, records, None))
-}
-
-/// Parse a whole checkpoint file: the header plus every cell record, in
-/// file order. Every line must parse and carry the header's spec hash —
-/// a checkpoint is a machine-readable artifact, not a log to be skimmed.
-pub fn parse_file(text: &str) -> Result<(Header, Vec<CellRecord>), String> {
-    parse_inner(text, false).map(|(h, r, _)| (h, r))
-}
-
-/// As [`parse_file`], but tolerate a torn **final** line (the signature a
-/// crash mid-append leaves behind). The torn line's record is lost — its
-/// cell simply re-runs on resume. Corruption anywhere else is still an
-/// error.
-pub fn parse_file_lenient(
-    text: &str,
-) -> Result<(Header, Vec<CellRecord>, Option<TornTail>), String> {
-    parse_inner(text, true)
+    Ok(CellRecord {
+        cell,
+        seed,
+        status,
+        wall_ms: get_num(&map, "wall_ms")?,
+    })
 }
 
 /// Collapse duplicate cell ids to the **latest** record in file order.
@@ -322,22 +239,35 @@ pub fn latest_by_id(records: &[CellRecord]) -> Vec<CellRecord> {
     latest.into_values().cloned().collect()
 }
 
-/// Load and parse a checkpoint file from disk.
-pub fn load(path: &str) -> Result<(Header, Vec<CellRecord>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    parse_file(&text).map_err(|e| format!("{path}: {e}"))
+/// Read a checkpoint without touching it: its header, every committed
+/// cell record in file order, and the torn tail a crash mid-append left,
+/// if any ([`fmm_obs::jsonl`]'s commit rule).
+pub fn read(path: &str) -> Result<Contents<Header, CellRecord>, String> {
+    jsonl::load(path, parse_header, parse_record)
 }
 
-/// Load a checkpoint from disk, tolerating a torn trailing line
-/// ([`parse_file_lenient`]).
-pub fn load_lenient(path: &str) -> Result<(Header, Vec<CellRecord>, Option<TornTail>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    parse_file_lenient(&text).map_err(|e| format!("{path}: {e}"))
+/// Load a whole checkpoint for reporting: as [`read`], but a torn tail
+/// is an error — `sweep resume` repairs it first.
+pub fn load(path: &str) -> Result<(Header, Vec<CellRecord>), String> {
+    let c = read(path)?;
+    match c.torn {
+        Some(t) => Err(format!(
+            "{path}: line {}: torn trailing record ({}); `sweep resume` repairs it",
+            t.line, t.reason
+        )),
+        None => Ok((c.header, c.records)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_file(text: &str) -> Result<(Header, Vec<CellRecord>), String> {
+        let c = jsonl::parse(text.as_bytes(), parse_header, parse_record)?;
+        assert_eq!(c.torn, None, "test files end in a newline");
+        Ok((c.header, c.records))
+    }
 
     fn sample_record(id: usize, ok: bool) -> CellRecord {
         CellRecord {
@@ -403,8 +333,8 @@ mod tests {
         let other = SweepSpec::builtin("x1").unwrap();
         let alien = cell_line(&other.hash(), &sample_record(0, true));
         assert!(parse_file(&format!("{hdr}\n{alien}\n")).is_err());
-        // Truncated JSON.
-        assert!(parse_file(&format!("{hdr}\n{{\"type\":\"cell\"")).is_err());
+        // Malformed JSON on a committed line.
+        assert!(parse_file(&format!("{hdr}\n{{\"type\":\"cell\"\n")).is_err());
         // Missing header entirely.
         assert!(parse_file("").is_err());
     }
@@ -423,38 +353,6 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].status, CellStatus::TimedOut);
         assert_eq!(recs[0].measurement(), None);
-    }
-
-    #[test]
-    fn lenient_parse_tolerates_only_a_torn_tail() {
-        let spec = SweepSpec::builtin("smoke").unwrap();
-        let hdr = header_line(&spec, 1, 6);
-        let c0 = cell_line(&spec.hash(), &sample_record(0, true));
-        let c1 = cell_line(&spec.hash(), &sample_record(1, false));
-        // A complete file has no torn tail.
-        let whole = format!("{hdr}\n{c0}\n{c1}\n");
-        let (_, recs, torn) = parse_file_lenient(&whole).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(torn, None);
-        // Cutting the final line anywhere inside it yields a TornTail
-        // whose valid_bytes points at the line's start.
-        let tail_start = hdr.len() + 1 + c0.len() + 1;
-        for cut in [1, c1.len() / 2, c1.len() - 1] {
-            let maimed = &whole[..tail_start + cut];
-            let (_, recs, torn) =
-                parse_file_lenient(maimed).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-            assert_eq!(recs.len(), 1, "cut at {cut}");
-            let torn = torn.unwrap();
-            assert_eq!(torn.valid_bytes, tail_start as u64);
-            assert_eq!(torn.line, 3);
-        }
-        // Strict parsing still refuses the same damage.
-        assert!(parse_file(&whole[..tail_start + 5]).is_err());
-        // Corruption before the tail is never tolerated.
-        let mid_corrupt = format!("{hdr}\n{}\n{c1}\n", &c0[..c0.len() / 2]);
-        assert!(parse_file_lenient(&mid_corrupt).is_err());
-        // A torn header is fatal too: there is nothing to resume into.
-        assert!(parse_file_lenient(&hdr[..hdr.len() / 2]).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The worker pool: expand a spec, distribute cells over std scoped
 //! threads, isolate per-cell panics, and stream each finished cell to a
-//! sink (normally an append-only JSONL checkpoint).
+//! sink (normally an append-only [`fmm_obs::jsonl`] checkpoint).
 //!
 //! Determinism contract: with `jobs = 1` results arrive in cell-id order;
 //! with more workers the *set* of records is identical and only the file
@@ -8,10 +8,10 @@
 //! the root seed and the cell's stable id, never from scheduling.
 
 use crate::cell::{cell_seed, run_cell};
-use crate::checkpoint::{cell_line, header_line, CellRecord, CellStatus};
+use crate::checkpoint::{self, cell_line, header_line, CellRecord, CellStatus};
 use crate::spec::{Cell, SweepSpec};
+use fmm_obs::jsonl::Log;
 use std::collections::BTreeSet;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -267,9 +267,9 @@ pub fn run_collect(spec: &SweepSpec, cfg: &RunConfig) -> Vec<CellRecord> {
     records
 }
 
-/// Start a fresh checkpointed run: write the header, then stream cell
-/// lines (flushed per line). Fails if `path` already exists — `resume`
-/// is the verb for continuing.
+/// Start a fresh checkpointed run: write the header, then append one
+/// line per finished cell. Fails if `path` already exists — `resume` is
+/// the verb for continuing.
 pub fn run_to_file(spec: &SweepSpec, cfg: &RunConfig, path: &str) -> Result<RunStats, String> {
     if std::path::Path::new(path).exists() {
         return Err(format!(
@@ -277,12 +277,8 @@ pub fn run_to_file(spec: &SweepSpec, cfg: &RunConfig, path: &str) -> Result<RunS
         ));
     }
     let cells = spec.expand();
-    let mut file =
-        std::fs::File::create(path).map_err(|e| format!("cannot create '{path}': {e}"))?;
-    writeln!(file, "{}", header_line(spec, cfg.seed, cells.len()))
-        .map_err(|e| format!("write '{path}': {e}"))?;
-    file.flush().ok();
-    append_cells(&cells, spec, cfg, &mut file, path, 0)
+    let log = Log::create(path, &header_line(spec, cfg.seed, cells.len()))?;
+    append_cells(&cells, spec, cfg, log, path)
 }
 
 /// Resume a checkpointed run: validate the header against `spec`, collect
@@ -292,29 +288,42 @@ pub fn run_to_file(spec: &SweepSpec, cfg: &RunConfig, path: &str) -> Result<RunS
 /// file with no second header.
 ///
 /// A torn trailing line (crash mid-append) is tolerated: the file is
-/// truncated back to its last valid record, a warning names the damage,
-/// and the torn cell re-runs like any other pending cell.
+/// truncated back to its last committed record, a warning names the
+/// damage, and the torn cell re-runs like any other pending cell.
 pub fn resume_file(spec: &SweepSpec, cfg: &RunConfig, path: &str) -> Result<RunStats, String> {
-    let (header, existing, torn) = crate::checkpoint::load_lenient(path)?;
-    if header.spec_hash != spec.hash() {
-        return Err(format!(
-            "checkpoint spec hash {} does not match spec '{}' ({})",
-            header.spec_hash,
-            spec.name,
-            spec.hash()
-        ));
-    }
-    if cfg.seed != header.seed {
-        return Err(format!(
-            "checkpoint was started with seed {}, got --seed {}",
-            header.seed, cfg.seed
-        ));
+    // Validate the header before the reopen repairs anything, so a
+    // mismatched resume leaves the file as it found it.
+    let check = |line: &str| {
+        let header = checkpoint::parse_header(line)?;
+        if header.spec_hash != spec.hash() {
+            return Err(format!(
+                "checkpoint spec hash {} does not match spec '{}' ({})",
+                header.spec_hash,
+                spec.name,
+                spec.hash()
+            ));
+        }
+        if cfg.seed != header.seed {
+            return Err(format!(
+                "checkpoint was started with seed {}, got --seed {}",
+                header.seed, cfg.seed
+            ));
+        }
+        Ok(header)
+    };
+    let (contents, log) = Log::reopen(path, check, checkpoint::parse_record)?;
+    if let Some(t) = &contents.torn {
+        eprintln!(
+            "sweep: '{path}' line {}: torn trailing record ({}); truncated, re-running \
+             that cell",
+            t.line, t.reason
+        );
     }
     // Duplicate ids are possible (a timed-out cell re-run by an earlier
     // resume); only the latest record per id counts.
-    let done: BTreeSet<usize> = crate::checkpoint::latest_by_id(&existing)
+    let done: BTreeSet<usize> = checkpoint::latest_by_id(&contents.records)
         .iter()
-        .filter(|r| !matches!(r.status, crate::checkpoint::CellStatus::TimedOut))
+        .filter(|r| !matches!(r.status, CellStatus::TimedOut))
         .map(|r| r.cell.id)
         .collect();
     let cells = spec.expand();
@@ -323,46 +332,31 @@ pub fn resume_file(spec: &SweepSpec, cfg: &RunConfig, path: &str) -> Result<RunS
         .filter(|c| !done.contains(&c.id))
         .cloned()
         .collect();
-    let skipped = cells.len() - pending.len();
-    let mut file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot append to '{path}': {e}"))?;
-    if let Some(t) = &torn {
-        eprintln!(
-            "sweep: '{path}' line {}: torn trailing record ({}); truncating and re-running \
-             that cell",
-            t.line, t.reason
-        );
-        file.set_len(t.valid_bytes)
-            .map_err(|e| format!("cannot repair '{path}': {e}"))?;
-    }
-    let mut stats = append_cells(&pending, spec, cfg, &mut file, path, skipped)?;
-    stats.skipped = skipped;
+    let mut stats = append_cells(&pending, spec, cfg, log, path)?;
+    stats.skipped = cells.len() - pending.len();
     Ok(stats)
 }
 
+/// Execute `cells`, appending each record to `log` as it finishes. The
+/// first write error stops the appends (the workers still drain) and is
+/// returned.
 fn append_cells(
     cells: &[Cell],
     spec: &SweepSpec,
     cfg: &RunConfig,
-    file: &mut std::fs::File,
+    mut log: Log,
     path: &str,
-    _already: usize,
 ) -> Result<RunStats, String> {
     let hash = spec.hash();
-    let mut io_err: Option<String> = None;
+    let mut io_err: Option<std::io::Error> = None;
     let stats = execute(cells, cfg, |rec| {
-        if io_err.is_some() {
-            return;
-        }
-        let line = cell_line(&hash, rec);
-        if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
-            io_err = Some(format!("write '{path}': {e}"));
+        if io_err.is_none() {
+            io_err = log.append(cell_line(&hash, rec)).err();
         }
     });
-    match io_err {
-        Some(e) => Err(e),
+    // A finished run is synced whole, whatever the cadence left over.
+    match io_err.or_else(|| log.sync().err()) {
+        Some(e) => Err(format!("write '{path}': {e}")),
         None => Ok(stats),
     }
 }
@@ -635,6 +629,39 @@ mod tests {
         }
         drop(f);
         assert!(resume_file(&spec, &cfg_all, &path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_record_missing_its_newline_re_runs_and_the_resumed_file_loads() {
+        let spec = SweepSpec::builtin("smoke").unwrap();
+        let total = spec.expand().len();
+        let path = tmp("no-newline");
+        let cfg = RunConfig {
+            seed: 5,
+            jobs: 1,
+            max_cells: Some(3),
+            ..RunConfig::default()
+        };
+        run_to_file(&spec, &cfg, &path).unwrap();
+        // A crash between a record's bytes and its newline: the last
+        // line is whole JSON, but it is not committed.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.strip_suffix('\n').unwrap()).unwrap();
+        let cfg_all = RunConfig {
+            seed: 5,
+            jobs: 1,
+            ..RunConfig::default()
+        };
+        let r = resume_file(&spec, &cfg_all, &path).unwrap();
+        // The next cell must start on a fresh line, not be glued onto
+        // the uncommitted one.
+        let (_, recs) = crate::checkpoint::load(&path).unwrap();
+        let mut ids: Vec<usize> = recs.iter().map(|r| r.cell.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..total).collect::<Vec<_>>());
+        assert_eq!(r.skipped, 2, "the newline-less record is not committed");
+        assert_eq!(r.executed, total - 2);
         std::fs::remove_file(&path).ok();
     }
 

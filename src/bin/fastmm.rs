@@ -288,7 +288,8 @@ const COMMANDS: &[Command] = &[
        --breaker-window-ms quarantines the shard instead). --journal writes a
        write-ahead job journal; --resume <journal> rebuilds counters, the
        idempotency map, and the in-flight set after a router SIGKILL,
-       reattaching to the journal's recorded shard addresses. --chaos-link
+       reattaching to the journal's recorded shard addresses and appending
+       to the same journal (so it takes no --journal). --chaos-link
        wraps every shard reply connection in a seeded gray-failure adversary
        (delay/stall/garble; also enables the stall-shard verb and turns
        hedging on with an auto p95 delay). --hedge-ms sets a fixed hedge
@@ -826,10 +827,10 @@ fn cmd_sweep_run(args: &Args) -> ExitCode {
     let resume = args.command() == "sweep resume";
     let default_seed = if resume {
         // Unless overridden, continue with the seed the checkpoint was
-        // started with. Lenient load: a torn tail is the resume engine's
-        // job to repair, not a reason to refuse the resume.
-        match checkpoint::load_lenient(&out) {
-            Ok((h, _, _)) => h.seed,
+        // started with. A torn tail is the resume engine's job to
+        // repair, not a reason to refuse the resume.
+        match checkpoint::read(&out) {
+            Ok(c) => c.header.seed,
             Err(e) => args.die(&e.to_string()),
         }
     } else {
@@ -1117,7 +1118,9 @@ fn spawn_shard(
 /// foreground, and at drain time assert the fleet-wide conservation law
 /// plus every acked shard's own law.
 fn cmd_fleet(args: &Args) -> ExitCode {
-    use fastmm::router::{journal, RouterConfig, RouterHandle, ShardSpawner, StartOptions};
+    use fastmm::router::{
+        journal, Journal, RouterConfig, RouterHandle, ShardSpawner, StartOptions,
+    };
     // --resume loads the journal up front: the header fixes the shard
     // addresses and the seed (ring geometry must match the dead router's),
     // and the records rebuild counters + the in-flight set.
@@ -1125,22 +1128,26 @@ fn cmd_fleet(args: &Args) -> ExitCode {
         if args.flag("attach") {
             args.die("--resume replays the journal's recorded shard addresses; drop --attach");
         }
-        match journal::load_lenient(path) {
-            Ok((header, records, torn)) => {
-                if let Some(t) = torn {
+        if args.flag("journal") {
+            args.die("--resume keeps appending to the journal it replays; drop --journal");
+        }
+        match Journal::reopen(path) {
+            Ok((contents, journal)) => {
+                if let Some(t) = contents.torn {
                     eprintln!(
-                        "fleet: journal tail torn at line {} ({}); dropped",
-                        t.line, t.detail
+                        "fleet: journal tail torn at line {} ({}); truncated",
+                        t.line, t.reason
                     );
                 }
-                (path.to_string(), header, journal::replay(&records))
+                let replay = journal::replay(&contents.records);
+                (contents.header, replay, journal)
             }
             Err(e) => args.die(&format!("fleet: cannot resume: {e}")),
         }
     });
     let seed = args.get(
         "seed",
-        resume.as_ref().map_or(0, |(_, header, _)| header.seed),
+        resume.as_ref().map_or(0, |(header, _, _)| header.seed),
     );
     // Every flag is parsed BEFORE any shard is spawned: a die() after
     // that point would orphan shard children still holding our stderr
@@ -1169,9 +1176,7 @@ fn cmd_fleet(args: &Args) -> ExitCode {
         breaker_window_ms: args
             .get("breaker-window-ms", defaults.breaker_window_ms)
             .max(1),
-        journal_path: args
-            .opt("journal")
-            .or_else(|| resume.as_ref().map(|(path, _, _)| path.clone())),
+        journal_path: args.opt("journal"),
         allow_kill_router: true,
         // Hedging defaults on (auto p95 delay) exactly when the chaos
         // link layer is active — gray failures are what hedges exist for
@@ -1200,7 +1205,7 @@ fn cmd_fleet(args: &Args) -> ExitCode {
             .map(|(addr, child)| (addr, Some(child)))
     });
     let mut procs: Vec<Option<std::process::Child>> = Vec::new();
-    if let Some((_, header, _)) = &resume {
+    if let Some((header, _, _)) = &resume {
         cfg.shard_addrs = header.shard_addrs.clone();
     } else if let Some(list) = args.str("attach") {
         cfg.shard_addrs = list
@@ -1238,7 +1243,7 @@ fn cmd_fleet(args: &Args) -> ExitCode {
     let opts = StartOptions {
         procs,
         spawner: cfg.supervise.then_some(spawn),
-        resume: resume.map(|(_, _, replay)| replay),
+        resume: resume.map(|(_, replay, journal)| (replay, journal)),
     };
     let handle = RouterHandle::start_with(cfg, opts)
         .unwrap_or_else(|e| args.die(&format!("fleet: cannot start router: {e}")));
