@@ -368,12 +368,15 @@ pub struct Core<C> {
     now: Duration,
     /// The effects of the event being stepped, in order.
     effects: Vec<Effect<C>>,
+    /// Emit [`Effect::Journal`]s: the driver holds a journal.
+    journaled: bool,
 }
 
 impl<C: Clone> Core<C> {
     /// A core for `cfg`'s fleet; shard `i` starts dead (one crash on
-    /// record) when `up[i]` is false.
-    pub fn new(cfg: &RouterConfig, up: &[bool]) -> Core<C> {
+    /// record) when `up[i]` is false. With `journaled`, every admission,
+    /// settle, refusal and hedge also yields an [`Effect::Journal`].
+    pub fn new(cfg: &RouterConfig, up: &[bool], journaled: bool) -> Core<C> {
         let n = cfg.shard_addrs.len();
         let shards = cfg
             .shard_addrs
@@ -412,6 +415,7 @@ impl<C: Clone> Core<C> {
             next_job: 0,
             now: Duration::ZERO,
             effects: Vec::new(),
+            journaled,
             cfg: cfg.clone(),
         }
     }
@@ -523,7 +527,7 @@ impl<C: Clone> Core<C> {
         };
         // Journal the admission before the first dispatch: a SIGKILL
         // after this line re-dispatches the job at resume.
-        if self.cfg.journal_path.is_some() {
+        if self.journaled {
             self.effects.push(Effect::Journal(Record::Admit {
                 key: idem.clone(),
                 trace_id: trace,
@@ -728,7 +732,7 @@ impl<C: Clone> Core<C> {
         }
         // Journal the settle before the reply: a SIGKILL between the two
         // re-settles (and replays) rather than double-counts.
-        if self.cfg.journal_path.is_some() {
+        if self.journaled {
             self.effects.push(Effect::Journal(Record::Settle {
                 key: job.idem.clone(),
                 status: resp.status,
@@ -762,7 +766,7 @@ impl<C: Clone> Core<C> {
             count!(self, hedges_cancelled);
         }
         self.ledger.unaccept();
-        if self.cfg.journal_path.is_some() {
+        if self.journaled {
             self.effects.push(Effect::Journal(Record::Refuse {
                 key: job.idem.clone(),
             }));
@@ -942,7 +946,7 @@ impl<C: Clone> Core<C> {
         };
         hedge.on_wire = true;
         count!(self, hedges_launched);
-        if self.cfg.journal_path.is_some() {
+        if self.journaled {
             self.effects.push(Effect::Journal(Record::Hedge {
                 key: job.idem.clone(),
                 shard: hedge.shard,
@@ -1378,7 +1382,6 @@ mod tests {
             shard_addrs: (0..shards)
                 .map(|i| format!("127.0.0.1:{}", 7000 + i))
                 .collect(),
-            journal_path: Some("journal".into()),
             ..RouterConfig::default()
         }
     }
@@ -1443,7 +1446,7 @@ mod tests {
         fn new(cfg: RouterConfig) -> Rig {
             let up = vec![true; cfg.shard_addrs.len()];
             Rig {
-                core: Core::new(&cfg, &up),
+                core: Core::new(&cfg, &up, true),
                 now: Duration::ZERO,
             }
         }
@@ -2164,7 +2167,7 @@ mod tests {
                 .collect();
             let count = templates.len();
             let mut world = World {
-                core: Core::new(&cfg, &vec![true; shards]),
+                core: Core::new(&cfg, &vec![true; shards], true),
                 now: Duration::ZERO,
                 templates,
                 inbox: vec![Vec::new(); shards],

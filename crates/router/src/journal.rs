@@ -37,7 +37,7 @@
 //! can re-dispatch the job byte-identically.
 
 use fmm_obs::json::{escape, parse_line, Value};
-use fmm_obs::jsonl::{self, Contents, Log};
+use fmm_obs::jsonl::{Contents, Log};
 use fmm_serve::ledger::StatsSnapshot;
 use fmm_serve::proto::Status;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -259,12 +259,6 @@ impl Journal {
     }
 }
 
-/// Read a journal without touching it: a torn tail is reported in
-/// [`Contents::torn`] and left in place.
-pub fn load(path: &str) -> Result<Contents<Header, Record>, String> {
-    jsonl::load(path, parse_header, |_, line| parse_record(line))
-}
-
 /// What a replay rebuilt, ready to seed a resumed router.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Replay {
@@ -326,6 +320,12 @@ pub fn replay(records: &[Record]) -> Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read a journal without touching it: a torn tail is reported in
+    /// [`Contents::torn`] and left in place.
+    fn load(path: &str) -> Result<Contents<Header, Record>, String> {
+        fmm_obs::jsonl::load(path, parse_header, |_, line| parse_record(line))
+    }
 
     fn key(n: u64) -> JobKey {
         (n, n.to_string(), format!("tag{n}"))

@@ -72,10 +72,6 @@ pub struct RouterConfig {
     pub breaker_k: u32,
     /// Sliding window for the crash-loop breaker.
     pub breaker_window_ms: u64,
-    /// Write-ahead job journal to create; `None` disables journaling. A
-    /// resume appends to the journal it replayed instead
-    /// ([`StartOptions::resume`]).
-    pub journal_path: Option<String>,
     /// Honour the `kill-router` chaos verb (the fleet *binary* enables
     /// this; in-process routers must never SIGKILL their host).
     pub allow_kill_router: bool,
@@ -118,7 +114,6 @@ impl Default for RouterConfig {
             supervise: false,
             breaker_k: 3,
             breaker_window_ms: 30_000,
-            journal_path: None,
             allow_kill_router: false,
             chaos_link: None,
             hedge_ms: Some(0),
@@ -144,10 +139,12 @@ pub struct StartOptions {
     pub procs: Vec<Option<Child>>,
     /// Respawn callback for the supervisor ([`RouterConfig::supervise`]).
     pub spawner: Option<ShardSpawner>,
-    /// A replayed journal to resume from (see [`crate::journal::replay`])
-    /// and the same journal reopened to keep appending to
-    /// ([`Journal::reopen`]); it replaces [`RouterConfig::journal_path`].
-    pub resume: Option<(Replay, Journal)>,
+    /// Write-ahead job journal, created ([`Journal::create`]) or, on a
+    /// resume, reopened ([`Journal::reopen`]) by the caller; `None`
+    /// disables journaling.
+    pub journal: Option<Journal>,
+    /// A replayed journal to resume from (see [`crate::journal::replay`]).
+    pub resume: Option<Replay>,
 }
 
 /// A running fleet router. Dropping the handle initiates shutdown and
@@ -178,21 +175,12 @@ impl RouterHandle {
     /// outlive a router SIGKILL, but any that didn't are exactly what
     /// the supervisor is for.
     pub fn start_with(cfg: RouterConfig, opts: StartOptions) -> std::io::Result<RouterHandle> {
-        let io_err = |e: String| std::io::Error::other(e);
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let mut procs = opts.procs;
         procs.resize_with(cfg.shard_addrs.len(), || None);
-        let (replay, journal) = match opts.resume {
-            Some((replay, journal)) => (Some(replay), Some(journal)),
-            None => {
-                let create = |path: &String| Journal::create(path, cfg.seed, &cfg.shard_addrs);
-                let journal = cfg.journal_path.as_ref().map(create).transpose();
-                (None, journal.map_err(io_err)?)
-            }
-        };
-        let resuming = replay.is_some();
+        let resuming = opts.resume.is_some();
         let n = cfg.shard_addrs.len();
         let (mut shards, mut readers, mut up) = (Vec::new(), Vec::new(), Vec::new());
         for (idx, (shard_addr, child)) in cfg.shard_addrs.iter().zip(procs).enumerate() {
@@ -218,7 +206,7 @@ impl RouterHandle {
                 child: Mutex::new(child),
             });
         }
-        let core = Core::new(&cfg, &up);
+        let core = Core::new(&cfg, &up, opts.journal.is_some());
         let chaos = cfg.chaos_link.clone().map(|spec| LinkChaos {
             spec,
             links: (0..n).map(|_| Mutex::default()).collect(),
@@ -227,7 +215,7 @@ impl RouterHandle {
             ledger: Arc::clone(core.ledger()),
             core: Mutex::new(core),
             shards,
-            journal,
+            journal: opts.journal,
             chaos,
             spawner: opts.spawner,
             started: Instant::now(),
@@ -239,7 +227,7 @@ impl RouterHandle {
                 shared.spawn_reader(idx, 0, stream);
             }
         }
-        if let Some(replay) = replay {
+        if let Some(replay) = opts.resume {
             shared.step(Event::Replay(replay));
         }
         shared.spawn_loop("router-health", |shared| shared.probe_round());

@@ -141,7 +141,7 @@ fn supervisor_respawns_then_breaker_quarantines() {
         StartOptions {
             procs: vec![None],
             spawner: Some(spawner),
-            resume: None,
+            ..StartOptions::default()
         },
     )
     .expect("start supervised router");
@@ -233,7 +233,7 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
             reason: String::new(),
         });
         j.append(&Record::Admit {
-            key: k2,
+            key: k2.clone(),
             trace_id: 0x22,
             shard: 0,
             req_line: req2.to_line(),
@@ -261,7 +261,8 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
         StartOptions {
             procs: vec![None],
             spawner: None,
-            resume: Some((rep, journal)),
+            journal: Some(journal),
+            resume: Some(rep),
         },
     )
     .expect("resume router");
@@ -286,6 +287,16 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
         "settled journal job must replay, not re-run: {resp1:?}"
     );
 
+    // A job first seen after the resume is journaled like any other.
+    let req3 = bounds_job("r3", 32).with_param("client_tag", "lg-c1");
+    let k3: JobKey = (
+        spec_hash(Kind::Bounds, &req3.params),
+        "32".to_string(),
+        "lg-c1:r3".to_string(),
+    );
+    let resp3 = client.roundtrip(&req3);
+    assert_eq!(resp3.status, Status::Completed, "reason: {}", resp3.reason);
+
     wait_for_stats(&mut client, "resume counters", |m| {
         m.get("journal_replayed").map(String::as_str) == Some("3")
             && m.get("resumed_inflight").map(String::as_str) == Some("1")
@@ -295,13 +306,38 @@ fn journal_resume_rebuilds_ledger_reattaches_and_replays_status() {
     let snap = router.shutdown_and_wait();
     assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
     assert_eq!(
-        snap.ledger.accepted, 2,
-        "1 replayed settled + 1 resumed in-flight"
+        snap.ledger.accepted, 3,
+        "1 replayed settled + 1 resumed in-flight + 1 new"
     );
-    assert_eq!(snap.ledger.completed, 2);
+    assert_eq!(snap.ledger.completed, 3);
     assert_eq!(snap.journal_replayed, 3);
     assert_eq!(snap.resumed_inflight, 1);
     assert_eq!(snap.dup_suppressed, 2, "both re-sends were suppressed");
+
+    // The resumed router kept appending to the journal it replayed: the
+    // resumed job's settle and the new job's admit and settle are there,
+    // so a second resume finds nothing left to re-dispatch.
+    let (again, _) = Journal::reopen(&path).expect("reopen after the resumed run");
+    assert!(again.torn.is_none(), "a drained journal has no torn tail");
+    let new = &again.records[3..];
+    let settled = |k: &JobKey| {
+        new.iter()
+            .any(|r| matches!(r, Record::Settle { key, status: Status::Completed, .. } if key == k))
+    };
+    assert!(settled(&k2), "resumed job's settle journaled: {new:?}");
+    assert!(
+        new.iter()
+            .any(|r| matches!(r, Record::Admit { key, .. } if *key == k3)),
+        "new job's admit journaled: {new:?}"
+    );
+    assert!(settled(&k3), "new job's settle journaled: {new:?}");
+    let rep2 = replay(&again.records);
+    assert!(
+        rep2.inflight.is_empty(),
+        "second resume re-dispatches nothing"
+    );
+    assert_eq!(rep2.ledger.accepted, 3);
+    assert_eq!(rep2.ledger.completed, 3);
     shard.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

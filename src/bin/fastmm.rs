@@ -1176,7 +1176,6 @@ fn cmd_fleet(args: &Args) -> ExitCode {
         breaker_window_ms: args
             .get("breaker-window-ms", defaults.breaker_window_ms)
             .max(1),
-        journal_path: args.opt("journal"),
         allow_kill_router: true,
         // Hedging defaults on (auto p95 delay) exactly when the chaos
         // link layer is active — gray failures are what hedges exist for
@@ -1204,6 +1203,14 @@ fn cmd_fleet(args: &Args) -> ExitCode {
         spawn_shard(idx, queue_depth, workers, seed, metrics_dir.as_deref())
             .map(|(addr, child)| (addr, Some(child)))
     });
+    // Kill the shards spawned so far before a die(): orphans would keep
+    // our stderr pipe open.
+    let reap = |procs: &mut Vec<Option<std::process::Child>>| {
+        for p in procs.iter_mut().flatten() {
+            let _ = p.kill();
+            let _ = p.wait();
+        }
+    };
     let mut procs: Vec<Option<std::process::Child>> = Vec::new();
     if let Some((header, _, _)) = &resume {
         cfg.shard_addrs = header.shard_addrs.clone();
@@ -1229,10 +1236,7 @@ fn cmd_fleet(args: &Args) -> ExitCode {
                     procs.push(child);
                 }
                 Err(e) => {
-                    for p in procs.iter_mut().flatten() {
-                        let _ = p.kill();
-                        let _ = p.wait();
-                    }
+                    reap(&mut procs);
                     args.die(&format!("fleet: {e}"));
                 }
             }
@@ -1240,10 +1244,26 @@ fn cmd_fleet(args: &Args) -> ExitCode {
     }
     procs.resize_with(cfg.shard_addrs.len(), || None);
     let n = cfg.shard_addrs.len();
+    // A resume appends to the journal it replayed; --journal creates one
+    // over the shard addresses just settled.
+    let (replay, journal) = match resume {
+        Some((_, replay, journal)) => (Some(replay), Some(journal)),
+        None => {
+            let create = |path: &str| Journal::create(path, cfg.seed, &cfg.shard_addrs);
+            match args.str("journal").map(create).transpose() {
+                Ok(journal) => (None, journal),
+                Err(e) => {
+                    reap(&mut procs);
+                    args.die(&format!("fleet: {e}"));
+                }
+            }
+        }
+    };
     let opts = StartOptions {
         procs,
         spawner: cfg.supervise.then_some(spawn),
-        resume: resume.map(|(_, replay, journal)| (replay, journal)),
+        journal,
+        resume: replay,
     };
     let handle = RouterHandle::start_with(cfg, opts)
         .unwrap_or_else(|e| args.die(&format!("fleet: cannot start router: {e}")));

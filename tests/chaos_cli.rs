@@ -364,6 +364,28 @@ fn loadgen_rejects_inconsistent_chaos_flags_with_exit_2() {
         "--resume + --attach must exit 2"
     );
 
+    // --resume appends to the journal it replays; a second --journal is
+    // refused rather than silently ignored.
+    let out = fastmm_cmd()
+        .args([
+            "fleet",
+            "--resume",
+            "/nonexistent/journal.jsonl",
+            "--journal",
+            "/nonexistent/other.jsonl",
+        ])
+        .output()
+        .expect("run fleet");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--resume + --journal must exit 2"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--journal"),
+        "stderr must name --journal"
+    );
+
     // --resume on a journal that doesn't exist fails loudly, not silently
     // starting an empty fleet.
     let out = fastmm_cmd()
