@@ -18,10 +18,12 @@
 //!   there is no separate FIFO queue to fall out of sync with the
 //!   resident set (an earlier revision kept one and leaked stale entries
 //!   across [`Cache::flush`]).
-//! * address → slot lookup goes through a fixed-size open-addressing
-//!   table (`AddrTable`) with Fibonacci hashing, linear probing and
-//!   backward-shift deletion. The table is sized once (2× capacity,
-//!   power of two) and never rehashes.
+//! * addresses are dense: [`crate::seq::Mem`] hands them out from 0
+//!   upward, so address → slot lookup is a plain `Vec<u32>` indexed by
+//!   address (4 bytes per address up to the largest one inserted; it
+//!   grows on a miss). [`Cache::flush`] resets only the entries of the
+//!   lines it walks, so a wipe costs O(resident), not O(addresses).
+//!   A sparse foreign trace goes through [`crate::trace::densify`] first.
 //!
 //! Exactness is enforced by the differential harness in
 //! [`crate::reference`]: random traces must produce byte-identical
@@ -81,7 +83,7 @@ pub struct EvictionStats {
     pub flush_writebacks: u64,
 }
 
-/// Sentinel for "no slot" in list links and table entries.
+/// Sentinel for "no slot" in list links and address-map entries.
 const NIL: u32 = u32::MAX;
 
 /// One resident line in the slab.
@@ -94,90 +96,6 @@ struct Slot {
     dirty: bool,
 }
 
-/// Fixed-size open-addressing map from address to slab slot: Fibonacci
-/// hashing, linear probing, backward-shift deletion. Sized to twice the
-/// cache capacity (load factor ≤ 0.5) so probes stay short and the table
-/// never grows or rehashes after construction.
-struct AddrTable {
-    /// `(addr, slot)` pairs; `slot == NIL` marks an empty bucket.
-    entries: Vec<(u64, u32)>,
-    mask: usize,
-}
-
-impl AddrTable {
-    fn new(capacity: usize) -> Self {
-        let size = (capacity * 2).next_power_of_two().max(8);
-        AddrTable {
-            entries: vec![(0, NIL); size],
-            mask: size - 1,
-        }
-    }
-
-    #[inline]
-    fn ideal(&self, addr: u64) -> usize {
-        // Fibonacci (multiplicative) hashing: top bits of a*φ⁻¹·2⁶⁴.
-        let h = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> (64 - self.mask.count_ones())) as usize & self.mask
-    }
-
-    #[inline]
-    fn get(&self, addr: u64) -> Option<u32> {
-        let mut i = self.ideal(addr);
-        loop {
-            let (a, s) = self.entries[i];
-            if s == NIL {
-                return None;
-            }
-            if a == addr {
-                return Some(s);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, addr: u64, slot: u32) {
-        let mut i = self.ideal(addr);
-        while self.entries[i].1 != NIL {
-            debug_assert_ne!(self.entries[i].0, addr, "duplicate insert");
-            i = (i + 1) & self.mask;
-        }
-        self.entries[i] = (addr, slot);
-    }
-
-    fn remove(&mut self, addr: u64) {
-        let mut i = self.ideal(addr);
-        while self.entries[i].0 != addr || self.entries[i].1 == NIL {
-            debug_assert_ne!(self.entries[i].1, NIL, "removing absent address");
-            i = (i + 1) & self.mask;
-        }
-        // Backward-shift deletion: pull later probe-chain members into the
-        // hole so lookups never need tombstones.
-        let mut hole = i;
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            let (a, s) = self.entries[j];
-            if s == NIL {
-                break;
-            }
-            // The entry at j may move into the hole only if its ideal
-            // bucket precedes (or is) the hole along the probe order,
-            // i.e. dist(ideal, j) ≥ dist(hole, j).
-            let k = self.ideal(a);
-            if (j.wrapping_sub(k) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
-                self.entries[hole] = (a, s);
-                hole = j;
-            }
-        }
-        self.entries[hole] = (0, NIL);
-    }
-
-    fn clear(&mut self) {
-        self.entries.fill((0, NIL));
-    }
-}
-
 /// A fully associative cache of `capacity` words.
 pub struct Cache {
     capacity: usize,
@@ -188,7 +106,8 @@ pub struct Cache {
     head: u32,
     tail: u32,
     len: usize,
-    table: AddrTable,
+    /// Address → slot (`NIL` when not resident).
+    map: Vec<u32>,
     stats: CacheStats,
     evictions: EvictionStats,
 }
@@ -208,15 +127,10 @@ impl Cache {
             head: NIL,
             tail: NIL,
             len: 0,
-            table: AddrTable::new(capacity),
+            map: Vec::new(),
             stats: CacheStats::default(),
             evictions: EvictionStats::default(),
         }
-    }
-
-    /// Capacity in words.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current statistics.
@@ -291,7 +205,7 @@ impl Cache {
             let slot = &self.slots[victim as usize];
             (slot.addr, slot.dirty)
         };
-        self.table.remove(addr);
+        self.map[addr as usize] = NIL;
         self.free.push(victim);
         self.len -= 1;
         self.evictions.evictions += 1;
@@ -326,15 +240,25 @@ impl Cache {
             }
         };
         self.link_front(s);
-        self.table.insert(addr, s);
+        let a = addr as usize;
+        if a >= self.map.len() {
+            self.map.resize(a + 1, NIL);
+        }
+        self.map[a] = s;
         self.len += 1;
+    }
+
+    /// The slot holding `addr`, if it is resident.
+    #[inline]
+    fn slot_of(&self, addr: u64) -> Option<u32> {
+        self.map.get(addr as usize).copied().filter(|&s| s != NIL)
     }
 
     /// Read word `addr` (miss → load).
     #[inline]
     pub fn read(&mut self, addr: u64) {
         self.stats.accesses += 1;
-        if let Some(s) = self.table.get(addr) {
+        if let Some(s) = self.slot_of(addr) {
             self.stats.hits += 1;
             self.touch(s);
         } else {
@@ -348,7 +272,7 @@ impl Cache {
     #[inline]
     pub fn write(&mut self, addr: u64) {
         self.stats.accesses += 1;
-        if let Some(s) = self.table.get(addr) {
+        if let Some(s) = self.slot_of(addr) {
             self.stats.hits += 1;
             self.slots[s as usize].dirty = true;
             self.touch(s);
@@ -367,6 +291,7 @@ impl Cache {
                 self.stats.stores += 1;
                 self.evictions.flush_writebacks += 1;
             }
+            self.map[slot.addr as usize] = NIL;
             let next = slot.next;
             self.free.push(s);
             s = next;
@@ -374,7 +299,6 @@ impl Cache {
         self.head = NIL;
         self.tail = NIL;
         self.len = 0;
-        self.table.clear();
     }
 }
 
@@ -573,20 +497,5 @@ mod tests {
             assert_eq!(after.stores - before.stores, fresh.stores, "{policy:?}");
             assert_eq!(after.hits - before.hits, fresh.hits, "{policy:?}");
         }
-    }
-
-    #[test]
-    fn addr_table_survives_collision_churn() {
-        // Distinct addresses that collide modulo the table size exercise
-        // linear probing and backward-shift deletion.
-        let mut c = Cache::new(4, Policy::Lru);
-        let stride = 1u64 << 40;
-        for round in 0..50u64 {
-            for i in 0..8u64 {
-                c.read(i * stride + round % 3);
-            }
-        }
-        assert_eq!(c.stats().accesses, 400);
-        assert!(c.resident() <= 4);
     }
 }

@@ -1,13 +1,16 @@
 //! Deliberately naive reference models — the differential-testing oracle.
 //!
 //! The production simulator ([`crate::cache`], [`crate::trace`]) is
-//! O(1)-per-access machinery: slab + intrusive lists + open addressing +
-//! bucket-pointer Belady. Every one of those optimizations is a chance to
-//! silently change a counter, and the counters *are* the experiment. So
-//! this module keeps the dumbest possible implementations — vectors,
-//! linear scans, a `BTreeSet` — whose correctness is auditable by eye,
-//! and the differential proptests (`tests/differential.rs`) pin the fast
-//! core to them byte for byte on random traces.
+//! O(1)-per-access machinery: slab + intrusive lists + a dense address
+//! map + bucket-pointer Belady. Every one of those optimizations is a
+//! chance to silently change a counter, and the counters *are* the
+//! experiment. So this module keeps the dumbest possible implementations —
+//! vectors, linear scans, a `BTreeSet` — whose correctness is auditable by
+//! eye, and the differential proptests (`tests/differential.rs`) pin the
+//! fast core to them byte for byte on random traces. The scripts may use
+//! any `u64` address: the reference models take them as they are, while
+//! [`replay_production`] renames them with [`crate::trace::densify`]
+//! first, as every foreign trace entering the dense simulator is.
 //!
 //! **Do not optimize this module.** Its entire value is being too simple
 //! to be wrong. It is `pub` so benches and external tests can call it,
@@ -127,14 +130,20 @@ pub fn replay_reference(
     (c.stats, c.evictions)
 }
 
-/// Run the same script through the production [`crate::cache::Cache`].
+/// Run the same script, its addresses [`crate::trace::densify`]d, through
+/// the production [`crate::cache::Cache`].
 pub fn replay_production(
     ops: &[Op],
     capacity: usize,
     policy: Policy,
 ) -> (CacheStats, EvictionStats) {
+    let mut ops = ops.to_vec();
+    crate::trace::densify(ops.iter_mut().filter_map(|op| match op {
+        Op::Access(a) => Some(&mut a.addr),
+        Op::Flush => None,
+    }));
     let mut c = crate::cache::Cache::new(capacity, policy);
-    for op in ops {
+    for op in &ops {
         match op {
             Op::Access(a) if a.write => c.write(a.addr),
             Op::Access(a) => c.read(a.addr),

@@ -106,33 +106,40 @@ impl TMat {
 /// (64 KiB) to stay cache-resident.
 const TRACE_CHUNK: usize = 4096;
 
-/// Where the access stream goes, if anywhere.
-enum Sink {
-    /// Materialize the whole trace (small runs / tests / replay).
-    Record(Vec<Access>),
-    /// Stream to an external consumer through the chunk buffer.
-    Stream(Box<dyn TraceSink>),
-}
+/// The cancellation poll period, in accesses.
+const POLL_STRIDE: u64 = fmm_faults::cancel::POLL_STRIDE as u64;
 
 /// The simulated memory: a bump allocator of addresses plus the cache.
+/// Addresses are handed out densely from 0, so the cache indexes its
+/// address map directly.
 pub struct Mem {
     cache: Cache,
     next: u64,
-    /// Fixed-size chunk buffer between the executors and the sink; only
-    /// allocated (and only consulted beyond one branch) when a sink is
-    /// attached.
-    chunk: Vec<Access>,
-    sink: Option<Sink>,
     phases: Option<PhaseLog>,
+    /// Accesses left until the next [`Mem::event`]. Everything an access
+    /// may trigger besides the cache itself — handing the trace to a
+    /// sink, an injected wipe, a cancellation poll — happens there, so
+    /// the three together cost one decrement and one branch per access.
+    countdown: u64,
+    /// The access count at which `countdown` reaches zero; the accesses so
+    /// far are `due - countdown`.
+    due: u64,
+    /// Trace consumer, if any. While one is attached every access is an
+    /// event, which buffers the access in `chunk` and hands the chunk
+    /// over whenever it holds [`TRACE_CHUNK`] records.
+    sink: Option<Box<dyn TraceSink>>,
+    chunk: Vec<Access>,
     /// Fault injection: wipe the fast level every `.0` accesses (the
-    /// sequential analogue of a crash losing fast memory). `.1` counts
-    /// accesses since the last wipe, `.2` counts wipes fired.
-    fault_flush: Option<(u64, u64, u64)>,
+    /// sequential analogue of a crash losing fast memory); `.1` is the
+    /// access count of the next wipe.
+    wipe: Option<(u64, u64)>,
+    /// Injected wipes fired so far.
+    wipes: u64,
     /// Cooperative cancellation: the scoped [`fmm_faults::CancelToken`]
     /// captured at construction (if any), polled every
-    /// [`fmm_faults::cancel::POLL_STRIDE`] accesses. `.1` is the access
-    /// countdown to the next poll.
-    cancel: Option<(fmm_faults::CancelToken, u32)>,
+    /// [`fmm_faults::cancel::POLL_STRIDE`] accesses; `.1` is the access
+    /// count of the next poll.
+    cancel: Option<(fmm_faults::CancelToken, u64)>,
 }
 
 impl Mem {
@@ -146,73 +153,109 @@ impl Mem {
         let mut mem = Mem {
             cache: Cache::new(m, policy),
             next: 0,
-            chunk: Vec::new(),
-            sink: None,
             phases: None,
-            fault_flush: None,
-            cancel: fmm_faults::cancel::current().map(|t| (t, fmm_faults::cancel::POLL_STRIDE)),
+            countdown: 0,
+            due: 0,
+            sink: None,
+            chunk: Vec::new(),
+            wipe: None,
+            wipes: 0,
+            cancel: fmm_faults::cancel::current().map(|t| (t, POLL_STRIDE)),
         };
+        mem.rearm();
         if fmm_obs::detailed() {
             mem.record_phases(true);
         }
         mem
     }
 
-    /// As [`Mem::new`], additionally recording the full access trace so it
-    /// can be replayed under the offline-optimal policy
-    /// ([`crate::trace::opt_stats`]). Prefer the streaming
-    /// [`measure_opt_seeded`] for large runs — it never materializes the
-    /// trace.
-    pub fn new_recording(m: usize, policy: Policy) -> Self {
-        let mut mem = Mem::new(m, policy);
-        mem.sink = Some(Sink::Record(Vec::new()));
-        mem.chunk.reserve_exact(TRACE_CHUNK);
-        mem
+    /// Accesses so far.
+    fn now(&self) -> u64 {
+        self.due - self.countdown
+    }
+
+    /// Point the countdown at the next access that needs [`Mem::event`].
+    fn rearm(&mut self) {
+        let now = self.now();
+        let mut due = if self.sink.is_some() {
+            now + 1
+        } else {
+            u64::MAX
+        };
+        if let Some((_, at)) = self.wipe {
+            due = due.min(at);
+        }
+        if let Some((_, at)) = self.cancel {
+            due = due.min(at);
+        }
+        self.due = due;
+        self.countdown = due - now;
+    }
+
+    /// Count one access; `addr`/`write` describe it for the sink.
+    #[inline]
+    fn tick(&mut self, addr: u64, write: bool) {
+        self.countdown -= 1;
+        if self.countdown == 0 {
+            self.event(addr, write);
+        }
+    }
+
+    /// The access that brought the countdown to zero: record it, wipe the
+    /// fast level, poll the token — whichever is due — then rearm.
+    #[cold]
+    #[inline(never)]
+    fn event(&mut self, addr: u64, write: bool) {
+        let now = self.due;
+        if let Some(sink) = &mut self.sink {
+            self.chunk.push(Access { addr, write });
+            if self.chunk.len() == TRACE_CHUNK {
+                sink.consume(&self.chunk);
+                self.chunk.clear();
+            }
+        }
+        if let Some((every, at)) = &mut self.wipe {
+            if *at == now {
+                *at += *every;
+                self.wipes += 1;
+                self.cache.flush();
+            }
+        }
+        if let Some((token, at)) = &mut self.cancel {
+            if *at == now {
+                *at += POLL_STRIDE;
+                token.bail_if_cancelled();
+            }
+        }
+        self.rearm();
     }
 
     /// Stream every subsequent access into `sink` through a fixed-size
     /// chunk buffer. Replaces any previous sink (its buffered records are
     /// delivered first).
     pub fn attach_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.flush_chunk();
-        self.sink = Some(Sink::Stream(sink));
+        self.deliver_chunk();
+        self.sink = Some(sink);
         self.chunk.reserve_exact(TRACE_CHUNK);
+        self.rearm();
     }
 
-    /// Deliver buffered records and detach the current streaming sink.
+    /// Deliver buffered records and detach the current sink.
     pub fn detach_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.flush_chunk();
-        match self.sink.take() {
-            Some(Sink::Stream(s)) => Some(s),
-            other => {
-                self.sink = other;
-                None
-            }
-        }
+        self.deliver_chunk();
+        let sink = self.sink.take();
+        self.rearm();
+        sink
     }
 
     /// Deliver any buffered chunk to the sink.
-    fn flush_chunk(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        match &mut self.sink {
-            Some(Sink::Record(v)) => v.extend_from_slice(&self.chunk),
-            Some(Sink::Stream(s)) => s.consume(&self.chunk),
-            None => {}
-        }
-        self.chunk.clear();
-    }
-
-    /// Route one access record toward the sink (no-op without one).
-    #[inline]
-    fn record(&mut self, addr: u64, write: bool) {
-        if self.sink.is_some() {
-            self.chunk.push(Access { addr, write });
-            if self.chunk.len() >= TRACE_CHUNK {
-                self.flush_chunk();
+    fn deliver_chunk(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            if !self.chunk.is_empty() {
+                sink.consume(&self.chunk);
             }
         }
+        self.chunk.clear();
     }
 
     /// Explicitly enable (or disable) per-phase attribution, independent of
@@ -257,18 +300,6 @@ impl Mem {
         }
     }
 
-    /// The recorded trace, if recording was enabled.
-    pub fn take_trace(&mut self) -> Option<Vec<Access>> {
-        self.flush_chunk();
-        match self.sink.take() {
-            Some(Sink::Record(v)) => Some(v),
-            other => {
-                self.sink = other;
-                None
-            }
-        }
-    }
-
     /// Allocate an uninitialized (zero) matrix in slow memory.
     pub fn alloc(&mut self, rows: usize, cols: usize) -> TMat {
         let base = self.next;
@@ -300,41 +331,20 @@ impl Mem {
     /// Panics if `every == 0`.
     pub fn inject_flush_every(&mut self, every: u64) {
         assert!(every > 0, "flush period must be positive");
-        self.fault_flush = Some((every, 0, 0));
+        self.wipe = Some((every, self.now() + every));
+        self.rearm();
     }
 
     /// Number of injected fast-memory wipes fired so far.
     pub fn fault_flushes(&self) -> u64 {
-        self.fault_flush.map(|(_, _, fired)| fired).unwrap_or(0)
-    }
-
-    /// Advance the fault clock by one access, wiping the fast level when
-    /// the period elapses.
-    #[inline]
-    fn fault_tick(&mut self) {
-        if let Some((every, ref mut since, ref mut fired)) = self.fault_flush {
-            *since += 1;
-            if *since >= every {
-                *since = 0;
-                *fired += 1;
-                self.cache.flush();
-            }
-        }
-        if let Some((ref token, ref mut countdown)) = self.cancel {
-            *countdown -= 1;
-            if *countdown == 0 {
-                *countdown = fmm_faults::cancel::POLL_STRIDE;
-                token.bail_if_cancelled();
-            }
-        }
+        self.wipes
     }
 
     #[inline]
     fn read(&mut self, m: &TMat, i: usize, j: usize) -> f64 {
         let addr = m.base + (i * m.cols + j) as u64;
         self.cache.read(addr);
-        self.record(addr, false);
-        self.fault_tick();
+        self.tick(addr, false);
         m.data[i * m.cols + j]
     }
 
@@ -342,8 +352,7 @@ impl Mem {
     fn write(&mut self, m: &mut TMat, i: usize, j: usize, v: f64) {
         let addr = m.base + (i * m.cols + j) as u64;
         self.cache.write(addr);
-        self.record(addr, true);
-        self.fault_tick();
+        self.tick(addr, true);
         m.data[i * m.cols + j] = v;
     }
 
@@ -377,21 +386,11 @@ impl Mem {
         let deltas = merge_deltas(self.phases.take().map(|log| log.deltas).unwrap_or_default());
         if fmm_obs::enabled() {
             publish_cache_metrics(stats, evict, &deltas);
-            if let Some((_, _, fired)) = self.fault_flush {
-                fmm_obs::add("memsim.cache.fault_flushes", &[], fired);
+            if self.wipe.is_some() {
+                fmm_obs::add("memsim.cache.fault_flushes", &[], self.wipes);
             }
         }
         (stats, deltas)
-    }
-
-    /// Statistics so far (without flushing).
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Eviction breakdown so far.
-    pub fn eviction_stats(&self) -> EvictionStats {
-        self.cache.eviction_stats()
     }
 }
 
@@ -569,6 +568,52 @@ pub fn fast_recursive(mem: &mut Mem, alg: &Bilinear2x2, a: &TMat, b: &TMat, cuto
 /// by every CLI entry point that does not pass `--seed`).
 pub const DEFAULT_WORKLOAD_SEED: u64 = 0xF00D;
 
+/// The one seeded runner: draw the two `n × n` operands from `seed`,
+/// place them in `mem` (inputs start in slow memory, no I/O charged) and
+/// run `f` on them.
+fn run_seeded<F>(mem: &mut Mem, n: usize, seed: u64, f: F) -> TMat
+where
+    F: FnOnce(&mut Mem, &TMat, &TMat) -> TMat,
+{
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = Matrix::<f64>::random_small(n, n, &mut rng);
+    let b = Matrix::<f64>::random_small(n, n, &mut rng);
+    let ta = mem.alloc_from(&a);
+    let tb = mem.alloc_from(&b);
+    f(mem, &ta, &tb)
+}
+
+/// One seeded run under `policy` with every access streamed into `sink`;
+/// returns the run's statistics and the sink.
+fn run_into<S, F>(
+    sink: S,
+    n: usize,
+    m_words: usize,
+    policy: Policy,
+    seed: u64,
+    f: F,
+) -> (CacheStats, S)
+where
+    S: TraceSink + 'static,
+    F: FnOnce(&mut Mem, &TMat, &TMat) -> TMat,
+{
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let shared = Rc::new(RefCell::new(sink));
+    let mut mem = Mem::new(m_words, policy);
+    mem.attach_sink(Box::new(shared.clone()));
+    run_seeded(&mut mem, n, seed, f);
+    mem.detach_sink();
+    let stats = mem.finish();
+    let sink = Rc::try_unwrap(shared)
+        .ok()
+        .expect("sole owner")
+        .into_inner();
+    (stats, sink)
+}
+
 /// Measured I/O of one full run: build inputs, run `f`, flush.
 ///
 /// Workload matrices come from [`DEFAULT_WORKLOAD_SEED`]; use
@@ -600,52 +645,10 @@ pub fn measure_seeded<F>(
 where
     F: FnOnce(&mut Mem, &TMat, &TMat) -> TMat,
 {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let _span = fmm_obs::Span::enter("memsim.measure");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a = Matrix::<f64>::random_small(n, n, &mut rng);
-    let b = Matrix::<f64>::random_small(n, n, &mut rng);
     let mut mem = Mem::new(m_words, policy);
-    let ta = mem.alloc_from(&a);
-    let tb = mem.alloc_from(&b);
-    let c = f(&mut mem, &ta, &tb);
-    let result = c.to_matrix();
-    let stats = mem.finish();
-    (result, stats)
-}
-
-/// As [`measure_seeded`], with periodic fast-memory loss injected every
-/// `flush_every` accesses ([`Mem::inject_flush_every`]). Returns the
-/// product, the cache statistics, and the number of wipes fired. The
-/// recovery I/O of the schedule is this run's `io()` minus the same
-/// configuration's fault-free `io()`.
-pub fn measure_faulty_seeded<F>(
-    n: usize,
-    m_words: usize,
-    policy: Policy,
-    seed: u64,
-    flush_every: u64,
-    f: F,
-) -> (Matrix<f64>, CacheStats, u64)
-where
-    F: FnOnce(&mut Mem, &TMat, &TMat) -> TMat,
-{
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let _span = fmm_obs::Span::enter("memsim.measure_faulty");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a = Matrix::<f64>::random_small(n, n, &mut rng);
-    let b = Matrix::<f64>::random_small(n, n, &mut rng);
-    let mut mem = Mem::new(m_words, policy);
-    mem.inject_flush_every(flush_every);
-    let ta = mem.alloc_from(&a);
-    let tb = mem.alloc_from(&b);
-    let c = f(&mut mem, &ta, &tb);
-    let result = c.to_matrix();
-    let flushes = mem.fault_flushes();
-    let stats = mem.finish();
-    (result, stats, flushes)
+    let product = run_seeded(&mut mem, n, seed, f).to_matrix();
+    (product, mem.finish())
 }
 
 /// As [`measure`], additionally returning the access trace (for replay
@@ -659,32 +662,7 @@ pub fn measure_traced<F>(
 where
     F: FnOnce(&mut Mem, &TMat, &TMat) -> TMat,
 {
-    measure_traced_seeded(n, m_words, policy, DEFAULT_WORKLOAD_SEED, f)
-}
-
-/// As [`measure_traced`], with an explicit workload seed.
-pub fn measure_traced_seeded<F>(
-    n: usize,
-    m_words: usize,
-    policy: Policy,
-    seed: u64,
-    f: F,
-) -> (CacheStats, Vec<Access>)
-where
-    F: FnOnce(&mut Mem, &TMat, &TMat) -> TMat,
-{
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a = Matrix::<f64>::random_small(n, n, &mut rng);
-    let b = Matrix::<f64>::random_small(n, n, &mut rng);
-    let mut mem = Mem::new_recording(m_words, policy);
-    let ta = mem.alloc_from(&a);
-    let tb = mem.alloc_from(&b);
-    let _ = f(&mut mem, &ta, &tb);
-    let trace = mem.take_trace().expect("recording enabled");
-    let stats = mem.finish();
-    (stats, trace)
+    run_into(Vec::new(), n, m_words, policy, DEFAULT_WORKLOAD_SEED, f)
 }
 
 /// Measured I/O of one full run under the **offline-optimal**
@@ -695,51 +673,19 @@ where
 /// Instrumented executions are deterministic, so both passes see the
 /// identical access stream (verified at runtime by the simulator).
 ///
-/// This replaces `measure_traced` + [`crate::trace::opt_stats`] for large
-/// `n`, where a materialized `Vec<Access>` dwarfs the simulated memory.
+/// This replaces [`measure_traced`] + [`crate::trace::opt_stats`] for
+/// large `n`, where a materialized `Vec<Access>` dwarfs the simulated
+/// memory.
 pub fn measure_opt_seeded<F>(n: usize, m_words: usize, seed: u64, f: F) -> CacheStats
 where
     F: Fn(&mut Mem, &TMat, &TMat) -> TMat,
 {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     let _span = fmm_obs::Span::enter("memsim.measure_opt");
-    let run_pass = |sink: Box<dyn TraceSink>| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = Matrix::<f64>::random_small(n, n, &mut rng);
-        let b = Matrix::<f64>::random_small(n, n, &mut rng);
-        // The online policy is irrelevant here: only the access stream
-        // feeds the OPT computation.
-        let mut mem = Mem::new(m_words, Policy::Lru);
-        mem.attach_sink(sink);
-        let ta = mem.alloc_from(&a);
-        let tb = mem.alloc_from(&b);
-        let _ = f(&mut mem, &ta, &tb);
-        mem.detach_sink();
-    };
-    let builder = Rc::new(RefCell::new(NextUseBuilder::new()));
-    run_pass(Box::new(builder.clone()));
-    let builder = Rc::try_unwrap(builder)
-        .ok()
-        .expect("sole owner")
-        .into_inner();
-    let sim = Rc::new(RefCell::new(builder.into_sim(m_words)));
-    run_pass(Box::new(sim.clone()));
-    Rc::try_unwrap(sim)
-        .ok()
-        .expect("sole owner")
-        .into_inner()
-        .finish()
-}
-
-/// As [`measure_opt_seeded`] with the [`DEFAULT_WORKLOAD_SEED`].
-pub fn measure_opt<F>(n: usize, m_words: usize, f: F) -> CacheStats
-where
-    F: Fn(&mut Mem, &TMat, &TMat) -> TMat,
-{
-    measure_opt_seeded(n, m_words, DEFAULT_WORKLOAD_SEED, f)
+    // The online policy is irrelevant here: only the access stream feeds
+    // the OPT computation.
+    let (_, builder) = run_into(NextUseBuilder::new(), n, m_words, Policy::Lru, seed, &f);
+    let (_, sim) = run_into(builder.into_sim(m_words), n, m_words, Policy::Lru, seed, &f);
+    sim.finish()
 }
 
 /// Cache replacement for [`simulate`]: the two online policies, or
@@ -813,15 +759,18 @@ pub fn simulate(
             };
         }
     };
-    let (product, stats, flushes) = match flush_every {
-        Some(every) => measure_faulty_seeded(n, m_words, policy, seed, every, run),
-        None => {
-            let (product, stats) = measure_seeded(n, m_words, policy, seed, run);
-            (product, stats, 0)
-        }
-    };
+    let _span = fmm_obs::Span::enter(match flush_every {
+        Some(_) => "memsim.measure_faulty",
+        None => "memsim.measure",
+    });
+    let mut mem = Mem::new(m_words, policy);
+    if let Some(every) = flush_every {
+        mem.inject_flush_every(every);
+    }
+    let product = run_seeded(&mut mem, n, seed, run).to_matrix();
+    let flushes = mem.fault_flushes();
     Simulated {
-        stats,
+        stats: mem.finish(),
         product: Some(product),
         flushes,
     }
@@ -1007,7 +956,7 @@ mod tests {
         for (name, f) in &cases {
             let (_, trace) = measure_traced(16, 48, Policy::Lru, |m, a, b| f(m, a, b));
             let recorded = crate::trace::opt_stats(&trace, 48);
-            let streamed = measure_opt(16, 48, |m, a, b| f(m, a, b));
+            let streamed = measure_opt_seeded(16, 48, DEFAULT_WORKLOAD_SEED, |m, a, b| f(m, a, b));
             assert_eq!(streamed, recorded, "{name}");
         }
     }
@@ -1019,36 +968,33 @@ mod tests {
             classical_blocked(m, a, b, 8)
         });
         assert!(clean.approx_eq(&expect, 1e-9));
-        let (got, faulty, fired) = measure_faulty_seeded(
+        let faulty = simulate(
+            None,
             16,
             192,
-            Policy::Lru,
+            8,
+            Replacement::Lru,
             DEFAULT_WORKLOAD_SEED,
-            512,
-            |m, a, b| classical_blocked(m, a, b, 8),
+            Some(512),
         );
+        let got = faulty.product.expect("online policy");
         assert!(got.approx_eq(&expect, 1e-9), "wipes must not corrupt data");
-        assert!(fired > 0, "the period must have elapsed at least once");
         assert!(
-            faulty.io() > base.io(),
+            faulty.flushes > 0,
+            "the period must have elapsed at least once"
+        );
+        assert!(
+            faulty.stats.io() > base.io(),
             "losing fast memory must cost recovery I/O: {} vs {}",
-            faulty.io(),
+            faulty.stats.io(),
             base.io()
         );
     }
 
     #[test]
     fn injected_flushes_are_deterministic() {
-        let run = || {
-            measure_faulty_seeded(16, 96, Policy::Lru, 42, 300, |m, a, b| {
-                classical_blocked(m, a, b, 4)
-            })
-        };
-        let (c1, s1, f1) = run();
-        let (c2, s2, f2) = run();
-        assert!(c1.approx_eq(&c2, 0.0));
-        assert_eq!(s1, s2);
-        assert_eq!(f1, f2);
+        let run = || simulate(None, 16, 96, 4, Replacement::Lru, 42, Some(300));
+        assert_eq!(run(), run());
     }
 
     #[test]

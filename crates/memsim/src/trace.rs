@@ -9,32 +9,31 @@
 //!
 //! ## Streaming two-pass design
 //!
-//! The old implementation materialized the whole trace as `Vec<Access>`
-//! (16 bytes per access) and drove a `BTreeSet<(usize, u64)>` (an
-//! O(log M) tree operation per access), which capped the LRU-vs-OPT
-//! ablation at toy sizes. The rewrite splits OPT into two streaming
-//! passes that never hold `Access` records:
+//! OPT is split into two streaming passes that never hold `Access`
+//! records, both indexing plain vectors by address (addresses are dense,
+//! see [`crate::cache`]):
 //!
 //! 1. [`NextUseBuilder`] consumes the access stream once and records, per
-//!    interned address, the ordered list of positions at which it is
-//!    touched (4 bytes per access).
+//!    access, the position of the same address's next access (4 bytes
+//!    per access, plus 8 per address while it builds).
 //! 2. [`OptSim`] consumes the *same* stream again (instrumented
 //!    executions are deterministic, so the second pass is a re-run) and
 //!    simulates Belady eviction with O(1) amortized work per access: the
 //!    resident set is indexed by a `pos_owner` bucket array mapping each
 //!    future trace position to the line whose next use it is (each
 //!    position is the next use of at most one line, so buckets hold at
-//!    most one id), a `never` stack of resident lines with no future
+//!    most one address), a `never` stack of resident lines with no future
 //!    use, and a lazy-deletion binary max-heap of filed positions that
 //!    yields the farthest-next-use victim in O(log M) amortized — stale
 //!    heap entries are recognized in O(1) by their empty bucket and
 //!    discarded on pop, so no ordered container is ever rebalanced on
 //!    the hit path.
 //!
-//! [`opt_stats`] keeps the historical slice-based API as a thin wrapper
-//! over the two passes. The naive `BTreeSet` implementation survives as
-//! [`crate::reference::opt_stats_reference`], the oracle the differential
-//! tests pin this one to.
+//! [`opt_stats`] and [`replay`] take a foreign trace, whose addresses may
+//! be anywhere in `u64`; they rename it with [`densify`] first, the one
+//! place a sparse address is mapped. The naive `BTreeSet` implementation
+//! survives as [`crate::reference::opt_stats_reference`], the oracle the
+//! differential tests pin this one to.
 
 use crate::cache::CacheStats;
 use std::collections::{BinaryHeap, HashMap};
@@ -57,6 +56,13 @@ pub trait TraceSink {
     fn consume(&mut self, chunk: &[Access]);
 }
 
+/// Materialize the stream (small runs, tests, replay).
+impl TraceSink for Vec<Access> {
+    fn consume(&mut self, chunk: &[Access]) {
+        self.extend_from_slice(chunk);
+    }
+}
+
 /// Shared-ownership adapter: lets a caller hand a sink to an instrumented
 /// execution (which wants an owned `Box<dyn TraceSink>`) while keeping a
 /// handle to collect the result afterwards.
@@ -66,18 +72,39 @@ impl<T: TraceSink> TraceSink for std::rc::Rc<std::cell::RefCell<T>> {
     }
 }
 
-/// Sentinel: "no position" / "no id".
+/// Rename addresses in place to 0, 1, 2, … in the order of their first
+/// touch. The renaming is a bijection, so no policy's counters change; it
+/// is how a trace with sparse addresses (up to `u64::MAX`) enters the
+/// dense simulators.
+pub fn densify<'a>(addrs: impl IntoIterator<Item = &'a mut u64>) {
+    let mut ids: HashMap<u64, u64> = HashMap::new();
+    for addr in addrs {
+        let fresh = ids.len() as u64;
+        *addr = *ids.entry(*addr).or_insert(fresh);
+    }
+}
+
+/// A copy of `trace` with [`densify`]d addresses.
+fn densified(trace: &[Access]) -> Vec<Access> {
+    let mut trace = trace.to_vec();
+    densify(trace.iter_mut().map(|a| &mut a.addr));
+    trace
+}
+
+/// Sentinel: "no position" / "no address".
 const NONE32: u32 = u32::MAX;
 
-/// Pass 1 of streaming OPT: intern addresses and record, per address, the
-/// ordered positions at which it is accessed. One `u32` per access plus
-/// one interner entry per *distinct* address — far below the 16 bytes per
-/// access of a materialized trace.
+/// Pass 1 of streaming OPT: for each access, the position of the next
+/// access to the same address. One `u32` per access — far below the 16
+/// bytes per access of a materialized trace.
 #[derive(Default)]
 pub struct NextUseBuilder {
-    ids: HashMap<u64, u32>,
-    positions: Vec<Vec<u32>>,
-    len: u32,
+    /// Per address: its first access (`NONE32` if untouched).
+    first: Vec<u32>,
+    /// Per address: its latest access so far.
+    last: Vec<u32>,
+    /// Per access: the next access to the same address (`NONE32` if none).
+    next: Vec<u32>,
 }
 
 impl NextUseBuilder {
@@ -89,26 +116,22 @@ impl NextUseBuilder {
     /// Record the next access of the stream.
     #[inline]
     pub fn push(&mut self, addr: u64) {
-        let next_id = self.positions.len() as u32;
-        let id = *self.ids.entry(addr).or_insert(next_id);
-        if id == next_id {
-            self.positions.push(Vec::new());
+        let t = self.next.len() as u32;
+        assert!(t != NONE32, "trace longer than u32::MAX accesses");
+        let a = usize::try_from(addr)
+            .ok()
+            .filter(|&a| a < NONE32 as usize)
+            .expect("OPT needs dense addresses below u32::MAX");
+        if a >= self.first.len() {
+            self.first.resize(a + 1, NONE32);
+            self.last.resize(a + 1, NONE32);
         }
-        self.positions[id as usize].push(self.len);
-        self.len = self
-            .len
-            .checked_add(1)
-            .expect("trace longer than u32::MAX accesses");
-    }
-
-    /// Number of accesses recorded so far.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether anything has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        match self.last[a] {
+            NONE32 => self.first[a] = t,
+            prev => self.next[prev as usize] = t,
+        }
+        self.last[a] = t;
+        self.next.push(NONE32);
     }
 
     /// Freeze into the pass-2 simulator.
@@ -117,15 +140,14 @@ impl NextUseBuilder {
     /// Panics if `capacity == 0`.
     pub fn into_sim(self, capacity: usize) -> OptSim {
         assert!(capacity > 0, "cache capacity must be positive");
-        let n_ids = self.positions.len();
+        let span = self.first.len();
         OptSim {
             capacity,
-            ids: self.ids,
-            positions: self.positions,
-            cursor: vec![0; n_ids],
-            resident: vec![false; n_ids],
-            dirty: vec![false; n_ids],
-            pos_owner: vec![NONE32; self.len as usize + 1],
+            pos_owner: vec![NONE32; self.next.len() + 1],
+            expect: self.first,
+            next: self.next,
+            resident: vec![false; span],
+            dirty: vec![false; span],
             never: Vec::new(),
             heap: BinaryHeap::new(),
             t: 0,
@@ -152,19 +174,21 @@ impl TraceSink for NextUseBuilder {
 /// rather than silently producing wrong counts.
 pub struct OptSim {
     capacity: usize,
-    ids: HashMap<u64, u32>,
-    positions: Vec<Vec<u32>>,
-    /// Per id: index into `positions[id]` of the *current* occurrence.
-    cursor: Vec<u32>,
+    /// Per address: the position of its next access (`NONE32` once it has
+    /// none left).
+    expect: Vec<u32>,
+    /// Per access: the next access to the same address.
+    next: Vec<u32>,
     resident: Vec<bool>,
     dirty: Vec<bool>,
-    /// For each future trace position, the resident id whose next use it
-    /// is (`NONE32` if none) — the "bucket" side of victim selection.
+    /// For each future trace position, the resident address whose next
+    /// use it is (`NONE32` if none) — the "bucket" side of victim
+    /// selection.
     pos_owner: Vec<u32>,
-    /// Resident ids with no future use: any of them is an optimal victim
-    /// (the counters come out the same whichever is evicted, because a
-    /// never-again-used line costs its dirty writeback exactly once —
-    /// now, or at the final flush).
+    /// Resident addresses with no future use: any of them is an optimal
+    /// victim (the counters come out the same whichever is evicted,
+    /// because a never-again-used line costs its dirty writeback exactly
+    /// once — now, or at the final flush).
     never: Vec<u32>,
     /// Filed next-use positions, max first, with lazy deletion: an entry
     /// whose bucket in `pos_owner` has been retired (hit reached it, or
@@ -183,21 +207,16 @@ impl OptSim {
     /// Feed the next access of the (re-run) stream.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) {
-        let id = *self
-            .ids
-            .get(&addr)
-            .unwrap_or_else(|| panic!("OPT pass 2 diverged: address {addr} never seen in pass 1"));
-        let i = id as usize;
-        let cur = self.cursor[i] as usize;
-        let here = self.positions[i].get(cur).copied();
+        let here = self.expect.get(addr as usize).copied();
         assert!(
             here == Some(self.t),
             "OPT pass 2 diverged at position {}: address {addr} expected at {:?}",
             self.t,
-            here,
+            here.filter(|&p| p != NONE32),
         );
-        self.cursor[i] = (cur + 1) as u32;
-        let nu = self.positions[i].get(cur + 1).copied();
+        let i = addr as usize;
+        let nu = self.next[self.t as usize];
+        self.expect[i] = nu;
 
         self.stats.accesses += 1;
         if self.resident[i] {
@@ -206,7 +225,6 @@ impl OptSim {
             // This access *is* the line's recorded next use: retire that
             // bucket and file the new one.
             self.pos_owner[self.t as usize] = NONE32;
-            self.file_next_use(id, nu);
         } else {
             if !write {
                 self.stats.loads += 1;
@@ -217,20 +235,19 @@ impl OptSim {
             self.resident[i] = true;
             self.dirty[i] = write;
             self.len += 1;
-            self.file_next_use(id, nu);
         }
+        self.file_next_use(i as u32, nu);
         self.t += 1;
     }
 
     #[inline]
-    fn file_next_use(&mut self, id: u32, nu: Option<u32>) {
-        match nu {
-            Some(p) => {
-                debug_assert_eq!(self.pos_owner[p as usize], NONE32);
-                self.pos_owner[p as usize] = id;
-                self.heap.push(p);
-            }
-            None => self.never.push(id),
+    fn file_next_use(&mut self, addr: u32, nu: u32) {
+        if nu == NONE32 {
+            self.never.push(addr);
+        } else {
+            debug_assert_eq!(self.pos_owner[nu as usize], NONE32);
+            self.pos_owner[nu as usize] = addr;
+            self.heap.push(nu);
         }
     }
 
@@ -272,11 +289,6 @@ impl OptSim {
         }
         self.stats
     }
-
-    /// Statistics so far (without the final flush).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
 }
 
 impl TraceSink for OptSim {
@@ -294,14 +306,11 @@ impl TraceSink for OptSim {
 /// # Panics
 /// Panics if `capacity == 0`.
 pub fn opt_stats(trace: &[Access], capacity: usize) -> CacheStats {
+    let trace = densified(trace);
     let mut builder = NextUseBuilder::new();
-    for a in trace {
-        builder.push(a.addr);
-    }
+    builder.consume(&trace);
     let mut sim = builder.into_sim(capacity);
-    for a in trace {
-        sim.access(a.addr, a.write);
-    }
+    sim.consume(&trace);
     sim.finish()
 }
 
@@ -309,7 +318,7 @@ pub fn opt_stats(trace: &[Access], capacity: usize) -> CacheStats {
 /// comparison with [`opt_stats`].
 pub fn replay(trace: &[Access], capacity: usize, policy: crate::cache::Policy) -> CacheStats {
     let mut cache = crate::cache::Cache::new(capacity, policy);
-    for a in trace {
+    for a in densified(trace) {
         if a.write {
             cache.write(a.addr);
         } else {

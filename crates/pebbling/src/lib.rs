@@ -25,7 +25,6 @@
 pub mod families;
 pub mod game;
 pub mod optimal;
-pub mod parallel_game;
 pub mod players;
 pub mod segments;
 
