@@ -21,6 +21,8 @@ use fmm_pebbling::optimal::optimal_pebbling;
 use fmm_pebbling::players::{belady_schedule, creation_order};
 use fmm_serve::loadgen::{self, LoadgenConfig};
 use fmm_serve::server::{ServerConfig, ServerHandle};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -213,6 +215,30 @@ fn kernel_classical_n1024() -> BTreeMap<String, String> {
 }
 fn kernel_strassen_n1024() -> BTreeMap<String, String> {
     kernel_pass(fmm_kernel::Alg::Strassen, 1024, 64, 1)
+}
+
+/// One `f64` operand pair of order `n` drawn as a kernel job draws it:
+/// one generator seeded 1, A then B, through `Matrix::random_small`.
+/// Its `checksum` pins every entry: Fletcher's second sum of the digits
+/// `e + 10` (1 to 19) of A's entries then B's, which weights each digit
+/// by its distance from the end.
+fn kernel_operands(n: usize) -> BTreeMap<String, String> {
+    let mut rng = StdRng::seed_from_u64(1);
+    let a = Matrix::<f64>::random_small(n, n, &mut rng);
+    let b = Matrix::<f64>::random_small(n, n, &mut rng);
+    let (mut sum, mut checksum) = (0u64, 0u64);
+    for &e in a.as_slice().iter().chain(b.as_slice()) {
+        sum += (e as i64 + 10) as u64;
+        checksum += sum;
+    }
+    extras(&[("checksum", checksum.to_string())])
+}
+
+fn kernel_operands_n256() -> BTreeMap<String, String> {
+    kernel_operands(256)
+}
+fn kernel_operands_n512() -> BTreeMap<String, String> {
+    kernel_operands(512)
 }
 
 /// The naive reference at the acceptance grid cell — the denominator of
@@ -606,6 +632,20 @@ pub fn all_targets() -> Vec<Target> {
             tol: 0.35,
             min_profile: Profile::Standard,
             run: kernel_strassen_n1024,
+        },
+        Target {
+            name: "kernel/operands/n256_f64",
+            group: "kernel",
+            tol: 0.35,
+            min_profile: Profile::Standard,
+            run: kernel_operands_n256,
+        },
+        Target {
+            name: "kernel/operands/n512_f64",
+            group: "kernel",
+            tol: 0.35,
+            min_profile: Profile::Standard,
+            run: kernel_operands_n512,
         },
         Target {
             name: "sweep/smoke_cells",

@@ -1,5 +1,6 @@
 //! Row-major dense matrices.
 
+use crate::random;
 use crate::scalar::Scalar;
 use rand::Rng;
 use std::fmt;
@@ -84,16 +85,16 @@ impl<T: Scalar> Matrix<T> {
     /// embedded via [`Scalar::from_i64`]. Small entries keep exact-arithmetic
     /// products far from overflow at every size used in tests and benches.
     ///
-    /// Each entry is the draw `Uniform::new_inclusive(-9, 9)` makes from
-    /// the same two `u64`s, `(hi·2⁶⁴ + lo) mod 19 − 9`, with the `u128`
-    /// remainder split into constant-divisor ones (2⁶⁴ ≡ 17 mod 19).
+    /// Each entry, in row-major order, is the draw
+    /// `Uniform::new_inclusive(-9, 9)` makes from the next two `u64`s,
+    /// `(hi·2⁶⁴ + lo) mod 19 − 9`, and afterwards `rng` is where
+    /// `2·rows·cols` draws leave it. A [`StdRng`](rand::rngs::StdRng)
+    /// feeding a large matrix is drawn as eight jump-started xoshiro
+    /// lanes in vector registers, each filling one contiguous block of
+    /// the entries, with the same bytes and end state (the `random`
+    /// module's docs say how, and what proves it).
     pub fn random_small(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| {
-                let (hi, lo) = (rng.next_u64(), rng.next_u64());
-                T::from_i64(((hi % 19) * 17 + lo % 19) as i64 % 19 - 9)
-            })
-            .collect();
+        let data = random::small_entries(random::Isa::best(), rows * cols, rng);
         Self::from_vec(rows, cols, data)
     }
 

@@ -26,6 +26,7 @@ pub mod multiply;
 pub mod operators;
 pub mod ops;
 pub mod quad;
+mod random;
 pub mod rational;
 pub mod scalar;
 pub mod view;
