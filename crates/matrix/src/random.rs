@@ -94,7 +94,6 @@ pub(crate) enum Isa {
 }
 
 impl Isa {
-    #[cfg(test)]
     const ALL: [Isa; 3] = [Isa::Avx512, Isa::Avx2, Isa::Portable];
 
     /// Whether this CPU runs the loop compiled for `self` (std caches the
@@ -113,7 +112,7 @@ impl Isa {
 
     /// The best instruction set this CPU runs.
     pub(crate) fn best() -> Isa {
-        [Isa::Avx512, Isa::Avx2]
+        Isa::ALL
             .into_iter()
             .find(|isa| isa.available())
             .unwrap_or(Isa::Portable)

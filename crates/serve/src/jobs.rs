@@ -841,8 +841,11 @@ mod tests {
         for c in [vec![-0.0; 9], vec![0.0; 9], vec![-0.0, 0.0, -0.0], vec![]] {
             assert_eq!(exact_sum(&c, 3).to_bits(), serial(&c), "{c:?}");
         }
-        // Past 81·n³ ≥ 2⁵³ the order matters, and the sum is serial.
-        let c = [1.0, 2f64.powi(53), 1.0];
+        // Past 81·n³ ≥ 2⁵³ the order matters (here eight accumulators
+        // would keep the ones that the serial sum rounds away), and the
+        // sum is serial.
+        let mut c = [1.0; 16];
+        c[0] = 2f64.powi(53);
         assert_eq!(exact_sum(&c, 50_000).to_bits(), serial(&c));
     }
 
