@@ -572,7 +572,9 @@ impl Kernel {
         let (checksum, wall, report, matches) = if self.dtype == "i64" {
             self.multiply::<i64>(&cfg, |c| c.iter().sum::<i64>().to_string())
         } else {
-            self.multiply::<f64>(&cfg, |c| format!("{:.0}", exact_sum(c, self.n)))
+            // Small-integer entries: every partial sum is exactly
+            // representable, so even the f64 checksum is deterministic.
+            self.multiply::<f64>(&cfg, |c| format!("{:.0}", c.iter().sum::<f64>()))
         };
         KernelRun {
             checksum,
@@ -598,30 +600,6 @@ impl Kernel {
         let matches = self.check.then(|| c == multiply_naive(&a, &b));
         (checksum(c.as_slice()), wall, report, matches)
     }
-}
-
-/// The sum of a kernel job's `f64` product C, equal bit for bit to the
-/// left-to-right sum. Every entry of C is an integer with |c| ≤ 81n (n
-/// products of entries in [-9, 9]), so while 81·n³ < 2⁵³ every partial
-/// sum, in any order, is exactly representable: eight independent
-/// accumulators then give the same value without one serial add chain.
-/// They start at −0.0, as `Sum` does, so an all-(−0.0) C keeps its sign.
-/// Above that order the sum runs left to right.
-fn exact_sum(c: &[f64], n: usize) -> f64 {
-    const ACCS: usize = 8;
-    let bound = 81u128 * (n as u128).pow(3);
-    if bound >= 1 << 53 {
-        return c.iter().sum();
-    }
-    let mut acc = [-0.0; ACCS];
-    let chunks = c.chunks_exact(ACCS);
-    let rest: f64 = chunks.remainder().iter().sum();
-    for chunk in chunks {
-        for (a, &x) in acc.iter_mut().zip(chunk) {
-            *a += x;
-        }
-    }
-    acc.iter().sum::<f64>() + rest
 }
 
 impl Outcome<'_> {
@@ -708,7 +686,6 @@ impl Outcome<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     fn params(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
         pairs
@@ -825,28 +802,6 @@ mod tests {
             assert_eq!(out["flops"], fmm_kernel::classical_flops(24).to_string());
             assert!(out["wall_us"].parse::<u64>().is_ok());
         }
-    }
-
-    #[test]
-    fn exact_sum_is_the_serial_sum() {
-        let serial = |c: &[f64]| c.iter().sum::<f64>().to_bits();
-        let mut rng = StdRng::seed_from_u64(9);
-        for (n, len) in [(256, 256 * 256), (512, 1001), (16, 7)] {
-            let bound = 81 * n as i64;
-            let c: Vec<f64> = (0..len)
-                .map(|_| rng.gen_range(-bound..=bound) as f64)
-                .collect();
-            assert_eq!(exact_sum(&c, n).to_bits(), serial(&c), "n {n}");
-        }
-        for c in [vec![-0.0; 9], vec![0.0; 9], vec![-0.0, 0.0, -0.0], vec![]] {
-            assert_eq!(exact_sum(&c, 3).to_bits(), serial(&c), "{c:?}");
-        }
-        // Past 81·n³ ≥ 2⁵³ the order matters (here eight accumulators
-        // would keep the ones that the serial sum rounds away), and the
-        // sum is serial.
-        let mut c = [1.0; 16];
-        c[0] = 2f64.powi(53);
-        assert_eq!(exact_sum(&c, 50_000).to_bits(), serial(&c));
     }
 
     #[test]
