@@ -85,8 +85,8 @@ fn fill<T: Scalar, const L: usize>(out: &mut [MaybeUninit<T>], mut draw: impl Fn
 }
 
 /// The instruction sets the lane loop is compiled for, best first. An
-/// AVX2-only CPU runs the portable loop: no benchmark host here lacks
-/// AVX-512, so an AVX2 copy could not be measured.
+/// AVX2-only CPU runs the portable loop: an AVX2 copy would be a path
+/// that no benchmark workload measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Isa {
     Avx512,
