@@ -85,20 +85,6 @@ impl Base2x2 {
         }
         g
     }
-
-    /// The decoder as a bipartite graph: X = 4 outputs, Y = t products,
-    /// edge iff the product contributes to the output.
-    pub fn decoder_bipartite(&self) -> Bipartite {
-        let mut g = Bipartite::new(4, self.t());
-        for (x, row) in self.w.iter().enumerate() {
-            for (y, &c) in row.iter().enumerate() {
-                if c != 0 {
-                    g.add_edge(x, y);
-                }
-            }
-        }
-        g
-    }
 }
 
 /// The CDAG `H^{n×n}` together with the bookkeeping the proofs need.

@@ -188,11 +188,6 @@ impl AlternativeBasis {
     pub fn core_additions(&self) -> usize {
         self.core.additions_per_step()
     }
-
-    /// Nonzeros of a transform matrix (cost driver of the basis transform).
-    pub fn transform_nnz(m: &Mat4) -> usize {
-        m.iter().flatten().filter(|&&c| c != 0).count()
-    }
 }
 
 /// Apply `m` at block level to four quadrant matrices: output `i` is

@@ -16,7 +16,8 @@
 //!   counter-based splitmix64 oracle derived from it. Decisions are
 //!   *site-keyed*, not sequence-keyed: whether processor 3 crashes in
 //!   round 2 does not depend on how many random numbers anyone else
-//!   consumed, which is what keeps threaded runs deterministic.
+//!   consumed, so a decision does not change with the order in which an
+//!   engine visits its sites or with how many other sites it visits.
 //! * [`Recovery`] — what a survivor does about a lost block:
 //!   [`Recovery::Recompute`] re-derives it from the recursion (charging
 //!   every re-moved word), [`Recovery::Checkpoint`] restores a periodic
@@ -24,7 +25,7 @@
 //!   restore).
 //! * [`FaultStats`] and [`backoff_micros`] — the counters every faulty
 //!   run reports, and the deterministic exponential backoff schedule the
-//!   retry shims share.
+//!   router, the sweep engine and `loadgen` share.
 //! * [`cancel`] — cooperative cancellation ([`CancelToken`]: shared flag
 //!   plus optional deadline) polled by the simulators' hot loops, so the
 //!   job server and the sweep engine can stop work at loop granularity
@@ -325,17 +326,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Fold another run's counters into this one.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.crashes += other.crashes;
-        self.drops += other.drops;
-        self.dups += other.dups;
-        self.retries += other.retries;
-        self.checkpoints += other.checkpoints;
-        self.restores += other.restores;
-        self.unrecovered += other.unrecovered;
-    }
-
     /// Publish the counters to the global telemetry registry under a
     /// `schedule` label. No-op when telemetry is off.
     pub fn publish(&self, schedule: &str) {
@@ -382,7 +372,9 @@ impl std::fmt::Display for LinkDead {
 /// Deterministic exponential backoff before retry `attempt` (1-based):
 /// `BASE · 2^(attempt−1)` microseconds, capped. The schedule is data —
 /// simulators may charge it, sleepers may sleep it — and identical for
-/// every caller, which keeps threaded retries reproducible.
+/// every caller, so the router's re-dispatch and respawn delays, the
+/// sweep's cell retries and `loadgen`'s reconnect pauses follow one
+/// reproducible curve.
 pub fn backoff_micros(attempt: u32) -> u64 {
     const BASE: u64 = 50;
     const CAP: u64 = 5_000;
@@ -432,6 +424,8 @@ mod tests {
                 assert!(!plan.duplicates(channel_id(1, proc, round), round));
             }
         }
+        // No-op unless telemetry is on; must not panic either way.
+        FaultStats::default().publish("test");
     }
 
     #[test]
@@ -525,24 +519,5 @@ mod tests {
         assert!(backoff_micros(1) < backoff_micros(4));
         assert_eq!(backoff_micros(30), 5_000);
         assert_eq!(backoff_micros(u32::MAX), 5_000);
-    }
-
-    #[test]
-    fn fault_stats_merge_and_publish() {
-        let mut a = FaultStats {
-            crashes: 1,
-            drops: 2,
-            ..FaultStats::default()
-        };
-        let b = FaultStats {
-            crashes: 3,
-            retries: 5,
-            ..FaultStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.crashes, 4);
-        assert_eq!(a.drops, 2);
-        assert_eq!(a.retries, 5);
-        a.publish("test"); // no-op unless telemetry is on; must not panic
     }
 }

@@ -153,23 +153,6 @@ impl<T: Scalar> Matrix<T> {
                 .zip(&other.data)
                 .all(|(a, b)| a.approx_eq(b, tol))
     }
-
-    /// Frobenius-style max-abs-difference diagnostic for floats; for exact
-    /// types returns 0.0 or 1.0 (mismatch indicator).
-    pub fn max_abs_diff(&self, other: &Self) -> f64
-    where
-        T: Into<f64>,
-    {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| {
-                let (a, b): (f64, f64) = (a.into(), b.into());
-                (a - b).abs()
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 impl<T: Scalar> Index<(usize, usize)> for Matrix<T> {

@@ -55,11 +55,6 @@ impl Rational {
         Rational { num: v, den: 1 }
     }
 
-    /// Numerator (after reduction).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
     /// Denominator (always positive).
     pub fn denom(&self) -> i128 {
         self.den

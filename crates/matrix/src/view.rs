@@ -178,17 +178,6 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
             }
         }
     }
-
-    /// Immutable re-borrow.
-    pub fn as_view(&self) -> MatrixView<'_, T> {
-        MatrixView {
-            data: self.data,
-            offset: self.offset,
-            stride: self.stride,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
 }
 
 #[cfg(test)]

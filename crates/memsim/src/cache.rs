@@ -57,15 +57,6 @@ impl CacheStats {
     pub fn io(&self) -> u64 {
         self.loads + self.stores
     }
-
-    /// Hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// Eviction-side counters, kept separate from [`CacheStats`] so the

@@ -15,7 +15,6 @@
 //!   parallel Strassen with *real data movement*, every transferred word
 //!   counted. Each schedule has one engine, in [`par_faults`], which also
 //!   injects faults and recovers from them; [`par`] runs it fault-free.
-//!   [`par_threads`] executes Cannon with one OS thread per processor.
 //!
 //! Together with `fmm-core::bounds` these regenerate every matrix-
 //! multiplication row of Table I: measured schedule I/O above the bound,
@@ -25,7 +24,6 @@ pub mod cache;
 pub mod model;
 pub mod par;
 pub mod par_faults;
-pub mod par_threads;
 pub mod reference;
 pub mod seq;
 pub mod trace;

@@ -61,7 +61,7 @@ pub struct FaultyRun<T: Scalar> {
 
 /// The telemetry label of a run: the bare schedule name when the run is
 /// fault-free, `<schedule>-faulty` otherwise.
-pub(crate) fn run_label(schedule: &str, fault_free: bool) -> String {
+fn run_label(schedule: &str, fault_free: bool) -> String {
     if fault_free {
         schedule.to_string()
     } else {

@@ -6,12 +6,12 @@
 
 mod common;
 
-use common::{cannon_messages, cannon_shift_messages, caps_words, three_d_messages};
+use common::{cannon_messages, caps_words, three_d_messages};
 use fmm_core::catalog;
 use fmm_faults::{FaultSpec, Recovery};
 use fmm_matrix::Matrix;
 use fmm_memsim::par::NetStats;
-use fmm_memsim::{par, par_faults, par_threads};
+use fmm_memsim::{par, par_faults};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,10 +46,6 @@ fn cannon_words_match_closed_form() {
             assert_counts(&what, &par::cannon(&a, &b, p).1, msgs * bs2, msgs);
             let run = par_faults::cannon_faulty(&a, &b, p, &plan, Recovery::None).unwrap();
             assert_counts(&what, &run.net, msgs * bs2, msgs);
-            let threaded = par_threads::cannon_threaded_faulty(&a, &b, p, &plan).unwrap();
-            let shifts = cannon_shift_messages(p as u64);
-            assert_eq!(threaded.total_words, shifts * bs2, "{what}: threaded");
-            assert_eq!(threaded.messages, shifts, "{what}: threaded");
         }
     }
 }

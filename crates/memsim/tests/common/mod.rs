@@ -11,12 +11,6 @@ pub fn cannon_messages(p: u64) -> u64 {
     2 * (p - 1) * p * (p + 1)
 }
 
-/// The `p−1` shift rounds alone, two blocks per processor per round —
-/// what the threaded executor, which skews locally, puts on the wire.
-pub fn cannon_shift_messages(p: u64) -> u64 {
-    2 * p * p * (p - 1)
-}
-
 /// The 3D algorithm on a `p×p×p` grid: each of the two broadcasts sends
 /// `p(p−1)` seed hops plus `p²(p−1)` relay hops, and the reduction chain
 /// `p²(p−1)` hops: `p(p−1)(3p+2)` messages of `bs²` words.

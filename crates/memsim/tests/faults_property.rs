@@ -1,30 +1,26 @@
 //! Property tests for the fault-injection layer: for *any* seeded fault
-//! plan the retry shim can survive, the faulty runs must be undetectable
+//! plan the retry budget can survive, the faulty runs must be undetectable
 //! in the answer and fully accounted in the counters.
 //!
-//! Two families:
-//!
-//! * the threaded network ([`fmm_memsim::par_threads::cannon_threaded_faulty`]):
-//!   fault-free product, deterministic `(total_words, recovery_words,
-//!   messages)` triple across repeated runs (thread scheduling must not
-//!   leak into the accounting), and the invariant
-//!   `total_words − recovery_words == fault_free.total_words`;
-//! * the round-based simulators ([`fmm_memsim::par_faults`]): the same
-//!   properties for random crash/drop/dup plans under both recovery
-//!   strategies, for Cannon, 3D and CAPS.
+//! The round-based engines ([`fmm_memsim::par_faults`]) run Cannon, 3D
+//! and CAPS under random crash/drop/dup plans with both recovery
+//! strategies: each run returns the fault-free product, and
+//! `total_words − recovery_words` equals the fault-free volume. That the
+//! counters are a pure function of the plan is `par_faults`' own unit
+//! tests (`random_fault_runs_are_seed_deterministic`,
+//! `caps_seeded_faults_are_deterministic`).
 //!
 //! The fault-free volume each run is held to is the schedule's exact
 //! closed form from `common`, not another run of the simulator.
 
 mod common;
 
-use common::{cannon_messages, cannon_shift_messages, caps_words, three_d_messages};
+use common::{cannon_messages, caps_words, three_d_messages};
 use fmm_core::catalog;
 use fmm_faults::{FaultSpec, Recovery};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::Matrix;
 use fmm_memsim::par_faults;
-use fmm_memsim::par_threads::cannon_threaded_faulty;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,36 +34,6 @@ fn inputs(n: usize, seed: u64) -> (Matrix<i64>, Matrix<i64>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Threaded Cannon under a lossy network: the product equals the
-    /// naive reference, and the counter triple is a pure function of the
-    /// plan (two runs agree exactly despite real thread interleaving).
-    #[test]
-    fn threaded_faulty_is_exact_and_deterministic(
-        seed in 0u64..1000,
-        p in 2usize..=4,
-        workload in 0u64..100,
-    ) {
-        let n = 12; // divisible by every grid side in range
-        let (a, b) = inputs(n, workload);
-        let expect = multiply_naive(&a, &b);
-        let clean_words = cannon_shift_messages(p as u64) * ((n / p) * (n / p)) as u64;
-        // Rates low enough that an 8-retry budget essentially never
-        // exhausts; if it ever does, that run errors and is skipped
-        // (the determinism claim is per successful plan).
-        let spec = format!("seed={seed},drop=0.1,dup=0.05,retries=8");
-        let plan = FaultSpec::parse(&spec).unwrap().plan();
-        let x = cannon_threaded_faulty(&a, &b, p, &plan).unwrap();
-        let y = cannon_threaded_faulty(&a, &b, p, &plan).unwrap();
-        prop_assert_eq!(&x.product, &expect);
-        prop_assert_eq!(&y.product, &expect);
-        prop_assert_eq!(
-            (x.total_words, x.recovery_words, x.messages),
-            (y.total_words, y.recovery_words, y.messages)
-        );
-        prop_assert_eq!(x.faults, y.faults);
-        prop_assert_eq!(x.total_words - x.recovery_words, clean_words);
-    }
 
     /// Round-based Cannon under random crashes + losses recovers exactly
     /// with both strategies, and the recovery words are exactly the

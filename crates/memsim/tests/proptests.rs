@@ -68,19 +68,4 @@ proptest! {
         let writes = trace.iter().filter(|a| a.write).count() as u64;
         prop_assert!(s.stores <= writes);
     }
-
-    #[test]
-    fn threaded_cannon_matches_naive_product(seed in 0u64..500, p in 1usize..4) {
-        use fmm_matrix::multiply::multiply_naive;
-        use fmm_matrix::Matrix;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let n = p * 3;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = Matrix::<i64>::random_small(n, n, &mut rng);
-        let b = Matrix::<i64>::random_small(n, n, &mut rng);
-        let plan = fmm_faults::FaultSpec::default().plan();
-        let run = fmm_memsim::par_threads::cannon_threaded_faulty(&a, &b, p, &plan).unwrap();
-        prop_assert_eq!(run.product, multiply_naive(&a, &b));
-    }
 }

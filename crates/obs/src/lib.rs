@@ -6,12 +6,12 @@
 //!    [`enabled()`] / [`detailed()`] — a single relaxed atomic load — and
 //!    label strings are only materialised inside the guarded branch, so the
 //!    kernels' hot loops see one predictable branch and no allocation.
-//! 2. **No dependencies** beyond std: per-worker [`LocalCollector`]s
-//!    leave scoped threads over an `mpsc` channel, and JSON is
-//!    hand-rolled in [`json`], including the escaping and the tiny flat
-//!    parser the `fastmm report` subcommand uses. [`jsonl`] is the one
-//!    append-only log file (commit rule, torn-tail repair) behind the
-//!    sweep checkpoint and the router journal.
+//! 2. **No dependencies** beyond std: every thread records straight into
+//!    a [`Registry`] (the process's is [`global()`]) behind one `Mutex`,
+//!    and JSON is hand-rolled in [`json`], including the escaping and the
+//!    tiny flat parser the `fastmm report` subcommand uses. [`jsonl`] is
+//!    the one append-only log file (commit rule, torn-tail repair) behind
+//!    the sweep checkpoint and the router journal.
 //! 3. **Deterministic output.** Snapshots are sorted by metric name and
 //!    labels so tables and JSONL diffs are stable across runs.
 //!
@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub mod json;
@@ -399,20 +399,6 @@ impl Registry {
         inner.events.push(ev);
     }
 
-    /// Fold a worker-local collector into this registry.
-    pub fn absorb(&self, local: LocalCollector) {
-        let mut inner = self.inner.lock().unwrap();
-        for (key, metric) in local.metrics {
-            match (inner.metrics.get_mut(&key), metric) {
-                (Some(Metric::Counter(c)), Metric::Counter(d)) => *c += d,
-                (Some(Metric::Histogram(h)), Metric::Histogram(other)) => h.merge(&other),
-                (_, m) => {
-                    inner.metrics.insert(key, m);
-                }
-            }
-        }
-    }
-
     /// Current value of a counter, if present.
     pub fn counter_value(&self, name: &str, labels: LabelRef<'_>) -> Option<u64> {
         let key = Key {
@@ -610,80 +596,6 @@ pub fn event(name: &str, labels: LabelRef<'_>) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-local collection
-// ---------------------------------------------------------------------------
-
-/// Lock-free per-thread metric buffer for parallel simulators.
-///
-/// Workers record into their own collector, ship it over an `mpsc`
-/// channel when done, and the coordinator [`Registry::absorb`]s each one —
-/// no shared-lock traffic on the simulation's hot path.
-#[derive(Default, Debug)]
-pub struct LocalCollector {
-    metrics: HashMap<Key, Metric>,
-}
-
-impl LocalCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        LocalCollector::default()
-    }
-
-    /// Add to a local counter.
-    pub fn add(&mut self, name: &str, labels: LabelRef<'_>, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        let key = Key {
-            name: name.to_string(),
-            labels: own_labels(labels),
-        };
-        match self.metrics.entry(key).or_insert(Metric::Counter(0)) {
-            Metric::Counter(c) => *c += delta,
-            other => *other = Metric::Counter(delta),
-        }
-    }
-
-    /// Observe into a local histogram.
-    pub fn observe(&mut self, name: &str, labels: LabelRef<'_>, value: u64) {
-        let key = Key {
-            name: name.to_string(),
-            labels: own_labels(labels),
-        };
-        match self
-            .metrics
-            .entry(key)
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(h) => h.observe(value),
-            other => {
-                let mut h = Histogram::default();
-                h.observe(value);
-                *other = Metric::Histogram(h);
-            }
-        }
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-}
-
-/// A channel for shipping collectors out of scoped worker threads.
-pub fn collector_channel() -> (mpsc::Sender<LocalCollector>, mpsc::Receiver<LocalCollector>) {
-    mpsc::channel()
-}
-
-/// Drain every collector currently in `rx` into the global registry.
-/// Call after the workers' scope has joined (so all sends have happened).
-pub fn absorb_all(rx: &mpsc::Receiver<LocalCollector>) {
-    while let Ok(local) = rx.try_recv() {
-        global().absorb(local);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Timing helpers shared by span/progress
 // ---------------------------------------------------------------------------
 
@@ -795,24 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_counters_and_histograms() {
-        let r = Registry::new();
-        r.add("c", &[], 10);
-        r.observe("h", &[], 4);
-        let mut local = LocalCollector::new();
-        local.add("c", &[], 5);
-        local.add("only_local", &[], 2);
-        local.observe("h", &[], 8);
-        r.absorb(local);
-        assert_eq!(r.counter_value("c", &[]), Some(15));
-        assert_eq!(r.counter_value("only_local", &[]), Some(2));
-        match &r.snapshot().iter().find(|(k, _)| k.name == "h").unwrap().1 {
-            Metric::Histogram(h) => assert_eq!((h.count, h.sum), (2, 12)),
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_clear_empties() {
         let r = Registry::new();
         r.add("z", &[], 1);
@@ -855,27 +749,6 @@ mod tests {
         assert_eq!(Level::parse("SUMMARY"), Level::Summary);
         assert_eq!(Level::parse(" full "), Level::Full);
         assert_eq!(Level::parse("garbage"), Level::Off);
-    }
-
-    #[test]
-    fn collector_channel_round_trip() {
-        let r = Registry::new();
-        let (tx, rx) = collector_channel();
-        std::thread::scope(|s| {
-            for p in 0..4u64 {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    let mut local = LocalCollector::new();
-                    local.add("net.words", &[("proc", p.to_string())], p + 1);
-                    tx.send(local).unwrap();
-                });
-            }
-        });
-        drop(tx);
-        while let Ok(local) = rx.try_recv() {
-            r.absorb(local);
-        }
-        assert_eq!(r.counter_total("net.words"), 1 + 2 + 3 + 4);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use fmm_faults::{FaultPlan, FaultSpec, FaultStats, Recovery};
 use fmm_kernel::{KernelCfg, Report};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::{Matrix, Scalar};
+use fmm_memsim::par_faults;
 use fmm_memsim::seq::{self, Replacement, Simulated};
-use fmm_memsim::{par_faults, par_threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -156,9 +156,8 @@ pub struct KernelRun {
     pub matches: Option<bool>,
 }
 
-/// The `faults` schedules. `cannon-threaded` runs on p² threads of its
-/// own, which never poll the job's cancel token.
-const SCHEDULES: [&str; 4] = ["cannon", "3d", "caps", "cannon-threaded"];
+/// The `faults` schedules.
+const SCHEDULES: [&str; 3] = ["cannon", "3d", "caps"];
 
 /// The request kinds that are jobs.
 const JOBS: [&str; 5] = ["io", "bounds", "faults", "sweep-cell", "kernel"];
@@ -329,23 +328,9 @@ impl JobSpec {
     }
 
     /// Validate a request's params into a spec the server runs. The error
-    /// is echoed to the client with a `rejected:` prefix; a valid job the
-    /// server cannot stop ([`JobSpec::refusal`]) is refused the same way.
+    /// is echoed to the client with a `rejected:` prefix.
     pub fn from_request(kind: Kind, params: &BTreeMap<String, String>) -> Result<JobSpec, String> {
-        let spec = JobSpec::validate(kind, params).map_err(|e| e.to_string())?;
-        spec.refusal().map_or(Ok(spec), |why| Err(why.to_string()))
-    }
-
-    /// Why the server will not run this job, if it will not: a deadline
-    /// or a drain stops a job only through the cancel token its run polls.
-    pub fn refusal(&self) -> Option<&'static str> {
-        match self {
-            JobSpec::Faults(job) if job.schedule == "cannon-threaded" => Some(
-                "schedule 'cannon-threaded' is not served: its p² threads never poll \
-                 the job's cancel token (run it with fastmm faults)",
-            ),
-            _ => None,
-        }
+        JobSpec::validate(kind, params).map_err(|e| e.to_string())
     }
 
     /// The one validator: a kind's params, with their defaults, into a
@@ -529,10 +514,8 @@ impl Faults {
         let (a, b) = operands::<i64>(self.n, self.seed);
         // The schedule under `plan`: (product, total words, recovery
         // words, faults). Under the inert plan it is the fault-free run.
-        let run = |plan: &FaultPlan, recovery: Recovery| match self.schedule.as_str() {
-            "cannon-threaded" => par_threads::cannon_threaded_faulty(&a, &b, self.p, plan)
-                .map(|r| (r.product, r.total_words, r.recovery_words, r.faults)),
-            schedule => match schedule {
+        let run = |plan: &FaultPlan, recovery: Recovery| {
+            match self.schedule.as_str() {
                 "cannon" => par_faults::cannon_faulty(&a, &b, self.p, plan, recovery),
                 "3d" => par_faults::replicated_3d_faulty(&a, &b, self.p, plan, recovery),
                 _ => {
@@ -540,7 +523,7 @@ impl Faults {
                 }
             }
             .map(|r| (r.product, r.net.total_words, r.net.recovery_words, r.faults))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.to_string())
         };
         let (clean, clean_words, _, _) = run(&FaultSpec::default().plan(), Recovery::None)
             .expect("an inert fault plan never drops a message");
@@ -969,22 +952,6 @@ mod tests {
         let err = JobSpec::validate(Kind::Faults, &params(&[("recovery", "hope")])).unwrap_err();
         assert!(err.to_string().starts_with("bad recovery: "), "{err}");
         assert!(err.flag_message().starts_with("bad --recovery: "), "{err}");
-    }
-
-    #[test]
-    fn cannon_threaded_is_valid_but_not_served() {
-        let request = params(&[("schedule", "cannon-threaded")]);
-        let spec = JobSpec::validate(Kind::Faults, &request).unwrap();
-        assert!(spec.refusal().is_some());
-        let reason = JobSpec::from_request(Kind::Faults, &request).unwrap_err();
-        assert!(
-            reason.contains("never poll the job's cancel token"),
-            "{reason}"
-        );
-        for schedule in ["cannon", "3d", "caps"] {
-            let request = params(&[("schedule", schedule)]);
-            assert!(JobSpec::from_request(Kind::Faults, &request).is_ok());
-        }
     }
 
     #[test]

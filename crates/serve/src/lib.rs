@@ -28,9 +28,9 @@
 //! `fastmm io|bounds|faults|kernel` map their flags to the same params,
 //! run the same [`jobs::JobSpec`] under the same [`jobs::isolate`], and
 //! print its typed [`jobs::Outcome`] where the server replies with
-//! [`jobs::Outcome::fields`]. The one job the command line runs and the
-//! server refuses is `faults` on `cannon-threaded`, whose threads never
-//! poll the cancel token ([`jobs::JobSpec::refusal`]).
+//! [`jobs::Outcome::fields`]. The server runs every job the command line
+//! runs; a deadline or a drain stops a long one through the cancel token
+//! its simulator or kernel polls.
 //!
 //! The conservation law lives in one place, [`ledger`]: the seven
 //! counters, the status-to-counter mapping, and the `reject`/`shed`

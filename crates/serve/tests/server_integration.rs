@@ -527,7 +527,7 @@ fn control_replies_carry_exactly_the_pinned_wire_keys() {
 }
 
 #[test]
-fn zero_sizes_and_uncancellable_schedules_are_rejected_at_admission() {
+fn zero_sizes_and_unknown_schedules_are_rejected_at_admission() {
     let server = small_server(8, 1);
     let mut client = Client::connect(&server);
     let refused = [
@@ -535,7 +535,7 @@ fn zero_sizes_and_uncancellable_schedules_are_rejected_at_admission() {
         (Kind::Bounds, "m", "0", "param 'm' must be at least 1"),
         (Kind::Bounds, "p", "0", "param 'p' must be at least 1"),
         (Kind::Kernel, "n", "0", "param 'n' must be at least 1"),
-        (Kind::Faults, "schedule", "cannon-threaded", "never poll"),
+        (Kind::Faults, "schedule", "cannon-threaded", "unknown"),
     ];
     for (i, (kind, key, value, reason)) in refused.into_iter().enumerate() {
         let resp = client.round_trip(&Request::new(&format!("r{i}"), kind).with_param(key, value));

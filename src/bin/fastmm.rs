@@ -102,7 +102,7 @@ const COMMANDS: &[Command] = &[
         &[
             "schedule", "alg", "n", "p", "levels", "spec", "recovery", "seed",
         ],
-        "usage: fastmm faults [--schedule cannon|3d|caps|cannon-threaded] [--n <order>]
+        "usage: fastmm faults [--schedule cannon|3d|caps] [--n <order>]
        [--p <grid>] [--levels <k>] [--alg strassen|winograd] [--seed <u64>]
        [--spec \"seed=7,crash=0.02,drop=0.01,dup=0.005,retries=8,crash@3:1\"]
        [--recovery recompute|checkpoint:<period>|none]",
@@ -573,7 +573,6 @@ fn cmd_faults(args: &Args) -> ExitCode {
         let (schedule, n, p, f) = (&job.schedule, job.n, job.p, &run.faults);
         let detail = match schedule.as_str() {
             "caps" => format!("{}, n = {n}, levels = {}", job.alg.name, job.levels),
-            "cannon-threaded" => format!("n = {n}, p = {p}, retry/backoff shim"),
             _ => format!("n = {n}, p = {p}"),
         };
         let (spec, recovery) = (job.spec.canonical(), job.recovery.as_string());

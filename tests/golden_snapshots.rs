@@ -137,7 +137,7 @@ fn bounds_report_matches_golden() {
 
 #[test]
 fn faults_reports_match_golden_for_every_schedule() {
-    for schedule in ["cannon", "3d", "caps", "cannon-threaded"] {
+    for schedule in ["cannon", "3d", "caps"] {
         check_command_golden(
             &["faults", "--schedule", schedule],
             &format!("faults_{schedule}.txt"),
