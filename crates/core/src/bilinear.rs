@@ -39,7 +39,8 @@ pub struct Bilinear2x2 {
     pub dec: Slp,
 }
 
-/// A violated Brent equation, for diagnostics.
+/// A violated Brent equation, for diagnostics (of a 2×2 or a general
+/// `⟨m,k,n;t⟩` algorithm).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BrentViolation {
     /// `(i, k)` index into A.
@@ -52,6 +53,48 @@ pub struct BrentViolation {
     pub got: i64,
     /// The expected value.
     pub expected: i64,
+}
+
+/// The first violated (generalized) Brent equation of an `⟨m,k,n;t⟩`
+/// triple, if any — `U` rows over A's `m·k` entries, `V` rows over B's
+/// `k·n`, `W` rows (one per entry of C) over the `t` products, all
+/// flattened row-major. Checked exhaustively, in a fixed order.
+pub(crate) fn brent_violation(
+    (m, k, n): (usize, usize, usize),
+    u: &[impl AsRef<[i64]>],
+    v: &[impl AsRef<[i64]>],
+    w: &[impl AsRef<[i64]>],
+) -> Option<BrentViolation> {
+    for i in 0..m {
+        for a in 0..k {
+            for b in 0..k {
+                for j in 0..n {
+                    for ip in 0..m {
+                        for jp in 0..n {
+                            let sum: i64 = (0..u.len())
+                                .map(|r| {
+                                    u[r].as_ref()[i * k + a]
+                                        * v[r].as_ref()[b * n + j]
+                                        * w[ip * n + jp].as_ref()[r]
+                                })
+                                .sum();
+                            let expected = i64::from(a == b && i == ip && j == jp);
+                            if sum != expected {
+                                return Some(BrentViolation {
+                                    a_index: (i, a),
+                                    b_index: (b, j),
+                                    c_index: (ip, jp),
+                                    got: sum,
+                                    expected,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    None
 }
 
 impl Bilinear2x2 {
@@ -167,37 +210,7 @@ impl Bilinear2x2 {
 
     /// Check Brent's equations; returns the first violation if any.
     pub fn validate(&self) -> Option<BrentViolation> {
-        let t = self.t();
-        let flat = |i: usize, j: usize| i * 2 + j;
-        for i in 0..2 {
-            for ka in 0..2 {
-                for kb in 0..2 {
-                    for l in 0..2 {
-                        for ip in 0..2 {
-                            for lp in 0..2 {
-                                let mut sum = 0i64;
-                                for r in 0..t {
-                                    sum += self.u[r][flat(i, ka)]
-                                        * self.v[r][flat(kb, l)]
-                                        * self.w[flat(ip, lp)][r];
-                                }
-                                let expected = i64::from(ka == kb && i == ip && l == lp);
-                                if sum != expected {
-                                    return Some(BrentViolation {
-                                        a_index: (i, ka),
-                                        b_index: (kb, l),
-                                        c_index: (ip, lp),
-                                        got: sum,
-                                        expected,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
+        brent_violation((2, 2, 2), &self.u, &self.v, &self.w)
     }
 
     /// Lower the algorithm to the structural [`Base2x2`] form used by the

@@ -15,6 +15,7 @@
 //! Σ_r U[r][(i,a)]·V[r][(b,j)]·W[(i',j')][r] = δ_{a,b}·δ_{i,i'}·δ_{j,j'}
 //! ```
 
+use crate::bilinear::{brent_violation, BrentViolation};
 use fmm_matrix::{Matrix, Scalar};
 
 /// A general `⟨m,k,n;t⟩` bilinear algorithm with integer coefficients.
@@ -37,19 +38,6 @@ pub struct BilinearRect {
     pub v: Vec<Vec<i64>>,
     /// Decoder: `m·n` rows of `t` coefficients.
     pub w: Vec<Vec<i64>>,
-}
-
-/// A violated generalized Brent equation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RectViolation {
-    /// `(i, a)` into A.
-    pub a_index: (usize, usize),
-    /// `(b, j)` into B.
-    pub b_index: (usize, usize),
-    /// `(i', j')` into C.
-    pub c_index: (usize, usize),
-    /// Value obtained.
-    pub got: i64,
 }
 
 impl BilinearRect {
@@ -111,36 +99,8 @@ impl BilinearRect {
     }
 
     /// Exhaustive generalized Brent check; first violation if any.
-    pub fn validate(&self) -> Option<RectViolation> {
-        let (m, k, n) = (self.m, self.k, self.n);
-        for i in 0..m {
-            for a in 0..k {
-                for b in 0..k {
-                    for j in 0..n {
-                        for ip in 0..m {
-                            for jp in 0..n {
-                                let mut sum = 0i64;
-                                for r in 0..self.t() {
-                                    sum += self.u[r][i * k + a]
-                                        * self.v[r][b * n + j]
-                                        * self.w[ip * n + jp][r];
-                                }
-                                let expect = i64::from(a == b && i == ip && j == jp);
-                                if sum != expect {
-                                    return Some(RectViolation {
-                                        a_index: (i, a),
-                                        b_index: (b, j),
-                                        c_index: (ip, jp),
-                                        got: sum,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
+    pub fn validate(&self) -> Option<BrentViolation> {
+        brent_violation((self.m, self.k, self.n), &self.u, &self.v, &self.w)
     }
 
     /// The classical (definition-following) `⟨m,k,n; m·k·n⟩` algorithm.

@@ -15,10 +15,11 @@
 //!   simulators call [`poll`] at round boundaries.
 //! * **Bail-out** is a panic with the [`Cancelled`] sentinel payload
 //!   ([`CancelToken::bail_if_cancelled`]). Every worker that runs jobs
-//!   under `catch_unwind` (the sweep engine, the serve worker pool)
-//!   downcasts the payload: `Cancelled` means "stopped on request", any
-//!   other payload is a real fault. [`silence_cancel_panics`] keeps the
-//!   default panic hook from spamming stderr for the sentinel.
+//!   (the sweep engine, the serve worker pool, the `fastmm` job
+//!   commands) runs them under [`isolate`], which tells the two apart:
+//!   `Cancelled` means "stopped on request", any other payload is a real
+//!   fault. [`silence_cancel_panics`] keeps the default panic hook from
+//!   spamming stderr for the sentinel.
 //!
 //! Polling cost: the no-token and not-cancelled paths are one thread-local
 //! borrow / one relaxed atomic load; `Instant::now()` is only consulted
@@ -188,6 +189,39 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
+}
+
+/// Why an [`isolate`]d run did not return.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Stopped {
+    /// It bailed out on its cancel token.
+    Cancelled(CancelReason),
+    /// It panicked; the panic's message.
+    Panicked(String),
+}
+
+impl std::fmt::Display for Stopped {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Stopped::Cancelled(reason) => write!(f, "cancelled: {reason:?}"),
+            Stopped::Panicked(message) => write!(f, "panic: {message}"),
+        }
+    }
+}
+
+/// Run `f` the way a worker runs a job or a sweep cell: a panic comes
+/// back as [`Stopped`] (a cancellation bail-out with its reason, any
+/// other panic with its message) and the default hook stays quiet, so a
+/// poison job costs one line, not a backtrace.
+pub fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, Stopped> {
+    silence_cancel_panics();
+    let _quiet = quiet_panics();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        match cancelled_reason(payload.as_ref()) {
+            Some(reason) => Stopped::Cancelled(reason),
+            None => Stopped::Panicked(panic_message(payload.as_ref())),
+        }
+    })
 }
 
 thread_local! {
@@ -381,6 +415,14 @@ mod tests {
             assert_eq!(depth(), 1);
         }
         assert_eq!(depth(), 0);
+    }
+
+    #[test]
+    fn isolate_turns_a_panic_into_its_message() {
+        assert_eq!(isolate(|| 7), Ok(7));
+        let stopped = isolate(|| panic!("poison")).unwrap_err();
+        assert_eq!(stopped, Stopped::Panicked("poison".into()));
+        assert_eq!(stopped.to_string(), "panic: poison");
     }
 
     #[test]

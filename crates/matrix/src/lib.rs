@@ -35,5 +35,5 @@ pub mod zp;
 pub use dense::Matrix;
 pub use rational::Rational;
 pub use scalar::Scalar;
-pub use view::{MatrixView, MatrixViewMut};
+pub use view::MatrixView;
 pub use zp::Zp;

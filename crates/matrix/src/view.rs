@@ -95,91 +95,6 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     }
 }
 
-/// Mutable rectangular window into a matrix.
-pub struct MatrixViewMut<'a, T> {
-    data: &'a mut [T],
-    offset: usize,
-    stride: usize,
-    rows: usize,
-    cols: usize,
-}
-
-impl<'a, T: Scalar> MatrixViewMut<'a, T> {
-    /// Mutable view of the whole matrix.
-    pub fn full(m: &'a mut Matrix<T>) -> Self {
-        let (rows, cols) = (m.rows(), m.cols());
-        MatrixViewMut {
-            data: m.as_mut_slice(),
-            offset: 0,
-            stride: cols,
-            rows,
-            cols,
-        }
-    }
-
-    /// Re-borrow a sub-window at `(r0, c0)` of shape `rows × cols`.
-    pub fn window_mut(
-        &mut self,
-        r0: usize,
-        c0: usize,
-        rows: usize,
-        cols: usize,
-    ) -> MatrixViewMut<'_, T> {
-        assert!(
-            r0 + rows <= self.rows && c0 + cols <= self.cols,
-            "window out of bounds"
-        );
-        MatrixViewMut {
-            data: self.data,
-            offset: self.offset + r0 * self.stride + c0,
-            stride: self.stride,
-            rows,
-            cols,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element at `(i, j)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> T {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[self.offset + i * self.stride + j]
-    }
-
-    /// Write element at `(i, j)`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[self.offset + i * self.stride + j] = v;
-    }
-
-    /// Add `v` into element `(i, j)`.
-    #[inline]
-    pub fn add_assign_at(&mut self, i: usize, j: usize, v: T) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[self.offset + i * self.stride + j] += v;
-    }
-
-    /// Copy `src` into this view (shapes must match).
-    pub fn copy_from(&mut self, src: &MatrixView<'_, T>) {
-        assert_eq!((self.rows, self.cols), (src.rows(), src.cols()));
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                self.set(i, j, src.get(i, j));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,34 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn mut_view_writes_through() {
-        let mut m = sample();
-        {
-            let mut v = MatrixViewMut::full(&mut m);
-            let mut q22 = v.window_mut(2, 2, 2, 2);
-            q22.set(0, 0, 100);
-            q22.add_assign_at(1, 1, 1);
-        }
-        assert_eq!(m[(2, 2)], 100);
-        assert_eq!(m[(3, 3)], 16);
-    }
-
-    #[test]
     fn copy_from_view() {
         let src = sample();
-        let mut dst: Matrix<i64> = Matrix::zeros(2, 2);
-        let sv = MatrixView::full(&src).window(1, 1, 2, 2);
-        MatrixViewMut::full(&mut dst).copy_from(&sv);
+        let dst = MatrixView::full(&src).window(1, 1, 2, 2).to_matrix();
+        assert_eq!((dst.rows(), dst.cols()), (2, 2));
         assert_eq!(dst[(0, 0)], src[(1, 1)]);
         assert_eq!(dst[(1, 1)], src[(2, 2)]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn copy_from_shape_mismatch_panics() {
-        let src = sample();
-        let mut dst: Matrix<i64> = Matrix::zeros(2, 3);
-        let sv = MatrixView::full(&src).window(0, 0, 2, 2);
-        MatrixViewMut::full(&mut dst).copy_from(&sv);
     }
 }

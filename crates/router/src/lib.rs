@@ -29,10 +29,14 @@
 //! with `shed`/`rejected` refused pre-admission and `redispatched` /
 //! `dup_suppressed` as router-level observability counters, not ledger
 //! entries. The router's ledger *is* the server's: an
-//! [`fmm_serve::ledger::Ledger`] (metric prefix `router_`), and the
-//! client side runs on [`fmm_serve::conn`]'s accept loop, request
-//! reader, and reply writer. A shard's shutdown ack and the router's are
-//! the same [`fmm_serve::StatsSnapshot`] map.
+//! [`fmm_serve::ledger::Ledger`] (metric prefix `router_`), and its
+//! endpoint is the server's: the router implements
+//! [`fmm_serve::conn::Service`] (admission, the fleet verbs, a drain that
+//! also shuts the shards down) and a [`fmm_serve::conn::Endpoint`] runs
+//! the listener, the readers, the `shutdown` verb and the close. Shard
+//! links, probes and cancels are [`fmm_serve::conn::Client`]s. A shard's
+//! shutdown ack and the router's are the same
+//! [`fmm_serve::StatsSnapshot`] map.
 //!
 //! The self-healing layer (PR 9) keeps the same ledger exact across
 //! *router* death too: a supervisor respawns dead shards at their ring

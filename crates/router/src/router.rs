@@ -1,13 +1,21 @@
 //! The fleet front end: a TCP router speaking the exact `fmm-serve`
 //! wire protocol on both sides.
 //!
+//! The client side is an [`fmm_serve::conn::Endpoint`], the same one the
+//! single server runs: it owns the listener, the connection readers, the
+//! `shutdown` verb and the close. The router supplies admission (a
+//! `Request` event), its fleet verbs, and its drain, which shuts the
+//! shards down too. Each shard link is a [`fmm_serve::conn::Client`]
+//! split in two: the writer half under the shard's slot lock, the
+//! bounded reader half on the shard's reader thread.
+//!
 //! Every decision is made by one `Core` (the crate-private `core`
 //! module) behind one `Mutex`. The threads here are I/O drivers: each
 //! turns what it sees into an `Event`, steps the core, and carries out
 //! the `Effect`s it returns.
 //!
 //! ```text
-//! router-accept ────── nonblocking accept; owns the drain sequence
+//! router-accept ────── the endpoint's accept loop, final drain and close
 //!   ├── router-conn (one per client) ── Request events, fleet verbs
 //!   ├── router-shard-{0..N} ─ ShardReply/Malformed; ShardDown at EOF
 //!   ├── router-health ─────── Probe + ProbeRound; ShardDown on child exit
@@ -29,16 +37,14 @@
 use crate::core::{Core, Effect, Event};
 use crate::journal::{Journal, Replay};
 use fmm_faults::LinkChaosSpec;
-use fmm_serve::conn::{self, control_roundtrip, Reply};
+use fmm_serve::conn::{control_roundtrip, Client, Endpoint, Lines, Reply, Service};
 use fmm_serve::ledger::Ledger;
-use fmm_serve::proto::{read_bounded_line, write_line, Kind, Request, Response, Status};
+use fmm_serve::proto::{write_line, Kind, Request, Response, Status, MAX_LINE_BYTES};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub use crate::core::FleetSnapshot;
@@ -108,7 +114,7 @@ impl Default for RouterConfig {
             shard_addrs: Vec::new(),
             seed: 0,
             default_deadline_ms: None,
-            max_line_bytes: 64 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
             poll_ms: 100,
             max_attempts: 5,
             supervise: false,
@@ -149,11 +155,7 @@ pub struct StartOptions {
 
 /// A running fleet router. Dropping the handle initiates shutdown and
 /// blocks until the drain (including shard shutdowns) completes.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<SharedRouter>,
-    accept: Option<JoinHandle<()>>,
-}
+pub struct RouterHandle(Endpoint<SharedRouter>);
 
 impl RouterHandle {
     /// Connect to every shard, bind the front end, and return.
@@ -175,124 +177,38 @@ impl RouterHandle {
     /// outlive a router SIGKILL, but any that didn't are exactly what
     /// the supervisor is for.
     pub fn start_with(cfg: RouterConfig, opts: StartOptions) -> std::io::Result<RouterHandle> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let mut procs = opts.procs;
-        procs.resize_with(cfg.shard_addrs.len(), || None);
-        let resuming = opts.resume.is_some();
-        let n = cfg.shard_addrs.len();
-        let (mut shards, mut readers, mut up) = (Vec::new(), Vec::new(), Vec::new());
-        for (idx, (shard_addr, child)) in cfg.shard_addrs.iter().zip(procs).enumerate() {
-            let conn = match TcpStream::connect(shard_addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    readers.push(Some(stream.try_clone()?));
-                    Some(stream)
-                }
-                Err(e) if resuming => {
-                    eprintln!(
-                        "fleet: shard {idx} at {shard_addr} unreachable on resume ({e}); \
-                         starting it dead"
-                    );
-                    readers.push(None);
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-            up.push(conn.is_some());
-            shards.push(ShardIo {
-                conn: Mutex::new(conn),
-                child: Mutex::new(child),
-            });
-        }
-        let core = Core::new(&cfg, &up, opts.journal.is_some());
-        let chaos = cfg.chaos_link.clone().map(|spec| LinkChaos {
-            spec,
-            links: (0..n).map(|_| Mutex::default()).collect(),
-        });
-        let shared = Arc::new(SharedRouter {
-            ledger: Arc::clone(core.ledger()),
-            core: Mutex::new(core),
-            shards,
-            journal: opts.journal,
-            chaos,
-            spawner: opts.spawner,
-            started: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            cfg,
-        });
-        for (idx, stream) in readers.into_iter().enumerate() {
-            if let Some(stream) = stream {
-                shared.spawn_reader(idx, 0, stream);
-            }
-        }
-        if let Some(replay) = opts.resume {
-            shared.step(Event::Replay(replay));
-        }
-        shared.spawn_loop("router-health", |shared| shared.probe_round());
-        if shared.cfg.hedge_ms != Some(0) {
-            shared.spawn_loop("router-hedge", |shared| {
-                std::thread::sleep(Duration::from_millis(5));
-                shared.step(Event::Tick);
-            });
-        }
-        if shared.cfg.supervise && shared.spawner.is_some() {
-            shared.spawn_loop("router-supervisor", |shared| {
-                shared.step(Event::RespawnScan);
-                std::thread::sleep(Duration::from_millis(shared.cfg.poll_ms.max(10)));
-            });
-        }
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("router-accept".to_string())
-                .spawn(move || shared.accept_and_drain(listener))?
-        };
-        Ok(RouterHandle {
-            addr,
-            shared,
-            accept: Some(accept),
-        })
+        let (addr, max_line_bytes) = (cfg.addr.clone(), cfg.max_line_bytes);
+        let endpoint = Endpoint::start(&addr, "router", max_line_bytes, |stop| {
+            SharedRouter::start(cfg, opts, stop)
+        })?;
+        Ok(RouterHandle(endpoint))
     }
 
     /// The front-end address actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     pub fn snapshot(&self) -> FleetSnapshot {
-        self.shared.core().snapshot()
+        self.0.service().core().snapshot()
     }
 
     /// Programmatic equivalent of the `shutdown` wire verb.
     pub fn begin_shutdown(&self) {
-        self.shared.core().begin_drain();
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.0.begin_shutdown();
     }
 
     /// Block until the fleet has fully drained (no job in flight, every
     /// shard shut down or dead), then return the final counters.
     pub fn wait(mut self) -> FleetSnapshot {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        self.shared.core().snapshot()
+        self.0.join();
+        self.snapshot()
     }
 
     /// [`RouterHandle::begin_shutdown`] + [`RouterHandle::wait`].
     pub fn shutdown_and_wait(self) -> FleetSnapshot {
         self.begin_shutdown();
         self.wait()
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        if let Some(h) = self.accept.take() {
-            self.begin_shutdown();
-            let _ = h.join();
-        }
     }
 }
 
@@ -378,11 +294,86 @@ struct SharedRouter {
     chaos: Option<LinkChaos>,
     spawner: Option<ShardSpawner>,
     started: Instant,
-    /// Stop accepting and end the background loops.
-    shutdown: AtomicBool,
+    /// The endpoint's stop flag: set, it ends the background loops too.
+    shutdown: Arc<AtomicBool>,
 }
 
 impl SharedRouter {
+    /// Connect to every shard and start the reader, probe, hedge and
+    /// supervisor threads; the endpoint's accept loop starts after.
+    fn start(
+        cfg: RouterConfig,
+        opts: StartOptions,
+        shutdown: &Arc<AtomicBool>,
+    ) -> std::io::Result<Arc<SharedRouter>> {
+        let mut procs = opts.procs;
+        procs.resize_with(cfg.shard_addrs.len(), || None);
+        let resuming = opts.resume.is_some();
+        let n = cfg.shard_addrs.len();
+        let (mut shards, mut readers, mut up) = (Vec::new(), Vec::new(), Vec::new());
+        for (idx, (shard_addr, child)) in cfg.shard_addrs.iter().zip(procs).enumerate() {
+            let conn = match Client::connect(shard_addr, None, cfg.max_line_bytes) {
+                Ok(client) => {
+                    let (writer, lines) = client.split();
+                    readers.push(Some(lines));
+                    Some(writer)
+                }
+                Err(e) if resuming => {
+                    eprintln!(
+                        "fleet: shard {idx} at {shard_addr} unreachable on resume ({e}); \
+                         starting it dead"
+                    );
+                    readers.push(None);
+                    None
+                }
+                Err(e) => return Err(e),
+            };
+            up.push(conn.is_some());
+            shards.push(ShardIo {
+                conn: Mutex::new(conn),
+                child: Mutex::new(child),
+            });
+        }
+        let core = Core::new(&cfg, &up, opts.journal.is_some());
+        let chaos = cfg.chaos_link.clone().map(|spec| LinkChaos {
+            spec,
+            links: (0..n).map(|_| Mutex::default()).collect(),
+        });
+        let shared = Arc::new(SharedRouter {
+            ledger: Arc::clone(core.ledger()),
+            core: Mutex::new(core),
+            shards,
+            journal: opts.journal,
+            chaos,
+            spawner: opts.spawner,
+            started: Instant::now(),
+            shutdown: Arc::clone(shutdown),
+            cfg,
+        });
+        for (idx, lines) in readers.into_iter().enumerate() {
+            if let Some(lines) = lines {
+                shared.spawn_reader(idx, 0, lines);
+            }
+        }
+        if let Some(replay) = opts.resume {
+            shared.step(Event::Replay(replay));
+        }
+        shared.spawn_loop("router-health", |shared| shared.probe_round());
+        if shared.cfg.hedge_ms != Some(0) {
+            shared.spawn_loop("router-hedge", |shared| {
+                std::thread::sleep(Duration::from_millis(5));
+                shared.step(Event::Tick);
+            });
+        }
+        if shared.cfg.supervise && shared.spawner.is_some() {
+            shared.spawn_loop("router-supervisor", |shared| {
+                shared.step(Event::RespawnScan);
+                std::thread::sleep(Duration::from_millis(shared.cfg.poll_ms.max(10)));
+            });
+        }
+        Ok(shared)
+    }
+
     fn core(&self) -> MutexGuard<'_, Core<Reply>> {
         self.core
             .lock()
@@ -497,12 +488,12 @@ impl SharedRouter {
     /// Read shard `idx`'s replies on their own thread. At EOF (the shard
     /// was killed, drained or shut down) report it down under `epoch`,
     /// which the core ignores if a respawn has replaced the connection.
-    fn spawn_reader(self: &Arc<Self>, idx: usize, epoch: u64, stream: TcpStream) {
+    fn spawn_reader(self: &Arc<Self>, idx: usize, epoch: u64, lines: Lines) {
         let shared = Arc::clone(self);
         let _ = std::thread::Builder::new()
             .name(format!("router-shard-{idx}"))
             .spawn(move || {
-                shared.read_replies(idx, stream);
+                shared.read_replies(idx, lines);
                 shared.step(Event::ShardDown {
                     shard: idx,
                     epoch: Some(epoch),
@@ -510,25 +501,12 @@ impl SharedRouter {
             });
     }
 
-    fn read_replies(self: &Arc<Self>, idx: usize, stream: TcpStream) {
-        let mut reader = BufReader::new(stream);
-        let mut buf = Vec::new();
-        let mut oversized = false;
-        while read_bounded_line(
-            &mut reader,
-            &mut buf,
-            self.cfg.max_line_bytes,
-            &mut oversized,
-        ) {
-            if oversized {
+    fn read_replies(self: &Arc<Self>, idx: usize, mut lines: Lines) {
+        lines.each(|line| {
+            let Ok(line) = line else {
                 self.step(Event::Malformed);
-                continue;
-            }
-            let line = String::from_utf8_lossy(&buf);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+                return true;
+            };
             // The chaos link sits on the read path only: the shard
             // already computed, and only its *reply* arrives late, not
             // for a while, or mangled — the gray failure hedges exist for.
@@ -542,7 +520,8 @@ impl SharedRouter {
                 Ok(resp) if intact => self.step(Event::ShardReply(resp)),
                 _ => self.step(Event::Malformed),
             }
-        }
+            true
+        });
     }
 
     /// Probe every live shard once, then let the core evaluate outliers.
@@ -585,13 +564,12 @@ impl SharedRouter {
     fn respawn(self: &Arc<Self>, idx: usize) {
         let Some(spawner) = &self.spawner else { return };
         let up = spawner(idx).and_then(|(addr, child)| {
-            let conn = TcpStream::connect(&addr).and_then(|s| Ok((s.try_clone()?, s)));
-            match conn {
-                Ok((reader, writer)) => {
-                    let _ = writer.set_nodelay(true);
+            match Client::connect(&addr, None, self.cfg.max_line_bytes) {
+                Ok(client) => {
+                    let (writer, lines) = client.split();
                     *self.shards[idx].conn.lock().unwrap() = Some(writer);
                     *self.shards[idx].child.lock().unwrap() = child;
-                    Ok((addr, reader))
+                    Ok((addr, lines))
                 }
                 Err(e) => {
                     if let Some(mut c) = child {
@@ -603,13 +581,13 @@ impl SharedRouter {
             }
         });
         match up {
-            Ok((addr, reader)) => {
+            Ok((addr, lines)) => {
                 self.step(Event::Respawned {
                     shard: idx,
                     addr: Ok(addr),
                 });
                 let epoch = self.core().epoch(idx);
-                self.spawn_reader(idx, epoch, reader);
+                self.spawn_reader(idx, epoch, lines);
             }
             Err(e) => self.step(Event::Respawned {
                 shard: idx,
@@ -639,105 +617,8 @@ impl SharedRouter {
     }
 
     // -----------------------------------------------------------------
-    // Client side: accept loop, drain, fleet verbs
+    // Client side: drain-shard and the chaos verbs
     // -----------------------------------------------------------------
-
-    fn accept_and_drain(self: &Arc<Self>, listener: TcpListener) {
-        let serving = Arc::clone(self);
-        let conns = conn::accept_until(
-            listener,
-            &self.shutdown,
-            "router-conn",
-            move |stream, serial| {
-                conn::read_requests(
-                    stream,
-                    serving.cfg.max_line_bytes,
-                    &serving.ledger,
-                    |reply, req| {
-                        serving.step(Event::Request {
-                            client: reply.clone(),
-                            conn: serial,
-                            req,
-                        })
-                    },
-                    |reply, req| serving.handle_control(reply, req),
-                )
-            },
-        );
-        // No-ops when a wire shutdown already ran the sequence.
-        self.drain_fleet();
-        if fmm_obs::enabled() {
-            fmm_obs::gauge("router_pending", &[], 0.0);
-        }
-        conns.close();
-    }
-
-    /// Stop admitting, let everything in flight settle, then shut the
-    /// shards down, collecting each ack's final counters.
-    fn drain_fleet(self: &Arc<Self>) {
-        self.core().begin_drain();
-        while !self.core().idle() {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let up = self.core().shutdown_shards();
-        for (idx, addr) in up {
-            self.stop_shard(idx, &addr, "stop");
-        }
-        // The fleet is down; make the journal durable through its end.
-        if let Some(j) = &self.journal {
-            j.sync();
-        }
-    }
-
-    /// Answer a fleet verb inline. Returns `false` when the connection
-    /// should stop reading (after acknowledging a shutdown).
-    fn handle_control(self: &Arc<Self>, reply: &Reply, req: &Request) -> bool {
-        let ok = |m| ok(reply, req, m);
-        match req.kind {
-            Kind::Health => ok(self.core().health(self.started.elapsed())),
-            Kind::Stats | Kind::FleetStats => ok(self.core().stats()),
-            Kind::DrainShard => self.drain_shard(reply, req),
-            Kind::KillShard => self.kill_shard(reply, req),
-            Kind::StallShard => self.stall_shard(reply, req),
-            Kind::KillRouter => {
-                // Chaos verb: die like a machine does — no drain, no
-                // reply, no destructors. Only the journal survives, which
-                // is the point; an unjournaled or in-process router
-                // refuses (a library must never SIGKILL its host).
-                let Some(j) = self.journal.as_ref().filter(|_| self.cfg.allow_kill_router) else {
-                    self.ledger.reject(
-                        reply,
-                        &req.id,
-                        "kill-router requires the fleet binary running with --journal",
-                    );
-                    return true;
-                };
-                j.sync();
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &std::process::id().to_string()])
-                    .status();
-                // SIGKILL is not deliverable to ourselves on some
-                // platforms' shells; die abruptly regardless.
-                std::process::abort();
-            }
-            Kind::Pause | Kind::Resume | Kind::Cancel => self.ledger.reject(
-                reply,
-                &req.id,
-                "pause/resume/cancel are per-shard verbs (send them to a shard directly)",
-            ),
-            Kind::Shutdown => {
-                // Mirror the single server's ordering: drain, ack with the
-                // router's final — balanced — counters, and only then
-                // release the accept loop to close sockets.
-                self.drain_fleet();
-                ok(self.ledger.snapshot().as_map());
-                self.shutdown.store(true, Ordering::SeqCst);
-                return false;
-            }
-            _ => unreachable!("job kinds are routed to admit"),
-        }
-        true
-    }
 
     /// Shut down shard `idx`, already out of routing: ask it to stop,
     /// give its reader a moment to absorb the replies already buffered
@@ -844,6 +725,82 @@ impl SharedRouter {
         let mut m = BTreeMap::new();
         m.insert("victim".into(), victim.to_string());
         ok(reply, req, m);
+    }
+}
+
+impl Service for SharedRouter {
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    fn admit(self: &Arc<Self>, reply: &Reply, req: Request, conn: u64) {
+        self.step(Event::Request {
+            client: reply.clone(),
+            conn,
+            req,
+        });
+    }
+
+    fn begin_drain(&self) {
+        self.core().begin_drain();
+    }
+
+    /// Stop admitting, let everything in flight settle, then shut the
+    /// shards down, collecting each ack's final counters.
+    fn drain(self: &Arc<Self>) {
+        self.begin_drain();
+        while !self.core().idle() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let up = self.core().shutdown_shards();
+        for (idx, addr) in up {
+            self.stop_shard(idx, &addr, "stop");
+        }
+        // The fleet is down; make the journal durable through its end.
+        if let Some(j) = &self.journal {
+            j.sync();
+        }
+        if fmm_obs::enabled() {
+            fmm_obs::gauge("router_pending", &[], 0.0);
+        }
+    }
+
+    /// Answer a fleet verb inline.
+    fn control(self: &Arc<Self>, reply: &Reply, req: &Request) {
+        let ok = |m| ok(reply, req, m);
+        match req.kind {
+            Kind::Health => ok(self.core().health(self.started.elapsed())),
+            Kind::Stats | Kind::FleetStats => ok(self.core().stats()),
+            Kind::DrainShard => self.drain_shard(reply, req),
+            Kind::KillShard => self.kill_shard(reply, req),
+            Kind::StallShard => self.stall_shard(reply, req),
+            Kind::KillRouter => {
+                // Chaos verb: die like a machine does — no drain, no
+                // reply, no destructors. Only the journal survives, which
+                // is the point; an unjournaled or in-process router
+                // refuses (a library must never SIGKILL its host).
+                let Some(j) = self.journal.as_ref().filter(|_| self.cfg.allow_kill_router) else {
+                    return self.ledger.reject(
+                        reply,
+                        &req.id,
+                        "kill-router requires the fleet binary running with --journal",
+                    );
+                };
+                j.sync();
+                let _ = std::process::Command::new("kill")
+                    .args(["-9", &std::process::id().to_string()])
+                    .status();
+                // SIGKILL is not deliverable to ourselves on some
+                // platforms' shells; die abruptly regardless.
+                std::process::abort();
+            }
+            Kind::Pause | Kind::Resume | Kind::Cancel => self.ledger.reject(
+                reply,
+                &req.id,
+                "pause/resume/cancel are per-shard verbs (send them to a shard directly)",
+            ),
+            _ => unreachable!("the endpoint answers job kinds and shutdown"),
+        }
     }
 }
 

@@ -213,6 +213,47 @@ fn drain_shard_conserves_inflight_jobs() {
     }
 }
 
+#[test]
+fn graceful_drain_finishes_backlog_before_acknowledging_shutdown() {
+    let (shards, router) = start_fleet(2, 7);
+    let addr = router.addr().to_string();
+    let mut jobs = Client::connect(&addr);
+    // Fire-and-forget a backlog on one connection; distinct seeds keep
+    // the idempotency keys distinct...
+    for i in 0..4 {
+        jobs.send(
+            &Request::new(&format!("slow-{i}"), Kind::Io)
+                .with_deadline(10_000)
+                .with_param("sleep_ms", "50")
+                .with_param("seed", &i.to_string()),
+        );
+    }
+    // The conn thread handles lines in order, so a health ack proves
+    // all four jobs were admitted before the shutdown below can race.
+    assert_eq!(
+        jobs.roundtrip(&Request::new("h", Kind::Health)).status,
+        Status::Ok
+    );
+    // ...then ask a second connection to shut the fleet down.
+    let mut ctl = Client::connect(&addr);
+    let ack = ctl.roundtrip(&Request::new("bye", Kind::Shutdown));
+    assert_eq!(ack.status, Status::Ok);
+    // The ack carries the router's final counters, already balanced.
+    assert_eq!(ack.result["accepted"], "4");
+    assert_eq!(ack.result["completed"], "4");
+    // The backlog's replies were written before the ack released the
+    // accept loop to close sockets.
+    for _ in 0..4 {
+        assert_eq!(jobs.recv().status, Status::Completed);
+    }
+    let snap = router.wait();
+    assert!(snap.ledger.balanced(), "fleet conservation law: {snap:?}");
+    assert_eq!(snap.ledger.completed, 4);
+    for shard in shards {
+        assert!(shard.wait().balanced(), "shard conservation law");
+    }
+}
+
 /// A shard that answers every forwarded job with a storm of garbage —
 /// non-JSON, an oversized line, an unknown status verb, a reply whose
 /// envelope id is unparseable — before finally settling it properly.

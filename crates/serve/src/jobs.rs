@@ -2,21 +2,21 @@
 //! validation and execution, in one place. A job *is* the `fastmm`
 //! command of the same name (`io`, `bounds`, `faults`, `kernel`): the
 //! command maps its flags to the same params, validates them with
-//! [`JobSpec::validate`], runs the spec under [`isolate`] and prints the
+//! [`JobSpec::validate`], runs the spec under [`cancel::isolate`] and prints the
 //! typed [`Outcome`] as text. The server parses params at admission
 //! ([`JobSpec::from_request`]: bad ones are rejected before they consume
-//! a queue slot), runs the job on a worker under the same [`isolate`] and
+//! a queue slot), runs the job on a worker under the same [`cancel::isolate`] and
 //! replies with [`Outcome::fields`].
 //!
 //! Validation checks shape (numbers parse, names are known, sizes are at
 //! least 1) but not simulator preconditions. A Strassen run at a
 //! non-power-of-two order parses fine and then panics inside the
-//! simulator — that is the poison path [`isolate`] exists for, and the
+//! simulator — that is the poison path [`cancel::isolate`] exists for, and the
 //! chaos tests lean on it.
 
 use crate::proto::Kind;
 use fmm_core::{bounds, catalog, Bilinear2x2};
-use fmm_faults::cancel::{self, CancelReason};
+use fmm_faults::cancel;
 use fmm_faults::{FaultPlan, FaultSpec, FaultStats, Recovery};
 use fmm_kernel::{KernelCfg, Report};
 use fmm_matrix::multiply::multiply_naive;
@@ -27,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -280,39 +279,6 @@ impl<'a> Params<'a> {
     }
 }
 
-/// Why an [`isolate`]d run did not return.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Stopped {
-    /// It bailed out on its cancel token.
-    Cancelled(CancelReason),
-    /// It panicked; the panic's message.
-    Panicked(String),
-}
-
-impl fmt::Display for Stopped {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Stopped::Cancelled(reason) => write!(f, "cancelled: {reason:?}"),
-            Stopped::Panicked(message) => write!(f, "panic: {message}"),
-        }
-    }
-}
-
-/// Run `f` the way a worker runs a job: a panic comes back as [`Stopped`]
-/// (a cancellation bail-out with its reason, any other panic with its
-/// message) and the default hook stays quiet, so a poison job costs one
-/// line, not a backtrace.
-pub fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, Stopped> {
-    cancel::silence_cancel_panics();
-    let _quiet = cancel::quiet_panics();
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        match cancel::cancelled_reason(payload.as_ref()) {
-            Some(reason) => Stopped::Cancelled(reason),
-            None => Stopped::Panicked(cancel::panic_message(payload.as_ref())),
-        }
-    })
-}
-
 impl JobSpec {
     /// The root span name a worker opens around this job's `run`, and the
     /// label the per-kind latency histograms use.
@@ -428,7 +394,7 @@ impl JobSpec {
     /// Run the job; `Ok` carries the flat string→string result map that
     /// goes out in the `completed` reply. A kernel product that diverged
     /// from the checked reference is an error. Panics (poison inputs,
-    /// cancellation bails) are the caller's to catch, through [`isolate`].
+    /// cancellation bails) are the caller's to catch, through [`cancel::isolate`].
     pub fn run(&self) -> Result<BTreeMap<String, String>, String> {
         match self.execute()? {
             Outcome::Kernel(_, run) if run.matches == Some(false) => {
@@ -965,13 +931,5 @@ mod tests {
         assert_eq!(faults(&[("policy", "opt")]).unwrap_err().key, "policy");
         let err = faults(&[("faults", "seed=3")]).unwrap_err();
         assert_eq!((err.key, err.value.as_str()), ("faults", "seed=3"));
-    }
-
-    #[test]
-    fn isolate_turns_a_panic_into_its_message() {
-        assert_eq!(isolate(|| 7), Ok(7));
-        let stopped = isolate(|| panic!("poison")).unwrap_err();
-        assert_eq!(stopped, Stopped::Panicked("poison".into()));
-        assert_eq!(stopped.to_string(), "panic: poison");
     }
 }

@@ -26,7 +26,9 @@
 //! A job *is* the `fastmm` command of the same name: [`jobs`] holds each
 //! workload's params, defaults, validation and execution once, and
 //! `fastmm io|bounds|faults|kernel` map their flags to the same params,
-//! run the same [`jobs::JobSpec`] under the same [`jobs::isolate`], and
+//! run the same [`jobs::JobSpec`] under the same
+//! [`fmm_faults::cancel::isolate`] (the sweep engine's cells run under
+//! it too), and
 //! print its typed [`jobs::Outcome`] where the server replies with
 //! [`jobs::Outcome::fields`]. The server runs every job the command line
 //! runs; a deadline or a drain stops a long one through the cancel token
@@ -34,11 +36,14 @@
 //!
 //! The conservation law lives in one place, [`ledger`]: the seven
 //! counters, the status-to-counter mapping, and the `reject`/`shed`
-//! refusals that count and answer together. [`conn`] holds the
-//! line-protocol plumbing — reply writer, accept loop, request reader,
-//! and the one-shot control round-trip. `fmm-router` runs its front end
-//! on both, so the server and the fleet router keep one ledger and one
-//! connection loop between them.
+//! refusals that count and answer together. The line-protocol endpoint
+//! lives in one place too, [`conn`]: an [`conn::Endpoint`] owns a
+//! service's listener, connection readers, `shutdown` verb (drain → ack
+//! with the balanced ledger → stop) and close, and a [`conn::Client`] is
+//! every outgoing connection (`loadgen`, the router's shard links and
+//! probes). The server and `fmm-router` each implement
+//! [`conn::Service`] — admission, their own control verbs, drain — and
+//! share the rest.
 //!
 //! [`loadgen`] is the matching chaos client: seeded (splitmix64) mixes of
 //! cheap / expensive / poison / oversized / tiny-deadline requests over N

@@ -12,11 +12,10 @@
 //! and `resume` lets the admitted backlog drain. For a fixed seed and
 //! server config the whole run's shed count is reproducible.
 
+use crate::conn::Client;
 use crate::ledger::StatsSnapshot;
-use crate::proto::{write_line, Kind, Request, Response, Status};
+use crate::proto::{Kind, Request, Response, Status, MAX_LINE_BYTES};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// What to throw at the server.
@@ -335,35 +334,18 @@ fn pick_request(cfg: &LoadgenConfig, conn: usize, idx: usize) -> Request {
     }
 }
 
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+fn connect(addr: &str) -> Result<Client, String> {
+    Client::connect(addr, None, MAX_LINE_BYTES).map_err(|e| format!("connect {addr}: {e}"))
 }
 
-impl Conn {
-    fn open(addr: &str) -> Result<Conn, String> {
-        let writer = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        let _ = writer.set_nodelay(true);
-        let reader = BufReader::new(
-            writer
-                .try_clone()
-                .map_err(|e| format!("clone stream: {e}"))?,
-        );
-        Ok(Conn { writer, reader })
-    }
+fn send(conn: &mut Client, req: &Request) -> Result<(), String> {
+    conn.send(req).map_err(|e| format!("send: {e}"))
+}
 
-    fn send(&mut self, req: &Request) -> Result<(), String> {
-        write_line(&mut self.writer, req.to_line()).map_err(|e| format!("send: {e}"))
-    }
-
-    fn recv(&mut self) -> Result<Option<Response>, String> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => Ok(None),
-            Ok(_) => Response::parse(line.trim()).map(Some),
-            Err(e) => Err(format!("recv: {e}")),
-        }
-    }
+/// One request and its reply.
+fn roundtrip(conn: &mut Client, req: &Request) -> Result<Option<Response>, String> {
+    send(conn, req)?;
+    conn.recv()
 }
 
 /// Seeded backoff between reconnect attempts: the fmm-faults 50µs→5ms
@@ -374,12 +356,12 @@ fn reconnect_pause(attempt: u32) {
     ));
 }
 
-/// `Conn::open` with the run's reconnect budget applied — a single
+/// [`connect`] with the run's reconnect budget applied — a single
 /// attempt at `--reconnect 0` (the old behaviour).
-fn open_with_retry(cfg: &LoadgenConfig) -> Result<Conn, String> {
+fn open_with_retry(cfg: &LoadgenConfig) -> Result<Client, String> {
     let mut attempt = 0u32;
     loop {
-        match Conn::open(&cfg.addr) {
+        match connect(&cfg.addr) {
             Ok(c) => return Ok(c),
             Err(e) if attempt >= cfg.reconnect => return Err(e),
             Err(_) => {
@@ -401,7 +383,7 @@ fn open_with_retry(cfg: &LoadgenConfig) -> Result<Conn, String> {
 /// terminal status, so the request still settles exactly once and is
 /// still classified exactly once here.
 fn conn_worker(cfg: &LoadgenConfig, conn_idx: usize, sent: &AtomicU64) -> Result<Summary, String> {
-    let mut conn = Conn::open(&cfg.addr)?;
+    let mut conn = connect(&cfg.addr)?;
     let mut s = Summary::default();
     let mut reconnects = 0u32;
     for i in 0..cfg.requests {
@@ -415,17 +397,14 @@ fn conn_worker(cfg: &LoadgenConfig, conn_idx: usize, sent: &AtomicU64) -> Result
         let mut counted = false;
         let t0 = std::time::Instant::now();
         loop {
-            let outcome = match conn.send(&req) {
-                Ok(()) => {
-                    if !counted {
-                        counted = true;
-                        s.sent += 1;
-                        sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    conn.recv()
+            let outcome = send(&mut conn, &req).and_then(|()| {
+                if !counted {
+                    counted = true;
+                    s.sent += 1;
+                    sent.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(e) => Err(e),
-            };
+                conn.recv()
+            });
             match outcome {
                 Ok(Some(resp)) => {
                     s.latency.observe(t0.elapsed().as_micros() as u64);
@@ -439,7 +418,7 @@ fn conn_worker(cfg: &LoadgenConfig, conn_idx: usize, sent: &AtomicU64) -> Result
                         s.resent += 1;
                     }
                     reconnect_pause(reconnects);
-                    if let Ok(c) = Conn::open(&cfg.addr) {
+                    if let Ok(c) = connect(&cfg.addr) {
                         conn = c;
                     }
                     // A failed reopen burns the attempt and retries on
@@ -462,10 +441,9 @@ fn conn_worker(cfg: &LoadgenConfig, conn_idx: usize, sent: &AtomicU64) -> Result
 /// Deterministic-shed phase: `pause`, blast `burst` cheap jobs without
 /// reading, `resume`, then collect every reply.
 fn burst_phase(cfg: &LoadgenConfig, burst: usize) -> Result<Summary, String> {
-    let mut conn = Conn::open(&cfg.addr)?;
+    let mut conn = connect(&cfg.addr)?;
     let mut s = Summary::default();
-    conn.send(&Request::new("pause", Kind::Pause))?;
-    match conn.recv()? {
+    match roundtrip(&mut conn, &Request::new("pause", Kind::Pause))? {
         Some(r) if r.status == Status::Ok => {}
         other => return Err(format!("pause not acknowledged: {other:?}")),
     }
@@ -477,11 +455,11 @@ fn burst_phase(cfg: &LoadgenConfig, burst: usize) -> Result<Summary, String> {
                 .with_param("alg", "classical")
                 .with_param("n", "8")
                 .with_param("m", "64");
-            conn.send(&req).map(|_| id)
+            send(&mut conn, &req).map(|_| id)
         })
         .collect::<Result<_, _>>()?;
     s.sent += burst as u64;
-    conn.send(&Request::new("resume", Kind::Resume))?;
+    send(&mut conn, &Request::new("resume", Kind::Resume))?;
     // Replies arrive interleaved: sheds during the pause, the resume
     // ack, terminal replies after. Count until every burst id is
     // accounted for.
@@ -525,8 +503,7 @@ fn burst_phase(cfg: &LoadgenConfig, burst: usize) -> Result<Summary, String> {
 fn shutdown_phase(cfg: &LoadgenConfig, summary: &mut Summary) -> Result<(), String> {
     let mut conn = open_with_retry(cfg)?;
     if cfg.fleet {
-        conn.send(&Request::new("gray-stats", Kind::FleetStats))?;
-        match conn.recv()? {
+        match roundtrip(&mut conn, &Request::new("gray-stats", Kind::FleetStats))? {
             Some(resp) if resp.status == Status::Ok => {
                 let num = |k: &str| {
                     resp.result
@@ -540,8 +517,7 @@ fn shutdown_phase(cfg: &LoadgenConfig, summary: &mut Summary) -> Result<(), Stri
             other => return Err(format!("fleet-stats not acknowledged: {other:?}")),
         }
     }
-    conn.send(&Request::new("stop", Kind::Shutdown))?;
-    match conn.recv()? {
+    match roundtrip(&mut conn, &Request::new("stop", Kind::Shutdown))? {
         Some(resp) if resp.status == Status::Ok => {
             summary.server_counters = resp.result;
             Ok(())
@@ -562,11 +538,10 @@ fn kill_shard_phase(
     while (sent.load(Ordering::Relaxed) as usize) < after && !done.load(Ordering::Relaxed) {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let mut conn = Conn::open(&cfg.addr)?;
-    conn.send(
-        &Request::new("chaos-kill", Kind::KillShard).with_param("seed", &cfg.seed.to_string()),
-    )?;
-    match conn.recv()? {
+    let mut conn = connect(&cfg.addr)?;
+    let kill =
+        Request::new("chaos-kill", Kind::KillShard).with_param("seed", &cfg.seed.to_string());
+    match roundtrip(&mut conn, &kill)? {
         Some(resp) if resp.status == Status::Ok => Ok(Summary {
             killed: 1,
             ..Summary::default()
@@ -588,11 +563,10 @@ fn stall_shard_phase(
     while (sent.load(Ordering::Relaxed) as usize) < after && !done.load(Ordering::Relaxed) {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let mut conn = Conn::open(&cfg.addr)?;
-    conn.send(
-        &Request::new("chaos-stall", Kind::StallShard).with_param("seed", &cfg.seed.to_string()),
-    )?;
-    match conn.recv()? {
+    let mut conn = connect(&cfg.addr)?;
+    let stall =
+        Request::new("chaos-stall", Kind::StallShard).with_param("seed", &cfg.seed.to_string());
+    match roundtrip(&mut conn, &stall)? {
         Some(resp) if resp.status == Status::Ok => Ok(Summary {
             stalled: 1,
             ..Summary::default()
@@ -614,8 +588,11 @@ fn kill_router_phase(
     while (sent.load(Ordering::Relaxed) as usize) < after && !done.load(Ordering::Relaxed) {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let mut conn = Conn::open(&cfg.addr)?;
-    conn.send(&Request::new("chaos-kill-router", Kind::KillRouter))?;
+    let mut conn = connect(&cfg.addr)?;
+    send(
+        &mut conn,
+        &Request::new("chaos-kill-router", Kind::KillRouter),
+    )?;
     match conn.recv() {
         Ok(None) | Err(_) => Ok(Summary {
             router_killed: 1,

@@ -29,6 +29,10 @@ use std::io::{BufRead, Read};
 /// [`fmm_obs::jsonl`]: the write-side sibling of [`read_bounded_line`].
 pub use fmm_obs::json::write_line;
 
+/// The default line bound of the server, the router and `loadgen`:
+/// longer lines are rejected unread.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Request kinds. Jobs go through the bounded queue; control kinds are
 /// answered inline by the connection thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,15 +1,15 @@
 //! The job server: bounded admission and a worker pool with per-job
-//! panic isolation, behind the shared [`crate::conn`] accept loop and
-//! request reader, counting into a [`crate::ledger::Ledger`].
+//! panic isolation, served by the shared [`crate::conn::Endpoint`] and
+//! counting into a [`crate::ledger::Ledger`].
 //!
 //! Thread layout:
 //!
 //! ```text
-//! serve-accept ──── nonblocking accept; owns drain + worker join
-//!   ├── conn reader (one per connection; parses lines, admits jobs,
-//!   │                answers control messages inline)
+//! serve-accept ──── the endpoint's accept loop, final drain and close
+//!   ├── serve-conn (one per connection; parses lines, admits jobs,
+//!   │               answers control messages inline)
 //!   └── serve-worker-{0..W} ── pop → check deadline → run under
-//!                              jobs::isolate → one terminal reply
+//!                              cancel::isolate → one terminal reply
 //! ```
 //!
 //! Invariant the whole design serves: **every accepted job gets exactly
@@ -22,17 +22,18 @@
 //! [`ServerHandle::begin_shutdown`]): admission flips to shedding with
 //! reason `draining`, queued and in-flight jobs run to their terminal
 //! replies (their own deadlines still apply), the queue closes, workers
-//! join, and remaining connections are closed.
+//! join, and the endpoint closes the remaining connections.
 
-use crate::conn::{self, Reply};
-use crate::jobs::{self, JobSpec, Stopped};
+use crate::conn::{Endpoint, Reply, Service};
+use crate::jobs::JobSpec;
 use crate::ledger::{Ledger, Names, StatsSnapshot};
-use crate::proto::{Request, Response, Status};
+use crate::proto::{Kind, Request, Response, Status, MAX_LINE_BYTES};
 use crate::queue::{BoundedQueue, PushError};
-use fmm_faults::{cancel, splitmix64, CancelReason, CancelToken};
+use fmm_faults::cancel::{self, Stopped};
+use fmm_faults::{splitmix64, CancelReason, CancelToken};
 use fmm_obs::Histogram;
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::collections::{BTreeMap, HashMap};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -72,7 +73,7 @@ impl Default for ServerConfig {
             queue_depth: 32,
             workers: 2,
             default_deadline_ms: None,
-            max_line_bytes: 64 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
             trace_seed: 0,
             shard_id: None,
         }
@@ -112,8 +113,6 @@ struct Shared {
     ledger: Ledger,
     /// Admission refuses new jobs (reason `draining`).
     draining: AtomicBool,
-    /// Tells the accept loop to begin the drain-and-exit sequence.
-    shutdown: AtomicBool,
     started: Instant,
     /// Next job sequence number (trace id input).
     job_seq: AtomicU64,
@@ -124,93 +123,101 @@ struct Shared {
     /// Live cancel tokens by request id, for the `cancel` control verb
     /// (the router's cancel-on-lost-hedge path). Entries live from
     /// admission to terminal reply.
-    cancels: Mutex<std::collections::HashMap<String, CancelToken>>,
+    cancels: Mutex<HashMap<String, CancelToken>>,
+    /// The worker pool, joined by the drain.
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Shared {
-    /// Nothing queued and every accepted job terminally replied.
-    fn drained(&self) -> bool {
-        self.queue.is_empty() && self.ledger.snapshot().balanced()
+impl Service for Shared {
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn await_drain(&self) {
-        while !self.drained() {
+    fn admit(self: &Arc<Self>, reply: &Reply, req: Request, _conn: u64) {
+        admit_job(self, reply, req);
+    }
+
+    fn control(self: &Arc<Self>, reply: &Reply, req: &Request) {
+        handle_control(self, reply, req);
+    }
+
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        self.queue.set_paused(false);
+    }
+
+    /// Shed new work, let the backlog reach its terminal replies, then
+    /// close the queue and join the workers, so every reply is written.
+    fn drain(self: &Arc<Self>) {
+        self.begin_drain();
+        while !(self.queue.is_empty() && self.ledger.snapshot().balanced()) {
             std::thread::sleep(Duration::from_millis(2));
+        }
+        self.queue.close();
+        for w in self.workers.lock().unwrap().drain(..) {
+            let _ = w.join();
+        }
+        if fmm_obs::enabled() {
+            fmm_obs::gauge("serve_queue_depth", &[], 0.0);
         }
     }
 }
 
 /// A running server. Dropping the handle initiates shutdown and blocks
 /// until the drain completes.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-}
+pub struct ServerHandle(Endpoint<Shared>);
 
 impl ServerHandle {
     /// Bind, spawn workers and the accept loop, and return immediately.
     pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         cancel::silence_cancel_panics();
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let queue_depth = cfg.queue_depth;
-        let workers = cfg.workers.max(1);
-        let shared = Arc::new(Shared {
-            cfg,
-            queue: BoundedQueue::new(queue_depth),
-            ledger: Ledger::new(LEDGER_NAMES),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            job_seq: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            latency: Mutex::new(BTreeMap::new()),
-            cancels: Mutex::new(std::collections::HashMap::new()),
-        });
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-accept".to_string())
-                .spawn(move || accept_and_drain(&shared, listener, worker_handles))?
-        };
-        Ok(ServerHandle {
-            addr,
-            shared,
-            accept: Some(accept),
-        })
+        let (addr, max_line_bytes) = (cfg.addr.clone(), cfg.max_line_bytes);
+        let endpoint = Endpoint::start(&addr, "serve", max_line_bytes, |_| {
+            let workers = cfg.workers.max(1);
+            let shared = Arc::new(Shared {
+                queue: BoundedQueue::new(cfg.queue_depth),
+                cfg,
+                ledger: Ledger::new(LEDGER_NAMES),
+                draining: AtomicBool::new(false),
+                started: Instant::now(),
+                job_seq: AtomicU64::new(0),
+                queue_hwm: AtomicU64::new(0),
+                latency: Mutex::new(BTreeMap::new()),
+                cancels: Mutex::new(HashMap::new()),
+                workers: Mutex::new(Vec::new()),
+            });
+            *shared.workers.lock().unwrap() = (0..workers)
+                .map(|i| {
+                    let shared = Arc::clone(&shared);
+                    std::thread::Builder::new()
+                        .name(format!("serve-worker-{i}"))
+                        .spawn(move || worker_loop(&shared))
+                        .expect("spawn worker")
+                })
+                .collect();
+            Ok(shared)
+        })?;
+        Ok(ServerHandle(endpoint))
     }
 
     /// The address actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.ledger.snapshot()
+        self.0.service().ledger.snapshot()
     }
 
     /// Deepest the admission queue has ever been (the `queue_depth_hwm`
     /// key of the `stats` control reply, surfaced for bench extras).
     pub fn queue_depth_hwm(&self) -> u64 {
-        self.shared.queue_hwm.load(Ordering::SeqCst)
+        self.0.service().queue_hwm.load(Ordering::SeqCst)
     }
 
     /// Programmatic equivalent of the `shutdown` control message.
     pub fn begin_shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue.set_paused(false);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.0.begin_shutdown();
     }
 
     /// Block until the server has fully drained and exited, then return
@@ -218,10 +225,8 @@ impl ServerHandle {
     /// a `shutdown` control message or [`ServerHandle::begin_shutdown`] —
     /// or this blocks forever.
     pub fn wait(mut self) -> StatsSnapshot {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        self.shared.ledger.snapshot()
+        self.0.join();
+        self.stats()
     }
 
     /// [`ServerHandle::begin_shutdown`] + [`ServerHandle::wait`].
@@ -229,46 +234,6 @@ impl ServerHandle {
         self.begin_shutdown();
         self.wait()
     }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if let Some(h) = self.accept.take() {
-            self.begin_shutdown();
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_and_drain(shared: &Arc<Shared>, listener: TcpListener, workers: Vec<JoinHandle<()>>) {
-    let serving = Arc::clone(shared);
-    let conns = conn::accept_until(
-        listener,
-        &shared.shutdown,
-        "serve-conn",
-        move |stream, _| {
-            conn::read_requests(
-                stream,
-                serving.cfg.max_line_bytes,
-                &serving.ledger,
-                |reply, req| admit_job(&serving, reply, req),
-                |reply, req| handle_control(&serving, reply, req),
-            )
-        },
-    );
-    // Drain: a conn-initiated shutdown has already waited for this, in
-    // which case these are no-ops.
-    shared.draining.store(true, Ordering::SeqCst);
-    shared.queue.set_paused(false);
-    shared.await_drain();
-    shared.queue.close();
-    for w in workers {
-        let _ = w.join();
-    }
-    if fmm_obs::enabled() {
-        fmm_obs::gauge("serve_queue_depth", &[], 0.0);
-    }
-    conns.close();
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -319,7 +284,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             }
             // A panic becomes a structured `error` reply below, not a
             // backtrace per request.
-            let outcome = jobs::isolate(|| spec.run());
+            let outcome = cancel::isolate(|| spec.run());
             if let Ok(Ok(map)) = &outcome {
                 for key in SPAN_FIELD_KEYS {
                     if let Some(v) = map.get(key).and_then(|v| v.parse().ok()) {
@@ -437,10 +402,8 @@ fn admit_job(shared: &Arc<Shared>, reply: &Reply, req: Request) {
     }
 }
 
-/// Answer a control request inline. Returns `false` when the connection
-/// should stop reading (after acknowledging a shutdown).
-fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
-    use crate::proto::Kind;
+/// Answer a control request inline.
+fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) {
     match req.kind {
         Kind::Health => {
             let snap = shared.ledger.snapshot();
@@ -463,7 +426,6 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
                 m.insert("shard_id".into(), id.to_string());
             }
             reply.send(&Response::new(&req.id, Status::Ok).with_result(m));
-            true
         }
         Kind::Stats => {
             let mut m = shared.ledger.snapshot().as_map();
@@ -488,33 +450,16 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
                 m.insert(format!("latency_{kind}_p99_us"), h.p99().to_string());
             }
             reply.send(&Response::new(&req.id, Status::Ok).with_result(m));
-            true
         }
         Kind::Pause => {
             shared.queue.set_paused(true);
             reply.send(&Response::new(&req.id, Status::Ok).with_reason("paused"));
-            true
         }
         Kind::Resume => {
             // Ack before releasing the workers: a fast job's completion
             // must never reach the wire ahead of the resume ack.
             reply.send(&Response::new(&req.id, Status::Ok).with_reason("resumed"));
             shared.queue.set_paused(false);
-            true
-        }
-        Kind::Shutdown => {
-            // Order matters: stop admission, let the backlog reach its
-            // terminal replies, acknowledge with the final (balanced)
-            // counters, and only then release the accept loop to close
-            // sockets — the ack must beat the close.
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.queue.set_paused(false);
-            shared.await_drain();
-            reply.send(
-                &Response::new(&req.id, Status::Ok).with_result(shared.ledger.snapshot().as_map()),
-            );
-            shared.shutdown.store(true, Ordering::SeqCst);
-            false
         }
         Kind::Cancel => {
             // Cancel one in-flight job by id — the router's
@@ -525,7 +470,7 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
                 shared
                     .ledger
                     .reject(reply, &req.id, "cancel needs a 'target' param");
-                return true;
+                return;
             }
             let token = shared.cancels.lock().unwrap().get(&target).cloned();
             let mut m = BTreeMap::new();
@@ -539,9 +484,12 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
                 }
             }
             reply.send(&Response::new(&req.id, Status::Ok).with_result(m));
-            true
         }
-        Kind::FleetStats | Kind::DrainShard | Kind::KillShard | Kind::StallShard => {
+        Kind::FleetStats
+        | Kind::DrainShard
+        | Kind::KillShard
+        | Kind::StallShard
+        | Kind::KillRouter => {
             // Fleet verbs exist in the shared protocol so the router can
             // parse them, but a single shard must answer — not wedge, not
             // panic — when one arrives directly.
@@ -553,8 +501,7 @@ fn handle_control(shared: &Arc<Shared>, reply: &Reply, req: &Request) -> bool {
                     req.kind.as_str()
                 ),
             );
-            true
         }
-        _ => unreachable!("job kinds are routed to admit_job"),
+        _ => unreachable!("the endpoint answers job kinds and shutdown"),
     }
 }

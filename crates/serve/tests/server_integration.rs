@@ -244,6 +244,34 @@ fn malformed_and_oversized_lines_are_rejected_without_admission() {
 }
 
 #[test]
+fn fleet_verbs_sent_to_a_shard_are_rejected_and_the_connection_lives() {
+    let server = small_server(8, 1);
+    let mut client = Client::connect(&server);
+    for kind in [
+        Kind::FleetStats,
+        Kind::DrainShard,
+        Kind::KillShard,
+        Kind::StallShard,
+        Kind::KillRouter,
+    ] {
+        let resp = client.round_trip(&Request::new("f", kind));
+        assert_eq!(resp.status, Status::Error, "{}", kind.as_str());
+        assert!(
+            resp.reason.starts_with("rejected:") && resp.reason.contains("is a fleet verb"),
+            "{}: {}",
+            kind.as_str(),
+            resp.reason
+        );
+    }
+    // The reader thread survived all five and still answers.
+    let health = client.round_trip(&Request::new("h", Kind::Health));
+    assert_eq!(health.status, Status::Ok);
+    let stats = server.shutdown_and_wait();
+    assert_eq!(stats.rejected, 5);
+    assert!(stats.balanced());
+}
+
+#[test]
 fn health_and_stats_report_live_state() {
     let server = small_server(8, 2);
     let mut client = Client::connect(&server);

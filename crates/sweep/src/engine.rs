@@ -10,9 +10,9 @@
 use crate::cell::{cell_seed, run_cell};
 use crate::checkpoint::{self, cell_line, header_line, CellRecord, CellStatus};
 use crate::spec::{Cell, SweepSpec};
+use fmm_faults::cancel::{self, Stopped};
 use fmm_obs::jsonl::Log;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -201,44 +201,33 @@ where
     stats
 }
 
-/// Run one cell with panic isolation and, when configured, a wall-clock
-/// budget enforced by a scoped [`fmm_faults::CancelToken`]. The cell runs
-/// on the calling worker thread; deadline expiry cancels it cooperatively
-/// at the simulators' poll points (the `Cancelled` sentinel unwind is
-/// mapped to [`CellStatus::TimedOut`]). This replaces the detach-and-
-/// abandon scheme: timed-out work stops instead of leaking a thread.
+/// Run one cell under [`cancel::isolate`] and, when configured, a
+/// wall-clock budget enforced by a scoped [`fmm_faults::CancelToken`].
+/// The cell runs on the calling worker thread; deadline expiry cancels
+/// it cooperatively at the simulators' poll points (a cancellation is
+/// [`CellStatus::TimedOut`], any other panic an `Error("panic: …")`).
+/// Timed-out work stops instead of leaking a thread.
 fn run_one(cell: &Cell, seed: u64, cfg: &RunConfig) -> CellStatus {
-    use fmm_faults::cancel;
     let hang_ms = cfg
         .inject_hang
         .and_then(|(id, ms)| (id == cell.id).then_some(ms));
     let token = match cfg.cell_timeout_ms {
-        Some(budget) => {
-            cancel::silence_cancel_panics();
-            fmm_faults::CancelToken::with_deadline(Duration::from_millis(budget))
-        }
+        Some(budget) => fmm_faults::CancelToken::with_deadline(Duration::from_millis(budget)),
         None => fmm_faults::CancelToken::new(),
     };
     let _scope = cancel::enter(&token);
-    match catch_unwind(AssertUnwindSafe(|| {
+    let outcome = cancel::isolate(|| {
         if let Some(ms) = hang_ms {
             // The simulated hang observes the token like real work does.
             token.cancellable_sleep(Duration::from_millis(ms));
         }
         run_cell(cell, seed)
-    })) {
+    });
+    match outcome {
         Ok(Ok(m)) => CellStatus::Ok(m),
         Ok(Err(e)) => CellStatus::Error(e),
-        Err(payload) => {
-            if cancel::cancelled_reason(payload.as_ref()).is_some() {
-                CellStatus::TimedOut
-            } else {
-                CellStatus::Error(format!(
-                    "panic: {}",
-                    cancel::panic_message(payload.as_ref())
-                ))
-            }
-        }
+        Err(Stopped::Cancelled(_)) => CellStatus::TimedOut,
+        Err(panic) => CellStatus::Error(panic.to_string()),
     }
 }
 

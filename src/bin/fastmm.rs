@@ -21,14 +21,14 @@ use fastmm::cli::{Args, Command};
 use fastmm::core::altbasis::{karstadt_schwartz, multiply_alt_counted};
 use fastmm::core::exec::multiply_fast_counted;
 use fastmm::core::{catalog, lemmas, Bilinear2x2};
-use fastmm::faults::Recovery;
+use fastmm::faults::{cancel, Recovery};
 use fastmm::matrix::multiply::multiply_naive;
 use fastmm::matrix::Matrix;
 use fastmm::pebbling::families;
 use fastmm::pebbling::game::run_schedule;
 use fastmm::pebbling::optimal::recompute_gap;
 use fastmm::pebbling::players::{belady_schedule, creation_order};
-use fastmm::serve::jobs::{self, JobSpec, Outcome};
+use fastmm::serve::jobs::{JobSpec, Outcome};
 use fastmm::serve::proto::Kind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -231,15 +231,12 @@ const COMMANDS: &[Command] = &[
             "addr",
             "queue-depth",
             "workers",
-            "default-deadline-ms",
-            "max-line-bytes",
             "trace-seed",
             "shard-id",
             "span-id-base",
         ],
         "usage: fastmm serve [--addr 127.0.0.1:0] [--queue-depth 32] [--workers 2]
-       [--default-deadline-ms <ms>] [--max-line-bytes 65536] [--trace-seed <u64>]
-       [--shard-id <i>] [--span-id-base <u64>]
+       [--trace-seed <u64>] [--shard-id <i>] [--span-id-base <u64>]
        Prints 'fastmm serve listening on HOST:PORT', serves until a client
        sends {\"kind\":\"shutdown\"}, then drains and exits 0. --shard-id tags
        health/stats replies when the server runs as a fleet shard;
@@ -255,10 +252,7 @@ const COMMANDS: &[Command] = &[
             "queue-depth",
             "workers",
             "seed",
-            "default-deadline-ms",
-            "max-line-bytes",
             "probe-interval-ms",
-            "max-attempts",
             "attach",
             "shard-metrics-dir",
             "supervise",
@@ -273,8 +267,7 @@ const COMMANDS: &[Command] = &[
             "eject-probation-ms",
         ],
         "usage: fastmm fleet [--shards 3] [--addr 127.0.0.1:0] [--queue-depth 32]
-       [--workers 2] [--seed 0] [--default-deadline-ms <ms>] [--max-line-bytes 65536]
-       [--probe-interval-ms 100] [--max-attempts 5] [--attach host:port,...]
+       [--workers 2] [--seed 0] [--probe-interval-ms 100] [--attach host:port,...]
        [--shard-metrics-dir <dir>] [--supervise] [--breaker-k 3]
        [--breaker-window-ms 30000] [--journal <path>] [--resume <path>]
        [--chaos-link \"seed=7,delay-ms=200@shard2,stall-after=40@shard1,garble=0.01\"]
@@ -295,8 +288,8 @@ const COMMANDS: &[Command] = &[
        hedging on with an auto p95 delay). --hedge-ms sets a fixed hedge
        delay (0 = off). Hedges and the re-dispatch of jobs a shard sheds
        back spend a shared budget of --retry-budget-pct% of accepted jobs;
-       jobs orphaned by a shard's death re-dispatch free, up to
-       --max-attempts. A shard whose latency EWMA exceeds --eject-k x the
+       jobs orphaned by a shard's death re-dispatch free, up to five
+       attempts. A shard whose latency EWMA exceeds --eject-k x the
        fleet median is ejected, then re-admitted after --eject-probation-ms.
        Fleet-only verbs: fleet-stats, drain-shard (params.shard), kill-shard
        (chaos SIGKILL, params.seed or params.shard), kill-router (journaled
@@ -310,11 +303,7 @@ const COMMANDS: &[Command] = &[
             "conns",
             "requests",
             "seed",
-            "poison-pct",
-            "oversized-pct",
-            "tiny-deadline-pct",
             "expensive-pct",
-            "deadline-ms",
             "burst",
             "shutdown",
             "fleet",
@@ -324,12 +313,13 @@ const COMMANDS: &[Command] = &[
             "kill-router-after",
         ],
         "usage: fastmm loadgen --addr <host:port> [--conns 4] [--requests 250]
-       [--seed 1] [--poison-pct 10] [--oversized-pct 5] [--tiny-deadline-pct 5]
-       [--expensive-pct 10] [--deadline-ms 10000] [--burst <n>] [--shutdown]
+       [--seed 1] [--expensive-pct 10] [--burst <n>] [--shutdown]
        [--fleet] [--kill-shard-after <n>] [--stall-shard-after <n>]
        [--reconnect <n>] [--kill-router-after <n>]
-       Drives a seeded chaos mix and prints a one-line JSON summary; exits
-       nonzero if any request was lost or the server counters don't balance.
+       Drives a seeded chaos mix (10% poison, 5% oversized and 5% tiny-deadline
+       requests, --expensive-pct expensive ones) and prints a one-line JSON
+       summary; exits nonzero if any request was lost or the server counters
+       don't balance.
        --fleet targets a `fastmm fleet` router; --kill-shard-after N (fleet
        only) SIGKILLs one seeded-chosen shard once N requests are in flight
        and still demands zero lost replies; --stall-shard-after N (fleet only,
@@ -424,7 +414,7 @@ fn cmd_multiply(args: &Args) -> ExitCode {
 fn workload(args: &Args, kind: Kind, print: impl FnOnce(&Outcome) -> ExitCode) -> ExitCode {
     let spec =
         JobSpec::validate(kind, &args.params()).unwrap_or_else(|e| args.die(&e.flag_message()));
-    match jobs::isolate(|| spec.execute()) {
+    match cancel::isolate(|| spec.execute()) {
         Ok(Ok(outcome)) => print(&outcome),
         Ok(Err(e)) => {
             match &spec {
@@ -936,10 +926,9 @@ fn cmd_serve(args: &Args) -> ExitCode {
         addr: args.get("addr", defaults.addr),
         queue_depth: args.get("queue-depth", defaults.queue_depth).max(1),
         workers: args.get("workers", defaults.workers).max(1),
-        default_deadline_ms: args.opt("default-deadline-ms"),
-        max_line_bytes: args.get("max-line-bytes", defaults.max_line_bytes).max(1),
         trace_seed: args.get("trace-seed", defaults.trace_seed),
         shard_id: args.opt("shard-id"),
+        ..defaults
     };
     let handle =
         ServerHandle::start(cfg).unwrap_or_else(|e| args.die(&format!("serve: cannot bind: {e}")));
@@ -968,12 +957,7 @@ fn cmd_loadgen(args: &Args) -> ExitCode {
         conns: args.get("conns", defaults.conns).max(1),
         requests: args.get("requests", defaults.requests),
         seed: args.get("seed", defaults.seed),
-        poison_pct: args.get("poison-pct", defaults.poison_pct),
-        oversized_pct: args.get("oversized-pct", defaults.oversized_pct),
-        tiny_deadline_pct: args.get("tiny-deadline-pct", defaults.tiny_deadline_pct),
         expensive_pct: args.get("expensive-pct", defaults.expensive_pct),
-        deadline_ms: args.get("deadline-ms", defaults.deadline_ms),
-        oversized_bytes: defaults.oversized_bytes,
         burst: args.opt("burst"),
         shutdown: args.flag("shutdown"),
         fleet: args.flag("fleet"),
@@ -981,6 +965,7 @@ fn cmd_loadgen(args: &Args) -> ExitCode {
         stall_shard_after: args.opt("stall-shard-after"),
         reconnect: args.get("reconnect", 0),
         kill_router_after: args.opt("kill-router-after"),
+        ..defaults
     };
     for (wrong, message) in [
         (
@@ -1166,10 +1151,7 @@ fn cmd_fleet(args: &Args) -> ExitCode {
         addr: args.get("addr", defaults.addr),
         shard_addrs: Vec::new(),
         seed,
-        default_deadline_ms: args.opt("default-deadline-ms"),
-        max_line_bytes: args.get("max-line-bytes", defaults.max_line_bytes).max(1),
         poll_ms: args.get("probe-interval-ms", defaults.poll_ms),
-        max_attempts: args.get("max-attempts", defaults.max_attempts).max(1),
         supervise: args.flag("supervise"),
         breaker_k: args.get("breaker-k", defaults.breaker_k).max(1),
         breaker_window_ms: args
@@ -1191,6 +1173,7 @@ fn cmd_fleet(args: &Args) -> ExitCode {
         eject_probation_ms: args
             .get("eject-probation-ms", defaults.eject_probation_ms)
             .max(1),
+        ..defaults
     };
     // The spawned shards' own sizing, for the first spawn and for every
     // --supervise respawn.
