@@ -1,13 +1,12 @@
 //! Recursive execution of bilinear algorithms with exact operation counting.
 //!
-//! [`step`] is the one place a [`Bilinear2x2`] is applied to blocks: split
-//! both operands into quadrants, evaluate the encoder SLPs block-wise
-//! (counted), hand the `t` operand pairs to the caller's closure, evaluate
-//! the decoder SLP (counted), and join. Every fast recursion over real
-//! matrices is this step plus a leaf: [`multiply_fast`] runs any catalog
-//! algorithm by the textbook recursion (Algorithm 2 of the paper) with a
-//! classical `ikj` leaf, and `fmm-kernel`'s Strassen runs the same step
-//! with packed-panel leaves and a worker pool at the top level.
+//! [`multiply_fast`] runs any catalog algorithm by the textbook recursion
+//! (Algorithm 2 of the paper) with a classical `ikj` leaf. Each level is
+//! one `step`: split both operands into quadrants, evaluate the encoder
+//! SLPs block-wise (counted), multiply the `t` operand pairs, evaluate the
+//! decoder SLP (counted), and join. It is the reference executor: it
+//! stores every intermediate block. `fmm-kernel`'s measured recursion
+//! runs the same bilinear algorithms in a few reused buffers instead.
 //! [`multiply_fast_counted`] additionally counts every scalar
 //! multiplication and addition performed, which is how the
 //! leading-coefficient claims of the paper's introduction (7 → 6 → 5) are
@@ -47,11 +46,11 @@ impl std::ops::AddAssign for OpCounts {
 
 /// The linear-phase operation counts of one [`step`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StepCounts {
+struct StepCounts {
     /// Both encoders.
-    pub encode: OpCounts,
+    encode: OpCounts,
     /// The decoder.
-    pub decode: OpCounts,
+    decode: OpCounts,
 }
 
 /// Block combiner `c1·x + c2·y` with counting, fused into one elementwise
@@ -116,7 +115,7 @@ fn combine_blocks<T: Scalar>(
 /// into C's quadrants and joins them. Blocks move through [`Slp::eval`]
 /// rather than being copied, and `products` owns its pairs, so it can drop
 /// each one as soon as its product is formed.
-pub fn step<T: Scalar>(
+fn step<T: Scalar>(
     alg: &Bilinear2x2,
     a: &Matrix<T>,
     b: &Matrix<T>,

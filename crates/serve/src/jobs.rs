@@ -18,13 +18,15 @@ use crate::proto::Kind;
 use fmm_core::{bounds, catalog, Bilinear2x2};
 use fmm_faults::cancel;
 use fmm_faults::{FaultPlan, FaultSpec, FaultStats, Recovery};
-use fmm_kernel::{KernelCfg, Report};
+use fmm_kernel::{KernelCfg, Report, Workspace};
 use fmm_matrix::multiply::multiply_naive;
 use fmm_matrix::{Matrix, Scalar};
 use fmm_memsim::par_faults;
 use fmm_memsim::seq::{self, Replacement, Simulated};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -534,21 +536,52 @@ impl Kernel {
         }
     }
 
-    /// One seeded multiply: the `checksum` of the product, the wall time
-    /// of the multiply alone, its [`Report`] and, under `check`, whether
-    /// the product matched the naive reference.
+    /// One seeded multiply in this thread's [`Workspace`]: the `checksum`
+    /// of the product, the wall time of the multiply alone, its
+    /// [`Report`] and, under `check`, whether the product matched the
+    /// naive reference.
     fn multiply<T: Scalar>(
         &self,
         cfg: &KernelCfg,
         checksum: impl FnOnce(&[T]) -> String,
     ) -> (String, Duration, Report, Option<bool>) {
-        let (a, b) = operands::<T>(self.n, self.seed);
-        let started = Instant::now();
-        let (c, report) = fmm_kernel::multiply_with_report(cfg, &a, &b);
-        let wall = started.elapsed();
-        let matches = self.check.then(|| c == multiply_naive(&a, &b));
-        (checksum(c.as_slice()), wall, report, matches)
+        with_workspace(|ws: &mut Workspace<T>| {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            ws.a.refill_random_small(self.n, self.n, &mut rng);
+            ws.b.refill_random_small(self.n, self.n, &mut rng);
+            let started = Instant::now();
+            let report = ws.multiply(cfg);
+            let wall = started.elapsed();
+            let c = ws.product();
+            let matches = self
+                .check
+                .then(|| c == multiply_naive(&ws.a, &ws.b).as_slice());
+            (checksum(c), wall, report, matches)
+        })
     }
+}
+
+thread_local! {
+    /// The kernel workspaces of the thread (one per scalar type it has
+    /// multiplied), kept for the thread's life: a serve worker's kernel
+    /// jobs reuse one, so a steady run of them allocates nothing.
+    static WORKSPACES: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's [`Workspace`] for `T`, made on first use.
+fn with_workspace<T: Scalar, R>(f: impl FnOnce(&mut Workspace<T>) -> R) -> R {
+    WORKSPACES.with_borrow_mut(|all| {
+        let at = match all.iter().position(|ws| ws.is::<Workspace<T>>()) {
+            Some(at) => at,
+            None => {
+                all.push(Box::new(Workspace::<T>::default()));
+                all.len() - 1
+            }
+        };
+        f(all[at]
+            .downcast_mut()
+            .expect("the position matched the type"))
+    })
 }
 
 impl Outcome<'_> {
