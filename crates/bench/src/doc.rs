@@ -17,7 +17,7 @@ use fmm_obs::json::{escape, flat_object_into, parse_line, Value};
 use std::collections::BTreeMap;
 
 /// The schema tag every document leads with.
-pub const SCHEMA: &str = "fmm-bench/v1";
+pub(crate) const SCHEMA: &str = "fmm-bench/v1";
 
 /// Wall-time statistics for one target, in nanoseconds, pulled from an
 /// [`fmm_obs::Histogram`] over the timed passes.

@@ -21,19 +21,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Deterministic random square i64 matrix for benches and tables.
-pub fn bench_matrix(n: usize, seed: u64) -> Matrix<i64> {
+pub(crate) fn bench_matrix(n: usize, seed: u64) -> Matrix<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::random_small(n, n, &mut rng)
 }
 
 /// Deterministic random square f64 matrix.
-pub fn bench_matrix_f64(n: usize, seed: u64) -> Matrix<f64> {
+pub(crate) fn bench_matrix_f64(n: usize, seed: u64) -> Matrix<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::random_small(n, n, &mut rng)
 }
 
 /// Format a float in compact engineering form for table cells.
-pub fn eng(x: f64) -> String {
+pub(crate) fn eng(x: f64) -> String {
     if x == 0.0 {
         return "0".into();
     }

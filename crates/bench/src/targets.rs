@@ -11,6 +11,7 @@ use crate::manifest;
 use fmm_cdag::flow::{max_vertex_disjoint_paths, min_dominator_size};
 use fmm_cdag::RecursiveCdag;
 use fmm_core::{catalog, lemmas, Bilinear2x2};
+use fmm_kernel::Workspace;
 use fmm_matrix::Matrix;
 use fmm_memsim::seq::Replacement;
 use fmm_memsim::{par, seq};
@@ -55,7 +56,7 @@ impl Profile {
     }
 
     /// Discarded warm-up passes before timing starts.
-    pub fn warmup(self) -> u64 {
+    pub(crate) fn warmup(self) -> u64 {
         match self {
             Profile::Quick => 1,
             Profile::Standard => 2,
@@ -163,8 +164,12 @@ fn operand(n: usize, seed: u64) -> Arc<Matrix<f64>> {
 const MODEL_IO_MAX_N: usize = 512;
 
 /// One real multiply through `fmm-kernel` (f64, seeded small-integer
-/// entries, so the checksum is exact and machine-stable). Extras carry
-/// the checksum, the classical-equivalent flop count, and up to order
+/// entries, so the checksum is exact and machine-stable). A target
+/// multiplies in a [`Workspace`] whose operands are filled on its first
+/// pass, as a serve worker does: after the warm-up pass has grown it, a
+/// timed pass allocates nothing and touches no fresh page. The next
+/// target replaces it, so one workspace is held at a time. Extras carry the
+/// checksum, the classical-equivalent flop count, and up to order
 /// [`MODEL_IO_MAX_N`] the simulator's predicted I/O for the same
 /// (alg, n, cutoff) cell.
 fn kernel_pass(
@@ -173,14 +178,24 @@ fn kernel_pass(
     cutoff: usize,
     threads: usize,
 ) -> BTreeMap<String, String> {
-    let (a, b) = (operand(n, 1), operand(n, 2));
+    type Key = (&'static str, usize, usize, usize);
+    static CURRENT: Mutex<Option<(Key, Workspace<f64>)>> = Mutex::new(None);
+    let key = (alg.as_str(), n, cutoff, threads);
+    let mut current = CURRENT.lock().expect("workspace slot");
+    if current.as_ref().map(|(k, _)| *k) != Some(key) {
+        let mut ws = Workspace::default();
+        ws.a = Matrix::clone(&operand(n, 1));
+        ws.b = Matrix::clone(&operand(n, 2));
+        *current = Some((key, ws));
+    }
+    let ws = &mut current.as_mut().expect("filled above").1;
     let cfg = fmm_kernel::KernelCfg {
         alg,
         cutoff,
         threads,
     };
-    let c = fmm_kernel::multiply(&cfg, &a, &b);
-    let sum: f64 = c.as_slice().iter().sum();
+    ws.multiply(&cfg);
+    let sum: f64 = ws.product().iter().sum();
     let leaf = match alg {
         fmm_kernel::Alg::Classical => seq::natural_tile(1024),
         _ => cutoff,
@@ -332,7 +347,7 @@ const ROOFS: [(&str, &str); 3] = [
 
 /// The micro-kernel ISA a roof target measures (`None` for every other
 /// target, which any CPU runs).
-pub fn roof_isa(target: &str) -> Option<&'static str> {
+pub(crate) fn roof_isa(target: &str) -> Option<&'static str> {
     ROOFS
         .iter()
         .find(|(name, _)| *name == target)

@@ -60,29 +60,6 @@ pub fn lemma_2_2_violation(h: &RecursiveCdag, t: usize) -> Option<usize> {
     None
 }
 
-/// Per-level vertex counts (distance from inputs), a quick profile of the
-/// encode → multiply → decode hourglass shape.
-pub fn level_profile(g: &Cdag) -> Vec<usize> {
-    let order = crate::topo::toposort(g).expect("cyclic graph");
-    let mut depth = vec![0usize; g.len()];
-    let mut max_depth = 0;
-    for &v in &order {
-        let d = g
-            .preds(v)
-            .iter()
-            .map(|p| depth[p.idx()] + 1)
-            .max()
-            .unwrap_or(0);
-        depth[v.idx()] = d;
-        max_depth = max_depth.max(d);
-    }
-    let mut profile = vec![0usize; max_depth + 1];
-    for v in g.vertices() {
-        profile[depth[v.idx()]] += 1;
-    }
-    profile
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,18 +112,6 @@ mod tests {
             let h = RecursiveCdag::build(&strassen(), n);
             assert_eq!(lemma_2_2_violation(&h, 7), None, "n={n}");
         }
-    }
-
-    #[test]
-    fn level_profile_hourglass() {
-        let h = RecursiveCdag::build(&strassen(), 2);
-        let profile = level_profile(&h.graph);
-        // Level 0 is the 8 inputs.
-        assert_eq!(profile[0], 8);
-        // Total matches vertex count.
-        assert_eq!(profile.iter().sum::<usize>(), h.graph.len());
-        // Depth at least: encode(1) → mult(2) → decode(≥3).
-        assert!(profile.len() >= 4);
     }
 
     #[test]

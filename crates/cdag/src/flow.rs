@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 /// A directed flow network with integer capacities, solved by Dinic's
 /// algorithm (O(V²E) generally, O(E√V) on unit networks — ours are unit).
-pub struct FlowNetwork {
+pub(crate) struct FlowNetwork {
     /// to, cap, index of reverse edge
     edges: Vec<(usize, i64, usize)>,
     head: Vec<Vec<usize>>,
@@ -33,11 +33,6 @@ impl FlowNetwork {
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.head.len()
-    }
-
-    /// `true` when the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_empty()
     }
 
     /// Add a directed edge `u → v` with capacity `cap` (and its residual).
@@ -99,7 +94,7 @@ impl FlowNetwork {
     }
 
     /// Maximum flow from `s` to `t`.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
+    pub(crate) fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         assert_ne!(s, t, "source equals sink");
         let mut flow = 0;
         while let Some(level) = self.bfs_levels(s, t) {
@@ -117,7 +112,7 @@ impl FlowNetwork {
 
     /// After `max_flow`, the set of nodes reachable from `s` in the residual
     /// graph (the source side of a minimum cut).
-    pub fn residual_reachable(&self, s: usize) -> Vec<bool> {
+    pub(crate) fn residual_reachable(&self, s: usize) -> Vec<bool> {
         let mut seen = vec![false; self.len()];
         seen[s] = true;
         let mut stack = vec![s];

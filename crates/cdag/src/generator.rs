@@ -196,11 +196,6 @@ impl RecursiveCdag {
         all.dedup();
         all
     }
-
-    /// Number of intermediate multiplications of size `2^j × 2^j`.
-    pub fn sub_problem_count(&self, j: usize) -> usize {
-        self.sub_outputs[j].len()
-    }
 }
 
 /// Extract quadrant `q` (row-major 2×2 order) of a flat row-major `n×n`
@@ -381,7 +376,7 @@ mod tests {
         assert_eq!(h.graph.len(), 3); // a, b, a·b
         assert_eq!(h.graph.inputs().len(), 2);
         assert_eq!(h.outputs.len(), 1);
-        assert_eq!(h.sub_problem_count(0), 1);
+        assert_eq!(h.sub_outputs[0].len(), 1);
     }
 
     #[test]
@@ -392,9 +387,9 @@ mod tests {
         assert_eq!(h.graph.inputs().len(), 8);
         assert_eq!(h.outputs.len(), 4);
         // 7 sub-problems of size 1 (the scalar multiplications).
-        assert_eq!(h.sub_problem_count(0), 7);
+        assert_eq!(h.sub_outputs[0].len(), 7);
         // 1 problem of size 2 (the whole thing).
-        assert_eq!(h.sub_problem_count(1), 1);
+        assert_eq!(h.sub_outputs[1].len(), 1);
         // Encoder adds: U rows with 2 terms: M1,M2,M5,M6,M7 → 5 adds; same V.
         // Decoder adds: C11: 3, C12: 1, C21: 1, C22: 3 → 8 adds.
         // Total internal = 5 + 5 + 7 (mults) = 17 plus decoder chains 8 - but
@@ -413,7 +408,7 @@ mod tests {
             let h = RecursiveCdag::build(&base, n);
             for j in 0..=k {
                 let expect_count = 7usize.pow((k - j) as u32);
-                assert_eq!(h.sub_problem_count(j), expect_count, "n={n} j={j}");
+                assert_eq!(h.sub_outputs[j].len(), expect_count, "n={n} j={j}");
                 assert_eq!(
                     h.sub_output_vertices(j).len(),
                     expect_count * (1 << (2 * j)),

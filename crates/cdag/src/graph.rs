@@ -111,7 +111,7 @@ impl Cdag {
 
     /// Re-classify a vertex (used by the generator to promote the final
     /// decode vertices to outputs).
-    pub fn set_kind(&mut self, v: VertexId, kind: VertexKind) {
+    pub(crate) fn set_kind(&mut self, v: VertexId, kind: VertexKind) {
         self.kinds[v.idx()] = kind;
     }
 
@@ -126,7 +126,7 @@ impl Cdag {
     }
 
     /// Direct successors (the computations consuming `v`).
-    pub fn succs(&self, v: VertexId) -> &[VertexId] {
+    pub(crate) fn succs(&self, v: VertexId) -> &[VertexId] {
         &self.succs[v.idx()]
     }
 

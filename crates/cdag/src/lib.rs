@@ -8,14 +8,14 @@
 //!
 //! * **CDAGs** ([`graph::Cdag`]) — vertices are input / internal / output
 //!   arguments, edges are direct dependencies.
-//! * **The recursive CDAG `H^{n×n}`** ([`generator`]) of any fast matrix
+//! * **The recursive CDAG `H^{n×n}`** (`generator`) of any fast matrix
 //!   multiplication algorithm with a 2×2 base case, including the
 //!   sub-CDAG bookkeeping (`SUB_H^{r×r}`, Lemma 2.2) the segment argument
 //!   needs.
 //! * **Bipartite matchings** ([`matching`]) — Hopcroft–Karp maximum
 //!   matching and an exhaustive Hall-condition checker, used by Lemma 3.1's
 //!   matching argument on encoder graphs.
-//! * **Vertex-disjoint paths and dominator sets** ([`flow`], [`dominator`])
+//! * **Vertex-disjoint paths and dominator sets** ([`flow`])
 //!   — Dinic max-flow over vertex-split networks gives exact Menger-style
 //!   counts of vertex-disjoint paths (Lemma 3.11) and exact minimum
 //!   dominator sets / vertex cuts (Definition 2.3, Lemma 3.7).
@@ -24,11 +24,9 @@
 //! checked exhaustively, not sampled.
 
 pub mod census;
-pub mod dominator;
 pub mod dot;
-pub mod expansion;
 pub mod flow;
-pub mod generator;
+mod generator;
 pub mod graph;
 pub mod matching;
 pub mod topo;

@@ -180,7 +180,8 @@ impl Bipartite {
 
     /// Brute-force maximum matching by trying all injective assignments.
     /// Exponential; used only to cross-validate Hopcroft–Karp in tests.
-    pub fn max_matching_brute(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_matching_brute(&self) -> usize {
         fn rec(g: &Bipartite, x: usize, used: &mut Vec<bool>) -> usize {
             if x == g.nx {
                 return 0;

@@ -37,13 +37,10 @@ use fmm_matrix::quad::{join_quadrants, split_quadrants};
 use fmm_matrix::{Matrix, Scalar};
 
 /// A 4×4 integer matrix (acting on flattened 2×2 blocks).
-pub type Mat4 = [[i64; 4]; 4];
-
-/// The 4×4 identity.
-pub const IDENTITY4: Mat4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]];
+pub(crate) type Mat4 = [[i64; 4]; 4];
 
 /// Determinant of a 4×4 integer matrix (cofactor expansion).
-pub fn det4(m: &Mat4) -> i64 {
+pub(crate) fn det4(m: &Mat4) -> i64 {
     fn det3(m: [[i64; 3]; 3]) -> i64 {
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -71,7 +68,7 @@ pub fn det4(m: &Mat4) -> i64 {
 ///
 /// # Panics
 /// Panics if `|det| ≠ 1`.
-pub fn inv4_unimodular(m: &Mat4) -> Mat4 {
+pub(crate) fn inv4_unimodular(m: &Mat4) -> Mat4 {
     let d = det4(m);
     assert!(d == 1 || d == -1, "matrix is not unimodular (det {d})");
     let mut inv = [[0i64; 4]; 4];
@@ -104,19 +101,6 @@ pub fn inv4_unimodular(m: &Mat4) -> Mat4 {
     inv
 }
 
-/// `a · b` for 4×4 integer matrices.
-pub fn matmul4(a: &Mat4, b: &Mat4) -> Mat4 {
-    let mut c = [[0i64; 4]; 4];
-    for i in 0..4 {
-        for j in 0..4 {
-            for (k, bk) in b.iter().enumerate() {
-                c[i][j] += a[i][k] * bk[j];
-            }
-        }
-    }
-    c
-}
-
 /// A complete alternative-basis algorithm
 /// `⟨2,2,2;7⟩_{φ,ψ,ν}` (Definition 2.6).
 #[derive(Clone, Debug)]
@@ -136,19 +120,6 @@ pub struct AlternativeBasis {
 }
 
 impl AlternativeBasis {
-    /// Wrap an ordinary algorithm as an alternative-basis algorithm with
-    /// identity transforms (useful as a baseline).
-    pub fn trivial(alg: Bilinear2x2) -> Self {
-        AlternativeBasis {
-            name: format!("{}+id-basis", alg.name),
-            phi: IDENTITY4,
-            psi: IDENTITY4,
-            nu: IDENTITY4,
-            nu_inv: IDENTITY4,
-            core: alg,
-        }
-    }
-
     /// Exact validation: the effective triple `(U'·Φ, V'·Ψ, N⁻¹·W')` must
     /// satisfy Brent's equations. Returns the effective algorithm on
     /// success.
@@ -577,6 +548,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    const IDENTITY4: Mat4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]];
+
+    /// `a · b` for 4×4 integer matrices.
+    fn matmul4(a: &Mat4, b: &Mat4) -> Mat4 {
+        let mut c = [[0i64; 4]; 4];
+        for i in 0..4 {
+            for j in 0..4 {
+                for (k, bk) in b.iter().enumerate() {
+                    c[i][j] += a[i][k] * bk[j];
+                }
+            }
+        }
+        c
+    }
+
     #[test]
     fn det4_known_values() {
         assert_eq!(det4(&IDENTITY4), 1);
@@ -612,16 +598,6 @@ mod tests {
         for v in &c {
             assert_eq!(*v.iter().find(|&&x| x != 0).unwrap(), 1);
         }
-    }
-
-    #[test]
-    fn trivial_wrapper_is_correct() {
-        let ab = AlternativeBasis::trivial(catalog::strassen());
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = Matrix::<i64>::random_small(8, 8, &mut rng);
-        let b = Matrix::<i64>::random_small(8, 8, &mut rng);
-        assert_eq!(multiply_alt(&ab, &a, &b), multiply_naive(&a, &b));
-        let _ = ab.validate();
     }
 
     #[test]

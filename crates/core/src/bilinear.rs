@@ -122,7 +122,7 @@ impl Bilinear2x2 {
     ///
     /// # Panics
     /// Panics if validation fails.
-    pub fn with_slps(
+    pub(crate) fn with_slps(
         name: impl Into<String>,
         u: Vec<[i64; 4]>,
         v: Vec<[i64; 4]>,
@@ -197,11 +197,6 @@ impl Bilinear2x2 {
         self.u.len()
     }
 
-    /// The exponent `ω₀ = log₂ t` of the algorithm's arithmetic complexity.
-    pub fn omega(&self) -> f64 {
-        (self.t() as f64).log2()
-    }
-
     /// Total block additions per recursion step (encoders + decoder),
     /// as performed by the carried SLPs.
     pub fn additions_per_step(&self) -> usize {
@@ -228,7 +223,8 @@ impl Bilinear2x2 {
     /// apply to 2×2 base cases with exactly 7 multiplications; 7 is optimal,
     /// so any `t < 7` triple passing [`Self::validate`] would be a
     /// contradiction. Returns `true` when `t ≥ 7`.
-    pub fn respects_hopcroft_kerr(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn respects_hopcroft_kerr(&self) -> bool {
         self.t() >= 7
     }
 }
@@ -275,7 +271,6 @@ mod tests {
         assert_eq!(alg.t(), 7);
         assert!(alg.validate().is_none());
         assert!(alg.respects_hopcroft_kerr());
-        assert!((alg.omega() - 7f64.log2()).abs() < 1e-12);
     }
 
     #[test]

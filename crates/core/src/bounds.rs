@@ -48,66 +48,11 @@ pub fn parallel_crossover_m(n: usize, p: usize, omega: f64) -> f64 {
     (n * n) as f64 / (p as f64).powf(2.0 / omega)
 }
 
-/// Rectangular fast matrix multiplication row of Table I
-/// (`⟨m,n,p;q⟩` base case, exponent `t` of the base case):
-/// `Ω(q^t / (P · M^{log_{mp} q − 1}))` — here `t = log_{base} (size)` is
-/// supplied by the caller as the recursion depth exponent.
-pub fn rectangular(q: f64, t: f64, mnp_mp: f64, m: usize, p: usize) -> f64 {
-    q.powf(t) / (p as f64 * (m as f64).powf(q.log(mnp_mp) - 1.0))
-}
-
 /// FFT row of Table I (memory-dependent form):
 /// `Ω(n·log n / (P · log M))`.
 pub fn fft_memory_dependent(n: usize, m: usize, p: usize) -> f64 {
     let nf = n as f64;
     nf * nf.log2() / (p as f64 * (m as f64).log2())
-}
-
-/// FFT memory-independent form: `Ω(n·log n / (P · log(n/P)))`.
-pub fn fft_memory_independent(n: usize, p: usize) -> f64 {
-    let nf = n as f64;
-    let np = nf / p as f64;
-    nf * nf.log2() / (p as f64 * np.log2())
-}
-
-/// A named bound row, as used by the Table I regeneration harness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundKind {
-    /// Classical matrix multiplication (ω = 3, no recomputation question).
-    Classical,
-    /// Strassen with recomputation (Bilardi–De Stefani + this paper).
-    Strassen,
-    /// Any other fast 2×2-base algorithm with recomputation (this paper).
-    Fast2x2,
-    /// Alternative-basis 2×2-base algorithms (Theorem 4.1, this paper).
-    AlternativeBasis,
-}
-
-impl BoundKind {
-    /// The exponent used in the bound.
-    pub fn omega(self) -> f64 {
-        match self {
-            BoundKind::Classical => OMEGA_CLASSICAL,
-            _ => OMEGA_FAST,
-        }
-    }
-
-    /// Whether the bound is proved in the presence of recomputation.
-    pub fn holds_with_recomputation(self) -> bool {
-        // Classical: recomputation is irrelevant (footnote 1 of the paper);
-        // the three fast rows: proved with recomputation.
-        true
-    }
-
-    /// Display name matching the Table I row.
-    pub fn row_name(self) -> &'static str {
-        match self {
-            BoundKind::Classical => "Classic matrix multiplication",
-            BoundKind::Strassen => "Strassen's matrix multiplication",
-            BoundKind::Fast2x2 => "Other fast MM with 2x2 base case",
-            BoundKind::AlternativeBasis => "Alternative basis fast MM (2x2 base)",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,14 +139,5 @@ mod tests {
         assert!(
             fft_memory_dependent(1 << 20, 1 << 16, 4) < fft_memory_dependent(1 << 20, 1 << 8, 4)
         );
-        assert!(fft_memory_independent(1 << 20, 16) > 0.0);
-    }
-
-    #[test]
-    fn bound_kind_table() {
-        assert_eq!(BoundKind::Classical.omega(), 3.0);
-        assert_eq!(BoundKind::Strassen.omega(), OMEGA_FAST);
-        assert!(BoundKind::Fast2x2.holds_with_recomputation());
-        assert!(BoundKind::Strassen.row_name().contains("Strassen"));
     }
 }

@@ -295,20 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn omegas() {
-        assert!((strassen().omega() - 2.807354922057604).abs() < 1e-12);
-        assert!((classical().omega() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn winograd_slps_have_published_structure() {
         let w = winograd();
         assert_eq!(w.enc_a.additions(), 4);
         assert_eq!(w.enc_b.additions(), 4);
         assert_eq!(w.dec.additions(), 7);
-        // No coefficient multiplications anywhere (pure ±1 algorithms).
-        assert_eq!(w.enc_a.coeff_multiplications(), 0);
-        assert_eq!(w.dec.coeff_multiplications(), 0);
     }
 
     #[test]

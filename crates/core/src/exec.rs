@@ -253,7 +253,8 @@ fn pad_to_square<T: Scalar>(m: &Matrix<T>, n: usize) -> Matrix<T> {
 /// The measured counts from [`multiply_fast_counted`] must equal these — a
 /// strong cross-check that the executor performs exactly the published
 /// operations.
-pub fn theoretical_counts(t: u64, adds_per_step: u64, n: usize) -> OpCounts {
+#[cfg(test)]
+pub(crate) fn theoretical_counts(t: u64, adds_per_step: u64, n: usize) -> OpCounts {
     assert!(n.is_power_of_two());
     let k = n.trailing_zeros();
     let tk = t.pow(k);

@@ -29,7 +29,8 @@ pub fn dominator_lower_bound(n: usize, u: usize, v: usize) -> usize {
 /// The inner inequality of Lemma 3.10: for `q` vertex-disjoint copies of
 /// `G^{n×n}`, a set `Γ` with `|Γ| ≤ |O'|/2` leaves at least
 /// `2n·√(|O'| − 2|Γ|)` input vertices undominated.
-pub fn undominated_inputs_bound(n: usize, o_prime: usize, gamma: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn undominated_inputs_bound(n: usize, o_prime: usize, gamma: usize) -> f64 {
     if 2 * gamma >= o_prime {
         return 0.0;
     }

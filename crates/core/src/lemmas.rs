@@ -139,7 +139,7 @@ pub fn check_lemma_3_3(enc: &Bipartite, algorithm: &str) -> LemmaReport {
 /// The nine Hopcroft–Kerr families of Lemma 3.4 / Corollary 3.5, each given
 /// by the supports (subsets of `{A11, A12, A21, A22}` as bitmasks) of its
 /// three linear sums.
-pub fn hopcroft_kerr_families() -> [[u8; 3]; 9] {
+pub(crate) fn hopcroft_kerr_families() -> [[u8; 3]; 9] {
     // Bit i of the mask ↔ input i in order (A11, A12, A21, A22).
     const A11: u8 = 1;
     const A12: u8 = 2;
@@ -339,7 +339,8 @@ pub fn check_lemma_3_11_sampled(
 /// Lemma 3.10, sampled: build `q` vertex-disjoint copies of `H^{n×n}`,
 /// draw `Γ` and `O'` across the copies, and check that the inputs **not**
 /// dominated by `Γ` number at least `2n·√(|O'| − 2|Γ|)`.
-pub fn check_lemma_3_10_sampled(
+#[cfg(test)]
+pub(crate) fn check_lemma_3_10_sampled(
     alg: &Bilinear2x2,
     n: usize,
     q: usize,

@@ -5,7 +5,7 @@
 //! * [`bilinear`] — `⟨2,2,2;t⟩` bilinear matrix-multiplication algorithms as
 //!   coefficient triples `(U, V, W)`, validated exactly against **Brent's
 //!   equations**;
-//! * [`slp`] — straight-line programs for the linear (encoder/decoder)
+//! * `slp` — straight-line programs for the linear (encoder/decoder)
 //!   phases, capturing the common-subexpression reuse that gives Winograd
 //!   its 15-addition count;
 //! * [`catalog`] — Strassen, Strassen–Winograd, the classical 8-product
@@ -29,10 +29,8 @@ pub mod catalog;
 pub mod exec;
 pub mod grigoriev;
 pub mod lemmas;
-pub mod rectangular;
-pub mod slp;
+mod slp;
 pub mod symmetry;
 
 pub use bilinear::Bilinear2x2;
-pub use rectangular::BilinearRect;
 pub use slp::Slp;

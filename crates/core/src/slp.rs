@@ -19,7 +19,7 @@
 //! copied.
 
 /// A register: either one of the `inputs` or the result of an earlier op.
-pub type Reg = usize;
+pub(crate) type Reg = usize;
 
 /// One binary linear operation `result = c1·reg[r1] + c2·reg[r2]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl Slp {
     ///
     /// # Panics
     /// Panics with a description of the first malformed op.
-    pub fn assert_well_formed(&self) {
+    pub(crate) fn assert_well_formed(&self) {
         for (k, op) in self.ops.iter().enumerate() {
             let limit = self.n_inputs + k;
             assert!(op.r1 < limit, "op {k} reads future register {}", op.r1);
@@ -72,22 +72,10 @@ impl Slp {
         self.ops.len()
     }
 
-    /// Number of scalar-by-coefficient multiplications: coefficients other
-    /// than ±1 each cost one multiply per use.
-    pub fn coeff_multiplications(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| {
-                usize::from(op.c1.abs() != 1 && op.c1 != 0)
-                    + usize::from(op.c2.abs() != 1 && op.c2 != 0)
-            })
-            .sum()
-    }
-
     /// Symbolic evaluation: each register as a coefficient vector over the
     /// inputs; returns the output rows. This is what the program "computes"
     /// as a linear map, and must equal the intended coefficient matrix.
-    pub fn symbolic_rows(&self) -> Vec<Vec<i64>> {
+    pub(crate) fn symbolic_rows(&self) -> Vec<Vec<i64>> {
         let mut regs: Vec<Vec<i64>> = Vec::with_capacity(self.n_inputs + self.ops.len());
         for i in 0..self.n_inputs {
             let mut row = vec![0i64; self.n_inputs];
@@ -319,7 +307,6 @@ mod tests {
         let rows = vec![vec![0, 0, 2, 0]];
         let slp = Slp::from_rows(4, &rows);
         assert!(slp.implements(&rows));
-        assert!(slp.coeff_multiplications() >= 1);
     }
 
     #[test]
@@ -448,29 +435,5 @@ mod tests {
             outputs: vec![3],
         };
         slp.assert_well_formed();
-    }
-
-    #[test]
-    fn coeff_multiplications_counted() {
-        let slp = Slp {
-            n_inputs: 2,
-            ops: vec![
-                LinOp {
-                    c1: 2,
-                    r1: 0,
-                    c2: -3,
-                    r2: 1,
-                },
-                LinOp {
-                    c1: 1,
-                    r1: 2,
-                    c2: -1,
-                    r2: 0,
-                },
-            ],
-            outputs: vec![3],
-        };
-        assert_eq!(slp.coeff_multiplications(), 2);
-        assert_eq!(slp.additions(), 2);
     }
 }

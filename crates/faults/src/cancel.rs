@@ -101,12 +101,6 @@ impl CancelToken {
         );
     }
 
-    /// Has the token fired (explicitly or by deadline)? Latches: once
-    /// true, always true.
-    pub fn is_cancelled(&self) -> bool {
-        self.reason().is_some()
-    }
-
     /// Why the token fired, or `None` while it is live. Checking the
     /// deadline costs one `Instant::now()` — poll at a stride from tight
     /// loops.
@@ -131,13 +125,6 @@ impl CancelToken {
                 _ => None,
             },
         }
-    }
-
-    /// Time left before the deadline (`None` when there is no deadline).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.inner
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Unwind with the [`Cancelled`] sentinel if the token has fired.
@@ -325,7 +312,6 @@ mod tests {
     #[test]
     fn fresh_token_is_live() {
         let t = CancelToken::new();
-        assert!(!t.is_cancelled());
         assert_eq!(t.reason(), None);
         t.bail_if_cancelled(); // must not unwind
     }
@@ -335,7 +321,6 @@ mod tests {
         let t = CancelToken::new();
         let c = t.clone();
         t.cancel();
-        assert!(c.is_cancelled());
         assert_eq!(c.reason(), Some(CancelReason::Cancelled));
         t.cancel(); // idempotent
         assert_eq!(t.reason(), Some(CancelReason::Cancelled));
@@ -353,8 +338,7 @@ mod tests {
     #[test]
     fn unexpired_deadline_stays_live() {
         let t = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!t.is_cancelled());
-        assert!(t.remaining().unwrap() > Duration::from_secs(3000));
+        assert_eq!(t.reason(), None);
     }
 
     #[test]
@@ -378,17 +362,17 @@ mod tests {
         assert!(current().is_none());
         let outer = CancelToken::new();
         let _g = enter(&outer);
-        assert!(!current().unwrap().is_cancelled());
+        assert!(current().unwrap().reason().is_none());
         {
             let inner = CancelToken::new();
             inner.cancel();
             let _g2 = enter(&inner);
-            assert!(current().unwrap().is_cancelled());
+            assert!(current().unwrap().reason().is_some());
             // poll() must unwind on the inner token…
             assert!(std::panic::catch_unwind(poll).is_err());
         }
         // …and the stack must still be balanced afterwards.
-        assert!(!current().unwrap().is_cancelled());
+        assert!(current().unwrap().reason().is_none());
         poll(); // outer token live: no unwind
         drop(_g);
         assert!(current().is_none());

@@ -38,7 +38,7 @@ use crate::{splitmix64, to_unit};
 const TAG_GARBLE: u64 = 0x6A;
 
 /// Default stall-window length in milliseconds.
-pub const DEFAULT_STALL_MS: u64 = 1_500;
+pub(crate) const DEFAULT_STALL_MS: u64 = 1_500;
 
 /// A declarative description of a misbehaving router→shard link set.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,21 +118,6 @@ impl LinkChaosSpec {
         Ok(spec)
     }
 
-    /// Canonical one-line form (parses back to an equal spec).
-    pub fn canonical(&self) -> String {
-        let mut out = format!(
-            "seed={},garble={},stall-ms={}",
-            self.seed, self.garble, self.stall_ms
-        );
-        for (s, d) in &self.delay_ms {
-            out.push_str(&format!(",delay-ms={d}@shard{s}"));
-        }
-        for (s, n) in &self.stall_after {
-            out.push_str(&format!(",stall-after={n}@shard{s}"));
-        }
-        out
-    }
-
     /// Fixed per-reply delay configured for `shard`, in milliseconds.
     pub fn delay_for(&self, shard: usize) -> Option<u64> {
         self.delay_ms
@@ -158,11 +143,6 @@ impl LinkChaosSpec {
         let site = splitmix64(shard as u64 ^ splitmix64(seq ^ (TAG_GARBLE << 56)));
         to_unit(splitmix64(self.seed ^ site)) < self.garble
     }
-
-    /// True when the spec can never perturb anything.
-    pub fn is_inert(&self) -> bool {
-        self.garble == 0.0 && self.delay_ms.is_empty() && self.stall_after.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +150,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_parses_and_round_trips() {
+    fn spec_parses_every_key() {
         let spec =
             LinkChaosSpec::parse("seed=7,delay-ms=200@shard2,stall-after=40@shard1,garble=0.01")
                 .unwrap();
@@ -179,14 +159,9 @@ mod tests {
         assert_eq!(spec.delay_ms, vec![(2, 200)]);
         assert_eq!(spec.stall_after, vec![(1, 40)]);
         assert_eq!(spec.stall_ms, DEFAULT_STALL_MS);
-        assert_eq!(LinkChaosSpec::parse(&spec.canonical()).unwrap(), spec);
 
         let with_window = LinkChaosSpec::parse("stall-after=10@shard0,stall-ms=500").unwrap();
         assert_eq!(with_window.stall_ms, 500);
-        assert_eq!(
-            LinkChaosSpec::parse(&with_window.canonical()).unwrap(),
-            with_window
-        );
     }
 
     #[test]
@@ -210,7 +185,6 @@ mod tests {
     #[test]
     fn empty_spec_is_inert() {
         let spec = LinkChaosSpec::parse("").unwrap();
-        assert!(spec.is_inert());
         assert_eq!(spec.delay_for(0), None);
         assert_eq!(spec.stall_after_for(0), None);
         for seq in 0..256 {
@@ -244,6 +218,5 @@ mod tests {
         assert_eq!(spec.delay_for(2), None);
         assert_eq!(spec.stall_after_for(2), Some(40));
         assert_eq!(spec.stall_after_for(1), None);
-        assert!(!spec.is_inert());
     }
 }

@@ -85,14 +85,14 @@ use std::sync::OnceLock;
 
 /// Rows per packed A panel (and per row-panel work item in the threaded
 /// classical path); a multiple of every micro-kernel's tile height.
-pub const MC: usize = 64;
+pub(crate) const MC: usize = 64;
 /// Shared inner dimension per packed panel pair.
-pub const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Columns per packed B panel.
-pub const NC: usize = 512;
+pub(crate) const NC: usize = 512;
 /// Rows per counted micro tile: [`Report::micro_tiles`] counts `MR`-row
 /// units whichever kernel ran. Also the portable and AVX2 tile height.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 
 /// Which algorithm [`multiply`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,7 +104,7 @@ pub enum Alg {
 
 impl Alg {
     /// Every algorithm, in [`Alg::NAMES`] order.
-    pub const ALL: [Alg; 3] = [Alg::Classical, Alg::Strassen, Alg::Winograd];
+    pub(crate) const ALL: [Alg; 3] = [Alg::Classical, Alg::Strassen, Alg::Winograd];
     /// The algorithms' names, as [`Alg::parse`] reads them.
     pub const NAMES: [&'static str; 3] = ["classical", "strassen", "winograd"];
 
@@ -157,8 +157,8 @@ pub struct Report {
     /// Nanoseconds spent gathering A/B tiles into contiguous panels,
     /// adding up a fused leaf's weighted block sums included.
     pub pack_ns: u64,
-    /// [`MR`]-row units of C the micro-kernel swept, `ceil(rows / MR)`
-    /// per packed A strip and block: each covers up to [`MR`]×[`NC`] of
+    /// `MR`-row units of C the micro-kernel swept, `ceil(rows / MR)`
+    /// per packed A strip and block: each covers up to `MR`×`NC` of
     /// C. The count does not depend on which kernel (tile shape) ran.
     pub micro_tiles: u64,
     /// Classical leaf products run by the Strassen recursion (0 for a

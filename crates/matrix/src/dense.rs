@@ -132,7 +132,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Row `i` as a slice.
-    pub fn row(&self, i: usize) -> &[T] {
+    pub(crate) fn row(&self, i: usize) -> &[T] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 

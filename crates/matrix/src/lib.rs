@@ -11,7 +11,7 @@
 //!   (`i64`/`i128`), exact rational ([`Rational`]) and prime-field ([`Zp`])
 //!   instances — the exact types are what the algorithm-validation machinery
 //!   in `fmm-core` uses to check Brent's equations symbolically;
-//! * a row-major dense [`Matrix`] with quadrant [views](view), padding and
+//! * a row-major dense [`Matrix`] with quadrant [views](MatrixView), padding and
 //!   splitting/joining helpers matched to the 2×2 recursion the paper
 //!   studies;
 //! * classical multiplication kernels (naive and loop-reordered) that serve
@@ -21,16 +21,15 @@
 //! Nothing in this crate knows about fast (Strassen-like) algorithms; those
 //! live in `fmm-core` and are expressed against this substrate.
 
-pub mod dense;
+mod dense;
 pub mod multiply;
-pub mod operators;
 pub mod ops;
 pub mod quad;
 mod random;
-pub mod rational;
-pub mod scalar;
-pub mod view;
-pub mod zp;
+mod rational;
+mod scalar;
+mod view;
+mod zp;
 
 pub use dense::Matrix;
 pub use rational::Rational;

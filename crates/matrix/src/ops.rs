@@ -38,16 +38,11 @@ pub fn add_assign<T: Scalar>(a: &mut Matrix<T>, b: &Matrix<T>) {
 }
 
 /// `a -= b`, in place.
-pub fn sub_assign<T: Scalar>(a: &mut Matrix<T>, b: &Matrix<T>) {
+pub(crate) fn sub_assign<T: Scalar>(a: &mut Matrix<T>, b: &Matrix<T>) {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
     for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *x -= y;
     }
-}
-
-/// `a * c` for a scalar `c`.
-pub fn scale<T: Scalar>(a: &Matrix<T>, c: T) -> Matrix<T> {
-    a.map(|x| x * c)
 }
 
 /// `acc += c * m` — the fused kernel used by encoder/decoder application,
@@ -126,11 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_matches_map() {
-        assert_eq!(scale(&a(), 3), Matrix::from_rows(&[&[3i64, 6], &[9, 12]]));
-    }
-
-    #[test]
     fn axpy_coeff_paths() {
         // 0: no-op
         let mut acc = a();
@@ -143,7 +133,7 @@ mod tests {
         assert_eq!(acc, a());
         // general coefficient
         axpy_coeff(&mut acc, 2, &b());
-        assert_eq!(acc, add(&a(), &scale(&b(), 2)));
+        assert_eq!(acc, add(&a(), &b().map(|x| x * 2)));
     }
 
     #[test]

@@ -51,40 +51,22 @@ impl Rational {
     }
 
     /// The integer `v` as a rational.
-    pub fn from_int(v: i128) -> Self {
+    pub(crate) fn from_int(v: i128) -> Self {
         Rational { num: v, den: 1 }
-    }
-
-    /// Denominator (always positive).
-    pub fn denom(&self) -> i128 {
-        self.den
     }
 
     /// Multiplicative inverse.
     ///
     /// # Panics
     /// Panics if `self` is zero.
-    pub fn recip(&self) -> Self {
+    pub(crate) fn recip(&self) -> Self {
         assert!(self.num != 0, "reciprocal of zero");
         Rational::new(self.den, self.num)
-    }
-
-    /// True when the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
     }
 
     /// Convert to `f64` (lossy).
     pub fn to_f64(&self) -> f64 {
         self.num as f64 / self.den as f64
-    }
-
-    /// Absolute value.
-    pub fn abs(&self) -> Self {
-        Rational {
-            num: self.num.abs(),
-            den: self.den,
-        }
     }
 }
 
@@ -216,7 +198,7 @@ mod tests {
         assert_eq!(Rational::new(-2, -4), Rational::new(1, 2));
         assert_eq!(Rational::new(2, -4), Rational::new(-1, 2));
         assert_eq!(Rational::new(0, -7), Rational::from_int(0));
-        assert_eq!(Rational::new(6, 3).denom(), 1);
+        assert_eq!(Rational::new(6, 3), Rational::from_int(2));
     }
 
     #[test]
@@ -266,10 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn to_f64_and_is_integer() {
+    fn to_f64_is_the_quotient() {
         assert_eq!(Rational::new(1, 2).to_f64(), 0.5);
-        assert!(Rational::new(8, 4).is_integer());
-        assert!(!Rational::new(1, 4).is_integer());
+        assert_eq!(Rational::new(8, 4).to_f64(), 2.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct MatrixView<'a, T> {
 
 impl<'a, T: Scalar> MatrixView<'a, T> {
     /// View of the whole matrix.
-    pub fn full(m: &'a Matrix<T>) -> Self {
+    pub(crate) fn full(m: &'a Matrix<T>) -> Self {
         MatrixView {
             data: m.as_slice(),
             offset: 0,
@@ -37,7 +37,13 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     ///
     /// # Panics
     /// Panics if the window exceeds the view bounds.
-    pub fn window(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> MatrixView<'a, T> {
+    pub(crate) fn window(
+        &self,
+        r0: usize,
+        c0: usize,
+        rows: usize,
+        cols: usize,
+    ) -> MatrixView<'a, T> {
         assert!(
             r0 + rows <= self.rows && c0 + cols <= self.cols,
             "window out of bounds"
@@ -53,7 +59,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
 
     /// The four quadrants of a square even-order view, in row-major order
     /// `[Q11, Q12, Q21, Q22]`.
-    pub fn quadrants(&self) -> [MatrixView<'a, T>; 4] {
+    pub(crate) fn quadrants(&self) -> [MatrixView<'a, T>; 4] {
         assert!(
             self.rows == self.cols && self.rows.is_multiple_of(2),
             "need square even view"
@@ -77,15 +83,8 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
         self.cols
     }
 
-    /// Element at `(i, j)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> T {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[self.offset + i * self.stride + j]
-    }
-
     /// Materialize the view as an owned matrix, one row copy per row.
-    pub fn to_matrix(&self) -> Matrix<T> {
+    pub(crate) fn to_matrix(self) -> Matrix<T> {
         let mut data = Vec::with_capacity(self.rows * self.cols);
         for i in 0..self.rows {
             let start = self.offset + i * self.stride;
@@ -115,10 +114,10 @@ mod tests {
         let m = sample();
         let v = MatrixView::full(&m);
         let [q11, q12, q21, q22] = v.quadrants();
-        assert_eq!(q11.get(0, 0), 0);
-        assert_eq!(q12.get(0, 0), 2);
-        assert_eq!(q21.get(0, 0), 8);
-        assert_eq!(q22.get(1, 1), 15);
+        assert_eq!(q11.to_matrix()[(0, 0)], 0);
+        assert_eq!(q12.to_matrix()[(0, 0)], 2);
+        assert_eq!(q21.to_matrix()[(0, 0)], 8);
+        assert_eq!(q22.to_matrix()[(1, 1)], 15);
     }
 
     #[test]
@@ -126,8 +125,8 @@ mod tests {
         let m = sample();
         let v = MatrixView::full(&m);
         let w = v.window(1, 1, 3, 3).window(1, 1, 2, 2);
-        assert_eq!(w.get(0, 0), m[(2, 2)]);
-        assert_eq!(w.get(1, 1), m[(3, 3)]);
+        assert_eq!(w.to_matrix()[(0, 0)], m[(2, 2)]);
+        assert_eq!(w.to_matrix()[(1, 1)], m[(3, 3)]);
     }
 
     #[test]

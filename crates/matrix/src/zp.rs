@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Field modulus: the Mersenne prime 2³¹ − 1.
-pub const P: u64 = (1 << 31) - 1;
+pub(crate) const P: u64 = (1 << 31) - 1;
 
 /// An element of ℤ/pℤ, stored canonically in `[0, p)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,29 +25,6 @@ impl Zp {
     /// Canonical representative in `[0, p)`.
     pub fn value(self) -> u64 {
         self.0
-    }
-
-    /// Modular exponentiation by squaring.
-    pub fn pow(self, mut e: u64) -> Self {
-        let mut base = self;
-        let mut acc = Zp(1);
-        while e > 0 {
-            if e & 1 == 1 {
-                acc *= base;
-            }
-            base *= base;
-            e >>= 1;
-        }
-        acc
-    }
-
-    /// Multiplicative inverse via Fermat's little theorem.
-    ///
-    /// # Panics
-    /// Panics on zero.
-    pub fn inverse(self) -> Self {
-        assert!(self.0 != 0, "inverse of zero in Zp");
-        self.pow(P - 2)
     }
 }
 
@@ -157,29 +134,5 @@ mod tests {
         let a = Zp::new(P - 1);
         // (p-1)² ≡ 1 (mod p)
         assert_eq!((a * a).value(), 1);
-    }
-
-    #[test]
-    fn fermat_inverse() {
-        for v in [1u64, 2, 17, P - 2, 123_456_789] {
-            let a = Zp::new(v);
-            assert_eq!(a * a.inverse(), Zp::one(), "inverse failed for {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inverse of zero")]
-    fn inverse_of_zero_panics() {
-        let _ = Zp::zero().inverse();
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let a = Zp::new(3);
-        let mut acc = Zp::one();
-        for e in 0..20u64 {
-            assert_eq!(a.pow(e), acc);
-            acc *= a;
-        }
     }
 }

@@ -23,7 +23,7 @@
 //!   address (4 bytes per address up to the largest one inserted; it
 //!   grows on a miss). [`Cache::flush`] resets only the entries of the
 //!   lines it walks, so a wipe costs O(resident), not O(addresses).
-//!   A sparse foreign trace goes through [`crate::trace::densify`] first.
+//!   A sparse foreign trace goes through `crate::trace::densify` first.
 //!
 //! Exactness is enforced by the differential harness in
 //! [`crate::reference`]: random traces must produce byte-identical
@@ -133,11 +133,6 @@ impl Cache {
     /// the I/O accounting in [`CacheStats`]).
     pub fn eviction_stats(&self) -> EvictionStats {
         self.evictions
-    }
-
-    /// Number of resident words.
-    pub fn resident(&self) -> usize {
-        self.len
     }
 
     /// Unlink slot `s` from the recency list.
@@ -368,7 +363,7 @@ mod tests {
         c.read(3);
         c.flush();
         assert_eq!(c.stats().stores, 2);
-        assert_eq!(c.resident(), 0);
+        assert_eq!(c.len, 0);
     }
 
     #[test]
@@ -376,7 +371,7 @@ mod tests {
         let mut c = Cache::new(3, Policy::Lru);
         for a in 0..10 {
             c.read(a);
-            assert!(c.resident() <= 3);
+            assert!(c.len <= 3);
         }
     }
 
@@ -422,7 +417,7 @@ mod tests {
         c.write(1);
         c.read(2);
         c.flush();
-        assert_eq!(c.resident(), 0);
+        assert_eq!(c.len, 0);
         c.read(1); // miss: flush emptied the cache
         c.read(2); // miss
         c.read(1); // hit

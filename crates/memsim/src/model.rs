@@ -34,7 +34,8 @@ pub fn recursive_fast_io(n: usize, m_words: usize, t: u64, adds_per_step: u64) -
 /// Per-processor communication of Cannon's 2D algorithm on `p×p`
 /// processors: the initial skew plus `p − 1` shift rounds of two blocks of
 /// `(n/p)²` words: `≈ 2·(p+1)·(n/p)² ≈ 2n²/√P`.
-pub fn cannon_per_proc(n: usize, p: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn cannon_per_proc(n: usize, p: usize) -> f64 {
     let bs = n as f64 / p as f64;
     2.0 * (p as f64 + 1.0) * bs * bs
 }
@@ -42,7 +43,8 @@ pub fn cannon_per_proc(n: usize, p: usize) -> f64 {
 /// Per-processor communication of the classical 3D algorithm on `p³`
 /// processors with relay-chain collectives: receive + forward each operand
 /// block and one reduction hop: `≈ 6(n/p)² = 6n²/P^{2/3}`.
-pub fn three_d_per_proc(n: usize, p: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn three_d_per_proc(n: usize, p: usize) -> f64 {
     let bs = n as f64 / p as f64;
     6.0 * bs * bs
 }
@@ -50,7 +52,8 @@ pub fn three_d_per_proc(n: usize, p: usize) -> f64 {
 /// Per-processor communication of BFS-CAPS Strassen with `P = 7^k`:
 /// `f(n, 7^k) = 14·(n/2)²/7^k + f(n/2, 7^{k−1})`, `f(·, 1) = 0`
 /// — geometric with ratio `7/4`, total `Θ(n²/P^{2/ω₀})`.
-pub fn caps_per_proc(n: usize, levels: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn caps_per_proc(n: usize, levels: usize) -> f64 {
     if levels == 0 {
         return 0.0;
     }
@@ -89,7 +92,8 @@ pub fn caps_per_proc_limited(n: usize, p: usize, m: usize) -> f64 {
 /// Karstadt–Schwartz's Section IV claim — alternative basis reduces not
 /// only the arithmetic but also the I/O leading coefficient — shows up as
 /// `C(12 adds) < C(15) < C(18)`.
-pub fn io_leading_coefficient(t: u64, adds_per_step: u64, m_words: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn io_leading_coefficient(t: u64, adds_per_step: u64, m_words: usize) -> f64 {
     let n = 1usize << 24;
     let io = recursive_fast_io(n, m_words, t, adds_per_step);
     let ratio = n as f64 / (m_words as f64).sqrt();

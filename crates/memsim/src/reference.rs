@@ -9,7 +9,7 @@
 //! eye, and the differential proptests (`tests/differential.rs`) pin the
 //! fast core to them byte for byte on random traces. The scripts may use
 //! any `u64` address: the reference models take them as they are, while
-//! [`replay_production`] renames them with [`crate::trace::densify`]
+//! [`replay_production`] renames them with `crate::trace::densify`
 //! first, as every foreign trace entering the dense simulator is.
 //!
 //! **Do not optimize this module.** Its entire value is being too simple
@@ -130,7 +130,7 @@ pub fn replay_reference(
     (c.stats, c.evictions)
 }
 
-/// Run the same script, its addresses [`crate::trace::densify`]d, through
+/// Run the same script, its addresses `crate::trace::densify`d, through
 /// the production [`crate::cache::Cache`].
 pub fn replay_production(
     ops: &[Op],

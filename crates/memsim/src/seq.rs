@@ -6,7 +6,8 @@
 //! two-level machine with `M` words of fast memory would perform. This is
 //! the measured side of the Table I comparison:
 //!
-//! * [`classical_naive`] — the textbook triple loop (pathological reuse);
+//! * `classical_naive` (tests only) — the textbook triple loop
+//!   (pathological reuse), the baseline blocking is tested against;
 //! * [`classical_blocked`] — tiled with `b ≈ √(M/3)`, the Hong–Kung-optimal
 //!   classical schedule, `Θ(n³/√M)` I/O;
 //! * [`fast_recursive`] — any catalog algorithm, recursing until the
@@ -90,13 +91,8 @@ impl TMat {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Copy out as an ordinary matrix (no I/O charged — diagnostic only).
-    pub fn to_matrix(&self) -> Matrix<f64> {
+    pub(crate) fn to_matrix(&self) -> Matrix<f64> {
         Matrix::from_vec(self.rows, self.cols, self.data.clone())
     }
 }
@@ -261,7 +257,7 @@ impl Mem {
     /// Explicitly enable (or disable) per-phase attribution, independent of
     /// the global telemetry level — used by tests so they need no global
     /// state.
-    pub fn record_phases(&mut self, on: bool) {
+    pub(crate) fn record_phases(&mut self, on: bool) {
         self.phases = on.then(|| PhaseLog {
             current: "main",
             last_stats: self.cache.stats(),
@@ -273,7 +269,7 @@ impl Mem {
     /// Switch the active phase, attributing I/O since the last switch to
     /// the previous phase. No-op unless phase recording is on.
     #[inline]
-    pub fn set_phase(&mut self, phase: &'static str) {
+    pub(crate) fn set_phase(&mut self, phase: &'static str) {
         if self.phases.is_some() {
             self.close_phase();
             if let Some(log) = &mut self.phases {
@@ -431,7 +427,8 @@ fn publish_cache_metrics(stats: CacheStats, evict: EvictionStats, deltas: &[Phas
 }
 
 /// Textbook i-j-k multiplication through the cache.
-pub fn classical_naive(mem: &mut Mem, a: &TMat, b: &TMat) -> TMat {
+#[cfg(test)]
+pub(crate) fn classical_naive(mem: &mut Mem, a: &TMat, b: &TMat) -> TMat {
     assert_eq!(a.cols, b.rows, "inner dimension mismatch");
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let mut c = mem.alloc(m, n);
@@ -668,8 +665,8 @@ where
 /// Measured I/O of one full run under the **offline-optimal**
 /// (Belady/MIN) replacement policy, computed in two streaming passes that
 /// never materialize the trace: pass 1 re-runs `f` feeding a
-/// [`NextUseBuilder`] (4 bytes of next-use index per access), pass 2
-/// re-runs `f` feeding the [`crate::trace::OptSim`] it froze into.
+/// `NextUseBuilder` (4 bytes of next-use index per access), pass 2
+/// re-runs `f` feeding the `crate::trace::OptSim` it froze into.
 /// Instrumented executions are deterministic, so both passes see the
 /// identical access stream (verified at runtime by the simulator).
 ///

@@ -13,10 +13,10 @@
 //! records, both indexing plain vectors by address (addresses are dense,
 //! see [`crate::cache`]):
 //!
-//! 1. [`NextUseBuilder`] consumes the access stream once and records, per
+//! 1. `NextUseBuilder` consumes the access stream once and records, per
 //!    access, the position of the same address's next access (4 bytes
 //!    per access, plus 8 per address while it builds).
-//! 2. [`OptSim`] consumes the *same* stream again (instrumented
+//! 2. `OptSim` consumes the *same* stream again (instrumented
 //!    executions are deterministic, so the second pass is a re-run) and
 //!    simulates Belady eviction with O(1) amortized work per access: the
 //!    resident set is indexed by a `pos_owner` bucket array mapping each
@@ -30,7 +30,7 @@
 //!    the hit path.
 //!
 //! [`opt_stats`] and [`replay`] take a foreign trace, whose addresses may
-//! be anywhere in `u64`; they rename it with [`densify`] first, the one
+//! be anywhere in `u64`; they rename it with `densify` first, the one
 //! place a sparse address is mapped. The naive `BTreeSet` implementation
 //! survives as [`crate::reference::opt_stats_reference`], the oracle the
 //! differential tests pin this one to.
@@ -76,7 +76,7 @@ impl<T: TraceSink> TraceSink for std::rc::Rc<std::cell::RefCell<T>> {
 /// touch. The renaming is a bijection, so no policy's counters change; it
 /// is how a trace with sparse addresses (up to `u64::MAX`) enters the
 /// dense simulators.
-pub fn densify<'a>(addrs: impl IntoIterator<Item = &'a mut u64>) {
+pub(crate) fn densify<'a>(addrs: impl IntoIterator<Item = &'a mut u64>) {
     let mut ids: HashMap<u64, u64> = HashMap::new();
     for addr in addrs {
         let fresh = ids.len() as u64;
@@ -98,7 +98,7 @@ const NONE32: u32 = u32::MAX;
 /// access to the same address. One `u32` per access — far below the 16
 /// bytes per access of a materialized trace.
 #[derive(Default)]
-pub struct NextUseBuilder {
+pub(crate) struct NextUseBuilder {
     /// Per address: its first access (`NONE32` if untouched).
     first: Vec<u32>,
     /// Per address: its latest access so far.
@@ -109,13 +109,13 @@ pub struct NextUseBuilder {
 
 impl NextUseBuilder {
     /// Empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record the next access of the stream.
     #[inline]
-    pub fn push(&mut self, addr: u64) {
+    pub(crate) fn push(&mut self, addr: u64) {
         let t = self.next.len() as u32;
         assert!(t != NONE32, "trace longer than u32::MAX accesses");
         let a = usize::try_from(addr)
@@ -138,7 +138,7 @@ impl NextUseBuilder {
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    pub fn into_sim(self, capacity: usize) -> OptSim {
+    pub(crate) fn into_sim(self, capacity: usize) -> OptSim {
         assert!(capacity > 0, "cache capacity must be positive");
         let span = self.first.len();
         OptSim {
@@ -172,7 +172,7 @@ impl TraceSink for NextUseBuilder {
 /// The stream fed to [`OptSim::access`] must be *identical* to the one
 /// the [`NextUseBuilder`] saw; a divergence panics with a diagnostic
 /// rather than silently producing wrong counts.
-pub struct OptSim {
+pub(crate) struct OptSim {
     capacity: usize,
     /// Per address: the position of its next access (`NONE32` once it has
     /// none left).
@@ -206,7 +206,7 @@ pub struct OptSim {
 impl OptSim {
     /// Feed the next access of the (re-run) stream.
     #[inline]
-    pub fn access(&mut self, addr: u64, write: bool) {
+    pub(crate) fn access(&mut self, addr: u64, write: bool) {
         let here = self.expect.get(addr as usize).copied();
         assert!(
             here == Some(self.t),
@@ -281,7 +281,7 @@ impl OptSim {
 
     /// Final flush: write back resident dirty lines and return the
     /// accumulated statistics.
-    pub fn finish(mut self) -> CacheStats {
+    pub(crate) fn finish(mut self) -> CacheStats {
         for i in 0..self.resident.len() {
             if self.resident[i] && self.dirty[i] {
                 self.stats.stores += 1;

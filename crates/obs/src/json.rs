@@ -81,7 +81,7 @@ fn labels_object(labels: &[(String, String)]) -> String {
 }
 
 /// One JSONL line for a metric.
-pub fn metric_line(key: &Key, metric: &Metric) -> String {
+pub(crate) fn metric_line(key: &Key, metric: &Metric) -> String {
     let name = escape(&key.name);
     let labels = labels_object(&key.labels);
     match metric {
@@ -117,7 +117,7 @@ pub fn metric_line(key: &Key, metric: &Metric) -> String {
 /// the full 64 bits. Span ids stay numeric — they are small monotone
 /// counters. Field values are stringified for the same reason, riding in
 /// the flat string→string object shape the parser already supports.
-pub fn span_line(r: &SpanRecord) -> String {
+pub(crate) fn span_line(r: &SpanRecord) -> String {
     let mut fields = String::from("{");
     for (i, (k, v)) in r.fields.iter().enumerate() {
         if i > 0 {
@@ -139,7 +139,7 @@ pub fn span_line(r: &SpanRecord) -> String {
 }
 
 /// One JSONL line for an event.
-pub fn event_line(ev: &Event) -> String {
+pub(crate) fn event_line(ev: &Event) -> String {
     format!(
         "{{\"type\":\"event\",\"seq\":{},\"name\":\"{}\",\"labels\":{}}}",
         ev.seq,

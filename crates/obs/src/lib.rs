@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 pub mod json;
 pub mod jsonl;
-pub mod progress;
+mod progress;
 pub mod span;
 pub mod trace;
 
@@ -59,7 +59,7 @@ impl Level {
     }
 
     /// Parse a `FMM_OBS` value; unknown strings mean `Off`.
-    pub fn parse(s: &str) -> Level {
+    pub(crate) fn parse(s: &str) -> Level {
         match s.trim().to_ascii_lowercase().as_str() {
             "summary" | "on" | "1" => Level::Summary,
             "full" | "2" => Level::Full,
@@ -114,10 +114,10 @@ pub fn detailed() -> bool {
 // ---------------------------------------------------------------------------
 
 /// Owned label set: sorted `(key, value)` pairs.
-pub type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 /// Borrowed labels at call sites: `&[("level", 3.to_string())]`.
-pub type LabelRef<'a> = &'a [(&'a str, String)];
+pub(crate) type LabelRef<'a> = &'a [(&'a str, String)];
 
 fn own_labels(labels: LabelRef<'_>) -> Labels {
     let mut v: Labels = labels
@@ -130,7 +130,7 @@ fn own_labels(labels: LabelRef<'_>) -> Labels {
 
 /// A metric identity: name plus sorted labels.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Key {
+pub(crate) struct Key {
     /// Dotted metric name, e.g. `memsim.cache.evictions`.
     pub name: String,
     /// Sorted label pairs.
@@ -203,7 +203,7 @@ impl Histogram {
     }
 
     /// Mean observation (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -225,7 +225,7 @@ impl Histogram {
     /// result is clamped to `[min, max]` so exact extremes stay exact.
     /// Rank 1 returns `min` and rank `count` returns `max` exactly.
     /// Returns 0 when empty (guard with [`Histogram::is_empty`]).
-    pub fn percentile(&self, q: f64) -> u64 {
+    pub(crate) fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -262,7 +262,7 @@ impl Histogram {
         self.max
     }
 
-    /// Median observation (interpolated; see [`Histogram::percentile`]).
+    /// Median observation (interpolated; see `Histogram::percentile`).
     pub fn p50(&self) -> u64 {
         self.percentile(50.0)
     }
@@ -281,7 +281,7 @@ impl Histogram {
 /// One recorded metric value.
 #[derive(Clone, Debug, PartialEq)]
 #[allow(clippy::large_enum_variant)] // histograms are rare; boxing would cost a deref on every observe
-pub enum Metric {
+pub(crate) enum Metric {
     /// Monotone sum.
     Counter(u64),
     /// Last-write-wins float.
@@ -292,7 +292,7 @@ pub enum Metric {
 
 /// A discrete event for the JSONL event log.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Event {
+pub(crate) struct Event {
     /// Monotone sequence number within the registry.
     pub seq: u64,
     /// Event name.
@@ -331,12 +331,12 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry (the process-wide one is [`global()`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 
     /// Add `delta` to a counter, creating it at zero.
-    pub fn add(&self, name: &str, labels: LabelRef<'_>, delta: u64) {
+    pub(crate) fn add(&self, name: &str, labels: LabelRef<'_>, delta: u64) {
         if delta == 0 {
             return;
         }
@@ -352,7 +352,7 @@ impl Registry {
     }
 
     /// Set a gauge.
-    pub fn gauge(&self, name: &str, labels: LabelRef<'_>, value: f64) {
+    pub(crate) fn gauge(&self, name: &str, labels: LabelRef<'_>, value: f64) {
         let key = Key {
             name: name.to_string(),
             labels: own_labels(labels),
@@ -362,7 +362,7 @@ impl Registry {
     }
 
     /// Record one histogram observation.
-    pub fn observe(&self, name: &str, labels: LabelRef<'_>, value: u64) {
+    pub(crate) fn observe(&self, name: &str, labels: LabelRef<'_>, value: u64) {
         let key = Key {
             name: name.to_string(),
             labels: own_labels(labels),
@@ -383,7 +383,7 @@ impl Registry {
     }
 
     /// Append an event to the log (bounded by an internal cap).
-    pub fn event(&self, name: &str, labels: LabelRef<'_>) {
+    pub(crate) fn event(&self, name: &str, labels: LabelRef<'_>) {
         let mut inner = self.inner.lock().unwrap();
         inner.event_seq += 1;
         if inner.events.len() >= EVENT_CAP {
@@ -426,7 +426,7 @@ impl Registry {
     }
 
     /// Sorted copy of every metric.
-    pub fn snapshot(&self) -> Vec<(Key, Metric)> {
+    pub(crate) fn snapshot(&self) -> Vec<(Key, Metric)> {
         let inner = self.inner.lock().unwrap();
         let mut out: Vec<(Key, Metric)> = inner
             .metrics
@@ -438,7 +438,7 @@ impl Registry {
     }
 
     /// Copy of the event log in sequence order, plus the dropped count.
-    pub fn events(&self) -> (Vec<Event>, u64) {
+    pub(crate) fn events(&self) -> (Vec<Event>, u64) {
         let inner = self.inner.lock().unwrap();
         (inner.events.clone(), inner.events_dropped)
     }
@@ -455,7 +455,7 @@ impl Registry {
     }
 
     /// Copy of the span log in close order, plus the dropped count.
-    pub fn spans(&self) -> (Vec<SpanRecord>, u64) {
+    pub(crate) fn spans(&self) -> (Vec<SpanRecord>, u64) {
         let inner = self.inner.lock().unwrap();
         (inner.spans.clone(), inner.spans_dropped)
     }
@@ -471,19 +471,8 @@ impl Registry {
         inner.spans_dropped = 0;
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner.metrics.is_empty() && inner.events.is_empty() && inner.spans.is_empty()
-    }
-
-    /// Render a human-readable table of all metrics.
-    pub fn render_table(&self) -> String {
-        render_table_from(&self.snapshot())
-    }
-
     /// Serialise every metric and event as one JSON object per line.
-    pub fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+    pub(crate) fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         for (key, metric) in self.snapshot() {
             writeln!(w, "{}", json::metric_line(&key, &metric))?;
         }
@@ -516,52 +505,13 @@ impl Registry {
         Ok(())
     }
 
-    /// [`write_jsonl`](Self::write_jsonl) into a `String`.
+    /// `write_jsonl` into a `String`.
     pub fn to_jsonl(&self) -> String {
         let mut buf = Vec::new();
         self.write_jsonl(&mut buf)
             .expect("writing to a Vec cannot fail");
         String::from_utf8(buf).expect("JSONL output is UTF-8")
     }
-}
-
-/// Render a sorted `(Key, Metric)` list as an aligned text table.
-pub fn render_table_from(snapshot: &[(Key, Metric)]) -> String {
-    let mut rows: Vec<(String, String)> = Vec::with_capacity(snapshot.len());
-    for (key, metric) in snapshot {
-        let mut name = key.name.clone();
-        if !key.labels.is_empty() {
-            name.push('{');
-            for (i, (k, v)) in key.labels.iter().enumerate() {
-                if i > 0 {
-                    name.push(',');
-                }
-                name.push_str(k);
-                name.push('=');
-                name.push_str(v);
-            }
-            name.push('}');
-        }
-        let value = match metric {
-            Metric::Counter(c) => c.to_string(),
-            Metric::Gauge(g) => format!("{g:.4}"),
-            Metric::Histogram(h) => format!(
-                "count={} sum={} min={} mean={:.1} max={}",
-                h.count,
-                h.sum,
-                h.min,
-                h.mean(),
-                h.max
-            ),
-        };
-        rows.push((name, value));
-    }
-    let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (name, value) in rows {
-        out.push_str(&format!("{name:<width$}  {value}\n"));
-    }
-    out
 }
 
 /// The process-wide registry.
@@ -615,7 +565,7 @@ pub(crate) mod test_sync {
 
     static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
-    pub fn lock_level() -> MutexGuard<'static, ()> {
+    pub(crate) fn lock_level() -> MutexGuard<'static, ()> {
         LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -726,9 +676,9 @@ mod tests {
             ]
         );
         r.event("e", &[]);
-        assert!(!r.is_empty());
         r.clear();
-        assert!(r.is_empty());
+        assert!(r.snapshot().is_empty());
+        assert!(r.events().0.is_empty());
     }
 
     #[test]
@@ -749,17 +699,5 @@ mod tests {
         assert_eq!(Level::parse("SUMMARY"), Level::Summary);
         assert_eq!(Level::parse(" full "), Level::Full);
         assert_eq!(Level::parse("garbage"), Level::Off);
-    }
-
-    #[test]
-    fn table_renders_every_kind() {
-        let r = Registry::new();
-        r.add("counter", &[("level", "3".into())], 9);
-        r.gauge("gauge", &[], 0.5);
-        r.observe("hist", &[], 16);
-        let table = r.render_table();
-        assert!(table.contains("counter{level=3}"));
-        assert!(table.contains("0.5000"));
-        assert!(table.contains("count=1 sum=16"));
     }
 }

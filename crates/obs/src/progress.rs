@@ -51,11 +51,6 @@ impl Progress {
         }
     }
 
-    /// Total units counted so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     fn maybe_emit(&mut self) {
         let elapsed = self.last_emit.elapsed();
         if elapsed >= THROTTLE {
@@ -89,7 +84,7 @@ mod tests {
         for _ in 0..100 {
             p.tick(1);
         }
-        assert_eq!(p.count(), 0, "ticks are ignored when off");
+        assert_eq!(p.count, 0, "ticks are ignored when off");
         p.finish();
     }
 
@@ -100,9 +95,9 @@ mod tests {
         for _ in 0..10 {
             p.tick(3);
         }
-        assert_eq!(p.count(), 30);
+        assert_eq!(p.count, 30);
         p.finish();
         p.tick(1);
-        assert_eq!(p.count(), 30, "finish() stops counting");
+        assert_eq!(p.count, 30, "finish() stops counting");
     }
 }

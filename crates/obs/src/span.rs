@@ -86,7 +86,7 @@ pub fn trace_scope(trace_id: u64) -> TraceScope {
 }
 
 /// The trace id currently in scope on this thread (0 = none).
-pub fn current_trace() -> u64 {
+pub(crate) fn current_trace() -> u64 {
     TRACE.with(|t| t.get())
 }
 
@@ -132,11 +132,6 @@ impl Span {
             fields: Vec::new(),
             start: Some(now()),
         }
-    }
-
-    /// This span's process-unique id (0 when telemetry is off).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Attach a counter to this span's log record (e.g. the I/O words the
@@ -247,7 +242,7 @@ mod tests {
         {
             let mut s = Span::enter("should_not_record");
             s.record("io", 7);
-            assert_eq!(s.id(), 0);
+            assert_eq!(s.id, 0);
         }
         assert_eq!(global().snapshot().len(), before);
     }

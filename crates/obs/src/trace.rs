@@ -1,6 +1,6 @@
 //! Reconstruct per-trace span trees from the JSONL sink.
 //!
-//! The span JSONL lines ([`crate::json::span_line`]) carry a trace id plus
+//! The span JSONL lines (`crate::json::span_line`) carry a trace id plus
 //! parent/child span ids. This module parses them back (tolerating
 //! non-span lines interleaved in the same file — the sink mixes metrics,
 //! events, and spans), groups spans by trace, rebuilds each trace's tree,
@@ -89,7 +89,7 @@ pub struct TraceTree {
 impl TraceTree {
     /// Wall time of the trace: the largest root total (roots of one job
     /// run sequentially only in degenerate logs; the job root dominates).
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.roots
             .iter()
             .map(|&i| self.spans[i].total_ns)
@@ -98,7 +98,7 @@ impl TraceTree {
     }
 
     /// Name of the first (lowest-id) root, or `"?"` for an empty tree.
-    pub fn root_name(&self) -> &str {
+    pub(crate) fn root_name(&self) -> &str {
         self.roots
             .first()
             .map(|&i| self.spans[i].name.as_str())

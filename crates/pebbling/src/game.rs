@@ -77,11 +77,6 @@ impl GameResult {
     pub fn io(&self) -> u64 {
         self.loads + self.stores
     }
-
-    /// Weighted cost under a [`CostModel`].
-    pub fn cost(&self, model: CostModel) -> u64 {
-        self.loads * model.read_cost + self.stores * model.write_cost
-    }
 }
 
 /// Why a schedule is illegal.
@@ -349,14 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn cost_models() {
+    fn io_is_loads_plus_stores() {
         let r = GameResult {
             loads: 10,
             stores: 3,
             ..Default::default()
         };
-        assert_eq!(r.cost(CostModel::SYMMETRIC), 13);
-        assert_eq!(r.cost(CostModel::write_heavy(5)), 10 + 15);
         assert_eq!(r.io(), 13);
     }
 

@@ -68,7 +68,7 @@ impl PartialOrd for QueueEntry {
 }
 
 /// Maximum CDAG size the `u16` masks support.
-pub const MAX_VERTICES: usize = 16;
+pub(crate) const MAX_VERTICES: usize = 16;
 
 /// Publish Dijkstra diagnostics under a `search` label.
 fn publish_search(search: &str, explored: usize, frontier_peak: usize) {
@@ -270,7 +270,8 @@ pub fn recompute_gap(
 /// search). The returned schedule validates under
 /// [`crate::game::run_schedule`] and achieves exactly `result.cost` —
 /// closing the loop between the search and the game semantics.
-pub fn optimal_schedule(
+#[cfg(test)]
+pub(crate) fn optimal_schedule(
     g: &Cdag,
     capacity: usize,
     allow_recompute: bool,

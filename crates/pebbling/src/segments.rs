@@ -37,7 +37,7 @@ impl Segment {
 /// Partition `moves` into segments of `outputs_per_segment` first-time
 /// computations of the given `sub_outputs` vertices, accumulating I/O per
 /// segment. The final (possibly partial) segment is included.
-pub fn partition_segments(
+pub(crate) fn partition_segments(
     g: &Cdag,
     moves: &[Move],
     sub_outputs: &[VertexId],

@@ -133,7 +133,7 @@ impl FleetSnapshot {
     }
 
     /// The full flat map the `fleet-stats` verb answers with.
-    pub fn as_map(&self) -> BTreeMap<String, String> {
+    pub(crate) fn as_map(&self) -> BTreeMap<String, String> {
         let mut m = self.ledger.as_map();
         for (key, value) in [
             ("redispatched", self.redispatched),
@@ -271,7 +271,7 @@ struct Job<C> {
 }
 
 /// Something that happened, as the router's threads report it.
-pub enum Event<C> {
+pub(crate) enum Event<C> {
     /// A job request from `client`; `conn` is the connection serial that
     /// identifies a client sending no `client_tag`.
     Request { client: C, conn: u64, req: Request },
@@ -308,7 +308,7 @@ pub enum Event<C> {
 
 /// Something the driver must do.
 #[derive(Debug)]
-pub enum Effect<C> {
+pub(crate) enum Effect<C> {
     /// Write one line to a shard's job connection, then report
     /// [`Event::Sent`] or [`Event::SendFailed`].
     Send {
@@ -335,7 +335,7 @@ pub enum Effect<C> {
 
 /// The router's state and every decision over it. `C` is the handle a
 /// client reply is addressed to.
-pub struct Core<C> {
+pub(crate) struct Core<C> {
     cfg: RouterConfig,
     ring: Ring,
     shards: Vec<Shard>,
@@ -376,7 +376,7 @@ impl<C: Clone> Core<C> {
     /// A core for `cfg`'s fleet; shard `i` starts dead (one crash on
     /// record) when `up[i]` is false. With `journaled`, every admission,
     /// settle, refusal and hedge also yields an [`Effect::Journal`].
-    pub fn new(cfg: &RouterConfig, up: &[bool], journaled: bool) -> Core<C> {
+    pub(crate) fn new(cfg: &RouterConfig, up: &[bool], journaled: bool) -> Core<C> {
         let n = cfg.shard_addrs.len();
         let shards = cfg
             .shard_addrs
@@ -421,7 +421,7 @@ impl<C: Clone> Core<C> {
     }
 
     /// Consume one event at time `now`; the effects, in order.
-    pub fn step(&mut self, now: Duration, event: Event<C>) -> Vec<Effect<C>> {
+    pub(crate) fn step(&mut self, now: Duration, event: Event<C>) -> Vec<Effect<C>> {
         self.now = now;
         match event {
             Event::Request { client, conn, req } => self.admit(client, conn, req),
@@ -1180,7 +1180,7 @@ impl<C: Clone> Core<C> {
         &self.ledger
     }
 
-    pub fn snapshot(&self) -> FleetSnapshot {
+    pub(crate) fn snapshot(&self) -> FleetSnapshot {
         let census = |h: Health| self.shards.iter().filter(|s| s.health == h).count();
         FleetSnapshot {
             ledger: self.ledger.snapshot(),
@@ -1194,7 +1194,7 @@ impl<C: Clone> Core<C> {
 
     /// The `stats` / `fleet-stats` reply: the snapshot plus each shard's
     /// state.
-    pub fn stats(&self) -> BTreeMap<String, String> {
+    pub(crate) fn stats(&self) -> BTreeMap<String, String> {
         let mut m = self.snapshot().as_map();
         for (idx, shard) in self.shards.iter().enumerate() {
             // The wire name is the variant's, lowercased.
@@ -1217,12 +1217,12 @@ impl<C: Clone> Core<C> {
     }
 
     /// No job is in flight.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.jobs.is_empty()
     }
 
     /// Some job's primary envelope is out on shard `idx`.
-    pub fn busy_on(&self, idx: usize) -> bool {
+    pub(crate) fn busy_on(&self, idx: usize) -> bool {
         self.jobs
             .values()
             .any(|j| j.primary.is_some_and(|(s, _)| s == idx))
@@ -1234,7 +1234,7 @@ impl<C: Clone> Core<C> {
     }
 
     /// The shards to health-probe this round: not draining, not gone.
-    pub fn probe_targets(&self) -> Vec<(usize, String)> {
+    pub(crate) fn probe_targets(&self) -> Vec<(usize, String)> {
         self.shards
             .iter()
             .enumerate()
@@ -1244,13 +1244,13 @@ impl<C: Clone> Core<C> {
     }
 
     /// Stop admitting: every later request is shed as `draining`.
-    pub fn begin_drain(&mut self) {
+    pub(crate) fn begin_drain(&mut self) {
         self.draining = true;
     }
 
     /// `drain-shard`: retire shard `params.shard` and return its index
     /// and address for the graceful shutdown, or the counted rejection.
-    pub fn drain_shard(&mut self, req: &Request) -> Result<(usize, String), Response> {
+    pub(crate) fn drain_shard(&mut self, req: &Request) -> Result<(usize, String), Response> {
         let idx = req
             .params
             .get("shard")
@@ -1273,7 +1273,7 @@ impl<C: Clone> Core<C> {
 
     /// The fleet shutdown: retire every shard and return those still up,
     /// now draining; empty when the sequence already ran.
-    pub fn shutdown_shards(&mut self) -> Vec<(usize, String)> {
+    pub(crate) fn shutdown_shards(&mut self) -> Vec<(usize, String)> {
         if std::mem::replace(&mut self.shards_shut, true) {
             return Vec::new();
         }
@@ -1289,7 +1289,7 @@ impl<C: Clone> Core<C> {
     }
 
     /// Keep a drained shard's final counters.
-    pub fn record_ack(&mut self, idx: usize, ack: BTreeMap<String, String>) {
+    pub(crate) fn record_ack(&mut self, idx: usize, ack: BTreeMap<String, String>) {
         self.tally.shard_acks[idx] = Some(ack);
     }
 
@@ -1297,7 +1297,7 @@ impl<C: Clone> Core<C> {
     /// draining or gone) and `eligible`: the one named by
     /// `params.shard`, or a choice seeded by `params.seed` (default: the
     /// router seed). `which` and `verb` word the (counted) rejection.
-    pub fn pick_victim(
+    pub(crate) fn pick_victim(
         &self,
         req: &Request,
         which: &str,
@@ -1328,7 +1328,7 @@ impl<C: Clone> Core<C> {
     }
 
     /// Count one `kill-shard` SIGKILL.
-    pub fn shard_killed(&mut self) {
+    pub(crate) fn shard_killed(&mut self) {
         count!(self, shards_killed);
     }
 }

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Schema tag written into every header.
-pub const SCHEMA: &str = "fmm-journal/v1";
+pub(crate) const SCHEMA: &str = "fmm-journal/v1";
 
 /// `(spec_hash, seed param, client_tag)` — the identity a job is
 /// journaled (and counted) under, mirroring the router's idempotency
@@ -110,7 +110,7 @@ impl Record {
     }
 
     /// Serialise to one line (no trailing newline).
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         match self {
             Record::Admit {
                 key,

@@ -64,5 +64,5 @@ pub mod router;
 
 pub use journal::{replay, Journal, Replay};
 pub use outlier::OutlierDetector;
-pub use ring::{spec_hash, Ring, VNODES};
+pub use ring::{spec_hash, Ring};
 pub use router::{FleetSnapshot, RouterConfig, RouterHandle, ShardSpawner, StartOptions};

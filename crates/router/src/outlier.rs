@@ -18,25 +18,25 @@ pub const STRIKE_WINDOW: u32 = 3;
 
 /// Minimum observations an EWMA needs before it can flag (or anchor
 /// the median for) anything.
-pub const MIN_SAMPLES: u64 = 8;
+pub(crate) const MIN_SAMPLES: u64 = 8;
 
 /// Minimum *eligible* shards for a median comparison to mean anything;
 /// below this, nobody is ejected (a 2-shard fleet has no "middle").
-pub const MIN_PEERS: usize = 3;
+pub(crate) const MIN_PEERS: usize = 3;
 
 /// EWMA smoothing factor (weight of the newest sample).
 const ALPHA: f64 = 0.3;
 
 /// One exponentially-weighted moving average with a sample count.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Ewma {
+pub(crate) struct Ewma {
     value: f64,
     samples: u64,
 }
 
 impl Ewma {
     /// Fold in one observation.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         self.value = if self.samples == 0 {
             v
         } else {
@@ -48,10 +48,6 @@ impl Ewma {
     /// Current average; `None` until [`MIN_SAMPLES`] observations.
     pub fn settled(&self) -> Option<f64> {
         (self.samples >= MIN_SAMPLES).then_some(self.value)
-    }
-
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -70,7 +66,7 @@ pub struct OutlierDetector {
 }
 
 impl OutlierDetector {
-    pub fn new(n: usize, k: f64) -> OutlierDetector {
+    pub(crate) fn new(n: usize, k: f64) -> OutlierDetector {
         OutlierDetector {
             k,
             shards: vec![ShardSignal::default(); n],
@@ -80,14 +76,14 @@ impl OutlierDetector {
     /// Record a job's settle latency against the shard it was *first*
     /// dispatched to (a hedge rescuing a slow primary is evidence
     /// against the primary).
-    pub fn record_settle(&mut self, shard: usize, us: u64) {
+    pub(crate) fn record_settle(&mut self, shard: usize, us: u64) {
         if let Some(s) = self.shards.get_mut(shard) {
             s.settle_us.observe(us as f64);
         }
     }
 
     /// Record a health-probe round-trip for a shard.
-    pub fn record_rtt(&mut self, shard: usize, us: u64) {
+    pub(crate) fn record_rtt(&mut self, shard: usize, us: u64) {
         if let Some(s) = self.shards.get_mut(shard) {
             s.rtt_us.observe(us as f64);
         }
@@ -95,7 +91,7 @@ impl OutlierDetector {
 
     /// Forget everything about one shard (readmission after probation,
     /// or a respawn): stale slowness must not re-eject a fresh start.
-    pub fn reset(&mut self, shard: usize) {
+    pub(crate) fn reset(&mut self, shard: usize) {
         if let Some(s) = self.shards.get_mut(shard) {
             *s = ShardSignal::default();
         }
@@ -105,7 +101,7 @@ impl OutlierDetector {
     /// healthy or degraded). Returns the shards whose strike count has
     /// reached [`STRIKE_WINDOW`] — repeatedly, until the caller ejects
     /// them or they recover; the caller applies its own safety floor.
-    pub fn tick(&mut self, eligible: &[bool]) -> Vec<usize> {
+    pub(crate) fn tick(&mut self, eligible: &[bool]) -> Vec<usize> {
         let settle_med = self.median(eligible, |s| s.settle_us.settled());
         let rtt_med = self.median(eligible, |s| s.rtt_us.settled());
         let mut flagged = Vec::new();

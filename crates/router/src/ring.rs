@@ -1,6 +1,6 @@
 //! Consistent-hash routing: which shard owns a request?
 //!
-//! Each shard contributes [`VNODES`] virtual points to a hash ring, all
+//! Each shard contributes `VNODES` virtual points to a hash ring, all
 //! derived with the workspace's canonical FNV-1a ([`fmm_sweep::spec::fnv1a`] —
 //! the same function that keys sweep checkpoints). A request routes to
 //! the first *live* shard clockwise from its spec hash, so removing a
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// Virtual points per shard. 64 keeps the ring balanced to within a few
 /// percent at single-digit shard counts without a noticeable build cost.
-pub const VNODES: usize = 64;
+pub(crate) const VNODES: usize = 64;
 
 /// The canonical spec hash of a job request: FNV-1a over the kind and
 /// every parameter, sorted by key (the `BTreeMap` order), with the

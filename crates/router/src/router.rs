@@ -189,7 +189,7 @@ impl RouterHandle {
         self.0.addr()
     }
 
-    pub fn snapshot(&self) -> FleetSnapshot {
+    pub(crate) fn snapshot(&self) -> FleetSnapshot {
         self.0.service().core().snapshot()
     }
 

@@ -301,13 +301,13 @@ impl Client {
     }
 
     /// Send one request line in one write.
-    pub fn send(&mut self, req: &Request) -> io::Result<()> {
+    pub(crate) fn send(&mut self, req: &Request) -> io::Result<()> {
         write_line(&mut self.writer, req.to_line())
     }
 
     /// The next reply: `Ok(None)` when the stream ended, `Err` for a
     /// line that is oversized or does not parse.
-    pub fn recv(&mut self) -> Result<Option<Response>, String> {
+    pub(crate) fn recv(&mut self) -> Result<Option<Response>, String> {
         let max = self.lines.max_line_bytes;
         let mut got = Ok(None);
         self.lines.each(|line| {

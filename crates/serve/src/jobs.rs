@@ -6,7 +6,7 @@
 //! typed [`Outcome`] as text. The server parses params at admission
 //! ([`JobSpec::from_request`]: bad ones are rejected before they consume
 //! a queue slot), runs the job on a worker under the same [`cancel::isolate`] and
-//! replies with [`Outcome::fields`].
+//! replies with `Outcome::fields`.
 //!
 //! Validation checks shape (numbers parse, names are known, sizes are at
 //! least 1) but not simulator preconditions. A Strassen run at a
@@ -103,7 +103,7 @@ pub struct Kernel {
     pub check: bool,
 }
 
-/// What a job measured, next to the job: [`Outcome::fields`] is the
+/// What a job measured, next to the job: `Outcome::fields` is the
 /// reply map, and the `fastmm` command of the same name prints it.
 #[derive(Clone, Debug)]
 pub enum Outcome<'a> {
@@ -284,7 +284,7 @@ impl<'a> Params<'a> {
 impl JobSpec {
     /// The root span name a worker opens around this job's `run`, and the
     /// label the per-kind latency histograms use.
-    pub fn span_name(&self) -> &'static str {
+    pub(crate) fn span_name(&self) -> &'static str {
         match self {
             JobSpec::Io(_) => "job.io",
             JobSpec::Bounds(_) => "job.bounds",
@@ -586,7 +586,7 @@ fn with_workspace<T: Scalar, R>(f: impl FnOnce(&mut Workspace<T>) -> R) -> R {
 
 impl Outcome<'_> {
     /// The flat string→string map a `completed` reply carries.
-    pub fn fields(&self) -> BTreeMap<String, String> {
+    pub(crate) fn fields(&self) -> BTreeMap<String, String> {
         let fields: Vec<(&str, String)> = match self {
             Outcome::Io(job, run) => {
                 let (stats, bound) = (&run.clean.stats, run.bound);

@@ -30,7 +30,7 @@
 //! [`fmm_faults::cancel::isolate`] (the sweep engine's cells run under
 //! it too), and
 //! print its typed [`jobs::Outcome`] where the server replies with
-//! [`jobs::Outcome::fields`]. The server runs every job the command line
+//! `jobs::Outcome::fields`. The server runs every job the command line
 //! runs; a deadline or a drain stops a long one through the cancel token
 //! its simulator or kernel polls.
 //!

@@ -126,7 +126,7 @@ impl Kind {
     }
 
     /// Does this kind go through the admission queue?
-    pub fn is_job(self) -> bool {
+    pub(crate) fn is_job(self) -> bool {
         matches!(
             self,
             Kind::Io | Kind::Bounds | Kind::Faults | Kind::SweepCell | Kind::Kernel

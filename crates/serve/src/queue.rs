@@ -1,9 +1,9 @@
 //! A bounded MPMC queue with *non-blocking* admission.
 //!
-//! The server's load-shedding contract lives here: [`BoundedQueue::try_push`]
+//! The server's load-shedding contract lives here: `BoundedQueue::try_push`
 //! never waits — a full queue returns the item straight back so the caller
 //! can reply `shed` while the client is still listening. Consumers block in
-//! [`BoundedQueue::pop`], which also honours a pause latch (used by the
+//! `BoundedQueue::pop`, which also honours a pause latch (used by the
 //! `pause` control message to make burst shed counts deterministic: with
 //! consumers held, a blast of B requests admits exactly `capacity` and
 //! sheds `B - capacity`, independent of thread timing).
@@ -18,7 +18,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Why [`BoundedQueue::try_push`] refused an item (the item comes back).
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// At capacity — the caller should shed.
     Full(T),
     /// Closed — the server is draining.
@@ -57,16 +57,16 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Current depth (racy by nature; for gauges and health replies).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Admit without blocking. Returns the depth *after* the push.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
             return Err(PushError::Closed(item));
@@ -83,7 +83,7 @@ impl<T> BoundedQueue<T> {
 
     /// Block until an item is available (and the queue is not paused),
     /// or until the queue is closed *and* empty — then `None`.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(item) = (!st.paused || st.closed)
@@ -100,7 +100,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Hold (or release) consumers. Admission is unaffected.
-    pub fn set_paused(&self, paused: bool) {
+    pub(crate) fn set_paused(&self, paused: bool) {
         let mut st = self.state.lock().unwrap();
         st.paused = paused;
         drop(st);

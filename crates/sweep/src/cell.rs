@@ -27,7 +27,7 @@ pub struct Measurement {
     /// Max per-processor words (parallel cells; 0 otherwise).
     pub words: u64,
     /// Model flop count, leading term `coeff · n^ω` (see
-    /// [`AlgKind::flop_coefficient`]).
+    /// `AlgKind::flop_coefficient`).
     pub flops: u64,
     /// Recompute moves (pebbling cells; 0 otherwise).
     pub recomputes: u64,

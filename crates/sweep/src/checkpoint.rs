@@ -26,7 +26,7 @@ use fmm_obs::jsonl::{self, Contents};
 use std::collections::BTreeMap;
 
 /// Schema tag written into every header.
-pub const SCHEMA: &str = "fmm-sweep/v1";
+pub(crate) const SCHEMA: &str = "fmm-sweep/v1";
 
 /// The first line of a checkpoint file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,7 +79,7 @@ impl CellRecord {
 }
 
 /// Serialise the header line.
-pub fn header_line(spec: &SweepSpec, seed: u64, cells: usize) -> String {
+pub(crate) fn header_line(spec: &SweepSpec, seed: u64, cells: usize) -> String {
     format!(
         "{{\"type\":\"header\",\"schema\":\"{SCHEMA}\",\"spec\":\"{}\",\"spec_hash\":\"{}\",\
          \"seed\":\"{seed}\",\"cells\":{cells}}}",
@@ -90,7 +90,7 @@ pub fn header_line(spec: &SweepSpec, seed: u64, cells: usize) -> String {
 
 /// Serialise one cell record. Field order is fixed so that identical runs
 /// produce byte-identical lines apart from `wall_ms`.
-pub fn cell_line(spec_hash: &str, r: &CellRecord) -> String {
+pub(crate) fn cell_line(spec_hash: &str, r: &CellRecord) -> String {
     let c = &r.cell;
     let mut line = format!(
         "{{\"type\":\"cell\",\"spec_hash\":\"{spec_hash}\",\"id\":{},\"alg\":\"{}\",\
@@ -151,7 +151,7 @@ fn get_str<'a>(map: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, S
 }
 
 /// Parse a checkpoint's header line.
-pub fn parse_header(line: &str) -> Result<Header, String> {
+pub(crate) fn parse_header(line: &str) -> Result<Header, String> {
     let map = parse_line(line).ok_or("malformed JSON")?;
     match get_str(&map, "type")? {
         "header" => {}
@@ -175,7 +175,7 @@ pub fn parse_header(line: &str) -> Result<Header, String> {
 /// Parse one cell line of the checkpoint `header` heads. Every record
 /// must carry the header's spec hash — a checkpoint is a
 /// machine-readable artifact, not a log to be skimmed.
-pub fn parse_record(header: &Header, line: &str) -> Result<CellRecord, String> {
+pub(crate) fn parse_record(header: &Header, line: &str) -> Result<CellRecord, String> {
     let map = parse_line(line).ok_or("malformed JSON")?;
     match get_str(&map, "type")? {
         "cell" => {}
@@ -231,7 +231,7 @@ pub fn parse_record(header: &Header, line: &str) -> Result<CellRecord, String> {
 /// Collapse duplicate cell ids to the **latest** record in file order.
 /// Duplicates are legitimate: a resume re-runs timed-out cells, appending
 /// a second record for the same id; the later one supersedes.
-pub fn latest_by_id(records: &[CellRecord]) -> Vec<CellRecord> {
+pub(crate) fn latest_by_id(records: &[CellRecord]) -> Vec<CellRecord> {
     let mut latest: BTreeMap<usize, &CellRecord> = BTreeMap::new();
     for r in records {
         latest.insert(r.cell.id, r);

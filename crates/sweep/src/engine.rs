@@ -62,7 +62,7 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// The effective worker count.
-    pub fn effective_jobs(&self) -> usize {
+    pub(crate) fn effective_jobs(&self) -> usize {
         if self.jobs > 0 {
             self.jobs
         } else {

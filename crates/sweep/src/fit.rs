@@ -21,7 +21,7 @@ pub struct PowerFit {
 /// Fit a power law through `(x, y)` samples. Returns `None` when fewer
 /// than two distinct positive x values exist (the slope would be
 /// undefined) or any sample is non-positive (log of it undefined).
-pub fn fit_power_law(samples: &[(f64, f64)]) -> Option<PowerFit> {
+pub(crate) fn fit_power_law(samples: &[(f64, f64)]) -> Option<PowerFit> {
     if samples.iter().any(|&(x, y)| x <= 0.0 || y <= 0.0) {
         return None;
     }

@@ -17,12 +17,12 @@ pub mod cell;
 pub mod checkpoint;
 pub mod diff;
 pub mod engine;
-pub mod fit;
+mod fit;
 pub mod report;
 pub mod spec;
 
 pub use cell::{cell_seed, run_cell, Measurement};
 pub use checkpoint::{CellRecord, CellStatus, Header};
 pub use engine::{execute, resume_file, run_collect, run_to_file, RunConfig, RunStats};
-pub use fit::{fit_power_law, PowerFit};
+pub use fit::PowerFit;
 pub use spec::{AlgKind, Cell, PolicyKind, RunMode, SweepSpec};

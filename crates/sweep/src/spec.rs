@@ -25,7 +25,7 @@ pub enum AlgKind {
 
 impl AlgKind {
     /// Canonical string form (used in JSONL and CLI).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             AlgKind::Classical => "classical",
             AlgKind::Strassen => "strassen",
@@ -35,7 +35,7 @@ impl AlgKind {
     }
 
     /// Parse the canonical string form.
-    pub fn parse(s: &str) -> Option<AlgKind> {
+    pub(crate) fn parse(s: &str) -> Option<AlgKind> {
         match s {
             "classical" => Some(AlgKind::Classical),
             "strassen" => Some(AlgKind::Strassen),
@@ -54,12 +54,12 @@ impl AlgKind {
     }
 
     /// True for the 2×2-base fast family (Strassen/Winograd/KS).
-    pub fn is_fast(self) -> bool {
+    pub(crate) fn is_fast(self) -> bool {
         self != AlgKind::Classical
     }
 
     /// Leading flop coefficient (`flops ≈ coeff · n^ω`): 2, 7, 6, 5.
-    pub fn flop_coefficient(self) -> f64 {
+    pub(crate) fn flop_coefficient(self) -> f64 {
         match self {
             AlgKind::Classical => 2.0,
             AlgKind::Strassen => 7.0,
@@ -89,7 +89,7 @@ pub enum RunMode {
 
 impl RunMode {
     /// Canonical string form.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RunMode::Cache => "cache",
             RunMode::PebbleSr => "pebble-sr",
@@ -98,7 +98,7 @@ impl RunMode {
     }
 
     /// Parse the canonical string form.
-    pub fn parse(s: &str) -> Option<RunMode> {
+    pub(crate) fn parse(s: &str) -> Option<RunMode> {
         match s {
             "cache" => Some(RunMode::Cache),
             "pebble-sr" => Some(RunMode::PebbleSr),
@@ -171,7 +171,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// Canonical one-line description — the input of [`SweepSpec::hash`].
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         let join = |it: Vec<String>| it.join(",");
         format!(
             "{}|algs={}|ns={}|ms={}|ps={}|policies={}|modes={}|reps={}",

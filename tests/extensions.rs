@@ -1,51 +1,13 @@
-//! Integration tests for the extension modules: general/rectangular
-//! algorithms, OPT replacement, segment audits, CDAG expansion, and the
-//! memory-limited CAPS model.
+//! Integration tests for the extension modules: OPT replacement, segment
+//! audits, the memory-limited CAPS model and the FFT bound rows.
 
-use fastmm::cdag::expansion::{expansion, subproblem_cones};
 use fastmm::cdag::RecursiveCdag;
-use fastmm::core::rectangular::{multiply_rect, rect_catalog, BilinearRect};
 use fastmm::core::{bounds, catalog};
-use fastmm::matrix::multiply::multiply_naive;
-use fastmm::matrix::Matrix;
 use fastmm::memsim::cache::Policy;
 use fastmm::memsim::trace::{opt_stats, replay};
 use fastmm::memsim::{model, seq};
 use fastmm::pebbling::players::{belady_schedule, creation_order};
 use fastmm::pebbling::segments::theorem_audit;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-#[test]
-fn rectangular_algorithms_multiply_correctly_end_to_end() {
-    let mut rng = StdRng::seed_from_u64(300);
-    // ⟨4,4,4;49⟩ at depth 1 and 2.
-    let s2 = rect_catalog::strassen_squared();
-    for depth in [1usize, 2] {
-        let n = 4usize.pow(depth as u32);
-        let a = Matrix::<i64>::random_small(n, n, &mut rng);
-        let b = Matrix::<i64>::random_small(n, n, &mut rng);
-        assert_eq!(
-            multiply_rect(&s2, &a, &b, depth),
-            multiply_naive(&a, &b),
-            "depth={depth}"
-        );
-    }
-}
-
-#[test]
-fn classical_rect_bases_compose_with_fast_ones() {
-    let mut rng = StdRng::seed_from_u64(301);
-    let alg = fastmm::core::rectangular::tensor(
-        &BilinearRect::classical(3, 1, 2),
-        &BilinearRect::from_2x2(&catalog::winograd()),
-    );
-    assert_eq!((alg.m, alg.k, alg.n), (6, 2, 4));
-    assert_eq!(alg.t(), 3 * 2 * 7);
-    let a = Matrix::<i64>::random_small(6, 2, &mut rng);
-    let b = Matrix::<i64>::random_small(2, 4, &mut rng);
-    assert_eq!(multiply_rect(&alg, &a, &b, 1), multiply_naive(&a, &b));
-}
 
 #[test]
 fn opt_replacement_floors_measured_io_on_real_schedules() {
@@ -106,19 +68,6 @@ fn segment_audit_floors_hold_across_algorithms_and_sizes() {
             }
         }
     }
-}
-
-#[test]
-fn expansion_of_subproblem_cones_decreases_with_scale() {
-    let h = RecursiveCdag::build(&catalog::strassen().to_base(), 8);
-    let avg = |j: usize| {
-        let cones = subproblem_cones(&h, j);
-        cones.iter().map(|c| expansion(&h.graph, c)).sum::<f64>() / cones.len() as f64
-    };
-    let e1 = avg(1);
-    let e2 = avg(2);
-    assert!(e2 < e1, "expansion must fall with cone size: {e2} vs {e1}");
-    assert!(e1 > 0.0 && e2 > 0.0);
 }
 
 #[test]
