@@ -3,7 +3,7 @@
 //! Serialised as JSONL so `fmm_obs::json::parse_line` — the only JSON
 //! parser in the workspace — can read it back: a header line carrying
 //! the schema tag, profile, and environment manifest, then one line per
-//! benchmark target with interpolated percentiles and the target's
+//! benchmark target with its pass-time order statistics and the target's
 //! deterministic extra counters.
 //!
 //! ```text
@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 /// The schema tag every document leads with.
 pub(crate) const SCHEMA: &str = "fmm-bench/v1";
 
-/// Wall-time statistics for one target, in nanoseconds, pulled from an
-/// [`fmm_obs::Histogram`] over the timed passes.
+/// Wall-time statistics for one target, in nanoseconds: order statistics
+/// of the timed passes, each one an observed pass time (no histogram).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TargetStats {
     pub warmup: u64,

@@ -3,8 +3,8 @@
 //! Benchmark harness for the reproduction:
 //!
 //! * The `fastmm bench run|diff|list` pipeline: a catalog of named
-//!   hot-path targets ([`targets`]), warmup + timed passes with
-//!   interpolated percentiles, a versioned `fmm-bench/v1` JSONL document
+//!   hot-path targets ([`targets`]), warmup + timed passes with exact
+//!   nearest-rank percentiles, a versioned `fmm-bench/v1` JSONL document
 //!   with an environment manifest ([`doc`], [`manifest`]), and the
 //!   regression gate ([`diff`]).
 //! * [`tables`]: Table I and every figure-equivalent as aligned text

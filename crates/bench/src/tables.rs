@@ -16,13 +16,17 @@
 //!   (+ DOT files under `target/figures/`).
 //! * `--fig2` — Figure 2: the encoder graphs and the Lemma 3.1/3.2/3.3
 //!   battery on them.
-//! * `--fig3` — Figure 3: Lemma 3.11 disjoint-path counts on H^{4×4}.
+//! * `--fig3` — Figure 3: Lemma 3.11 disjoint-path counts on H^{4×4}
+//!   (Strassen in detail, then every fast algorithm), Lemma 3.7 and the
+//!   Lemma 3.8 Grigoriev flow.
 //! * `--recompute` — the recomputation study: exact optimal pebbling with
 //!   and without recomputation; store-reload vs recompute players on
 //!   matmul CDAGs; write-heavy cost model.
 //! * `--flops` — the §I leading-coefficient story (7 → 6 → 5), measured.
 //! * `--fft` — the FFT contrast row; `--policies` — LRU/FIFO/OPT ablation;
-//!   `--segments` — the Lemma 3.6 segment audit.
+//!   `--segments` — the Lemma 3.6 segment audit, with each Belady
+//!   schedule's total I/O against the bound and the recomputing
+//!   schedule segment by segment.
 
 use crate::{bench_matrix, eng};
 use fmm_cdag::census::census;
@@ -30,7 +34,7 @@ use fmm_cdag::dot::to_dot;
 use fmm_cdag::RecursiveCdag;
 use fmm_core::altbasis::{karstadt_schwartz, multiply_alt_counted};
 use fmm_core::exec::multiply_fast_counted;
-use fmm_core::{bounds, catalog, lemmas};
+use fmm_core::{bounds, catalog, grigoriev, lemmas};
 use fmm_memsim::{model, par};
 use fmm_pebbling::families;
 use fmm_pebbling::game::{run_schedule, CostModel};
@@ -287,6 +291,21 @@ fn fig3() {
         if rep.holds { "OK" } else { "FAIL" },
         rep.detail
     );
+    println!("\nLemma 3.11 on H^{{4×4}} of every fast catalog algorithm (|Z| = 4, |Γ| = 1):");
+    for alg in catalog::all_fast() {
+        let h = RecursiveCdag::build(&alg.to_base(), 4);
+        let rep = lemmas::check_lemma_3_11_sampled(&h, 1, 4, 1, 8, &mut rng, &alg.name);
+        let verdict = if rep.holds { "OK" } else { "FAIL" };
+        println!("  {:<10} {verdict} — {}", alg.name, rep.detail);
+    }
+    println!("\nLemma 3.8 — Grigoriev flow of f_{{n×n}}, the recomputation-proof core:");
+    for n in [2usize, 4, 8] {
+        println!(
+            "  n = {n}: ω(2n², n²) = {:>5.1}  → any dominator of all outputs has ≥ {} vertices",
+            grigoriev::flow_lower_bound(n, 2 * n * n, n * n),
+            grigoriev::dominator_lower_bound(n, 2 * n * n, n * n)
+        );
+    }
 }
 
 fn recompute_study() {
@@ -504,8 +523,11 @@ fn segments() {
     let subs: Vec<Vec<fmm_cdag::VertexId>> = (0..h.sub_outputs.len())
         .map(|j| h.sub_output_vertices(j))
         .collect();
+    let mut totals = Vec::new();
     for m in [4usize, 8, 16] {
         let moves = belady_schedule(&h.graph, &creation_order(&h.graph), m);
+        let stats = run_schedule(&h.graph, &moves, m, false).expect("legal");
+        totals.push((m, stats.io()));
         let (r, floor, segs) = theorem_audit(&h.graph, &moves, &subs, m);
         let full: Vec<_> = segs
             .iter()
@@ -527,6 +549,7 @@ fn segments() {
         .map(|j| h4.sub_output_vertices(j))
         .collect();
     let m_rc = 16;
+    let (mut rc_r2, mut rc_segments) = (0, Vec::new());
     if let Ok(moves) = demand_schedule(&h4.graph, m_rc, EvictionMode::Recompute) {
         let stats = run_schedule(&h4.graph, &moves, m_rc, true).expect("legal");
         let (r, floor, segs) = theorem_audit(&h4.graph, &moves, &subs4, m_rc);
@@ -543,6 +566,28 @@ fn segments() {
             min_io,
             floor.max(0),
             stats.recomputes
+        );
+        (rc_r2, rc_segments) = (r * r, segs);
+    }
+    println!("\nBelady totals on H^{{8×8}} against the Theorem 1.1 bound:");
+    println!("{:>3} {:>9} {:>9}", "M", "total I/O", "Ω bound");
+    for (m, io) in totals {
+        let lb = bounds::sequential(8, m, bounds::OMEGA_FAST);
+        println!("{m:>3} {io:>9} {:>9}", eng(lb));
+    }
+    println!("\nThe recomputing schedule (n = 4, M = {m_rc}) segment by segment:");
+    for (i, s) in rc_segments.iter().enumerate() {
+        let tag = if s.outputs_computed == rc_r2 {
+            "full"
+        } else {
+            "tail"
+        };
+        println!(
+            "  segment {i} ({tag}): {} first-time sub-outputs, {} loads + {} stores = {} I/O",
+            s.outputs_computed,
+            s.loads,
+            s.stores,
+            s.io()
         );
     }
 }

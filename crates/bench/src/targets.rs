@@ -3,8 +3,9 @@
 //! Each target is a deterministic unit of hot-path work (fixed seeds, so
 //! its `extras` counters are exact across runs while only wall time
 //! varies). The runner times `passes` passes after `warmup` discarded
-//! ones, pulls interpolated percentiles from an [`fmm_obs::Histogram`]
-//! of per-pass nanoseconds, and assembles the [`BenchDoc`].
+//! ones, keeps every pass time, and reports their order statistics
+//! (nearest-rank p50/p95/p99, exact min and max; each one an observed
+//! pass, never a histogram bucket's interpolation) in the [`BenchDoc`].
 
 use crate::doc::{BenchDoc, TargetResult, TargetStats};
 use crate::manifest;
@@ -15,7 +16,6 @@ use fmm_kernel::Workspace;
 use fmm_matrix::Matrix;
 use fmm_memsim::seq::Replacement;
 use fmm_memsim::{par, seq};
-use fmm_obs::Histogram;
 use fmm_pebbling::families;
 use fmm_pebbling::game::{run_schedule, CostModel};
 use fmm_pebbling::optimal::optimal_pebbling;
@@ -765,7 +765,7 @@ pub fn run_targets(opts: &RunOptions) -> BenchDoc {
         for _ in 0..warmup {
             (t.run)();
         }
-        let mut hist = Histogram::default();
+        let mut pass_ns = Vec::new();
         let mut extras = BTreeMap::new();
         for _ in 0..passes {
             let start = Instant::now();
@@ -773,21 +773,13 @@ pub fn run_targets(opts: &RunOptions) -> BenchDoc {
             if slow {
                 std::thread::sleep(Duration::from_millis(25));
             }
-            hist.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            pass_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         targets.push(TargetResult {
             name: t.name.to_string(),
             group: t.group.to_string(),
             tol: t.tol,
-            stats: TargetStats {
-                warmup,
-                passes,
-                p50_ns: hist.p50(),
-                p95_ns: hist.p95(),
-                p99_ns: hist.p99(),
-                min_ns: hist.min,
-                max_ns: hist.max,
-            },
+            stats: pass_stats(warmup, pass_ns),
             extras,
         });
     }
@@ -798,9 +790,42 @@ pub fn run_targets(opts: &RunOptions) -> BenchDoc {
     }
 }
 
+/// The order statistics of one target's timed passes (at least one):
+/// nearest-rank p50/p95/p99 (the smallest pass time with at least q % of
+/// the passes at or below it) and the exact min and max.
+fn pass_stats(warmup: u64, mut pass_ns: Vec<u64>) -> TargetStats {
+    pass_ns.sort_unstable();
+    let n = pass_ns.len();
+    let rank = |q: usize| pass_ns[(q * n).div_ceil(100) - 1];
+    TargetStats {
+        warmup,
+        passes: n as u64,
+        p50_ns: rank(50),
+        p95_ns: rank(95),
+        p99_ns: rank(99),
+        min_ns: pass_ns[0],
+        max_ns: pass_ns[n - 1],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_are_observed_passes_even_within_one_power_of_two() {
+        // Five passes between 2^20 and 2^21 ns share one histogram bucket.
+        let passes = vec![1_900_000, 1_100_000, 1_500_000, 1_300_000, 1_200_000];
+        let s = pass_stats(1, passes.clone());
+        assert_eq!(s.p50_ns, 1_300_000, "the median pass");
+        assert!(passes.contains(&s.p50_ns));
+        assert_eq!((s.min_ns, s.max_ns), (1_100_000, 1_900_000));
+        assert_eq!((s.p95_ns, s.p99_ns), (1_900_000, 1_900_000));
+        assert_eq!((s.warmup, s.passes), (1, 5));
+        let fifteen = pass_stats(2, (1..=15).map(|i| 1_048_576 + i).collect());
+        assert_eq!(fifteen.p50_ns, 1_048_576 + 8);
+        assert_eq!(fifteen.p95_ns, 1_048_576 + 15);
+    }
 
     #[test]
     fn profiles_order_and_parse() {

@@ -15,7 +15,7 @@
 use crate::bilinear::Bilinear2x2;
 use crate::slp::Slp;
 use fmm_matrix::multiply::multiply_ikj;
-use fmm_matrix::quad::{crop, join_quadrants, pad_pow2, split_quadrants};
+use fmm_matrix::quad::{crop, join_quadrants, next_pow2, pad_to, split_quadrants};
 use fmm_matrix::{Matrix, Scalar};
 
 /// Exact operation counts of an execution.
@@ -235,15 +235,9 @@ pub fn multiply_any<T: Scalar>(
     cutoff: usize,
 ) -> Matrix<T> {
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let n = a.rows().max(a.cols()).max(b.cols());
-    let ap = pad_pow2(&pad_to_square(a, n));
-    let bp = pad_pow2(&pad_to_square(b, n));
-    let cp = multiply_fast(alg, &ap, &bp, cutoff);
+    let n = next_pow2(a.rows().max(a.cols()).max(b.cols()));
+    let cp = multiply_fast(alg, &pad_to(a, n), &pad_to(b, n), cutoff);
     crop(&cp, a.rows(), b.cols())
-}
-
-fn pad_to_square<T: Scalar>(m: &Matrix<T>, n: usize) -> Matrix<T> {
-    fmm_matrix::quad::pad_to(m, n)
 }
 
 /// Closed-form operation counts of the full recursion (`cutoff = 1`) for a

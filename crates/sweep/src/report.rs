@@ -250,59 +250,6 @@ pub fn render(header: &Header, s: &Summary) -> String {
     out
 }
 
-/// Render the machine-facing `BENCH_sweep.json` document.
-pub fn bench_json(header: &Header, s: &Summary) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"fmm-sweep-bench/v1\",");
-    let _ = writeln!(out, "  \"spec\": \"{}\",", header.spec);
-    let _ = writeln!(out, "  \"spec_hash\": \"{}\",", header.spec_hash);
-    let _ = writeln!(out, "  \"seed\": \"{}\",", header.seed);
-    let _ = writeln!(out, "  \"cells_total\": {},", header.cells);
-    let _ = writeln!(out, "  \"cells_ok\": {},", s.ok);
-    let _ = writeln!(out, "  \"cells_error\": {},", s.errors);
-    let _ = writeln!(out, "  \"cells_timeout\": {},", s.timeouts);
-    out.push_str("  \"exponents\": [\n");
-    for (i, row) in s.exponents.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"alg\": \"{}\", \"m\": {}, \"fitted\": {:.6}, \"model\": {:.6}, \"r2\": {:.6}, \"points\": {}}}",
-            row.alg.as_str(),
-            row.m,
-            row.fit.exponent,
-            row.expected,
-            row.fit.r2,
-            row.fit.points
-        );
-        out.push_str(if i + 1 < s.exponents.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n");
-    match (&s.ratio_min, &s.ratio_max) {
-        (Some((kmin, rmin)), Some((kmax, rmax))) => {
-            let _ = writeln!(
-                out,
-                "  \"ratio\": {{\"min\": {rmin:.6}, \"min_cell\": \"{kmin}\", \"max\": {rmax:.6}, \"max_cell\": \"{kmax}\"}},"
-            );
-        }
-        _ => out.push_str("  \"ratio\": null,\n"),
-    }
-    let _ = writeln!(
-        out,
-        "  \"wall_us\": {{\"p50\": {}, \"p95\": {}, \"max\": {}, \"count\": {}}}",
-        s.wall_us.p50(),
-        s.wall_us.p95(),
-        s.wall_us.max,
-        s.wall_us.count
-    );
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,20 +296,5 @@ mod tests {
         let text = render(&header, &s);
         assert!(text.contains("fitted I/O exponents"));
         assert!(text.contains("cell wall time"));
-    }
-
-    #[test]
-    fn bench_json_is_parseable_by_obs_json() {
-        let (header, s) = smoke_summary();
-        let doc = bench_json(&header, &s);
-        // Our hand-rolled parser handles one flat object per line; check
-        // the nested document at least balances and carries the schema.
-        assert!(doc.contains("\"schema\": \"fmm-sweep-bench/v1\""));
-        assert_eq!(
-            doc.matches('{').count(),
-            doc.matches('}').count(),
-            "unbalanced braces in:\n{doc}"
-        );
-        assert!(doc.contains("\"exponents\""));
     }
 }

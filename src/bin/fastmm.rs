@@ -208,8 +208,8 @@ const COMMANDS: &[Command] = &[
     ),
     Command::new(
         "sweep report",
-        &["file", "bench"],
-        "usage: fastmm sweep report --file <file> [--bench <path.json>]",
+        &["file"],
+        "usage: fastmm sweep report --file <file>",
         cmd_sweep_report,
     ),
     Command::new(
@@ -870,13 +870,6 @@ fn cmd_sweep_report(args: &Args) -> ExitCode {
     let (header, records) = checkpoint::load(&path).unwrap_or_else(|e| args.die(&e.to_string()));
     let summary = report::summarize(&records);
     print!("{}", report::render(&header, &summary));
-    if let Some(bench) = args.str("bench") {
-        let doc = report::bench_json(&header, &summary);
-        if let Err(e) = std::fs::write(bench, doc) {
-            args.die(&format!("cannot write '{bench}': {e}"));
-        }
-        println!("\nbench summary written to {bench}");
-    }
     ExitCode::SUCCESS
 }
 

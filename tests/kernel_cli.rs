@@ -120,6 +120,26 @@ fn check_passes_for_both_algs_and_dtypes() {
     }
 }
 
+/// The benchmark workload's shape: one level above the fused pair
+/// (512 → 256, then fused 128 → 64). The unit tests check materialized
+/// levels only at n ≤ 64.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug; run with --release")]
+fn fast_kernels_at_n512_match_the_naive_product() {
+    for alg in ["strassen", "winograd"] {
+        let out = fastmm(&[
+            "kernel", "--alg", alg, "--n", "512", "--cutoff", "64", "--dtype", "f64", "--seed",
+            "42", "--check",
+        ]);
+        assert!(out.status.success(), "{alg}: stderr: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("product matches naive reference"),
+            "{alg}: --check must print its verdict:\n{}",
+            stdout(&out)
+        );
+    }
+}
+
 #[test]
 fn threads_flag_changes_nothing_about_the_product() {
     let out = fastmm(&[
